@@ -6,7 +6,6 @@ survivors are verified against the original vectors, so results always
 equal a brute-force scan.
 """
 
-from .covariance import CovarianceAccumulator, PrincipalComponent, first_principal_component
 from .data import (
     BenchRow,
     DataSet,
@@ -34,12 +33,10 @@ from .projection import (
     ADAPTIVE,
     ORTHOGONAL,
     BlockPartition,
-    BlockProjector,
+    PrincipalComponent,
     ProjectionLevel,
-    adaptive_feature,
-    diversion,
+    first_principal_component,
     fit_adaptive_level,
-    orthogonal_feature,
     orthogonal_level,
     project_level,
     project_rows,

@@ -10,6 +10,7 @@ disagree with it).
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -169,8 +170,7 @@ def run_build(config: BenchConfig, log=print) -> list[str]:
         for entry in index.diversion_summary():
             log(f"  level {entry['level']} (block size {entry['block_size']}): "
                 f"max diversion {entry['max_diversion']:.6f}, "
-                f"mean {entry['mean_diversion']:.6f}, "
-                f"unconverged fits {entry['unconverged_fits']}")
+                f"mean {entry['mean_diversion']:.6f}")
         written.append(str(target))
     return written
 
@@ -351,7 +351,8 @@ def main(argv=None) -> int:
         if args.command == "build":
             run_build(_config_from_args(args))
         elif args.command == "query":
-            run_query(args.index, args.queries, args.epsilon)
+            run_query(args.index, args.queries, args.epsilon,
+                      data_path=args.data, out_path=args.out)
         else:
             run_bench(_config_from_args(args))
     except InternalCheckError as exc:

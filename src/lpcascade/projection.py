@@ -7,29 +7,30 @@ inner product with a fitted unit direction divided by a dual-norm scale
 (the "adaptive" feature).  Both satisfy |feature(x) - feature(y)| <=
 ||x - y||_p per block, which makes the full level a contraction under any
 l_p and is what lets the index prune without false dismissals.
+
+Adaptive directions are the dominant eigenvectors of the blocks' raw
+second-moment matrices, solved for every block of a level at once by one
+batched symmetric eigensolver call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import CovarianceAccumulator, first_principal_component
 from .norms import NormOrder, as_norm_order, lp_norm
 
 __all__ = [
     "ORTHOGONAL",
     "ADAPTIVE",
     "BlockPartition",
-    "BlockProjector",
     "ProjectionLevel",
-    "orthogonal_feature",
-    "adaptive_feature",
+    "PrincipalComponent",
+    "first_principal_component",
     "project_level",
     "project_rows",
-    "diversion",
     "q_mapping_norm",
     "orthogonal_level",
     "fit_adaptive_level",
@@ -37,6 +38,11 @@ __all__ = [
 
 ORTHOGONAL = "orthogonal"
 ADAPTIVE = "adaptive"
+
+# largest |A - A^T| entry first_principal_component accepts, relative to max|A|
+_SYMMETRY_TOL = 1e-9
+# largest deviation of an adaptive direction's l_2 norm from 1
+_UNIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,72 +78,38 @@ def _coefficient(block_size: int, norm: NormOrder) -> float:
 
 
 @dataclass(frozen=True)
-class BlockProjector:
-    """One block's scalar feature map.
+class ProjectionLevel:
+    """One cascade stage: f block features sharing a norm.
 
-    Orthogonal projectors carry no parameters.  Adaptive projectors carry a
-    unit direction and the Lipschitz scale max(1, ||direction||_p*) that
-    keeps the feature non-expansive under the level's norm.
+    ``directions`` is None for an orthogonal level (block means) and an
+    (f, m) array of unit rows for an adaptive one.  ``scales`` is derived:
+    each adaptive row's Lipschitz scale max(1, ||direction||_p*), which keeps
+    its feature non-expansive under the level's norm; None when orthogonal.
     """
 
-    mode: str
-    direction: np.ndarray | None = None
-    lipschitz_scale: float = 1.0
-    converged: bool = True
-
-    def __post_init__(self) -> None:
-        if self.mode not in (ORTHOGONAL, ADAPTIVE):
-            raise ValueError(f"unknown projector mode {self.mode!r}")
-        if self.mode == ORTHOGONAL:
-            if self.direction is not None:
-                raise ValueError("orthogonal projectors carry no direction")
-            return
-        if self.direction is None:
-            raise ValueError("adaptive projectors need a direction")
-        direction = np.asarray(self.direction, dtype=np.float64)
-        object.__setattr__(self, "direction", direction)
-        if abs(float(np.linalg.norm(direction)) - 1.0) > 1e-9:
-            raise ValueError("adaptive direction must have unit l_2 norm")
-        if self.lipschitz_scale < 1.0:
-            raise ValueError("lipschitz_scale must be >= 1")
-
-    @classmethod
-    def adaptive(cls, direction, norm, converged: bool = True) -> "BlockProjector":
-        """Adaptive projector for a given direction under a given norm."""
-        direction = np.asarray(direction, dtype=np.float64)
-        scale = max(1.0, lp_norm(direction, as_norm_order(norm).dual))
-        return cls(mode=ADAPTIVE, direction=direction, lipschitz_scale=scale,
-                   converged=converged)
-
-
-@dataclass(frozen=True)
-class ProjectionLevel:
-    """One cascade stage: f block projectors sharing a mode and a norm."""
-
     partition: BlockPartition
-    projectors: tuple[BlockProjector, ...]
     norm: NormOrder
+    directions: np.ndarray | None = None
+    scales: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.projectors) != self.partition.block_count:
-            raise ValueError(
-                f"{len(self.projectors)} projectors for "
-                f"{self.partition.block_count} blocks"
-            )
-        modes = {proj.mode for proj in self.projectors}
-        if len(modes) != 1:
-            raise ValueError("all projectors in a level must share one mode")
-        # stacked copies drive the vectorized row kernels
-        directions = scales = None
-        if self.mode == ADAPTIVE:
-            directions = np.stack([proj.direction for proj in self.projectors])
-            scales = np.array([proj.lipschitz_scale for proj in self.projectors])
-        object.__setattr__(self, "_directions", directions)
-        object.__setattr__(self, "_scales", scales)
+        norm = as_norm_order(self.norm)
+        object.__setattr__(self, "norm", norm)
+        scales = None
+        if self.directions is not None:
+            directions = np.asarray(self.directions, dtype=np.float64)
+            shape = (self.partition.block_count, self.partition.block_size)
+            if directions.shape != shape:
+                raise ValueError(f"directions shape {directions.shape} != {shape}")
+            if np.any(np.abs(np.linalg.norm(directions, axis=1) - 1.0) > _UNIT_TOL):
+                raise ValueError("adaptive directions must have unit l_2 norm")
+            object.__setattr__(self, "directions", directions)
+            scales = np.array([max(1.0, lp_norm(row, norm.dual)) for row in directions])
+        object.__setattr__(self, "scales", scales)
 
     @property
     def mode(self) -> str:
-        return self.projectors[0].mode
+        return ORTHOGONAL if self.directions is None else ADAPTIVE
 
     @property
     def dim_in(self) -> int:
@@ -148,31 +120,11 @@ class ProjectionLevel:
         return self.partition.block_count
 
     def diversions(self) -> np.ndarray:
-        """Per-block diversion diagnostics; exactly zero in orthogonal mode."""
-        if self.mode == ORTHOGONAL:
+        """Per-block sqrt(m) - |<direction, ones>|: distance of each fitted
+        direction from the m-secting line; identically 0 in orthogonal mode."""
+        if self.directions is None:
             return np.zeros(self.partition.block_count)
-        m = self.partition.block_size
-        return np.array([diversion(proj, m) for proj in self.projectors])
-
-
-def orthogonal_feature(block, p) -> float:
-    """Signed scalar m^(1/p) * mean(block); equals ±||P block||_p in magnitude."""
-    arr = np.asarray(block, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("block must be a nonempty vector")
-    return _coefficient(arr.size, as_norm_order(p)) * float(arr.mean())
-
-
-def adaptive_feature(block, projector: BlockProjector) -> float:
-    """Signed scalar <direction, block> / lipschitz_scale."""
-    if projector.mode != ADAPTIVE:
-        raise ValueError("adaptive_feature requires an adaptive projector")
-    arr = np.asarray(block, dtype=np.float64)
-    if arr.shape != projector.direction.shape:
-        raise ValueError(
-            f"block dim {arr.shape} != direction dim {projector.direction.shape}"
-        )
-    return float(arr @ projector.direction) / projector.lipschitz_scale
+        return math.sqrt(self.partition.block_size) - np.abs(self.directions.sum(axis=1))
 
 
 def project_level(x, level: ProjectionLevel) -> np.ndarray:
@@ -190,21 +142,10 @@ def project_rows(rows: np.ndarray, level: ProjectionLevel) -> np.ndarray:
         raise ValueError(f"rows shape {rows.shape} != level input dim {level.dim_in}")
     part = level.partition
     blocks = rows.reshape(rows.shape[0], part.block_count, part.block_size)
-    if level.mode == ORTHOGONAL:
+    if level.directions is None:
         return blocks.mean(axis=2) * _coefficient(part.block_size, level.norm)
-    feats = np.einsum("sfm,fm->sf", blocks, level._directions)
-    return feats / level._scales[None, :]
-
-
-def diversion(projector: BlockProjector, m: int) -> float:
-    """sqrt(m) - |<direction, ones>|: distance of the fitted direction from
-    the m-secting line; 0 when the direction is the block mean's."""
-    if projector.mode != ADAPTIVE:
-        raise ValueError("diversion is defined for adaptive projectors "
-                         "(orthogonal mode is identically 0)")
-    if m != projector.direction.size:
-        raise ValueError(f"m={m} != direction dim {projector.direction.size}")
-    return math.sqrt(m) - abs(float(projector.direction.sum()))
+    feats = np.einsum("sfm,fm->sf", blocks, level.directions)
+    return feats / level.scales[None, :]
 
 
 def q_mapping_norm(m: int, p) -> float:
@@ -222,11 +163,52 @@ def q_mapping_norm(m: int, p) -> float:
 
 
 def orthogonal_level(partition: BlockPartition, norm) -> ProjectionLevel:
-    """Level of parameter-free block-mean projectors."""
-    projectors = tuple(BlockProjector(mode=ORTHOGONAL)
-                       for _ in range(partition.block_count))
-    return ProjectionLevel(partition=partition, projectors=projectors,
-                           norm=as_norm_order(norm))
+    """Level of parameter-free block-mean features."""
+    return ProjectionLevel(partition=partition, norm=norm)
+
+
+@dataclass(frozen=True)
+class PrincipalComponent:
+    """Dominant eigenpair: unit direction, nonnegative eigenvalue."""
+
+    direction: np.ndarray
+    eigenvalue: float
+
+
+def _dominant_eigenpairs(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit dominant eigenvectors (k, m) and eigenvalues (k,) of a (k, m, m)
+    stack of symmetric PSD matrices, from one batched eigh call.
+
+    Each vector's sign makes its sum nonnegative (tie: first nonzero entry
+    positive).  An all-zero matrix gets the m-secting direction, the fitting
+    fallback for blocks that carry no energy.
+    """
+    values, vectors = np.linalg.eigh(moments)
+    top = vectors[:, :, -1]
+    sums = top.sum(axis=1)
+    first = top[np.arange(top.shape[0]), np.argmax(top != 0.0, axis=1)]
+    flip = (sums < 0.0) | ((sums == 0.0) & (first < 0.0))
+    top = np.where(flip[:, None], -top, top)
+    top[~moments.any(axis=(1, 2))] = 1.0 / math.sqrt(moments.shape[1])
+    return top, np.maximum(values[:, -1], 0.0)
+
+
+def first_principal_component(cov) -> PrincipalComponent:
+    """Dominant eigenpair of a symmetric PSD matrix.
+
+    The single-matrix case of the solver fit_adaptive_level runs, with the
+    same sign convention and zero-matrix fallback.
+    """
+    mat = np.asarray(cov, dtype=np.float64)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix contains non-finite entries")
+    scale = float(np.abs(mat).max())
+    if float(np.abs(mat - mat.T).max()) > _SYMMETRY_TOL * max(1.0, scale):
+        raise ValueError("matrix is not symmetric within tolerance")
+    directions, eigenvalues = _dominant_eigenpairs(mat[None])
+    return PrincipalComponent(direction=directions[0], eigenvalue=float(eigenvalues[0]))
 
 
 def fit_adaptive_level(rows: np.ndarray, partition: BlockPartition,
@@ -238,19 +220,17 @@ def fit_adaptive_level(rows: np.ndarray, partition: BlockPartition,
     covariance): features are inner products with raw vectors, so the
     direction that best preserves their length is the one carrying the most
     raw energy, mean included.  Blocks with zero moment fall back to the
-    m-secting direction.
+    m-secting direction.  One batched product forms every block's moment.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != partition.dim_in:
         raise ValueError(f"rows shape {rows.shape} != partition dim {partition.dim_in}")
-    norm = as_norm_order(norm)
-    m = partition.block_size
-    projectors = []
-    for j in range(partition.block_count):
-        acc = CovarianceAccumulator(m)
-        acc.add_rows(rows[:, j * m:(j + 1) * m])
-        component = first_principal_component(acc.second_moment())
-        projectors.append(BlockProjector.adaptive(
-            component.direction, norm, converged=component.converged))
-    return ProjectionLevel(partition=partition, projectors=tuple(projectors),
-                           norm=norm)
+    if rows.shape[0] == 0:
+        raise ValueError("cannot fit directions to zero rows")
+    blocks = rows.reshape(rows.shape[0], partition.block_count, partition.block_size)
+    # (f, m, s) @ (f, s, m): strided views, so BLAS reads the rows in place
+    moments = blocks.transpose(1, 2, 0) @ blocks.transpose(1, 0, 2) / rows.shape[0]
+    if not np.all(np.isfinite(moments)):
+        raise ValueError("rows contain non-finite values")
+    directions, _ = _dominant_eigenpairs(moments)
+    return ProjectionLevel(partition=partition, norm=norm, directions=directions)

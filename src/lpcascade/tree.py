@@ -33,7 +33,6 @@ from .projection import (
     ADAPTIVE,
     ORTHOGONAL,
     BlockPartition,
-    BlockProjector,
     ProjectionLevel,
     fit_adaptive_level,
     orthogonal_level,
@@ -142,17 +141,20 @@ class SubspaceIndex:
         return int(self.data.shape[0])
 
     def diversion_summary(self) -> list[dict]:
-        """Per-level max/mean diversion and non-converged fit count."""
+        """Per-level max/mean diversion.
+
+        ``unconverged_fits`` is always 0, since directions come from a direct
+        eigensolver; the key is kept so existing consumers keep working.
+        """
         summary = []
         for depth, level in enumerate(self.levels, start=1):
             values = level.diversions()
-            stalled = sum(1 for proj in level.projectors if not proj.converged)
             summary.append({
                 "level": depth,
                 "block_size": level.partition.block_size,
                 "max_diversion": float(values.max()) if values.size else 0.0,
                 "mean_diversion": float(values.mean()) if values.size else 0.0,
-                "unconverged_fits": stalled,
+                "unconverged_fits": 0,
             })
         return summary
 
@@ -307,8 +309,8 @@ def save_index(index: SubspaceIndex, path, include_data: bool = True) -> None:
         if include_data:
             handle.write(index.data.astype("<f8").tobytes())
         for level, feats in zip(index.levels, index.features):
-            if level.mode == ADAPTIVE:
-                handle.write(level._directions.astype("<f8").tobytes())
+            if level.directions is not None:
+                handle.write(level.directions.astype("<f8").tobytes())
             handle.write(feats.astype("<f4").tobytes())
 
 
@@ -370,14 +372,11 @@ def load_index(path, data: DataSet | None = None,
         margins = []
         for dim_in, dim_out in zip(dims, dims[1:]):
             partition = BlockPartition.for_dims(dim_in, dim_out)
+            directions = None
             if mode == ADAPTIVE:
                 directions = take("<f8", (dim_out, partition.block_size))
-                projectors = tuple(BlockProjector.adaptive(direction, norm)
-                                   for direction in directions)
-                level = ProjectionLevel(partition=partition,
-                                        projectors=projectors, norm=norm)
-            else:
-                level = orthogonal_level(partition, norm)
+            level = ProjectionLevel(partition=partition, norm=norm,
+                                    directions=directions)
             feats = take("<f4", (count, dim_out)).astype(np.float64)
             row_norms = distances_to_point(feats, np.zeros(dim_out), norm)
             margins.append(_F32_RELATIVE_SLACK * float(row_norms.max(initial=0.0)))

@@ -1,9 +1,21 @@
 """Command-line surface: config parsing, subcommands, exit codes."""
 
+import json
+
 import numpy as np
 import pytest
 
-from lpcascade import load_index, read_report, write_fvecs
+from lpcascade import (
+    DimensionSchedule,
+    SyntheticSpec,
+    build_index,
+    generate,
+    load_fvecs,
+    load_index,
+    read_report,
+    save_index,
+    write_fvecs,
+)
 from lpcascade.cli import (
     BenchConfig,
     CliInputError,
@@ -11,6 +23,7 @@ from lpcascade.cli import (
     main,
     parse_config_file,
     run_bench,
+    run_query,
 )
 
 
@@ -123,6 +136,69 @@ def test_query_command(tmp_path, capsys):
     assert logged.count("query ") == 3
     assert "matches within 0.5" in logged
     assert "cost_s" in logged
+
+
+@pytest.fixture
+def query_files(tmp_path):
+    """Adaptive index saved with and without embedded data, plus its dataset
+    and queries as float32-exact .fvecs files."""
+    raw = generate(SyntheticSpec(count=300, dim=32, model="block-correlated",
+                                 block_size=4, correlation=0.8, rng_seed=10))
+    data_path = tmp_path / "data.fvecs"
+    write_fvecs(data_path, raw.vectors)
+    data = load_fvecs(data_path)
+    index = build_index(data, DimensionSchedule((32, 8, 2)), "adaptive", 2)
+    full, slim = tmp_path / "full.idx", tmp_path / "slim.idx"
+    save_index(index, full)
+    save_index(index, slim, include_data=False)
+    queries = tmp_path / "queries.fvecs"
+    write_fvecs(queries, data.vectors[:4] + 0.05)
+    return {"full": full, "slim": slim, "data": data_path, "queries": queries}
+
+
+def test_run_query_writes_reports_json(query_files, tmp_path):
+    out = tmp_path / "reports.json"
+    reports = run_query(query_files["full"], query_files["queries"], 1.5,
+                        out_path=out, log=lambda *a: None)
+    written = json.loads(out.read_text())
+    assert len(written) == len(reports) == 4
+    for row, (entry, report) in enumerate(zip(written, reports)):
+        assert entry["query"] == row
+        assert entry["epsilon"] == report.epsilon
+        assert [tuple(pair) for pair in entry["matches"]] == list(report.matches)
+        assert tuple(entry["survivors"]) == report.survivors
+        assert entry["cost_s"] == report.cost_s and entry["cost_l"] == report.cost_l
+        assert entry["ratio"] == report.ratio
+    assert any(entry["matches"] for entry in written)
+
+
+def test_query_data_flag_matches_embedded_copy(query_files, tmp_path):
+    embedded, supplied = tmp_path / "embedded.json", tmp_path / "supplied.json"
+    common = ["query", "--queries", str(query_files["queries"]), "--epsilon", "1.5"]
+    assert main(common + ["--index", str(query_files["full"]),
+                          "--out", str(embedded)]) == 0
+    assert main(common + ["--index", str(query_files["slim"]),
+                          "--data", str(query_files["data"]),
+                          "--out", str(supplied)]) == 0
+    got = json.loads(supplied.read_text())
+    assert got == json.loads(embedded.read_text())
+    assert any(entry["matches"] for entry in got)
+
+
+def test_query_out_flag_writes_file(query_files, tmp_path, capsys):
+    out = tmp_path / "q.json"
+    assert main(["query", "--index", str(query_files["full"]),
+                 "--queries", str(query_files["queries"]), "--epsilon", "1.5",
+                 "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())) == 4
+    assert f"wrote 4 query reports -> {out}" in capsys.readouterr().out
+
+
+def test_query_dataless_container_needs_data_flag(query_files, capsys):
+    code = main(["query", "--index", str(query_files["slim"]),
+                 "--queries", str(query_files["queries"]), "--epsilon", "1.5"])
+    assert code == 1
+    assert "no embedded data" in capsys.readouterr().err
 
 
 def test_query_missing_file_is_input_error(tmp_path, capsys):

@@ -232,9 +232,13 @@ def test_save_load_roundtrip(tmp_path, mode):
     for built, back in zip(index.features, loaded.features):
         np.testing.assert_array_equal(back.astype(np.float32),
                                       built.astype(np.float32))
-    if mode == "adaptive":
-        for lvl_a, lvl_b in zip(index.levels, loaded.levels):
-            np.testing.assert_array_equal(lvl_a._directions, lvl_b._directions)
+    for lvl_a, lvl_b in zip(index.levels, loaded.levels):
+        if mode == "adaptive":
+            np.testing.assert_array_equal(lvl_a.directions, lvl_b.directions)
+            np.testing.assert_array_equal(lvl_a.scales, lvl_b.scales)
+        else:
+            assert lvl_a.directions is lvl_b.directions is None
+            assert lvl_a.scales is lvl_b.scales is None
     assert loaded.norm == index.norm and loaded.mode == index.mode
     assert all(margin > 0.0 for margin in loaded.prune_margins)
     assert all(margin == 0.0 for margin in index.prune_margins)
@@ -287,7 +291,7 @@ def test_adaptive_levels_fitted_recursively():
     data = small_dataset(count=300, seed=37)
     index = build_index(data, DimensionSchedule((64, 16, 4)), "adaptive", 2)
     refit = fit_adaptive_level(index.features[0], BlockPartition.for_dims(16, 4), 2)
-    np.testing.assert_array_equal(index.levels[1]._directions, refit._directions)
+    np.testing.assert_array_equal(index.levels[1].directions, refit.directions)
 
 
 def test_mmap_loaded_index_matches(tmp_path):
