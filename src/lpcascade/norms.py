@@ -69,6 +69,10 @@ L2 = NormOrder(2.0)
 L4 = NormOrder(4.0)
 LINF = NormOrder(math.inf)
 
+# Byte budget of one chunk of float64 rows in a distance sweep: small
+# enough that the chunk and the kernel's buffer stay in L2.
+CHUNK_BYTES = 2 ** 20
+
 
 def as_norm_order(p) -> NormOrder:
     """Coerce a NormOrder, number, or string like "2" / "inf" to NormOrder."""
@@ -125,9 +129,13 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
     """l_p distance from each row of ``rows`` to ``y``, vectorized.
 
     Inputs are assumed validated (finite, matching dims); this is the hot
-    kernel behind scans and cascade levels.
+    kernel behind scans and cascade levels, fed one chunk of rows at a time
+    (see ``row_chunks``).  It allocates one (rows x dim) buffer and works in
+    it in place.  The buffer is row-major whatever the layout of ``rows``,
+    so each row's distance is the same float in every caller.
     """
-    diff = np.abs(rows - y)
+    diff = np.subtract(rows, y, order="C")
+    np.abs(diff, out=diff)
     if norm.is_infinite:
         return diff.max(axis=1)
     p = norm.p
@@ -137,8 +145,27 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
     m = diff.max(axis=1)
     safe = np.where(m > 0.0, m, 1.0)
-    out = safe * np.sum((diff / safe[:, None]) ** p, axis=1) ** (1.0 / p)
+    np.divide(diff, safe[:, None], out=diff)
+    np.power(diff, p, out=diff)
+    out = safe * np.sum(diff, axis=1) ** (1.0 / p)
     return np.where(m > 0.0, out, 0.0)
+
+
+def row_chunks(matrix: np.ndarray, rows: np.ndarray | None = None):
+    """Yield ``(positions, block)`` pairs that cover ``matrix[rows]`` in order.
+
+    Each block holds at most CHUNK_BYTES of float64 rows (at least one row),
+    so a sweep that calls ``distances_to_point`` once per block never copies
+    the whole matrix.  Without ``rows`` every block is a plain slice of
+    ``matrix``; with them it is the gather ``matrix[rows[positions]]``.
+    ``positions`` is the slice of the output that the block fills.
+    """
+    count = matrix.shape[0] if rows is None else rows.size
+    step = max(1, CHUNK_BYTES // (8 * matrix.shape[1]))
+    for start in range(0, count, step):
+        positions = slice(start, min(start + step, count))
+        yield positions, (matrix[positions] if rows is None
+                          else matrix[rows[positions]])
 
 
 def check_norm_equivalence(v, q, p, rel_tol: float = 1e-9) -> bool:

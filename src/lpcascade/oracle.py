@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataSet
-from .norms import as_norm_order, distances_to_point
+from .norms import NormOrder, as_norm_order, distances_to_point, row_chunks
 
 __all__ = ["CalibrationSpec", "brute_force_range", "calibrate_epsilon"]
 
@@ -46,9 +46,17 @@ def brute_force_range(data: DataSet, y, epsilon: float, p) -> list[tuple[int, fl
         raise ValueError(f"query shape {query.shape} != data dim {data.dim}")
     if not np.all(np.isfinite(query)):
         raise ValueError("query contains non-finite components")
-    dist = distances_to_point(data.vectors, query, as_norm_order(p))
+    dist = _scan(data.vectors, query, as_norm_order(p))
     hits = np.nonzero(dist < float(epsilon))[0]
     return [(int(data.ids[i]), float(dist[i])) for i in hits]
+
+
+def _scan(vectors: np.ndarray, query: np.ndarray, norm: NormOrder) -> np.ndarray:
+    """Distances from ``query`` to every row, one cache-sized chunk at a time."""
+    dist = np.empty(vectors.shape[0])
+    for positions, block in row_chunks(vectors):
+        dist[positions] = distances_to_point(block, query, norm)
+    return dist
 
 
 def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
@@ -56,7 +64,9 @@ def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
     """Median target_nn-th neighbor distance over a held-out query sample.
 
     The sampled queries are removed from the scanned set, so a query never
-    counts itself (or another query) among its neighbors.
+    counts itself (or another query) among its neighbors: each scan covers
+    every row in place and gives the held-out rows distance +inf, which
+    leaves the target_nn-th smallest distance as it would be without them.
     """
     s = len(data)
     if spec.sample_size > s:
@@ -71,11 +81,9 @@ def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
     norm = as_norm_order(p)
     rng = np.random.Generator(np.random.Philox(key=rng_seed))
     chosen = rng.choice(s, size=spec.sample_size, replace=False)
-    mask = np.ones(s, dtype=bool)
-    mask[chosen] = False
-    scanned = data.vectors[mask]
     kth = np.empty(spec.sample_size)
     for pos, row in enumerate(chosen):
-        dist = distances_to_point(scanned, data.vectors[row], norm)
+        dist = _scan(data.vectors, data.vectors[row], norm)
+        dist[chosen] = np.inf
         kth[pos] = np.partition(dist, spec.target_nn - 1)[spec.target_nn - 1]
     return float(np.median(kth))

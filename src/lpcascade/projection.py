@@ -83,8 +83,11 @@ class ProjectionLevel:
 
     ``directions`` is None for an orthogonal level (block means) and an
     (f, m) array of unit rows for an adaptive one.  ``scales`` is derived:
-    each adaptive row's Lipschitz scale max(1, ||direction||_p*), which keeps
-    its feature non-expansive under the level's norm; None when orthogonal.
+    each adaptive row's Lipschitz scale ||direction||_p*, the smallest one
+    Hölder's inequality |<d, x>| <= ||d||_p* ||x||_p allows, which keeps its
+    feature non-expansive under the level's norm; None when orthogonal.
+    Below 1 only for p < 2, where it stretches the feature to its full
+    pruning power.
     """
 
     partition: BlockPartition
@@ -104,7 +107,7 @@ class ProjectionLevel:
             if np.any(np.abs(np.linalg.norm(directions, axis=1) - 1.0) > _UNIT_TOL):
                 raise ValueError("adaptive directions must have unit l_2 norm")
             object.__setattr__(self, "directions", directions)
-            scales = np.array([max(1.0, lp_norm(row, norm.dual)) for row in directions])
+            scales = np.array([lp_norm(row, norm.dual) for row in directions])
         object.__setattr__(self, "scales", scales)
 
     @property

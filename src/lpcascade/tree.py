@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataSet
-from .norms import NormOrder, as_norm_order, distances_to_point
+from .norms import NormOrder, as_norm_order, distances_to_point, row_chunks
 from .projection import (
     ADAPTIVE,
     ORTHOGONAL,
@@ -203,7 +203,9 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     Filters coarse-to-fine: items are evaluated level by level, and
     whatever reaches level 0 is verified against the stored vectors.  The
     level-major sweep evaluates exactly the pairs the per-item two-loop
-    cascade would, so counters match the cost model verbatim.
+    cascade would, so counters match the cost model verbatim.  Each level
+    walks its candidates in cache-sized chunks (``_sweep``), so a query
+    never copies a whole feature or data matrix.
     """
     query = np.asarray(y, dtype=np.float64)
     if query.ndim != 1 or query.size != index.schedule.dims[0]:
@@ -226,13 +228,12 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     candidates = np.arange(s)
     cost = 0
     for k in range(t, 0, -1):
-        rows = index.features[k - 1][candidates]
-        level_dist = distances_to_point(rows, projected[k], index.norm)
+        level_dist = _sweep(index.features[k - 1], candidates, projected[k], index.norm)
         cost += candidates.size * dims[k]
         keep = level_dist < epsilon + index.prune_margins[k - 1]
         candidates = candidates[keep]
         survivors[k] = int(candidates.size)
-    exact = distances_to_point(index.data[candidates], query, index.norm)
+    exact = _sweep(index.data, candidates, query, index.norm)
     cost += candidates.size * dims[0]
     hit = exact < epsilon
     survivors[0] = int(np.count_nonzero(hit))
@@ -247,6 +248,21 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
         cost_l=s * dims[0],
         epsilon=epsilon,
     )
+
+
+def _sweep(matrix: np.ndarray, candidates: np.ndarray | None, point: np.ndarray,
+           norm: NormOrder) -> np.ndarray:
+    """Distances from ``point`` to ``matrix[candidates]``, chunk by chunk.
+
+    ``candidates`` are ascending row numbers; None, or every row, sweeps the
+    matrix as plain slices with no gather.
+    """
+    if candidates is not None and candidates.size == matrix.shape[0]:
+        candidates = None
+    out = np.empty(matrix.shape[0] if candidates is None else candidates.size)
+    for positions, block in row_chunks(matrix, candidates):
+        out[positions] = distances_to_point(block, point, norm)
+    return out
 
 
 def estimate_cost(schedule: DimensionSchedule, s: int, const: float) -> float:
@@ -321,10 +337,13 @@ def load_index(path, data: DataSet | None = None,
     If the file does not embed the original vectors, the caller must supply
     the dataset it was built from.  ``mmap_data`` maps the embedded vectors
     read-only instead of loading them; the cascade touches level 0 only for
-    final verification, so mapping keeps the resident set near the (small)
-    feature matrices.  Reloaded features are float32-rounded, so each level
-    gets a pruning margin covering the worst-case rounding; pruning then
-    errs only toward extra survivors and exactness is unaffected.
+    final verification, so mapping keeps the resident set near the feature
+    matrices.  Those are stored at float32 but loaded upcast to float64, so
+    in memory they weigh 8 bytes per feature, which for a fine first level
+    is a large share of the data's own size.  Being float32-rounded, each
+    level's features get a pruning margin covering the worst-case rounding;
+    pruning then errs only toward extra survivors and exactness is
+    unaffected.
     """
     with open(path, "rb") as handle:
         prefix = handle.read(len(_MAGIC) + 12)
@@ -378,7 +397,7 @@ def load_index(path, data: DataSet | None = None,
             level = ProjectionLevel(partition=partition, norm=norm,
                                     directions=directions)
             feats = take("<f4", (count, dim_out)).astype(np.float64)
-            row_norms = distances_to_point(feats, np.zeros(dim_out), norm)
+            row_norms = _sweep(feats, None, np.zeros(dim_out), norm)
             margins.append(_F32_RELATIVE_SLACK * float(row_norms.max(initial=0.0)))
             levels.append(level)
             features.append(feats)

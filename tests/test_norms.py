@@ -15,7 +15,9 @@ from lpcascade import (
     lp_distance,
     lp_norm,
 )
-from lpcascade.norms import distances_to_point
+from lpcascade import norms
+from lpcascade.norms import distances_to_point, row_chunks
+from unchunked import unchunked_distances
 
 
 def test_norm_examples():
@@ -153,3 +155,37 @@ def test_batched_distances_zero_rows():
     rows = np.zeros((3, 4))
     out = distances_to_point(rows, np.zeros(4), as_norm_order(3))
     assert np.all(out == 0.0)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 3.5, "inf"])
+def test_in_place_kernel_matches_unchunked_kernel_bit_for_bit(p):
+    rng = np.random.Generator(np.random.Philox(key=7))
+    rows = rng.standard_normal((300, 37)) * 10.0
+    y = rng.standard_normal(37)
+    rows[5] = y  # a zero-distance row takes the m == 0 branch
+    before = rows.copy()
+    norm = as_norm_order(p)
+    want = unchunked_distances(rows, y, norm)
+    np.testing.assert_array_equal(distances_to_point(rows, y, norm), want)
+    np.testing.assert_array_equal(rows, before)
+    # a column-major matrix yields the same floats as its row-major copy
+    np.testing.assert_array_equal(distances_to_point(np.asfortranarray(rows), y, norm), want)
+
+
+def test_row_chunks_cover_the_rows_in_budget_sized_blocks(monkeypatch):
+    matrix = np.arange(70.0).reshape(14, 5)
+    monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 5 * 4)
+    chunks = list(row_chunks(matrix))
+    assert [part for part, _ in chunks] == [slice(0, 4), slice(4, 8), slice(8, 12),
+                                            slice(12, 14)]
+    for part, block in chunks:
+        assert np.shares_memory(block, matrix)  # plain slices, no copy
+        np.testing.assert_array_equal(block, matrix[part])
+    rows = np.array([0, 2, 3, 7, 8, 13])
+    gathered = list(row_chunks(matrix, rows))
+    assert [part for part, _ in gathered] == [slice(0, 4), slice(4, 6)]
+    np.testing.assert_array_equal(np.vstack([b for _, b in gathered]), matrix[rows])
+    assert list(row_chunks(matrix, rows[:0])) == []
+    # a row wider than the budget still makes a chunk of one row
+    monkeypatch.setattr(norms, "CHUNK_BYTES", 8)
+    assert len(list(row_chunks(matrix))) == 14

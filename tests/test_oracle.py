@@ -11,6 +11,8 @@ from lpcascade import (
     calibrate_epsilon,
     generate,
 )
+from lpcascade import norms
+from unchunked import unchunked_brute_force, unchunked_calibration
 
 
 def test_strict_boundary():
@@ -94,3 +96,24 @@ def test_calibrated_epsilon_yields_target_scale_counts():
                                 2, rng_seed=41)
     counts = [len(brute_force_range(base, q, epsilon, 2)) for q in fresh]
     assert 26.0 <= float(np.mean(counts)) <= 104.0
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, "inf"])
+def test_chunked_scans_equal_unchunked_references(monkeypatch, p):
+    ds = generate(SyntheticSpec(count=700, dim=24, rng_seed=53))
+    monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 24 * 9)  # 78 chunks per scan
+    spec = CalibrationSpec(sample_size=30, target_nn=7)
+    epsilon = calibrate_epsilon(ds, spec, p, rng_seed=54)
+    assert epsilon == unchunked_calibration(ds, spec, p, rng_seed=54)
+    for row in (0, 350, 699):
+        y = ds.vectors[row] + 0.01
+        hits = brute_force_range(ds, y, epsilon, p)
+        assert hits and hits == unchunked_brute_force(ds, y, epsilon, p)
+
+
+def test_wide_calibration_equals_unchunked_reference():
+    # default budget: 136 rows of 960 per chunk, so a scan spans 8 chunks
+    ds = generate(SyntheticSpec(count=1000, dim=960, rng_seed=55))
+    spec = CalibrationSpec(sample_size=20, target_nn=52)
+    assert calibrate_epsilon(ds, spec, 2, rng_seed=56) == \
+        unchunked_calibration(ds, spec, 2, rng_seed=56)

@@ -65,8 +65,9 @@ def test_block_mean_feature_examples():
 
 
 def test_adaptive_level_feature_examples():
+    # the scale is the Hölder bound ||d||_p*, with no clamp at 1
     level2 = adaptive_level(BISECT2, 2)
-    assert level2.scales[0] == 1.0
+    assert level2.scales[0] == lp_norm(BISECT2, 2) == pytest.approx(1.0)
     assert project_level([1, 3], level2)[0] == pytest.approx(4.0 / math.sqrt(2.0))
     assert project_level([1, 3], level2)[0] == pytest.approx(block_mean_feature([1, 3], 2))
 
@@ -76,6 +77,13 @@ def test_adaptive_level_feature_examples():
     level_inf = adaptive_level(BISECT2, "inf")
     assert level_inf.scales[0] == pytest.approx(math.sqrt(2.0))
     assert project_level([1, 3], level_inf)[0] == pytest.approx(2.0)
+
+    # under l_1 the dual is l_inf: scale 1/sqrt(2) < 1, and the feature of a
+    # nonnegative block is its full l_1 norm
+    level1 = adaptive_level(BISECT2, 1)
+    assert level1.scales[0] == pytest.approx(1.0 / math.sqrt(2.0))
+    assert project_level([1, 3], level1)[0] == pytest.approx(4.0)
+    assert project_level([1, 3], level1)[0] <= lp_norm([1, 3], 1) * (1 + 1e-12)
 
 
 def test_adaptive_level_chebyshev_is_lipschitz():
@@ -225,7 +233,10 @@ def test_fit_adaptive_level_shapes_and_flags():
     level = fit_adaptive_level(rows, BlockPartition.for_dims(12, 3), 4)
     assert level.mode == ADAPTIVE and level.dim_out == 3
     assert level.directions.shape == (3, 4)
-    assert np.all(level.scales >= 1.0)
+    # under l_4 the dual l_4/3 norm of a unit vector is at least its l_2 norm
+    assert np.all(level.scales >= 1.0 - 1e-12)
+    np.testing.assert_array_equal(
+        level.scales, [lp_norm(d, as_norm_order(4).dual) for d in level.directions])
     feats = project_rows(rows, level)
     assert feats.shape == (500, 3)
     with pytest.raises(ValueError):
@@ -246,4 +257,4 @@ def test_fitted_directions_match_pca_oracle(p):
         block = rows[:, j * 4:(j + 1) * 4]
         oracle = first_principal_component(block.T @ block / rows.shape[0])
         np.testing.assert_allclose(level.directions[j], oracle.direction, rtol=0, atol=1e-12)
-        assert level.scales[j] == max(1.0, lp_norm(level.directions[j], dual))
+        assert level.scales[j] == lp_norm(level.directions[j], dual)

@@ -1,0 +1,49 @@
+"""Working-set bounds of the chunked sweeps: no whole-matrix copies.
+
+tracemalloc sees numpy's data buffers, so its peak during a call bounds
+every temporary the call allocated.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from lpcascade import (
+    CalibrationSpec,
+    DimensionSchedule,
+    SyntheticSpec,
+    build_index,
+    calibrate_epsilon,
+    generate,
+    range_query,
+)
+
+
+@pytest.fixture(scope="module")
+def wide_data():
+    return generate(SyntheticSpec(count=8000, dim=960, rng_seed=60))
+
+
+def peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_unpruned_query_allocates_under_a_quarter_of_the_data(wide_data):
+    index = build_index(wide_data, DimensionSchedule((960, 240, 60)), "orthogonal", 2)
+    report = range_query(index, wide_data.vectors[0], 1e9)
+    # nothing is pruned: every level and the verification see all 8000 rows
+    assert report.survivors == (8000, 8000, 8000)
+    peak = peak_bytes(lambda: range_query(index, wide_data.vectors[0], 1e9))
+    assert peak < wide_data.vectors.nbytes / 4
+
+
+def test_calibration_allocates_under_a_quarter_of_the_data(wide_data):
+    spec = CalibrationSpec(sample_size=3, target_nn=5)
+    peak = peak_bytes(lambda: calibrate_epsilon(wide_data, spec, 1, rng_seed=61))
+    assert peak < wide_data.vectors.nbytes / 4

@@ -20,6 +20,8 @@ from lpcascade import (
     range_query,
     save_index,
 )
+from lpcascade import norms, tree
+from unchunked import gather_everything_query, unchunked_distances
 
 GIST_SCHEDULE = (960, 480, 240, 120, 60, 30, 10, 5)
 
@@ -328,3 +330,98 @@ def test_load_rejects_corrupt_containers(tmp_path):
     padded.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(ValueError):
         load_index(padded)
+
+
+def recording_kernel(monkeypatch):
+    """Route tree's distance kernel through a wrapper; returns the blocks it saw."""
+    blocks = []
+    kernel = tree.distances_to_point
+
+    def recording(rows, y, norm):
+        blocks.append(rows)
+        return kernel(rows, y, norm)
+
+    monkeypatch.setattr(tree, "distances_to_point", recording)
+    return blocks
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, "inf"])
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_chunked_query_equals_gather_everything_sweep(monkeypatch, mode, p):
+    data = small_dataset(count=500, seed=39)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, p)
+    # 5 rows of 64, 20 of 16 or 80 of 4 per chunk: every level of a
+    # 500-row index spans several chunks
+    budget = 8 * 64 * 5
+    monkeypatch.setattr(norms, "CHUNK_BYTES", budget)
+    blocks = recording_kernel(monkeypatch)
+    queries = [data.vectors[0], data.vectors[7] + 0.05, data.vectors[99] - 0.1]
+    reports = []
+    for y in queries:
+        exact = np.sort(unchunked_distances(data.vectors, y, index.norm))
+        for epsilon in (exact[5], exact[50], exact[250], 1e9):
+            report = range_query(index, y, epsilon)
+            assert report == gather_everything_query(index, y, epsilon)
+            reports.append(report)
+    far = data.vectors[0] + 1e6
+    report = range_query(index, far, 1e-6)
+    assert report == gather_everything_query(index, far, 1e-6)
+    reports.append(report)
+
+    s = len(data)
+    # a level that prunes nothing, one that empties the candidate set, and
+    # gathers of a strict subset all occur
+    assert any(r.survivors[-1] == s for r in reports)
+    assert any(r.survivors[-1] == 0 for r in reports)
+    assert any(0 < r.survivors[1] < s for r in reports)
+    assert all(block.nbytes <= budget for block in blocks)
+    assert len(blocks) > 3 * len(reports)
+
+    # while no row is pruned, every block is a slice of the stored matrix
+    blocks.clear()
+    range_query(index, queries[0], 1e9)
+    matrices = (*index.features, index.data)
+    assert all(any(np.shares_memory(block, m) for m in matrices) for block in blocks)
+
+
+def test_chunked_query_on_mmap_index_equals_gather_everything_sweep(tmp_path, monkeypatch):
+    data = small_dataset(count=300, seed=40)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), "adaptive", 1)
+    path = tmp_path / "mapped.idx"
+    save_index(index, path)
+    monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 64 * 7)
+    mapped = load_index(path, mmap_data=True)
+    assert isinstance(mapped.data, np.memmap)
+    # reload margins come from the same chunked row-norm pass
+    for feats, margin in zip(mapped.features, mapped.prune_margins):
+        row_norms = unchunked_distances(feats, np.zeros(feats.shape[1]), mapped.norm)
+        assert margin == 2.0 ** -23 * float(row_norms.max())
+    for row in (3, 150):
+        y = data.vectors[row] + 0.01
+        exact = np.sort(unchunked_distances(data.vectors, y, mapped.norm))
+        for epsilon in (exact[10], exact[120], 1e9):
+            assert range_query(mapped, y, epsilon) == \
+                gather_everything_query(mapped, y, epsilon)
+
+
+def test_gist_shaped_query_equals_gather_everything_sweep():
+    # at the default budget a 960-d row set spans several chunks at level 0
+    data = generate(SyntheticSpec(count=1000, dim=960, rng_seed=31))
+    index = build_index(data, DimensionSchedule(GIST_SCHEDULE), "adaptive", 2)
+    y = data.vectors[4] + 0.01
+    exact = np.sort(unchunked_distances(data.vectors, y, index.norm))
+    for epsilon in (exact[20], exact[600], 1e9):
+        assert range_query(index, y, epsilon) == gather_everything_query(index, y, epsilon)
+
+
+def test_query_distances_equal_oracle_on_column_major_data():
+    # a column-major dataset: the cascade's verification and the oracle's scan
+    # must report the same float for every match
+    rows = small_dataset(count=200, seed=41).vectors
+    data = DataSet.from_array(np.asfortranarray(rows))
+    assert data.vectors.flags.f_contiguous
+    index = build_index(data, DimensionSchedule((64, 16, 4)), "orthogonal", 1)
+    for p_row in (0, 17, 120):
+        y = rows[p_row] + 0.02
+        report = range_query(index, y, 1e9)
+        assert list(report.matches) == brute_force_range(data, y, 1e9, 1)

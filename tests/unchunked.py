@@ -1,0 +1,79 @@
+"""Unchunked references for the chunked distance sweeps.
+
+Each function here is the library's code path as it stood before scans and
+cascade levels walked their rows in cache-sized chunks: one kernel call on
+the whole (gathered) matrix, with a fresh temporary per step.  Tests hold the
+chunked code to these bit for bit.
+"""
+
+import numpy as np
+
+from lpcascade import QueryReport, as_norm_order, project_level
+
+
+def unchunked_distances(rows, y, norm):
+    """The distance kernel on whole matrices: ``|rows - y|``, then a reduction."""
+    diff = np.abs(rows - y)
+    if norm.is_infinite:
+        return diff.max(axis=1)
+    p = norm.p
+    if p == 1.0:
+        return diff.sum(axis=1)
+    if p == 2.0:
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    m = diff.max(axis=1)
+    safe = np.where(m > 0.0, m, 1.0)
+    out = safe * np.sum((diff / safe[:, None]) ** p, axis=1) ** (1.0 / p)
+    return np.where(m > 0.0, out, 0.0)
+
+
+def gather_everything_query(index, y, epsilon):
+    """range_query with every level gathering all its candidates' rows at once."""
+    query = np.asarray(y, dtype=np.float64)
+    projected = [query]
+    for level in index.levels:
+        projected.append(project_level(projected[-1], level))
+    dims = index.schedule.dims
+    t = index.schedule.levels
+    s = index.count
+    survivors = [0] * (t + 1)
+    candidates = np.arange(s)
+    cost = 0
+    for k in range(t, 0, -1):
+        rows = index.features[k - 1][candidates]
+        level_dist = unchunked_distances(rows, projected[k], index.norm)
+        cost += candidates.size * dims[k]
+        keep = level_dist < epsilon + index.prune_margins[k - 1]
+        candidates = candidates[keep]
+        survivors[k] = int(candidates.size)
+    exact = unchunked_distances(index.data[candidates], query, index.norm)
+    cost += candidates.size * dims[0]
+    hit = exact < epsilon
+    survivors[0] = int(np.count_nonzero(hit))
+    matches = tuple((int(index.ids[row]), float(dist))
+                    for row, dist in zip(candidates[hit], exact[hit]))
+    return QueryReport(matches=matches, survivors=tuple(survivors), cost_s=cost,
+                       cost_l=s * dims[0], epsilon=float(epsilon))
+
+
+def unchunked_brute_force(data, y, epsilon, p):
+    """brute_force_range as one kernel call over the whole dataset."""
+    dist = unchunked_distances(data.vectors, np.asarray(y, dtype=np.float64),
+                               as_norm_order(p))
+    return [(int(data.ids[i]), float(dist[i])) for i in np.nonzero(dist < epsilon)[0]]
+
+
+def unchunked_calibration(data, spec, p, rng_seed=0):
+    """calibrate_epsilon scanning a copy of the dataset without the held-out rows."""
+    s = len(data)
+    norm = as_norm_order(p)
+    rng = np.random.Generator(np.random.Philox(key=rng_seed))
+    chosen = rng.choice(s, size=spec.sample_size, replace=False)
+    mask = np.ones(s, dtype=bool)
+    mask[chosen] = False
+    scanned = data.vectors[mask]
+    kth = np.empty(spec.sample_size)
+    for pos, row in enumerate(chosen):
+        dist = unchunked_distances(scanned, data.vectors[row], norm)
+        kth[pos] = np.partition(dist, spec.target_nn - 1)[spec.target_nn - 1]
+    return float(np.median(kth))
