@@ -22,6 +22,7 @@ __all__ = [
     "lp_norm",
     "lp_distance",
     "distances_to_point",
+    "sweep",
     "check_norm_equivalence",
 ]
 
@@ -130,7 +131,7 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
 
     Inputs are assumed validated (finite, matching dims); this is the hot
     kernel behind scans and cascade levels, fed one chunk of rows at a time
-    (see ``row_chunks``).  It allocates one (rows x dim) buffer and works in
+    (see ``sweep``).  It allocates one (rows x dim) buffer and works in
     it in place.  The buffer is row-major whatever the layout of ``rows``,
     so each row's distance is the same float in every caller.
     """
@@ -151,21 +152,26 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
     return np.where(m > 0.0, out, 0.0)
 
 
-def row_chunks(matrix: np.ndarray, rows: np.ndarray | None = None):
-    """Yield ``(positions, block)`` pairs that cover ``matrix[rows]`` in order.
+def sweep(matrix: np.ndarray, rows: np.ndarray | None, point: np.ndarray,
+          norm: NormOrder, kernel) -> np.ndarray:
+    """Distances from ``point`` to ``matrix[rows]``, one cache-sized chunk at a time.
 
-    Each block holds at most CHUNK_BYTES of float64 rows (at least one row),
-    so a sweep that calls ``distances_to_point`` once per block never copies
-    the whole matrix.  Without ``rows`` every block is a plain slice of
-    ``matrix``; with them it is the gather ``matrix[rows[positions]]``.
-    ``positions`` is the slice of the output that the block fills.
+    ``rows`` are ascending distinct row numbers; None, or every row, sweeps
+    the matrix as plain slices with no gather.  Each chunk holds at most
+    CHUNK_BYTES of float64 rows (at least one row) and is passed to
+    ``kernel(chunk, point, norm)`` -- ``distances_to_point`` as the caller's
+    module sees it -- so no sweep copies the whole matrix.
     """
+    if rows is not None and rows.size == matrix.shape[0]:
+        rows = None
     count = matrix.shape[0] if rows is None else rows.size
+    out = np.empty(count)
     step = max(1, CHUNK_BYTES // (8 * matrix.shape[1]))
     for start in range(0, count, step):
-        positions = slice(start, min(start + step, count))
-        yield positions, (matrix[positions] if rows is None
-                          else matrix[rows[positions]])
+        stop = min(start + step, count)
+        block = matrix[start:stop] if rows is None else matrix[rows[start:stop]]
+        out[start:stop] = kernel(block, point, norm)
+    return out
 
 
 def check_norm_equivalence(v, q, p, rel_tol: float = 1e-9) -> bool:

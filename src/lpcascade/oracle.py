@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataSet
-from .norms import NormOrder, as_norm_order, distances_to_point, row_chunks
+from .norms import as_norm_order, distances_to_point, sweep
 
 __all__ = ["CalibrationSpec", "brute_force_range", "calibrate_epsilon"]
 
@@ -46,17 +46,9 @@ def brute_force_range(data: DataSet, y, epsilon: float, p) -> list[tuple[int, fl
         raise ValueError(f"query shape {query.shape} != data dim {data.dim}")
     if not np.all(np.isfinite(query)):
         raise ValueError("query contains non-finite components")
-    dist = _scan(data.vectors, query, as_norm_order(p))
+    dist = sweep(data.vectors, None, query, as_norm_order(p), distances_to_point)
     hits = np.nonzero(dist < float(epsilon))[0]
     return [(int(data.ids[i]), float(dist[i])) for i in hits]
-
-
-def _scan(vectors: np.ndarray, query: np.ndarray, norm: NormOrder) -> np.ndarray:
-    """Distances from ``query`` to every row, one cache-sized chunk at a time."""
-    dist = np.empty(vectors.shape[0])
-    for positions, block in row_chunks(vectors):
-        dist[positions] = distances_to_point(block, query, norm)
-    return dist
 
 
 def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
@@ -83,7 +75,7 @@ def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
     chosen = rng.choice(s, size=spec.sample_size, replace=False)
     kth = np.empty(spec.sample_size)
     for pos, row in enumerate(chosen):
-        dist = _scan(data.vectors, data.vectors[row], norm)
+        dist = sweep(data.vectors, None, data.vectors[row], norm, distances_to_point)
         dist[chosen] = np.inf
         kth[pos] = np.partition(dist, spec.target_nn - 1)[spec.target_nn - 1]
     return float(np.median(kth))

@@ -87,7 +87,9 @@ class ProjectionLevel:
     Hölder's inequality |<d, x>| <= ||d||_p* ||x||_p allows, which keeps its
     feature non-expansive under the level's norm; None when orthogonal.
     Below 1 only for p < 2, where it stretches the feature to its full
-    pruning power.
+    pruning power.  For p >= 2 Hölder already gives ||d||_p* >= 1, and the
+    scale is clamped at 1 so that rounding (||d||_2 computed as 1 - 1 ulp)
+    cannot enlarge a feature.
     """
 
     partition: BlockPartition
@@ -108,6 +110,8 @@ class ProjectionLevel:
                 raise ValueError("adaptive directions must have unit l_2 norm")
             object.__setattr__(self, "directions", directions)
             scales = np.array([lp_norm(row, norm.dual) for row in directions])
+            if norm.p >= 2.0:
+                scales = np.maximum(scales, 1.0)
         object.__setattr__(self, "scales", scales)
 
     @property

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataSet
-from .norms import NormOrder, as_norm_order, distances_to_point, row_chunks
+from .norms import NormOrder, as_norm_order, distances_to_point, sweep
 from .projection import (
     ADAPTIVE,
     ORTHOGONAL,
@@ -53,7 +53,11 @@ __all__ = [
 ]
 
 _MAGIC = b"LPCASIDX"
-_VERSION = 1
+# Version 2 divides adaptive features by the Hölder scale ||d||_p*, clamped
+# at 1 only for p >= 2; version 1 divided them by max(1, ||d||_p*) for every
+# p.  The layouts are the same, and load_index reads both.
+_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 # Worst-case relative inflation of a distance computed against float32-rounded
 # features; added to epsilon when pruning on reloaded feature matrices.
 _F32_RELATIVE_SLACK = 2.0 ** -23
@@ -204,7 +208,7 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     whatever reaches level 0 is verified against the stored vectors.  The
     level-major sweep evaluates exactly the pairs the per-item two-loop
     cascade would, so counters match the cost model verbatim.  Each level
-    walks its candidates in cache-sized chunks (``_sweep``), so a query
+    walks its candidates in cache-sized chunks (``norms.sweep``), so a query
     never copies a whole feature or data matrix.
     """
     query = np.asarray(y, dtype=np.float64)
@@ -228,12 +232,13 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     candidates = np.arange(s)
     cost = 0
     for k in range(t, 0, -1):
-        level_dist = _sweep(index.features[k - 1], candidates, projected[k], index.norm)
+        level_dist = sweep(index.features[k - 1], candidates, projected[k], index.norm,
+                           distances_to_point)
         cost += candidates.size * dims[k]
         keep = level_dist < epsilon + index.prune_margins[k - 1]
         candidates = candidates[keep]
         survivors[k] = int(candidates.size)
-    exact = _sweep(index.data, candidates, query, index.norm)
+    exact = sweep(index.data, candidates, query, index.norm, distances_to_point)
     cost += candidates.size * dims[0]
     hit = exact < epsilon
     survivors[0] = int(np.count_nonzero(hit))
@@ -248,21 +253,6 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
         cost_l=s * dims[0],
         epsilon=epsilon,
     )
-
-
-def _sweep(matrix: np.ndarray, candidates: np.ndarray | None, point: np.ndarray,
-           norm: NormOrder) -> np.ndarray:
-    """Distances from ``point`` to ``matrix[candidates]``, chunk by chunk.
-
-    ``candidates`` are ascending row numbers; None, or every row, sweeps the
-    matrix as plain slices with no gather.
-    """
-    if candidates is not None and candidates.size == matrix.shape[0]:
-        candidates = None
-    out = np.empty(matrix.shape[0] if candidates is None else candidates.size)
-    for positions, block in row_chunks(matrix, candidates):
-        out[positions] = distances_to_point(block, point, norm)
-    return out
 
 
 def estimate_cost(schedule: DimensionSchedule, s: int, const: float) -> float:
@@ -343,14 +333,16 @@ def load_index(path, data: DataSet | None = None,
     is a large share of the data's own size.  Being float32-rounded, each
     level's features get a pruning margin covering the worst-case rounding;
     pruning then errs only toward extra survivors and exactness is
-    unaffected.
+    unaffected.  A version-1 container stored adaptive l_p features, p < 2,
+    under a scale the query no longer uses; those are projected again from
+    the vectors (float64, no margin), which reads the whole dataset once.
     """
     with open(path, "rb") as handle:
         prefix = handle.read(len(_MAGIC) + 12)
         if len(prefix) < len(_MAGIC) + 12 or prefix[:len(_MAGIC)] != _MAGIC:
             raise ValueError(f"{path}: not an index container")
         version, header_len = struct.unpack_from("<IQ", prefix, len(_MAGIC))
-        if version != _VERSION:
+        if version not in _READABLE_VERSIONS:
             raise ValueError(f"{path}: unsupported container version {version}")
         header = json.loads(handle.read(header_len).decode("utf-8"))
 
@@ -397,12 +389,23 @@ def load_index(path, data: DataSet | None = None,
             level = ProjectionLevel(partition=partition, norm=norm,
                                     directions=directions)
             feats = take("<f4", (count, dim_out)).astype(np.float64)
-            row_norms = _sweep(feats, None, np.zeros(dim_out), norm)
+            row_norms = sweep(feats, None, np.zeros(dim_out), norm, distances_to_point)
             margins.append(_F32_RELATIVE_SLACK * float(row_norms.max(initial=0.0)))
             levels.append(level)
             features.append(feats)
         if handle.read(1):
             raise ValueError(f"{path}: trailing bytes after the last section")
+
+    if version == 1 and mode == ADAPTIVE and norm.p < 2.0:
+        # Stored under the scale 1 = max(1, ||d||_p*), not the ||d||_p* the
+        # query is projected with; each level feeds the next, so the whole
+        # chain is projected again from the vectors, as build_index would.
+        features = []
+        current = vectors
+        for level in levels:
+            current = project_rows(current, level)
+            features.append(current)
+        margins = [0.0] * len(levels)
 
     return SubspaceIndex(
         schedule=schedule,

@@ -16,7 +16,7 @@ from lpcascade import (
     lp_norm,
 )
 from lpcascade import norms
-from lpcascade.norms import distances_to_point, row_chunks
+from lpcascade.norms import distances_to_point, sweep
 from unchunked import unchunked_distances
 
 
@@ -172,20 +172,34 @@ def test_in_place_kernel_matches_unchunked_kernel_bit_for_bit(p):
     np.testing.assert_array_equal(distances_to_point(np.asfortranarray(rows), y, norm), want)
 
 
-def test_row_chunks_cover_the_rows_in_budget_sized_blocks(monkeypatch):
+def test_sweep_covers_the_rows_in_budget_sized_chunks(monkeypatch):
     matrix = np.arange(70.0).reshape(14, 5)
+    point = np.full(5, 3.0)
+    chunks = []
+
+    def recording(block, y, norm):
+        chunks.append(block)
+        return distances_to_point(block, y, norm)
+
     monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 5 * 4)
-    chunks = list(row_chunks(matrix))
-    assert [part for part, _ in chunks] == [slice(0, 4), slice(4, 8), slice(8, 12),
-                                            slice(12, 14)]
-    for part, block in chunks:
-        assert np.shares_memory(block, matrix)  # plain slices, no copy
-        np.testing.assert_array_equal(block, matrix[part])
+    want = unchunked_distances(matrix, point, L1)
+    np.testing.assert_array_equal(sweep(matrix, None, point, L1, recording), want)
+    assert [len(block) for block in chunks] == [4, 4, 4, 2]
+    assert all(np.shares_memory(block, matrix) for block in chunks)  # plain slices
+    # every row listed is the same sweep, still without a gather
+    chunks.clear()
+    np.testing.assert_array_equal(sweep(matrix, np.arange(14), point, L1, recording), want)
+    assert len(chunks) == 4 and all(np.shares_memory(b, matrix) for b in chunks)
+
     rows = np.array([0, 2, 3, 7, 8, 13])
-    gathered = list(row_chunks(matrix, rows))
-    assert [part for part, _ in gathered] == [slice(0, 4), slice(4, 6)]
-    np.testing.assert_array_equal(np.vstack([b for _, b in gathered]), matrix[rows])
-    assert list(row_chunks(matrix, rows[:0])) == []
+    chunks.clear()
+    np.testing.assert_array_equal(sweep(matrix, rows, point, L1, recording), want[rows])
+    assert [len(block) for block in chunks] == [4, 2]
+    np.testing.assert_array_equal(np.vstack(chunks), matrix[rows])
+    chunks.clear()
+    assert sweep(matrix, rows[:0], point, L1, recording).shape == (0,) and chunks == []
     # a row wider than the budget still makes a chunk of one row
     monkeypatch.setattr(norms, "CHUNK_BYTES", 8)
-    assert len(list(row_chunks(matrix))) == 14
+    chunks.clear()
+    np.testing.assert_array_equal(sweep(matrix, None, point, L1, recording), want)
+    assert len(chunks) == 14

@@ -65,9 +65,9 @@ def test_block_mean_feature_examples():
 
 
 def test_adaptive_level_feature_examples():
-    # the scale is the Hölder bound ||d||_p*, with no clamp at 1
+    # the scale is the Hölder bound ||d||_p*, clamped at 1 only for p >= 2
     level2 = adaptive_level(BISECT2, 2)
-    assert level2.scales[0] == lp_norm(BISECT2, 2) == pytest.approx(1.0)
+    assert level2.scales[0] == 1.0
     assert project_level([1, 3], level2)[0] == pytest.approx(4.0 / math.sqrt(2.0))
     assert project_level([1, 3], level2)[0] == pytest.approx(block_mean_feature([1, 3], 2))
 
@@ -234,9 +234,10 @@ def test_fit_adaptive_level_shapes_and_flags():
     assert level.mode == ADAPTIVE and level.dim_out == 3
     assert level.directions.shape == (3, 4)
     # under l_4 the dual l_4/3 norm of a unit vector is at least its l_2 norm
-    assert np.all(level.scales >= 1.0 - 1e-12)
+    assert np.all(level.scales >= 1.0)
     np.testing.assert_array_equal(
-        level.scales, [lp_norm(d, as_norm_order(4).dual) for d in level.directions])
+        level.scales,
+        [max(1.0, lp_norm(d, as_norm_order(4).dual)) for d in level.directions])
     feats = project_rows(rows, level)
     assert feats.shape == (500, 3)
     with pytest.raises(ValueError):
@@ -257,4 +258,5 @@ def test_fitted_directions_match_pca_oracle(p):
         block = rows[:, j * 4:(j + 1) * 4]
         oracle = first_principal_component(block.T @ block / rows.shape[0])
         np.testing.assert_allclose(level.directions[j], oracle.direction, rtol=0, atol=1e-12)
-        assert level.scales[j] == lp_norm(level.directions[j], dual)
+        scale = lp_norm(level.directions[j], dual)
+        assert level.scales[j] == (max(1.0, scale) if level.norm.p >= 2.0 else scale)

@@ -1,6 +1,7 @@
 """The subspace index: schedules, queries, cost accounting, persistence."""
 
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -17,10 +18,11 @@ from lpcascade import (
     fit_const,
     generate,
     load_index,
+    lp_norm,
     range_query,
     save_index,
 )
-from lpcascade import norms, tree
+from lpcascade import norms, projection, tree
 from unchunked import gather_everything_query, unchunked_distances
 
 GIST_SCHEDULE = (960, 480, 240, 120, 60, 30, 10, 5)
@@ -330,6 +332,52 @@ def test_load_rejects_corrupt_containers(tmp_path):
     padded.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(ValueError):
         load_index(padded)
+
+
+def as_version(path, version):
+    """Relabel a saved container as another format version, in place."""
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = struct.pack("<I", version)
+    path.write_bytes(bytes(raw).replace(b'"version": 2', f'"version": {version}'.encode()))
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 4])
+def test_version_1_container_stays_exact(tmp_path, monkeypatch, p):
+    # version 1 divided adaptive features by max(1, ||d||_p*) for every p
+    data = small_dataset(count=400, seed=42)
+    with monkeypatch.context() as patch:
+        patch.setattr(projection, "lp_norm", lambda v, q: max(1.0, lp_norm(v, q)))
+        old = build_index(data, DimensionSchedule((64, 16, 4)), "adaptive", p)
+    path = tmp_path / "v1.idx"
+    save_index(old, path)
+    as_version(path, 1)
+    loaded = load_index(path)
+    norm = loaded.norm
+    for level, fitted in zip(loaded.levels, old.levels):
+        np.testing.assert_array_equal(level.directions, fitted.directions)
+    if norm.p < 2.0:
+        # the scale changed: features are projected again from the vectors
+        current = data.vectors
+        for level, feats in zip(loaded.levels, loaded.features):
+            current = projection.project_rows(current, level)
+            np.testing.assert_array_equal(feats, current)
+        assert loaded.prune_margins == (0.0, 0.0)
+    else:
+        # the scale is the same, so the stored float32 features are kept
+        for feats, stored in zip(loaded.features, old.features):
+            np.testing.assert_array_equal(feats, stored.astype(np.float32))
+        assert all(margin > 0.0 for margin in loaded.prune_margins)
+    rng = np.random.Generator(np.random.Philox(key=43))
+    for row in (0, 57, 399):
+        for y in (data.vectors[row], data.vectors[row] + rng.standard_normal(64) * 0.05):
+            exact = np.sort(unchunked_distances(data.vectors, y, norm))
+            for epsilon in (1e-3, exact[1], exact[30]):
+                assert list(range_query(loaded, y, epsilon).matches) == \
+                    brute_force_range(data, y, epsilon, p)
+
+    as_version(path, 3)
+    with pytest.raises(ValueError):
+        load_index(path)
 
 
 def recording_kernel(monkeypatch):
