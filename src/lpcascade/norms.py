@@ -136,14 +136,15 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
     so each row's distance is the same float in every caller.
     """
     diff = np.subtract(rows, y, order="C")
+    p = norm.p
+    if p == 2.0:
+        # squaring is sign-blind: (-a) * (-a) == a * a bit for bit
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
     np.abs(diff, out=diff)
     if norm.is_infinite:
         return diff.max(axis=1)
-    p = norm.p
     if p == 1.0:
         return diff.sum(axis=1)
-    if p == 2.0:
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
     m = diff.max(axis=1)
     safe = np.where(m > 0.0, m, 1.0)
     np.divide(diff, safe[:, None], out=diff)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataSet
-from .norms import NormOrder, as_norm_order, distances_to_point, sweep
+from .norms import L2, NormOrder, as_norm_order, distances_to_point, sweep
 from .projection import (
     ADAPTIVE,
     ORTHOGONAL,
@@ -61,6 +61,10 @@ _READABLE_VERSIONS = (1, 2)
 # Worst-case relative inflation of a distance computed against float32-rounded
 # features; added to epsilon when pruning on reloaded feature matrices.
 _F32_RELATIVE_SLACK = 2.0 ** -23
+# float64 machine epsilon (2^-52) and smallest normal number (2^-1022): the
+# relative and absolute terms of the l_2 screen's band half-width.
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,14 @@ class SubspaceIndex:
     ``prune_margins`` widen the pruning threshold per level; they are zero
     for freshly built indexes and absorb float32 rounding for reloaded ones.
     Queries are read-only and safe to run concurrently.
+
+    Under l_2 the index also derives ``sq_norms``: ``sq_norms[0]`` holds the
+    float64 squared norm of every row of ``data`` and ``sq_norms[k]`` that of
+    every row of ``features[k-1]``, so a query can screen a level with one
+    matrix-vector product (see ``_l2_screen``).  They are computed here, not
+    passed in or stored in the container, so built and loaded indexes derive
+    them alike; for a memory-mapped ``data`` that reads the vectors once.
+    Other norms derive nothing (``sq_norms == ()``).
     """
 
     schedule: DimensionSchedule
@@ -135,10 +147,17 @@ class SubspaceIndex:
     data: np.ndarray
     ids: np.ndarray
     prune_margins: tuple[float, ...] = field(default=())
+    sq_norms: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.prune_margins:
             object.__setattr__(self, "prune_margins", (0.0,) * len(self.levels))
+        sq_norms = ()
+        if self.norm == L2:
+            with np.errstate(over="ignore"):  # an inf norm defers rows to the kernel
+                sq_norms = tuple(np.einsum("ij,ij->i", m, m)
+                                 for m in (self.data, *self.features))
+        object.__setattr__(self, "sq_norms", sq_norms)
 
     @property
     def count(self) -> int:
@@ -209,7 +228,11 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     level-major sweep evaluates exactly the pairs the per-item two-loop
     cascade would, so counters match the cost model verbatim.  Each level
     walks its candidates in cache-sized chunks (``norms.sweep``), so a query
-    never copies a whole feature or data matrix.
+    never copies a whole feature or data matrix.  Under l_2 a level first
+    screens its candidates with one matrix-vector product (``_l2_screen``)
+    and runs the distance kernel only on the rows the screen leaves
+    undecided, plus, at level 0, on the matches whose distances it reports;
+    every decision and reported float is the kernel's own.
     """
     query = np.asarray(y, dtype=np.float64)
     if query.ndim != 1 or query.size != index.schedule.dims[0]:
@@ -232,14 +255,23 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     candidates = np.arange(s)
     cost = 0
     for k in range(t, 0, -1):
-        level_dist = sweep(index.features[k - 1], candidates, projected[k], index.norm,
-                           distances_to_point)
+        matrix = index.features[k - 1]
+        tau = epsilon + index.prune_margins[k - 1]
         cost += candidates.size * dims[k]
-        keep = level_dist < epsilon + index.prune_margins[k - 1]
+        if index.norm == L2:
+            keep, band = _l2_screen(index, k, candidates, projected[k], tau)
+            keep[band] = sweep(matrix, candidates[band], projected[k], index.norm,
+                               distances_to_point) < tau
+        else:
+            keep = sweep(matrix, candidates, projected[k], index.norm,
+                         distances_to_point) < tau
         candidates = candidates[keep]
         survivors[k] = int(candidates.size)
-    exact = sweep(index.data, candidates, query, index.norm, distances_to_point)
     cost += candidates.size * dims[0]
+    if index.norm == L2:
+        inside, band = _l2_screen(index, 0, candidates, query, epsilon)
+        candidates = candidates[inside | band]
+    exact = sweep(index.data, candidates, query, index.norm, distances_to_point)
     hit = exact < epsilon
     survivors[0] = int(np.count_nonzero(hit))
     matches = tuple(
@@ -253,6 +285,74 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
         cost_l=s * dims[0],
         epsilon=epsilon,
     )
+
+
+def _dot(block: np.ndarray, point: np.ndarray, norm) -> np.ndarray:
+    """A ``sweep`` kernel: the inner product of each row with ``point``."""
+    return block @ point
+
+
+def _l2_screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
+               point: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Split candidates at level k by the l_2 kernel's verdict ``dist < tau``.
+
+    Returns boolean masks over ``candidates``: ``inside``, the rows whose
+    kernel distance is surely below ``tau``, and ``band``, the rows the
+    screen cannot decide; every other row's kernel distance is surely at
+    least ``tau``.  With xx the stored squared row norm and qq = q.q,
+
+        g = xx + qq - 2 x.q        (one GEMV: M @ q, or per 1 MiB gather)
+        w = (4n + 16) eps (xx + qq + tau^2) + 2^-1022
+
+    a row is inside if g + w < tau^2, outside if g - w >= tau^2, and in the
+    band otherwise or when g or w is not finite (an overflowed norm or dot).
+
+    Why w decides as the kernel does (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3; n = dim, u = eps/2 = 2^-53, gamma_j =
+    j u / (1 - j u); D = sum (x_i - q_i)^2 and S = |x|^2 + |q|^2 exactly):
+
+    * Expansion.  xx, qq and x.q are dot products, accurate to gamma_n
+      times the sum of |terms| in any summation order (BLAS blocking and
+      thread count included), and sum |x_i q_i| <= S/2.  So
+      xx + qq - 2 x.q is within 2 gamma_n S of D; the two roundings forming
+      g add u (xx + qq) + u |g| <= 3u S to first order, as D <= 2S.  Hence
+      |g - D| <= (2n + 3) u S + O(u^2).
+    * Kernel.  ``distances_to_point`` returns c = fl(sqrt(fl(sum
+      fl(x_i - q_i)^2))): each difference carries a factor (1 + d), |d| <= u,
+      the sum of squares gamma_n, the root one more u, so c^2 lies within
+      gamma_{n+4} D of D.  Thus c < tau whenever D < tau^2 (1 - gamma_{n+4}),
+      and c >= tau whenever D >= tau^2 (1 + 2 gamma_{n+4}).
+    * Comparisons.  fl(tau * tau) and fl(g +- w) are each rounded once more,
+      so "inside" gives D < tau^2 (1 + 3u) - (w - |g - D|) and "outside"
+      gives D >= tau^2 (1 - 3u) + (w - |g - D|).  Both verdicts then match
+      the kernel once w >= |g - D| + (2 gamma_{n+4} + 3u) tau^2, about
+      (2n + 3) u S + (2n + 11) u tau^2.
+
+    w = (8n + 32) u (xx + qq + tau^2) is at least three times that bound,
+    leaving room for the O(u^2) terms, for computed xx + qq standing in for
+    S and for the rounding of w itself.  Gradual underflow adds an absolute
+    error of at most 2^-1075 per product (about 6n of them in g and the
+    kernel), which the 2^-1022 term covers for any n < 2^50.  An overflowed tau^2 makes w infinite, so every row falls in
+    the band.  The constant family is that of the exact GEMM scan of
+    Johnson, Douze and Jegou (arXiv 1702.08734).
+    """
+    matrix = index.data if k == 0 else index.features[k - 1]
+    # an overflow only puts rows in the band, which the kernel then decides
+    with np.errstate(over="ignore", invalid="ignore"):
+        if candidates.size == matrix.shape[0]:
+            dots = matrix @ point
+            xx = index.sq_norms[k]
+        else:
+            dots = sweep(matrix, candidates, point, index.norm, _dot)
+            xx = index.sq_norms[k][candidates]
+        qq = float(point @ point)
+        tau_sq = tau * tau
+        g = xx + qq - 2.0 * dots
+        w = (4 * matrix.shape[1] + 16) * _EPS * (xx + qq + tau_sq) + _TINY
+        decided = np.isfinite(g) & np.isfinite(w)
+        inside = decided & (g + w < tau_sq)
+        band = ~inside & ~(decided & (g - w >= tau_sq))
+    return inside, band
 
 
 def estimate_cost(schedule: DimensionSchedule, s: int, const: float) -> float:

@@ -473,3 +473,129 @@ def test_query_distances_equal_oracle_on_column_major_data():
         y = rows[p_row] + 0.02
         report = range_query(index, y, 1e9)
         assert list(report.matches) == brute_force_range(data, y, 1e9, 1)
+
+
+def test_l2_index_derives_squared_row_norms(tmp_path):
+    data = small_dataset(count=120, seed=44)
+    schedule = DimensionSchedule((64, 16, 4))
+    index = build_index(data, schedule, "adaptive", 2)
+    path = tmp_path / "l2.idx"
+    save_index(index, path)
+    assert struct.unpack_from("<I", path.read_bytes(), 8) == (2,)
+    for derived in (index, load_index(path), load_index(path, mmap_data=True)):
+        matrices = (np.asarray(derived.data), *derived.features)
+        assert len(derived.sq_norms) == len(matrices) == schedule.levels + 1
+        for sq, m in zip(derived.sq_norms, matrices):
+            assert sq.dtype == np.float64
+            np.testing.assert_array_equal(sq, np.einsum("ij,ij->i", m, m))
+    for p in (1, 4, "inf"):
+        assert build_index(data, schedule, "orthogonal", p).sq_norms == ()
+    with pytest.raises(TypeError):
+        tree.SubspaceIndex(schedule=index.schedule, norm=index.norm, mode=index.mode,
+                           levels=index.levels, features=index.features, data=index.data,
+                           ids=index.ids, sq_norms=index.sq_norms)
+
+
+def boundary_epsilons(index, y):
+    """Kernel distances at the verification level and at every projection
+    level, each exactly and one ulp above: the epsilons that sit on the edge
+    of the l_2 screen's band."""
+    projected = [np.asarray(y, dtype=np.float64)]
+    for level in index.levels:
+        projected.append(projection.project_level(projected[-1], level))
+    matrices = (np.asarray(index.data), *index.features)
+    epsilons = []
+    for k, (m, q) in enumerate(zip(matrices, projected)):
+        dist = np.sort(unchunked_distances(m, q, index.norm))
+        for rank in ((1, 20, 150) if k == 0 else (20, 150)):
+            epsilons += [dist[rank], np.nextafter(dist[rank], np.inf)]
+    return [e for e in epsilons if e > 0.0]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e8])
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_l2_screen_is_exact_at_the_epsilon_boundary(tmp_path, monkeypatch, mode, offset):
+    # a large common offset makes |x|^2 + |q|^2 - 2 x.q cancel heavily, so the
+    # band widens until, at 1e8, it holds every row
+    base = small_dataset(count=300, seed=45).vectors
+    data = DataSet.from_array(base + offset)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, 2)
+    path = tmp_path / "l2.idx"
+    save_index(index, path)
+    # 5 rows of 64, 20 of 16 or 80 of 4 per chunk: pruned levels and the
+    # verification gather their candidates in several chunks
+    monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 64 * 5)
+    rng = np.random.Generator(np.random.Philox(key=46))
+    reports = []
+    for variant in (index, load_index(path), load_index(path, mmap_data=True)):
+        for row in (0, 211):
+            y = data.vectors[row] + rng.standard_normal(64) * 0.05
+            for epsilon in boundary_epsilons(variant, y):
+                report = range_query(variant, y, epsilon)
+                assert report == gather_everything_query(variant, y, epsilon)
+                reports.append(report)
+    assert any(20 < r.survivors[2] < len(data) for r in reports)
+    assert any(5 < r.survivors[1] < len(data) for r in reports)
+
+
+@pytest.mark.parametrize("offset, scale", [(0.0, 1.0), (1e3, 1.0), (1e6, 1.0),
+                                           (0.0, 1e-160), (0.0, 1e-162)])
+def test_l2_screen_is_exact_on_an_equidistant_shell(offset, scale):
+    # every row is q plus a signed permutation of one vector v, so all share
+    # the exact distance |v| and differ only by rounding: each epsilon sits
+    # on the edge for hundreds of rows at once.  At 1e-160 and below the
+    # squares underflow, which only the band's absolute term covers.
+    rng = np.random.Generator(np.random.Philox(key=49))
+    q = offset + scale * rng.standard_normal(64)
+    v = scale * rng.standard_normal(64)
+    rows = np.array([q + rng.choice([-1.0, 1.0], 64) * v[rng.permutation(64)]
+                     for _ in range(500)])
+    index = build_index(DataSet.from_array(rows), DimensionSchedule((64, 16, 4)),
+                        "orthogonal", 2)
+    dist = np.unique(unchunked_distances(rows, q, index.norm))
+    assert dist[-1] > 0.0
+    for epsilon in (*dist, *np.nextafter(dist, np.inf)):
+        if epsilon > 0.0:
+            assert range_query(index, q, epsilon) == \
+                gather_everything_query(index, q, epsilon)
+
+
+def test_l2_screen_falls_back_to_the_kernel_on_overflowed_norms():
+    # |x|^2 overflows to inf for rows near 1e155 while their differences
+    # from a nearby query stay finite: only the kernel can decide them
+    rng = np.random.Generator(np.random.Philox(key=47))
+    vectors = small_dataset(count=200, seed=48).vectors.copy()
+    vectors[:60] = 1e155 * (1.0 + 1e-3 * rng.standard_normal((60, 64)))
+    data = DataSet.from_array(vectors)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), "orthogonal", 2)
+    assert np.isinf(index.sq_norms[0][:60]).all()
+    assert np.isfinite(index.sq_norms[0][60:]).all()
+    for y in (vectors[3] * (1.0 + 1e-5 * rng.standard_normal(64)),
+              vectors[100] + 0.05):
+        dist = np.sort(unchunked_distances(vectors, y, index.norm))
+        for rank in (1, 30, 59):
+            for epsilon in (dist[rank], np.nextafter(dist[rank], np.inf)):
+                report = range_query(index, y, epsilon)
+                assert report == gather_everything_query(index, y, epsilon)
+                assert list(report.matches) == brute_force_range(data, y, epsilon, 2)
+    # a huge query row matches itself only through the kernel
+    assert range_query(index, vectors[7], 1.0).match_ids == (7,)
+
+
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_l2_kernel_sees_only_matches_and_the_band(monkeypatch, mode):
+    # on well-conditioned data the screen decides almost every row, so the
+    # exact kernel runs on little more than the matches it must report
+    data = small_dataset(count=2000, seed=50)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, 2)
+    blocks = recording_kernel(monkeypatch)
+    for row in (0, 50, 999):
+        y = data.vectors[row] + 0.05
+        exact = np.sort(unchunked_distances(data.vectors, y, index.norm))
+        for epsilon in (exact[20], (exact[20] + exact[21]) / 2, exact[40]):
+            blocks.clear()
+            report = range_query(index, y, epsilon)
+            assert report == gather_everything_query(index, y, epsilon)
+            seen = sum(len(block) for block in blocks)
+            assert len(report.matches) <= seen <= len(report.matches) + 3
+            assert 10 * seen < report.cost_s / index.schedule.dims[0]
