@@ -220,8 +220,11 @@ def run_bench(config: BenchConfig, log=print) -> list[BenchRow]:
     Queries are a disjoint sample: the sampled rows are removed from the
     indexed set.  Per cell, epsilon is either the configured fixed value or
     calibrated under that cell's norm; the first verify_queries results are
-    checked against the brute-force oracle.
+    checked against the brute-force oracle, so at least one must be.
     """
+    if config.verify_queries < 1:
+        raise CliInputError(f"verify_queries {config.verify_queries} must be at "
+                            "least 1: every cell is checked against the oracle")
     full = config.dataset()
     if config.queries < 1 or config.queries >= len(full):
         raise CliInputError(f"query sample {config.queries} must be in "

@@ -21,6 +21,7 @@ operations directly; the formula is the invariant tests hold it to.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -28,7 +29,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataSet
-from .norms import L2, NormOrder, as_norm_order, distances_to_point, sweep
+from .norms import (
+    CHUNK_BYTES,
+    L2,
+    NormOrder,
+    as_norm_order,
+    distances_to_point,
+    lp_norm,
+    sweep,
+)
 from .projection import (
     ADAPTIVE,
     ORTHOGONAL,
@@ -50,6 +59,7 @@ __all__ = [
     "fit_const",
     "save_index",
     "load_index",
+    "level_margins",
 ]
 
 _MAGIC = b"LPCASIDX"
@@ -58,13 +68,15 @@ _MAGIC = b"LPCASIDX"
 # p.  The layouts are the same, and load_index reads both.
 _VERSION = 2
 _READABLE_VERSIONS = (1, 2)
-# Worst-case relative inflation of a distance computed against float32-rounded
-# features; added to epsilon when pruning on reloaded feature matrices.
-_F32_RELATIVE_SLACK = 2.0 ** -23
 # float64 machine epsilon (2^-52) and smallest normal number (2^-1022): the
 # relative and absolute terms of the l_2 screen's band half-width.
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
+# Smallest normal float32 (2^-126), the floor of a stored feature's relative
+# rounding, and the query scale from which a match's features may overflow
+# float32 (its largest value is just under 2^128).
+_F32_TINY = float(np.finfo(np.float32).tiny)
+_F32_SAFE = 2.0 ** 127
 
 
 @dataclass(frozen=True)
@@ -125,10 +137,16 @@ class QueryReport:
 class SubspaceIndex:
     """Immutable index: levels, projected database copies, original data.
 
-    ``features[i]`` holds the level-(i+1) projection of every database row.
-    ``prune_margins`` widen the pruning threshold per level; they are zero
-    for freshly built indexes and absorb float32 rounding for reloaded ones.
-    Queries are read-only and safe to run concurrently.
+    ``features[i]`` holds the level-(i+1) projection of every database row,
+    rounded to float32 values (the container's precision) but kept in float64
+    arrays, so a built index and its saved-and-reloaded copy are the same
+    object bit for bit.  Level k prunes a row when its level distance reaches
+    epsilon plus a margin that covers that rounding and the float64 rounding
+    of projection and distances; the rule (``level_margins``) reads only the
+    schedule, epsilon and the query's norm.  ``prune_margins`` is derived,
+    not passed in: the per-level margins of a query with ``||y||_p + epsilon
+    = 1``, which a query's own margins scale in proportion to.  Queries are
+    read-only and safe to run concurrently.
 
     Under l_2 the index also derives ``sq_norms``: ``sq_norms[0]`` holds the
     float64 squared norm of every row of ``data`` and ``sq_norms[k]`` that of
@@ -146,18 +164,19 @@ class SubspaceIndex:
     features: tuple[np.ndarray, ...]
     data: np.ndarray
     ids: np.ndarray
-    prune_margins: tuple[float, ...] = field(default=())
     sq_norms: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.prune_margins:
-            object.__setattr__(self, "prune_margins", (0.0,) * len(self.levels))
         sq_norms = ()
         if self.norm == L2:
             with np.errstate(over="ignore"):  # an inf norm defers rows to the kernel
                 sq_norms = tuple(np.einsum("ij,ij->i", m, m)
                                  for m in (self.data, *self.features))
         object.__setattr__(self, "sq_norms", sq_norms)
+
+    @property
+    def prune_margins(self) -> tuple[float, ...]:
+        return level_margins(self.schedule, 1.0)
 
     @property
     def count(self) -> int:
@@ -188,7 +207,8 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
 
     Adaptive levels are fitted on the projected data of the previous level,
     then every row is projected one level further.  Deterministic given the
-    data order.
+    data order.  The stored features are float32 values (``_project_chain``),
+    exactly what ``load_index`` reads back from ``save_index``.
     """
     if not isinstance(data, DataSet):
         data = DataSet.from_array(data)
@@ -197,36 +217,135 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
     norm = as_norm_order(p)
     if data.dim != schedule.dims[0]:
         raise ValueError(f"data dim {data.dim} != schedule head {schedule.dims[0]}")
-    levels = []
-    features = []
-    current = data.vectors
-    for dim_in, dim_out in zip(schedule.dims, schedule.dims[1:]):
-        partition = BlockPartition.for_dims(dim_in, dim_out)
+
+    def make_level(rows, partition):
         if mode == ADAPTIVE:
-            level = fit_adaptive_level(current, partition, norm)
-        else:
-            level = orthogonal_level(partition, norm)
-        current = project_rows(current, level)
-        levels.append(level)
-        features.append(current)
+            return fit_adaptive_level(rows, partition, norm)
+        return orthogonal_level(partition, norm)
+
+    levels, features = _project_chain(data.vectors, schedule, make_level)
     return SubspaceIndex(
         schedule=schedule,
         norm=norm,
         mode=mode,
-        levels=tuple(levels),
-        features=tuple(features),
+        levels=levels,
+        features=features,
         data=data.vectors,
         ids=data.ids,
     )
 
 
+def _project_chain(vectors: np.ndarray, schedule: DimensionSchedule, make_level):
+    """The levels and stored features of a schedule over ``vectors``.
+
+    ``make_level(rows, partition)`` makes each level from the previous
+    level's float64 values, which are then projected one level further and
+    only after that rounded to float32 values in place, chunk by chunk.  So
+    every level is fitted and projected from unrounded values, no level is
+    ever held twice at float64, and the features equal those a container
+    stores and ``load_index`` reads back.
+    """
+    levels = []
+    features = []
+    current = vectors
+    for dim_in, dim_out in zip(schedule.dims, schedule.dims[1:]):
+        level = make_level(current, BlockPartition.for_dims(dim_in, dim_out))
+        projected = project_rows(current, level)
+        if features:
+            _round_to_float32(current)
+        levels.append(level)
+        features.append(projected)
+        current = projected
+    if features:
+        _round_to_float32(current)
+    return tuple(levels), tuple(features)
+
+
+def _round_to_float32(matrix: np.ndarray) -> None:
+    """Round a float64 matrix to float32 values in place, in 1 MiB row chunks."""
+    step = max(1, CHUNK_BYTES // (8 * matrix.shape[1]))
+    # a value beyond the float32 range becomes inf, as it would on disk
+    with np.errstate(over="ignore"):
+        for start in range(0, matrix.shape[0], step):
+            block = matrix[start:start + step]
+            block[...] = block.astype(np.float32)
+
+
+def level_margins(schedule: DimensionSchedule, scale: float) -> tuple[float, ...]:
+    """What each level adds to epsilon before it prunes, for a query y with
+    ``scale = ||y||_p + epsilon``: level k keeps a row while its kernel
+    distance is below ``epsilon + margin_k``.  With n_k = dim(U_k), block
+    sizes m_j = n_{j-1} / n_j and eps = 2^-52,
+
+        margin_k = c_k (scale + n_k 2^-126)
+        c_k = 2^-23 + (2 n_0 + 2 n_k + sum_{j=1..k} (4 m_j + 20) + 32) eps
+
+    and every margin is infinite, so that no level prunes, once scale is not
+    below 2^127.  The rule reads the schedule and the scale only, never a
+    stored row, so memory-mapped vectors stay untouched.
+
+    Why no match is pruned (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3; u = eps/2 = 2^-53, gamma_j = j u / (1 - j u), bounds
+    to first order in u; x is a match, so its level-0 kernel distance is
+    below epsilon; a hat marks computed values):
+
+    * Kernel.  ``distances_to_point`` at dimension n returns the l_p length
+      of the difference of its inputs within a relative kappa(n) =
+      gamma_{2n+16}, for every p: the differences round once; l_1 sums n
+      nonnegative terms (gamma_n); l_2 sums squares and takes a root
+      (gamma_{n+4}); l_inf is exact after the differences; any other p
+      divides by the row maximum, raises n terms to p (about (p + 4) u
+      each, divided by p under the final root), and the root, its exponent
+      and the product add a few u more.  So D = ||x - y||_p < epsilon (1 +
+      kappa(n_0)), and ||y||_p, computed by the same arithmetic, is within
+      kappa(n_0) too.
+    * Level maps.  Exactly, a level map is linear and 1-Lipschitz in l_p
+      (Hölder; see ``projection``).  Its coefficient, m^(1/p) or
+      1/||d||_p*, is computed, which can raise the Lipschitz constant to
+      1 + gamma_{2m+16} (the kernel's bound, and one pow).  A feature is a
+      sum or dot product of m terms, scaled: it is off by gamma_{m+2}
+      times the map applied to absolute values, which Hölder also bounds
+      by the block's l_p length.  Level k+1 is projected from the unrounded
+      level k, so ||x_k^ - y_k^||_p <= D (1 + sum_{j<=k} gamma_{2 m_j + 16})
+      + sum_{j<=k} gamma_{m_j + 2} (||x||_p + ||y||_p), and ||x_k^||_p <=
+      ||x||_p.
+    * Storage.  Rounding to float32 moves a feature by at most 2^-24 of its
+      magnitude, or by 2^-150 among subnormals: the stored row lies within
+      2^-24 (||x||_p + n_k 2^-126) of x_k^.  No match overflows, because
+      ||x_k^||_p <= ||x||_p < ||y||_p + D stays below 2^127 (times 1 + O(u))
+      while scale does.
+    * Sum.  As epsilon <= scale and ||x||_p + ||y||_p < 2 scale, the level-k
+      kernel distance of x exceeds epsilon by at most scale (2^-24 +
+      kappa(n_0) + kappa(n_k) + sum_{j<=k} (gamma_{2 m_j + 16} + 2
+      gamma_{m_j + 2})) + 2^-24 n_k 2^-126, which is margin_k / 2.
+
+    The other half covers the O(u^2) terms, the rounding of scale, of the
+    margin and of epsilon + margin (a few u of scale, for any n_0 < 2^20),
+    and float64 underflow, at most sqrt(n 2^-1074) in any kernel distance
+    and far below c_k n_k 2^-126 / 2.  A non-match may be kept or pruned
+    freely; verification at level 0 decides it.
+    """
+    dims = schedule.dims
+    if not scale < _F32_SAFE:
+        return (math.inf,) * schedule.levels
+    margins = []
+    maps = 0
+    for k in range(1, len(dims)):
+        maps += 4 * (dims[k - 1] // dims[k]) + 20
+        c_k = 2.0 ** -23 + (2 * dims[0] + 2 * dims[k] + maps + 32) * _EPS
+        margins.append(c_k * (scale + dims[k] * _F32_TINY))
+    return tuple(margins)
+
+
 def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     """All items within strict l_p distance epsilon of y, with counters.
 
-    Filters coarse-to-fine: items are evaluated level by level, and
-    whatever reaches level 0 is verified against the stored vectors.  The
-    level-major sweep evaluates exactly the pairs the per-item two-loop
-    cascade would, so counters match the cost model verbatim.  Each level
+    Filters coarse-to-fine: items are evaluated level by level, each level
+    keeping a row while its distance is below epsilon plus the level's
+    margin (``level_margins``), and whatever reaches level 0 is verified
+    against the stored vectors.  The level-major sweep evaluates exactly the
+    pairs the per-item two-loop cascade would, so counters match the cost
+    model verbatim.  Each level
     walks its candidates in cache-sized chunks (``norms.sweep``), so a query
     never copies a whole feature or data matrix.  Under l_2 a level first
     screens its candidates with one matrix-vector product (``_l2_screen``)
@@ -254,11 +373,17 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     survivors = [0] * (t + 1)
     candidates = np.arange(s)
     cost = 0
+    with np.errstate(over="ignore"):  # an overflowed norm: no level prunes
+        scale = lp_norm(query, index.norm) + epsilon
+    margins = level_margins(index.schedule, scale)
     for k in range(t, 0, -1):
         matrix = index.features[k - 1]
-        tau = epsilon + index.prune_margins[k - 1]
+        tau = epsilon + margins[k - 1]
         cost += candidates.size * dims[k]
-        if index.norm == L2:
+        if tau == math.inf:
+            # a match's stored features may have overflowed float32
+            keep = np.ones(candidates.size, dtype=bool)
+        elif index.norm == L2:
             keep, band = _l2_screen(index, k, candidates, projected[k], tau)
             keep[band] = sweep(matrix, candidates[band], projected[k], index.norm,
                                distances_to_point) < tau
@@ -392,10 +517,11 @@ def fit_const(reports, schedule: DimensionSchedule) -> float:
 def save_index(index: SubspaceIndex, path, include_data: bool = True) -> None:
     """Persist an index: directions at float64, feature matrices at float32.
 
-    Feature rounding cannot cause false dismissals on reload because
-    load_index widens the pruning threshold by the worst-case rounding
-    error per level.  ``include_data`` embeds the original vectors
-    (float64) so the file is self-contained for querying.
+    The features already hold float32 values, so nothing is rounded here and
+    ``load_index`` returns the same index bit for bit.  ``include_data``
+    embeds the original vectors (float64) so the file is self-contained for
+    querying.  Each matrix is written in 1 MiB row chunks (``_write_rows``),
+    so saving holds no second copy of the vectors or of a feature matrix.
     """
     header = {
         "format": "lpcascade-index",
@@ -411,31 +537,38 @@ def save_index(index: SubspaceIndex, path, include_data: bool = True) -> None:
         handle.write(_MAGIC)
         handle.write(struct.pack("<IQ", _VERSION, len(blob)))
         handle.write(blob)
-        handle.write(index.ids.astype("<i8").tobytes())
+        np.asarray(index.ids, dtype="<i8").tofile(handle)
         if include_data:
-            handle.write(index.data.astype("<f8").tobytes())
+            _write_rows(handle, index.data, "<f8")
         for level, feats in zip(index.levels, index.features):
             if level.directions is not None:
-                handle.write(level.directions.astype("<f8").tobytes())
-            handle.write(feats.astype("<f4").tobytes())
+                _write_rows(handle, level.directions, "<f8")
+            _write_rows(handle, feats, "<f4")
+
+
+def _write_rows(handle, matrix: np.ndarray, dtype: str) -> None:
+    """Write a matrix row-major at ``dtype``, one 1 MiB chunk of rows at a
+    time; a chunk is copied only if it needs a cast or is not row-major."""
+    step = max(1, CHUNK_BYTES // (8 * matrix.shape[1]))
+    for start in range(0, matrix.shape[0], step):
+        np.ascontiguousarray(matrix[start:start + step], dtype=dtype).tofile(handle)
 
 
 def load_index(path, data: DataSet | None = None,
                mmap_data: bool = False) -> SubspaceIndex:
-    """Reload a persisted index.
+    """Reload a persisted index, equal bit for bit to the one that was saved.
 
     If the file does not embed the original vectors, the caller must supply
     the dataset it was built from.  ``mmap_data`` maps the embedded vectors
     read-only instead of loading them; the cascade touches level 0 only for
     final verification, so mapping keeps the resident set near the feature
-    matrices.  Those are stored at float32 but loaded upcast to float64, so
-    in memory they weigh 8 bytes per feature, which for a fine first level
-    is a large share of the data's own size.  Being float32-rounded, each
-    level's features get a pruning margin covering the worst-case rounding;
-    pruning then errs only toward extra survivors and exactness is
-    unaffected.  A version-1 container stored adaptive l_p features, p < 2,
-    under a scale the query no longer uses; those are projected again from
-    the vectors (float64, no margin), which reads the whole dataset once.
+    matrices.  Those are stored at float32 but held as float64, as
+    ``build_index`` holds them, so in memory they weigh 8 bytes per feature,
+    which for a fine first level is a large share of the data's own size.
+    A version-1 container stored adaptive l_p features, p < 2, under a scale
+    the query no longer uses; those are projected again from the vectors
+    the way ``build_index`` projects them, which reads the whole dataset
+    once.
     """
     with open(path, "rb") as handle:
         prefix = handle.read(len(_MAGIC) + 12)
@@ -459,7 +592,7 @@ def load_index(path, data: DataSet | None = None,
                 raise ValueError(f"{path}: truncated container")
             return arr.reshape(shape)
 
-        ids = take("<i8", (count,)).astype(np.int64)
+        ids = take("<i8", (count,)).astype(np.int64, copy=False)
         vectors = None
         if header["data_included"]:
             if mmap_data and data is None:
@@ -468,7 +601,7 @@ def load_index(path, data: DataSet | None = None,
                                     shape=(count, dims[0]))
                 handle.seek(count * dims[0] * 8, 1)
             else:
-                vectors = take("<f8", (count, dims[0])).astype(np.float64)
+                vectors = take("<f8", (count, dims[0])).astype(np.float64, copy=False)
         elif data is None:
             raise ValueError(f"{path}: container has no embedded data; "
                              "pass the original dataset")
@@ -480,19 +613,14 @@ def load_index(path, data: DataSet | None = None,
 
         levels = []
         features = []
-        margins = []
         for dim_in, dim_out in zip(dims, dims[1:]):
             partition = BlockPartition.for_dims(dim_in, dim_out)
             directions = None
             if mode == ADAPTIVE:
                 directions = take("<f8", (dim_out, partition.block_size))
-            level = ProjectionLevel(partition=partition, norm=norm,
-                                    directions=directions)
-            feats = take("<f4", (count, dim_out)).astype(np.float64)
-            row_norms = sweep(feats, None, np.zeros(dim_out), norm, distances_to_point)
-            margins.append(_F32_RELATIVE_SLACK * float(row_norms.max(initial=0.0)))
-            levels.append(level)
-            features.append(feats)
+            levels.append(ProjectionLevel(partition=partition, norm=norm,
+                                          directions=directions))
+            features.append(take("<f4", (count, dim_out)).astype(np.float64))
         if handle.read(1):
             raise ValueError(f"{path}: trailing bytes after the last section")
 
@@ -500,12 +628,9 @@ def load_index(path, data: DataSet | None = None,
         # Stored under the scale 1 = max(1, ||d||_p*), not the ||d||_p* the
         # query is projected with; each level feeds the next, so the whole
         # chain is projected again from the vectors, as build_index would.
-        features = []
-        current = vectors
-        for level in levels:
-            current = project_rows(current, level)
-            features.append(current)
-        margins = [0.0] * len(levels)
+        stored = iter(levels)
+        levels, features = _project_chain(vectors, schedule,
+                                          lambda rows, partition: next(stored))
 
     return SubspaceIndex(
         schedule=schedule,
@@ -515,5 +640,4 @@ def load_index(path, data: DataSet | None = None,
         features=tuple(features),
         data=vectors,
         ids=ids,
-        prune_margins=tuple(margins),
     )

@@ -267,6 +267,26 @@ def test_bench_oracle_disagreement_exits_2(monkeypatch, capsys):
     assert "internal check failed" in capsys.readouterr().err
 
 
+BENCH_FLAGS = ["bench", "--model", "iid-uniform", "--count", "300", "--dim", "32",
+               "--schedule", "32,8", "--modes", "orthogonal", "--norms", "2",
+               "--queries", "10", "--target-nn", "5", "--calibration-sample", "20"]
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_bench_verify_queries_flag_below_one_is_input_error(value, capsys):
+    assert main(BENCH_FLAGS + ["--verify-queries", value]) == 1
+    assert f"verify_queries {value} must be at least 1" in capsys.readouterr().err
+    assert main(BENCH_FLAGS + ["--verify-queries", "1"]) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_bench_verify_queries_config_below_one_is_input_error(value, tmp_path, capsys):
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text(f"verify_queries={value}\n")
+    assert main(BENCH_FLAGS + ["--config", str(cfg)]) == 1
+    assert f"verify_queries {value} must be at least 1" in capsys.readouterr().err
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "b.cfg"
     cfg.write_text("model=iid-uniform\ns=500\nn=32\nschedule=32,8\n"

@@ -1,5 +1,6 @@
 """The subspace index: schedules, queries, cost accounting, persistence."""
 
+import json
 import math
 import struct
 import warnings
@@ -65,9 +66,15 @@ def test_build_two_stage_composition():
         [1.0, 1.0, 1.0, 1.0],
     ]))
     index = build_index(data, DimensionSchedule((4, 2, 1)), "orthogonal", 2)
-    np.testing.assert_allclose(index.features[0][0], [2 * math.sqrt(2)] * 2,
-                               rtol=1e-12)
-    np.testing.assert_allclose(index.features[1][0], [4.0], rtol=1e-12)
+    # stored features are float32 values; the next level is projected from
+    # the unrounded ones
+    level_1 = projection.project_rows(data.vectors, index.levels[0])
+    np.testing.assert_allclose(level_1[0], [2 * math.sqrt(2)] * 2, rtol=1e-12)
+    assert index.features[0].tolist() == level_1.astype(np.float32).tolist()
+    assert index.features[0][0].tolist() == [float(np.float32(2 * math.sqrt(2)))] * 2
+    level_2 = projection.project_rows(level_1, index.levels[1])
+    assert index.features[1].tolist() == level_2.astype(np.float32).tolist()
+    assert index.features[1][0].tolist() == [4.0]
 
 
 def test_adaptive_equals_orthogonal_on_secting_line_data():
@@ -234,8 +241,7 @@ def test_save_load_roundtrip(tmp_path, mode):
     np.testing.assert_array_equal(loaded.ids, index.ids)
     np.testing.assert_array_equal(loaded.data, index.data)
     for built, back in zip(index.features, loaded.features):
-        np.testing.assert_array_equal(back.astype(np.float32),
-                                      built.astype(np.float32))
+        np.testing.assert_array_equal(back, built)
     for lvl_a, lvl_b in zip(index.levels, loaded.levels):
         if mode == "adaptive":
             np.testing.assert_array_equal(lvl_a.directions, lvl_b.directions)
@@ -244,8 +250,8 @@ def test_save_load_roundtrip(tmp_path, mode):
             assert lvl_a.directions is lvl_b.directions is None
             assert lvl_a.scales is lvl_b.scales is None
     assert loaded.norm == index.norm and loaded.mode == index.mode
-    assert all(margin > 0.0 for margin in loaded.prune_margins)
-    assert all(margin == 0.0 for margin in index.prune_margins)
+    assert loaded.prune_margins == index.prune_margins
+    assert all(margin > 0.0 for margin in index.prune_margins)
 
 
 def test_loaded_index_queries_stay_exact(tmp_path):
@@ -282,11 +288,14 @@ def test_features_are_rowwise_projections():
     index = build_index(data, DimensionSchedule((64, 16, 4)), "adaptive", 2)
     previous = data.vectors
     for level, feats in zip(index.levels, index.features):
+        exact = projection.project_rows(previous, level)
         for row in (0, 17, 79):
-            np.testing.assert_allclose(feats[row],
+            np.testing.assert_allclose(exact[row],
                                        project_level(previous[row], level),
                                        rtol=1e-12)
-        previous = feats
+        # stored at float32 values, projected on from the unrounded ones
+        np.testing.assert_array_equal(feats, exact.astype(np.float32))
+        previous = exact
 
 
 def test_adaptive_levels_fitted_recursively():
@@ -294,7 +303,9 @@ def test_adaptive_levels_fitted_recursively():
 
     data = small_dataset(count=300, seed=37)
     index = build_index(data, DimensionSchedule((64, 16, 4)), "adaptive", 2)
-    refit = fit_adaptive_level(index.features[0], BlockPartition.for_dims(16, 4), 2)
+    # fitted on the level-1 features before they are rounded to float32
+    level_1 = projection.project_rows(data.vectors, index.levels[0])
+    refit = fit_adaptive_level(level_1, BlockPartition.for_dims(16, 4), 2)
     np.testing.assert_array_equal(index.levels[1].directions, refit.directions)
 
 
@@ -357,16 +368,16 @@ def test_version_1_container_stays_exact(tmp_path, monkeypatch, p):
         np.testing.assert_array_equal(level.directions, fitted.directions)
     if norm.p < 2.0:
         # the scale changed: features are projected again from the vectors
+        # and rounded as build_index rounds them
         current = data.vectors
         for level, feats in zip(loaded.levels, loaded.features):
             current = projection.project_rows(current, level)
-            np.testing.assert_array_equal(feats, current)
-        assert loaded.prune_margins == (0.0, 0.0)
+            np.testing.assert_array_equal(feats, current.astype(np.float32))
     else:
         # the scale is the same, so the stored float32 features are kept
         for feats, stored in zip(loaded.features, old.features):
-            np.testing.assert_array_equal(feats, stored.astype(np.float32))
-        assert all(margin > 0.0 for margin in loaded.prune_margins)
+            np.testing.assert_array_equal(feats, stored)
+    assert loaded.prune_margins == old.prune_margins
     rng = np.random.Generator(np.random.Philox(key=43))
     for row in (0, 57, 399):
         for y in (data.vectors[row], data.vectors[row] + rng.standard_normal(64) * 0.05):
@@ -440,10 +451,8 @@ def test_chunked_query_on_mmap_index_equals_gather_everything_sweep(tmp_path, mo
     monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 64 * 7)
     mapped = load_index(path, mmap_data=True)
     assert isinstance(mapped.data, np.memmap)
-    # reload margins come from the same chunked row-norm pass
-    for feats, margin in zip(mapped.features, mapped.prune_margins):
-        row_norms = unchunked_distances(feats, np.zeros(feats.shape[1]), mapped.norm)
-        assert margin == 2.0 ** -23 * float(row_norms.max())
+    # the margins come from the schedule alone, not from a pass over the rows
+    assert mapped.prune_margins == index.prune_margins
     for row in (3, 150):
         y = data.vectors[row] + 0.01
         exact = np.sort(unchunked_distances(data.vectors, y, mapped.norm))
@@ -496,6 +505,16 @@ def test_l2_index_derives_squared_row_norms(tmp_path):
                            ids=index.ids, sq_norms=index.sq_norms)
 
 
+def test_prune_margins_are_derived_not_passed():
+    data = small_dataset(count=50, seed=71)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), "orthogonal", 1)
+    assert index.prune_margins == tree.level_margins(index.schedule, 1.0)
+    with pytest.raises(TypeError):
+        tree.SubspaceIndex(schedule=index.schedule, norm=index.norm, mode=index.mode,
+                           levels=index.levels, features=index.features, data=index.data,
+                           ids=index.ids, prune_margins=(0.0, 0.0))
+
+
 def boundary_epsilons(index, y):
     """Kernel distances at the verification level and at every projection
     level, each exactly and one ulp above: the epsilons that sit on the edge
@@ -534,8 +553,13 @@ def test_l2_screen_is_exact_at_the_epsilon_boundary(tmp_path, monkeypatch, mode,
                 report = range_query(variant, y, epsilon)
                 assert report == gather_everything_query(variant, y, epsilon)
                 reports.append(report)
-    assert any(20 < r.survivors[2] < len(data) for r in reports)
-    assert any(5 < r.survivors[1] < len(data) for r in reports)
+    if offset < 1e8:
+        assert any(20 < r.survivors[2] < len(data) for r in reports)
+        assert any(5 < r.survivors[1] < len(data) for r in reports)
+    else:
+        # float32 features resolve 2^-24 of a row norm near 8e8, about 50,
+        # far above the rows' spread: no level can prune, only verification
+        assert all(r.survivors[1] == len(data) for r in reports)
 
 
 @pytest.mark.parametrize("offset, scale", [(0.0, 1.0), (1e3, 1.0), (1e6, 1.0),
@@ -599,3 +623,109 @@ def test_l2_kernel_sees_only_matches_and_the_band(monkeypatch, mode):
             seen = sum(len(block) for block in blocks)
             assert len(report.matches) <= seen <= len(report.matches) + 3
             assert 10 * seen < report.cost_s / index.schedule.dims[0]
+
+
+def test_level_margins_follow_the_schedule_and_the_query_scale():
+    schedule = DimensionSchedule((64, 16, 4))
+    eps = np.finfo(np.float64).eps
+    # c_1 = 2^-23 + (2*64 + 2*16 + (4*4 + 20) + 32) eps, and level 2 adds a map
+    c = [2.0 ** -23 + 228 * eps, 2.0 ** -23 + (128 + 8 + 36 + 36 + 32) * eps]
+    tiny = 2.0 ** -126
+    assert tree.level_margins(schedule, 1.0) == (c[0] * (1.0 + 16 * tiny),
+                                                 c[1] * (1.0 + 4 * tiny))
+    assert tree.level_margins(schedule, 1e6) == (c[0] * (1e6 + 16 * tiny),
+                                                 c[1] * (1e6 + 4 * tiny))
+    # a match's features could overflow float32: no level prunes
+    for scale in (2.0 ** 127, math.inf, math.nan):
+        assert tree.level_margins(schedule, scale) == (math.inf, math.inf)
+    assert tree.level_margins(DimensionSchedule((64,)), 1.0) == ()
+
+
+def block_offset_dataset(clusters=8, per=40, seed=72):
+    """Rows equal to a cluster's base plus an offset constant on 16-wide
+    blocks, so an orthogonal 64/16/4 cascade's level distances from a base
+    equal the exact distance.  Half the bases are block-constant too, which
+    pulls adaptive directions toward the block means."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    bases = rng.standard_normal((clusters, 64)) * 10
+    bases[::2] = np.repeat(bases[::2, :4], 16, axis=1)
+    offsets = np.repeat(rng.standard_normal((clusters, per, 4)), 16, axis=2)
+    rows = (bases[:, None, :] + offsets).reshape(-1, 64)
+    return DataSet.from_array(rows), bases
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, "inf"])
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_no_match_is_lost_at_the_epsilon_boundary(tmp_path, mode, p):
+    # epsilon at, and one ulp above, the kernel distance of a row whose
+    # level distances equal its exact one: without a rounding margin, a
+    # level distance computed a few ulps high prunes the true match
+    data, bases = block_offset_dataset()
+    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, p)
+    path = tmp_path / "boundary.idx"
+    save_index(index, path)
+    variants = (index, load_index(path), load_index(path, mmap_data=True))
+    per = len(data) // len(bases)
+    mismatches = [0, 0, 0]
+    for c, y in enumerate(bases):
+        dist = unchunked_distances(data.vectors, y, index.norm)
+        for row in range(c * per, (c + 1) * per, 4):
+            for epsilon in (dist[row], np.nextafter(dist[row], np.inf)):
+                truth = brute_force_range(data, y, epsilon, p)
+                for v, variant in enumerate(variants):
+                    if list(range_query(variant, y, epsilon).matches) != truth:
+                        mismatches[v] += 1
+    assert mismatches == [0, 0, 0]
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, "inf"])
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_built_index_is_its_own_reload(tmp_path, mode, p):
+    data = small_dataset(count=300, seed=73)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, p)
+    path = tmp_path / "same.idx"
+    save_index(index, path)
+    rng = np.random.Generator(np.random.Philox(key=74))
+    for loaded in (load_index(path), load_index(path, mmap_data=True)):
+        for built, back in zip(index.features, loaded.features):
+            assert built.dtype == back.dtype == np.float64
+            np.testing.assert_array_equal(back, built)
+        assert loaded.prune_margins == index.prune_margins
+        for row in (0, 150, 299):
+            y = data.vectors[row] + rng.standard_normal(64) * 0.05
+            exact = np.sort(unchunked_distances(data.vectors, y, index.norm))
+            for epsilon in (exact[1], exact[30], np.nextafter(exact[30], np.inf), 1e9):
+                assert range_query(loaded, y, epsilon) == range_query(index, y, epsilon)
+    # saving the reloaded index writes the same bytes again
+    again = tmp_path / "again.idx"
+    save_index(load_index(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("include_data", [True, False])
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_saved_bytes_follow_the_version_2_layout(tmp_path, monkeypatch, mode,
+                                                 include_data, order):
+    rows = small_dataset(count=40, seed=75).vectors
+    data = DataSet.from_array(np.asarray(rows, order=order))
+    # 3 rows of 64 per chunk: every section is written in several chunks
+    monkeypatch.setattr(tree, "CHUNK_BYTES", 8 * 64 * 3)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, "inf")
+    path = tmp_path / "layout.idx"
+    save_index(index, path, include_data=include_data)
+    header = json.dumps({
+        "format": "lpcascade-index", "version": 2, "norm": "inf", "mode": mode,
+        "schedule": [64, 16, 4], "count": 40, "data_included": include_data,
+    }, sort_keys=True).encode("utf-8")
+    expected = [b"LPCASIDX", struct.pack("<IQ", 2, len(header)), header,
+                data.ids.astype("<i8").tobytes()]
+    if include_data:
+        expected.append(data.vectors.astype("<f8").tobytes())
+    previous = data.vectors
+    for level in index.levels:
+        if mode == "adaptive":
+            expected.append(level.directions.astype("<f8").tobytes())
+        previous = projection.project_rows(previous, level)
+        expected.append(previous.astype("<f4").tobytes())
+    assert path.read_bytes() == b"".join(expected)

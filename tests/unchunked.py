@@ -8,7 +8,8 @@ chunked code to these bit for bit.
 
 import numpy as np
 
-from lpcascade import QueryReport, as_norm_order, project_level
+from lpcascade import QueryReport, as_norm_order, lp_norm, project_level
+from lpcascade.tree import level_margins
 
 
 def unchunked_distances(rows, y, norm):
@@ -39,11 +40,15 @@ def gather_everything_query(index, y, epsilon):
     survivors = [0] * (t + 1)
     candidates = np.arange(s)
     cost = 0
+    with np.errstate(over="ignore"):
+        margins = level_margins(index.schedule, lp_norm(query, index.norm) + epsilon)
     for k in range(t, 0, -1):
         rows = index.features[k - 1][candidates]
         level_dist = unchunked_distances(rows, projected[k], index.norm)
         cost += candidates.size * dims[k]
-        keep = level_dist < epsilon + index.prune_margins[k - 1]
+        tau = epsilon + margins[k - 1]
+        # an infinite margin prunes nothing, not even rows at distance inf
+        keep = (level_dist < tau) | (tau == np.inf)
         candidates = candidates[keep]
         survivors[k] = int(candidates.size)
     exact = unchunked_distances(index.data[candidates], query, index.norm)
