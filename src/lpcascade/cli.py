@@ -29,6 +29,7 @@ from .data import (
 )
 from .norms import as_norm_order
 from .oracle import CalibrationSpec, brute_force_range, calibrate_epsilon
+from .projection import ADAPTIVE, ORTHOGONAL
 from .reference import REFERENCE_TABLES, match_reference
 from .tree import (
     DimensionSchedule,
@@ -89,6 +90,7 @@ _INT_KEYS = {"count", "dim", "block_size", "window", "target_nn",
              "calibration_sample", "queries", "verify_queries", "seed"}
 _FLOAT_KEYS = {"correlation", "epsilon"}
 _KEY_ALIASES = {"s": "count", "n": "dim", "m": "block_size", "rho": "correlation"}
+_FORMATS = ("csv", "json")
 
 
 def _coerce(key: str, value: str):
@@ -146,10 +148,20 @@ def _config_from_args(args) -> BenchConfig:
     return config
 
 
+def _check_matrix(config: BenchConfig) -> None:
+    """Reject unknown modes or report formats, from flags or a file, before any cell runs."""
+    unknown = sorted(set(config.modes) - {ORTHOGONAL, ADAPTIVE})
+    if unknown:
+        raise CliInputError(f"unknown modes {unknown}")
+    if config.format not in _FORMATS:
+        raise CliInputError(f"unknown report format {config.format!r}")
+
+
 def run_build(config: BenchConfig, log=print) -> list[str]:
     """Build one index per (mode, norm) cell and persist each to disk."""
     if config.out is None:
         raise CliInputError("build requires an output path (--out or out=)")
+    _check_matrix(config)
     data = config.dataset()
     schedule = DimensionSchedule(config.schedule)
     cells = [(mode, norm) for mode in sorted(set(config.modes))
@@ -225,6 +237,7 @@ def run_bench(config: BenchConfig, log=print) -> list[BenchRow]:
     if config.verify_queries < 1:
         raise CliInputError(f"verify_queries {config.verify_queries} must be at "
                             "least 1: every cell is checked against the oracle")
+    _check_matrix(config)
     full = config.dataset()
     if config.queries < 1 or config.queries >= len(full):
         raise CliInputError(f"query sample {config.queries} must be in "
@@ -323,7 +336,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--verify-queries", dest="verify_queries", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="output path")
-    parser.add_argument("--format", choices=("csv", "json"))
+    parser.add_argument("--format", choices=_FORMATS)
 
 
 def _build_parser() -> _Parser:

@@ -20,19 +20,17 @@ __all__ = ["CalibrationSpec", "brute_force_range", "calibrate_epsilon"]
 
 @dataclass(frozen=True)
 class CalibrationSpec:
-    """Protocol constants for epsilon estimation."""
+    """Protocol constants for epsilon estimation; the sample's k-th
+    neighbor distances are always aggregated by their median."""
 
     sample_size: int = 400
     target_nn: int = 52
-    aggregation: str = "median"
 
     def __post_init__(self) -> None:
         if self.sample_size < 1:
             raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
         if self.target_nn < 1:
             raise ValueError(f"target_nn must be >= 1, got {self.target_nn}")
-        if self.aggregation != "median":
-            raise ValueError(f"unsupported aggregation {self.aggregation!r}")
 
 
 def brute_force_range(data: DataSet, y, epsilon: float, p) -> list[tuple[int, float]]:

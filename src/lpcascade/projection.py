@@ -1,12 +1,11 @@
 """Per-block 1-Lipschitz scalar features.
 
 A level splits R^n into f contiguous blocks of size m and maps each block
-to one signed scalar: either the block mean scaled by m^(1/p) (the fixed
-"orthogonal" feature, exact length of the rank-1 mean projection), or the
-inner product with a fitted unit direction divided by a dual-norm scale
-(the "adaptive" feature).  Both satisfy |feature(x) - feature(y)| <=
-||x - y||_p per block, which makes the full level a contraction under any
-l_p and is what lets the index prune without false dismissals.
+to its inner product with a unit direction over the Hölder scale ||d||_p*,
+so |<d, x>| <= ||d||_p* ||x||_p makes the level a contraction under l_p:
+the index prunes without false dismissals.  The modes differ only in the
+directions: the fixed m-secting (1, ..., 1) / sqrt(m) for "orthogonal"
+(block mean times m^(1/p)), fitted principal ones for "adaptive".
 
 Adaptive directions are the dominant eigenvectors of the blocks' raw
 second-moment matrices, solved for every block of a level at once by one
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import NormOrder, as_norm_order, lp_norm
+from .norms import NormOrder, as_norm_order, distances_to_point
 
 __all__ = [
     "ORTHOGONAL",
@@ -41,7 +40,7 @@ ADAPTIVE = "adaptive"
 
 # largest |A - A^T| entry first_principal_component accepts, relative to max|A|
 _SYMMETRY_TOL = 1e-9
-# largest deviation of an adaptive direction's l_2 norm from 1
+# largest deviation of a direction's l_2 norm from 1
 _UNIT_TOL = 1e-9
 
 
@@ -70,53 +69,40 @@ class BlockPartition:
         return cls(dim_in=dim_in, block_count=dim_out, block_size=dim_in // dim_out)
 
 
-def _coefficient(block_size: int, norm: NormOrder) -> float:
-    """Feature scale c = m^(1/p); 1 for the Chebyshev norm."""
-    if norm.is_infinite:
-        return 1.0
-    return float(block_size) ** (1.0 / norm.p)
+def _secting_directions(count: int, m: int) -> np.ndarray:
+    """``count`` rows of the m-secting unit direction (1, ..., 1) / sqrt(m)."""
+    return np.full((count, m), 1.0 / math.sqrt(m))
 
 
 @dataclass(frozen=True)
 class ProjectionLevel:
     """One cascade stage: f block features sharing a norm.
 
-    ``directions`` is None for an orthogonal level (block means) and an
-    (f, m) array of unit rows for an adaptive one.  ``scales`` is derived:
-    each adaptive row's Lipschitz scale ||direction||_p*, the smallest one
-    Hölder's inequality |<d, x>| <= ||d||_p* ||x||_p allows, which keeps its
-    feature non-expansive under the level's norm; None when orthogonal.
-    Below 1 only for p < 2, where it stretches the feature to its full
-    pruning power.  For p >= 2 Hölder already gives ||d||_p* >= 1, and the
-    scale is clamped at 1 so that rounding (||d||_2 computed as 1 - 1 ulp)
-    cannot enlarge a feature.
+    ``directions`` is an (f, m) array of unit rows, one per block (all
+    m-secting when orthogonal, fitted when adaptive).  A block's feature is
+    its inner product with its direction divided by the row's ``scales``
+    entry ||d||_p*, the smallest divisor that |<d, x>| <= ||d||_p* ||x||_p
+    shows non-expansive.  ``partition`` and ``scales`` are derived.
     """
 
-    partition: BlockPartition
     norm: NormOrder
-    directions: np.ndarray | None = None
-    scales: np.ndarray | None = field(init=False, repr=False, compare=False)
+    directions: np.ndarray
+    partition: BlockPartition = field(init=False, repr=False, compare=False)
+    scales: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         norm = as_norm_order(self.norm)
+        directions = np.asarray(self.directions, dtype=np.float64)
+        if directions.ndim != 2 or directions.size == 0:
+            raise ValueError(f"directions shape {directions.shape} is not (f, m)")
+        if np.any(np.abs(np.linalg.norm(directions, axis=1) - 1.0) > _UNIT_TOL):
+            raise ValueError("directions must have unit l_2 norm")
+        f, m = directions.shape
         object.__setattr__(self, "norm", norm)
-        scales = None
-        if self.directions is not None:
-            directions = np.asarray(self.directions, dtype=np.float64)
-            shape = (self.partition.block_count, self.partition.block_size)
-            if directions.shape != shape:
-                raise ValueError(f"directions shape {directions.shape} != {shape}")
-            if np.any(np.abs(np.linalg.norm(directions, axis=1) - 1.0) > _UNIT_TOL):
-                raise ValueError("adaptive directions must have unit l_2 norm")
-            object.__setattr__(self, "directions", directions)
-            scales = np.array([lp_norm(row, norm.dual) for row in directions])
-            if norm.p >= 2.0:
-                scales = np.maximum(scales, 1.0)
-        object.__setattr__(self, "scales", scales)
-
-    @property
-    def mode(self) -> str:
-        return ORTHOGONAL if self.directions is None else ADAPTIVE
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "partition", BlockPartition(f * m, f, m))
+        object.__setattr__(self, "scales",
+                           distances_to_point(directions, np.zeros(m), norm.dual))
 
     @property
     def dim_in(self) -> int:
@@ -127,11 +113,11 @@ class ProjectionLevel:
         return self.partition.block_count
 
     def diversions(self) -> np.ndarray:
-        """Per-block sqrt(m) - |<direction, ones>|: distance of each fitted
-        direction from the m-secting line; identically 0 in orthogonal mode."""
-        if self.directions is None:
-            return np.zeros(self.partition.block_count)
-        return math.sqrt(self.partition.block_size) - np.abs(self.directions.sum(axis=1))
+        """Per-block sqrt(m) - |<direction, ones>|: distance of each direction
+        from the m-secting line, so 0 when orthogonal.  Cauchy-Schwarz makes
+        it nonnegative; the clamp removes rounding below 0."""
+        m = self.partition.block_size
+        return np.maximum(math.sqrt(m) - np.abs(self.directions.sum(axis=1)), 0.0)
 
 
 def project_level(x, level: ProjectionLevel) -> np.ndarray:
@@ -147,12 +133,9 @@ def project_rows(rows: np.ndarray, level: ProjectionLevel) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != level.dim_in:
         raise ValueError(f"rows shape {rows.shape} != level input dim {level.dim_in}")
-    part = level.partition
-    blocks = rows.reshape(rows.shape[0], part.block_count, part.block_size)
-    if level.directions is None:
-        return blocks.mean(axis=2) * _coefficient(part.block_size, level.norm)
+    blocks = rows.reshape(rows.shape[0], *level.directions.shape)
     feats = np.einsum("sfm,fm->sf", blocks, level.directions)
-    return feats / level.scales[None, :]
+    return np.divide(feats, level.scales, out=feats)  # in place: held once
 
 
 def q_mapping_norm(m: int, p) -> float:
@@ -170,8 +153,9 @@ def q_mapping_norm(m: int, p) -> float:
 
 
 def orthogonal_level(partition: BlockPartition, norm) -> ProjectionLevel:
-    """Level of parameter-free block-mean features."""
-    return ProjectionLevel(partition=partition, norm=norm)
+    """Level on the fixed m-secting direction: block mean times m^(1/p)."""
+    return ProjectionLevel(norm, _secting_directions(partition.block_count,
+                                                     partition.block_size))
 
 
 @dataclass(frozen=True)
@@ -196,7 +180,7 @@ def _dominant_eigenpairs(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = top[np.arange(top.shape[0]), np.argmax(top != 0.0, axis=1)]
     flip = (sums < 0.0) | ((sums == 0.0) & (first < 0.0))
     top = np.where(flip[:, None], -top, top)
-    top[~moments.any(axis=(1, 2))] = 1.0 / math.sqrt(moments.shape[1])
+    top[~moments.any(axis=(1, 2))] = _secting_directions(1, moments.shape[1])
     return top, np.maximum(values[:, -1], 0.0)
 
 
@@ -240,4 +224,4 @@ def fit_adaptive_level(rows: np.ndarray, partition: BlockPartition,
     if not np.all(np.isfinite(moments)):
         raise ValueError("rows contain non-finite values")
     directions, _ = _dominant_eigenpairs(moments)
-    return ProjectionLevel(partition=partition, norm=norm, directions=directions)
+    return ProjectionLevel(norm=norm, directions=directions)

@@ -63,9 +63,9 @@ __all__ = [
 ]
 
 _MAGIC = b"LPCASIDX"
-# Version 2 divides adaptive features by the Hölder scale ||d||_p*, clamped
-# at 1 only for p >= 2; version 1 divided them by max(1, ||d||_p*) for every
-# p.  The layouts are the same, and load_index reads both.
+# Version 1 divided adaptive features by max(1, ||d||_p*) for every p; the
+# layouts are the same, and load_index reads both (see level_margins for
+# version-2 features stored by earlier formulas).
 _VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 # float64 machine epsilon (2^-52) and smallest normal number (2^-1022): the
@@ -194,8 +194,8 @@ class SubspaceIndex:
             summary.append({
                 "level": depth,
                 "block_size": level.partition.block_size,
-                "max_diversion": float(values.max()) if values.size else 0.0,
-                "mean_diversion": float(values.mean()) if values.size else 0.0,
+                "max_diversion": float(values.max()),
+                "mean_diversion": float(values.mean()),
                 "unconverged_fits": 0,
             })
         return summary
@@ -300,15 +300,17 @@ def level_margins(schedule: DimensionSchedule, scale: float) -> tuple[float, ...
       kappa(n_0)), and ||y||_p, computed by the same arithmetic, is within
       kappa(n_0) too.
     * Level maps.  Exactly, a level map is linear and 1-Lipschitz in l_p
-      (Hölder; see ``projection``).  Its coefficient, m^(1/p) or
-      1/||d||_p*, is computed, which can raise the Lipschitz constant to
-      1 + gamma_{2m+16} (the kernel's bound, and one pow).  A feature is a
-      sum or dot product of m terms, scaled: it is off by gamma_{m+2}
-      times the map applied to absolute values, which Hölder also bounds
-      by the block's l_p length.  Level k+1 is projected from the unrounded
-      level k, so ||x_k^ - y_k^||_p <= D (1 + sum_{j<=k} gamma_{2 m_j + 16})
-      + sum_{j<=k} gamma_{m_j + 2} (||x||_p + ||y||_p), and ||x_k^||_p <=
-      ||x||_p.
+      (Hölder; see ``projection``).  Its one coefficient, 1/||d||_p*, is
+      computed, which can raise the Lipschitz constant to 1 +
+      gamma_{2m+16} (the kernel's bound, and one pow).  A feature is a dot
+      product of m terms, scaled: it is off by gamma_{m+2} times the map
+      applied to absolute values, which Hölder also bounds by the block's
+      l_p length.  Level k+1 is projected from the unrounded level k, so
+      ||x_k^ - y_k^||_p <= D (1 + sum_{j<=k} gamma_{2 m_j + 16}) +
+      sum_{j<=k} gamma_{m_j + 2} (||x||_p + ||y||_p), and ||x_k^||_p <=
+      ||x||_p.  Features stored by earlier formulas (block mean times
+      m^(1/p); adaptive scales clamped at 1 for p >= 2) have coefficients
+      within gamma_{2m+16} too, adding sum_{j<=k} 2 gamma_{2 m_j + 16} ||x||_p.
     * Storage.  Rounding to float32 moves a feature by at most 2^-24 of its
       magnitude, or by 2^-150 among subnormals: the stored row lies within
       2^-24 (||x||_p + n_k 2^-126) of x_k^.  No match overflows, because
@@ -321,9 +323,10 @@ def level_margins(schedule: DimensionSchedule, scale: float) -> tuple[float, ...
 
     The other half covers the O(u^2) terms, the rounding of scale, of the
     margin and of epsilon + margin (a few u of scale, for any n_0 < 2^20),
-    and float64 underflow, at most sqrt(n 2^-1074) in any kernel distance
-    and far below c_k n_k 2^-126 / 2.  A non-match may be kept or pruned
-    freely; verification at level 0 decides it.
+    the earlier formulas ((8 n_0 + 32 t) u of scale), and float64
+    underflow, at most sqrt(n 2^-1074) in any kernel distance and far below
+    c_k n_k 2^-126 / 2.  A non-match may be kept or pruned freely;
+    verification at level 0 decides it.
     """
     dims = schedule.dims
     if not scale < _F32_SAFE:
@@ -465,6 +468,8 @@ def _l2_screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
     # an overflow only puts rows in the band, which the kernel then decides
     with np.errstate(over="ignore", invalid="ignore"):
         if candidates.size == matrix.shape[0]:
+            # one whole-matrix GEMV, which BLAS splits over its threads; in
+            # 1 MiB pieces it runs at half the speed (20k x 480, 2 CPUs)
             dots = matrix @ point
             xx = index.sq_norms[k]
         else:
@@ -541,7 +546,7 @@ def save_index(index: SubspaceIndex, path, include_data: bool = True) -> None:
         if include_data:
             _write_rows(handle, index.data, "<f8")
         for level, feats in zip(index.levels, index.features):
-            if level.directions is not None:
+            if index.mode == ADAPTIVE:
                 _write_rows(handle, level.directions, "<f8")
             _write_rows(handle, feats, "<f4")
 
@@ -615,11 +620,8 @@ def load_index(path, data: DataSet | None = None,
         features = []
         for dim_in, dim_out in zip(dims, dims[1:]):
             partition = BlockPartition.for_dims(dim_in, dim_out)
-            directions = None
-            if mode == ADAPTIVE:
-                directions = take("<f8", (dim_out, partition.block_size))
-            levels.append(ProjectionLevel(partition=partition, norm=norm,
-                                          directions=directions))
+            levels.append(ProjectionLevel(norm, take("<f8", (dim_out, partition.block_size)))
+                          if mode == ADAPTIVE else orthogonal_level(partition, norm))
             features.append(take("<f4", (count, dim_out)).astype(np.float64))
         if handle.read(1):
             raise ValueError(f"{path}: trailing bytes after the last section")

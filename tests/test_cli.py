@@ -287,6 +287,32 @@ def test_bench_verify_queries_config_below_one_is_input_error(value, tmp_path, c
     assert f"verify_queries {value} must be at least 1" in capsys.readouterr().err
 
 
+def test_bench_format_config_is_checked_before_any_cell(tmp_path, capsys):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("format=xml\n")
+    out = tmp_path / "r.xml"
+    assert main(BENCH_FLAGS + ["--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "unknown report format 'xml'" in captured.err
+    assert "cell" not in captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bench_modes_are_checked_before_any_cell(source, tmp_path, capsys):
+    flags = [flag for flag in BENCH_FLAGS if flag not in ("--modes", "orthogonal")]
+    if source == "flag":
+        flags += ["--modes", "adaptive,bogus"]
+    else:
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("modes=adaptive,bogus\n")
+        flags += ["--config", str(cfg)]
+    out = tmp_path / "r.csv"
+    assert main(flags + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "unknown modes ['bogus']" in captured.err
+    assert "cell" not in captured.out and not out.exists()
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "b.cfg"
     cfg.write_text("model=iid-uniform\ns=500\nn=32\nschedule=32,8\n"

@@ -47,8 +47,6 @@ def test_calibration_spec_validation():
         CalibrationSpec(sample_size=0)
     with pytest.raises(ValueError):
         CalibrationSpec(target_nn=0)
-    with pytest.raises(ValueError):
-        CalibrationSpec(aggregation="mean")
 
 
 def test_calibrate_on_integer_line():

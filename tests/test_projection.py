@@ -22,6 +22,7 @@ from lpcascade import (
 from lpcascade.norms import distances_to_point
 
 BISECT2 = np.array([1.0, 1.0]) / math.sqrt(2.0)
+EPS = float(np.finfo(np.float64).eps)
 
 
 def mean_projector_matrix(m):
@@ -38,10 +39,8 @@ def block_mean_feature(block, p):
 
 def adaptive_level(directions, p):
     """Hand-built adaptive level with one block per row of ``directions``."""
-    directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-    f, m = directions.shape
-    return ProjectionLevel(partition=BlockPartition.for_dims(f * m, f),
-                           norm=as_norm_order(p), directions=directions)
+    return ProjectionLevel(norm=as_norm_order(p),
+                           directions=np.atleast_2d(np.asarray(directions, dtype=np.float64)))
 
 
 def test_partition_validation():
@@ -65,9 +64,10 @@ def test_block_mean_feature_examples():
 
 
 def test_adaptive_level_feature_examples():
-    # the scale is the Hölder bound ||d||_p*, clamped at 1 only for p >= 2
+    # the scale is the Hölder bound ||d||_p* for every p, unclamped
     level2 = adaptive_level(BISECT2, 2)
-    assert level2.scales[0] == 1.0
+    assert level2.scales[0] == pytest.approx(1.0, rel=2 * EPS)
+    assert level2.scales[0] == lp_norm(BISECT2, 2)
     assert project_level([1, 3], level2)[0] == pytest.approx(4.0 / math.sqrt(2.0))
     assert project_level([1, 3], level2)[0] == pytest.approx(block_mean_feature([1, 3], 2))
 
@@ -97,13 +97,14 @@ def test_adaptive_level_chebyshev_is_lipschitz():
 
 
 def test_projector_validation():
-    part = BlockPartition.for_dims(4, 2)
-    # one row per block, each of block size
+    # one row per block: a nonempty (f, m) array
     with pytest.raises(ValueError):
-        ProjectionLevel(partition=part, norm=as_norm_order(2), directions=BISECT2)
+        ProjectionLevel(norm=as_norm_order(2), directions=BISECT2)
     with pytest.raises(ValueError):
-        ProjectionLevel(partition=part, norm=as_norm_order(2),
-                        directions=np.ones((2, 3)) / math.sqrt(3.0))
+        ProjectionLevel(norm=as_norm_order(2), directions=np.empty((0, 2)))
+    part = ProjectionLevel(norm=as_norm_order(2),
+                           directions=np.ones((2, 3)) / math.sqrt(3.0)).partition
+    assert part == BlockPartition(dim_in=6, block_count=2, block_size=3)
     # rows must be unit vectors
     with pytest.raises(ValueError):
         adaptive_level([[1.0, 1.0], BISECT2], 2)
@@ -123,11 +124,18 @@ def test_project_level_examples():
 
 
 def test_level_mode_consistency():
+    # both modes are one operator: unit directions over their Hölder scales
     part = BlockPartition.for_dims(4, 2)
-    plain = ProjectionLevel(partition=part, norm=as_norm_order(2))
-    assert plain.mode == ORTHOGONAL and plain.directions is None and plain.scales is None
+    plain = orthogonal_level(part, 2)
     fitted = adaptive_level([BISECT2, [1.0, 0.0]], 2)
-    assert fitted.mode == ADAPTIVE and fitted.scales.shape == (2,)
+    for level in (plain, fitted):
+        assert level.partition == part
+        assert level.directions.shape == (2, 2) and level.scales.shape == (2,)
+        assert not hasattr(level, "mode")
+    np.testing.assert_array_equal(plain.directions, [BISECT2, BISECT2])
+    x = np.array([[1.0, 3.0, 2.0, 5.0]])
+    np.testing.assert_array_equal(project_rows(x, plain)[:, 0],
+                                  project_rows(x, fitted)[:, 0])
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, "inf"])
@@ -192,7 +200,7 @@ def test_diversion_examples():
     explicit = math.sqrt(2.0) - np.linalg.norm(np.outer(z, z) @ np.ones(2))
     assert got[2] == pytest.approx(explicit, rel=1e-12)
     plain = orthogonal_level(BlockPartition.for_dims(6, 3), 2)
-    np.testing.assert_array_equal(plain.diversions(), np.zeros(3))
+    np.testing.assert_allclose(plain.diversions(), np.zeros(3), rtol=0, atol=1e-15)
 
 
 def test_diversion_bounds_on_fitted_nonneg_data():
@@ -231,13 +239,13 @@ def test_fit_adaptive_level_shapes_and_flags():
     rng = np.random.Generator(np.random.Philox(key=26))
     rows = rng.random((500, 12))
     level = fit_adaptive_level(rows, BlockPartition.for_dims(12, 3), 4)
-    assert level.mode == ADAPTIVE and level.dim_out == 3
+    assert level.dim_out == 3 and level.partition.block_size == 4
     assert level.directions.shape == (3, 4)
     # under l_4 the dual l_4/3 norm of a unit vector is at least its l_2 norm
     assert np.all(level.scales >= 1.0)
-    np.testing.assert_array_equal(
+    np.testing.assert_allclose(
         level.scales,
-        [max(1.0, lp_norm(d, as_norm_order(4).dual)) for d in level.directions])
+        [lp_norm(d, as_norm_order(4).dual) for d in level.directions], rtol=2 * EPS)
     feats = project_rows(rows, level)
     assert feats.shape == (500, 3)
     with pytest.raises(ValueError):
@@ -258,5 +266,22 @@ def test_fitted_directions_match_pca_oracle(p):
         block = rows[:, j * 4:(j + 1) * 4]
         oracle = first_principal_component(block.T @ block / rows.shape[0])
         np.testing.assert_allclose(level.directions[j], oracle.direction, rtol=0, atol=1e-12)
-        scale = lp_norm(level.directions[j], dual)
-        assert level.scales[j] == (max(1.0, scale) if level.norm.p >= 2.0 else scale)
+        assert level.scales[j] == pytest.approx(lp_norm(level.directions[j], dual),
+                                                rel=2 * EPS)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 16])
+@pytest.mark.parametrize("p", [1, 2, 4, "inf"])
+def test_orthogonal_level_is_the_secting_direction(p, m):
+    level = orthogonal_level(BlockPartition.for_dims(5 * m, 5), p)
+    norm = as_norm_order(p)
+    np.testing.assert_array_equal(level.directions, np.full((5, m), 1.0 / math.sqrt(m)))
+    np.testing.assert_array_equal(
+        level.scales, [lp_norm(d, norm.dual) for d in level.directions])
+    # the feature is the block mean times m^(1/p), to a few ulps
+    rows = np.random.Generator(np.random.Philox(key=28)).random((500, 5 * m))
+    coefficient = 1.0 if norm.is_infinite else m ** (1.0 / norm.p)
+    np.testing.assert_allclose(project_rows(rows, level),
+                               rows.reshape(500, 5, m).mean(axis=2) * coefficient,
+                               rtol=8 * EPS, atol=0)
+    np.testing.assert_allclose(level.diversions(), np.zeros(5), rtol=0, atol=1e-15)

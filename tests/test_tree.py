@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from lpcascade import (
+    BlockPartition,
     DataSet,
     DimensionSchedule,
     QueryReport,
     SyntheticSpec,
+    as_norm_order,
     brute_force_range,
     build_index,
     estimate_cost,
+    fit_adaptive_level,
     fit_const,
     generate,
     load_index,
@@ -243,12 +246,10 @@ def test_save_load_roundtrip(tmp_path, mode):
     for built, back in zip(index.features, loaded.features):
         np.testing.assert_array_equal(back, built)
     for lvl_a, lvl_b in zip(index.levels, loaded.levels):
-        if mode == "adaptive":
-            np.testing.assert_array_equal(lvl_a.directions, lvl_b.directions)
-            np.testing.assert_array_equal(lvl_a.scales, lvl_b.scales)
-        else:
-            assert lvl_a.directions is lvl_b.directions is None
-            assert lvl_a.scales is lvl_b.scales is None
+        # an orthogonal container stores no directions; the load rebuilds them
+        np.testing.assert_array_equal(lvl_a.directions, lvl_b.directions)
+        np.testing.assert_array_equal(lvl_a.scales, lvl_b.scales)
+        assert lvl_a.partition == lvl_b.partition
     assert loaded.norm == index.norm and loaded.mode == index.mode
     assert loaded.prune_margins == index.prune_margins
     assert all(margin > 0.0 for margin in index.prune_margins)
@@ -299,8 +300,6 @@ def test_features_are_rowwise_projections():
 
 
 def test_adaptive_levels_fitted_recursively():
-    from lpcascade import BlockPartition, fit_adaptive_level
-
     data = small_dataset(count=300, seed=37)
     index = build_index(data, DimensionSchedule((64, 16, 4)), "adaptive", 2)
     # fitted on the level-1 features before they are rounded to float32
@@ -345,6 +344,53 @@ def test_load_rejects_corrupt_containers(tmp_path):
         load_index(padded)
 
 
+def old_formula_chain(vectors, schedule, mode, p, clamp):
+    """(directions, float32 features) per level as the two-kind level code
+    projected them: block mean times m^(1/p) for an orthogonal level, and
+    for an adaptive one the dot product over the per-row scale ||d||_p*,
+    raised to at least 1 when ``clamp``; directions are None when
+    orthogonal."""
+    norm = as_norm_order(p)
+    dims = schedule.dims
+    current = vectors
+    chain = []
+    for dim_in, dim_out in zip(dims, dims[1:]):
+        m = dim_in // dim_out
+        blocks = current.reshape(current.shape[0], dim_out, m)
+        if mode == "orthogonal":
+            directions = None
+            coefficient = 1.0 if norm.is_infinite else float(m) ** (1.0 / norm.p)
+            projected = blocks.mean(axis=2) * coefficient
+        else:
+            partition = BlockPartition.for_dims(dim_in, dim_out)
+            directions = fit_adaptive_level(current, partition, norm).directions
+            scales = np.array([lp_norm(row, norm.dual) for row in directions])
+            if clamp:
+                scales = np.maximum(scales, 1.0)
+            projected = np.einsum("sfm,fm->sf", blocks, directions) / scales
+        chain.append((directions, projected.astype(np.float32)))
+        current = projected
+    return chain
+
+
+def write_old_container(path, data, schedule, mode, p, version, clamp):
+    """Assemble a container's bytes by hand from ``old_formula_chain``."""
+    header = json.dumps({
+        "format": "lpcascade-index", "version": version,
+        "norm": as_norm_order(p).label(), "mode": mode,
+        "schedule": list(schedule.dims), "count": len(data), "data_included": True,
+    }, sort_keys=True).encode("utf-8")
+    parts = [b"LPCASIDX", struct.pack("<IQ", version, len(header)), header,
+             data.ids.astype("<i8").tobytes(), data.vectors.astype("<f8").tobytes()]
+    chain = old_formula_chain(data.vectors, schedule, mode, p, clamp)
+    for directions, features in chain:
+        if directions is not None:
+            parts.append(directions.astype("<f8").tobytes())
+        parts.append(features.astype("<f4").tobytes())
+    path.write_bytes(b"".join(parts))
+    return chain
+
+
 def as_version(path, version):
     """Relabel a saved container as another format version, in place."""
     raw = bytearray(path.read_bytes())
@@ -353,19 +399,16 @@ def as_version(path, version):
 
 
 @pytest.mark.parametrize("p", [1, 1.5, 2, 4])
-def test_version_1_container_stays_exact(tmp_path, monkeypatch, p):
+def test_version_1_container_stays_exact(tmp_path, p):
     # version 1 divided adaptive features by max(1, ||d||_p*) for every p
     data = small_dataset(count=400, seed=42)
-    with monkeypatch.context() as patch:
-        patch.setattr(projection, "lp_norm", lambda v, q: max(1.0, lp_norm(v, q)))
-        old = build_index(data, DimensionSchedule((64, 16, 4)), "adaptive", p)
+    schedule = DimensionSchedule((64, 16, 4))
     path = tmp_path / "v1.idx"
-    save_index(old, path)
-    as_version(path, 1)
+    chain = write_old_container(path, data, schedule, "adaptive", p, 1, clamp=True)
     loaded = load_index(path)
     norm = loaded.norm
-    for level, fitted in zip(loaded.levels, old.levels):
-        np.testing.assert_array_equal(level.directions, fitted.directions)
+    for level, (directions, _) in zip(loaded.levels, chain):
+        np.testing.assert_array_equal(level.directions, directions)
     if norm.p < 2.0:
         # the scale changed: features are projected again from the vectors
         # and rounded as build_index rounds them
@@ -374,10 +417,10 @@ def test_version_1_container_stays_exact(tmp_path, monkeypatch, p):
             current = projection.project_rows(current, level)
             np.testing.assert_array_equal(feats, current.astype(np.float32))
     else:
-        # the scale is the same, so the stored float32 features are kept
-        for feats, stored in zip(loaded.features, old.features):
+        # the scale is the same up to rounding, so the stored features are kept
+        for feats, (_, stored) in zip(loaded.features, chain):
             np.testing.assert_array_equal(feats, stored)
-    assert loaded.prune_margins == old.prune_margins
+    assert loaded.prune_margins == tree.level_margins(schedule, 1.0)
     rng = np.random.Generator(np.random.Philox(key=43))
     for row in (0, 57, 399):
         for y in (data.vectors[row], data.vectors[row] + rng.standard_normal(64) * 0.05):
@@ -669,6 +712,32 @@ def test_no_match_is_lost_at_the_epsilon_boundary(tmp_path, mode, p):
     mismatches = [0, 0, 0]
     for c, y in enumerate(bases):
         dist = unchunked_distances(data.vectors, y, index.norm)
+        for row in range(c * per, (c + 1) * per, 4):
+            for epsilon in (dist[row], np.nextafter(dist[row], np.inf)):
+                truth = brute_force_range(data, y, epsilon, p)
+                for v, variant in enumerate(variants):
+                    if list(range_query(variant, y, epsilon).matches) != truth:
+                        mismatches[v] += 1
+    assert mismatches == [0, 0, 0]
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, "inf"])
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_old_formula_version_2_container_stays_exact(tmp_path, mode, p):
+    # a version-2 container written with block-mean orthogonal features, or
+    # adaptive scales clamped at 1 for p >= 2, answers boundary queries
+    # exactly under the one-operator projection of the query
+    data, bases = block_offset_dataset()
+    schedule = DimensionSchedule((64, 16, 4))
+    path = tmp_path / "old.idx"
+    write_old_container(path, data, schedule, mode, p, 2,
+                        clamp=as_norm_order(p).p >= 2.0)
+    fresh = build_index(data, schedule, mode, p)
+    variants = (fresh, load_index(path), load_index(path, mmap_data=True))
+    per = len(data) // len(bases)
+    mismatches = [0, 0, 0]
+    for c, y in enumerate(bases):
+        dist = unchunked_distances(data.vectors, y, fresh.norm)
         for row in range(c * per, (c + 1) * per, 4):
             for epsilon in (dist[row], np.nextafter(dist[row], np.inf)):
                 truth = brute_force_range(data, y, epsilon, p)
