@@ -153,25 +153,30 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
     return np.where(m > 0.0, out, 0.0)
 
 
+def row_chunks(count: int, dim: int):
+    """Slices covering ``range(count)`` in order, each spanning at most
+    CHUNK_BYTES of float64 rows of width ``dim`` (at least one row)."""
+    step = max(1, CHUNK_BYTES // (8 * dim))
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
 def sweep(matrix: np.ndarray, rows: np.ndarray | None, point: np.ndarray,
           norm: NormOrder, kernel) -> np.ndarray:
     """Distances from ``point`` to ``matrix[rows]``, one cache-sized chunk at a time.
 
     ``rows`` are ascending distinct row numbers; None, or every row, sweeps
-    the matrix as plain slices with no gather.  Each chunk holds at most
-    CHUNK_BYTES of float64 rows (at least one row) and is passed to
-    ``kernel(chunk, point, norm)`` -- ``distances_to_point`` as the caller's
-    module sees it -- so no sweep copies the whole matrix.
+    the matrix as plain slices with no gather.  Each chunk (``row_chunks``)
+    is passed to ``kernel(chunk, point, norm)`` -- ``distances_to_point`` as
+    the caller's module sees it -- so no sweep copies the whole matrix.
     """
     if rows is not None and rows.size == matrix.shape[0]:
         rows = None
     count = matrix.shape[0] if rows is None else rows.size
     out = np.empty(count)
-    step = max(1, CHUNK_BYTES // (8 * matrix.shape[1]))
-    for start in range(0, count, step):
-        stop = min(start + step, count)
-        block = matrix[start:stop] if rows is None else matrix[rows[start:stop]]
-        out[start:stop] = kernel(block, point, norm)
+    for chunk in row_chunks(count, matrix.shape[1]):
+        block = matrix[chunk] if rows is None else matrix[rows[chunk]]
+        out[chunk] = kernel(block, point, norm)
     return out
 
 

@@ -30,12 +30,12 @@ import numpy as np
 
 from .data import DataSet
 from .norms import (
-    CHUNK_BYTES,
     L2,
     NormOrder,
     as_norm_order,
     distances_to_point,
     lp_norm,
+    row_chunks,
     sweep,
 )
 from .projection import (
@@ -63,11 +63,10 @@ __all__ = [
 ]
 
 _MAGIC = b"LPCASIDX"
-# Version 1 divided adaptive features by max(1, ||d||_p*) for every p; the
-# layouts are the same, and load_index reads both (see level_margins for
-# version-2 features stored by earlier formulas).
+_FORMAT = "lpcascade-index"
+# The only version read or written (see level_margins for version-2
+# features stored by earlier formulas).
 _VERSION = 2
-_READABLE_VERSIONS = (1, 2)
 # float64 machine epsilon (2^-52) and smallest normal number (2^-1022): the
 # relative and absolute terms of the l_2 screen's band half-width.
 _EPS = float(np.finfo(np.float64).eps)
@@ -151,7 +150,7 @@ class SubspaceIndex:
     Under l_2 the index also derives ``sq_norms``: ``sq_norms[0]`` holds the
     float64 squared norm of every row of ``data`` and ``sq_norms[k]`` that of
     every row of ``features[k-1]``, so a query can screen a level with one
-    matrix-vector product (see ``_l2_screen``).  They are computed here, not
+    matrix-vector product (see ``_screen``).  They are computed here, not
     passed in or stored in the container, so built and loaded indexes derive
     them alike; for a memory-mapped ``data`` that reads the vectors once.
     Other norms derive nothing (``sq_norms == ()``).
@@ -207,8 +206,10 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
 
     Adaptive levels are fitted on the projected data of the previous level,
     then every row is projected one level further.  Deterministic given the
-    data order.  The stored features are float32 values (``_project_chain``),
-    exactly what ``load_index`` reads back from ``save_index``.
+    data order.  Each level is fitted and projected from the unrounded
+    float64 values of the one before, which are only then rounded to float32
+    values in place, so no level is ever held twice at float64 and the
+    features equal those ``save_index`` stores and ``load_index`` reads back.
     """
     if not isinstance(data, DataSet):
         data = DataSet.from_array(data)
@@ -218,57 +219,37 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
     if data.dim != schedule.dims[0]:
         raise ValueError(f"data dim {data.dim} != schedule head {schedule.dims[0]}")
 
-    def make_level(rows, partition):
+    levels = []
+    features = []
+    for dim_in, dim_out in zip(schedule.dims, schedule.dims[1:]):
+        current = features[-1] if features else data.vectors
+        partition = BlockPartition.for_dims(dim_in, dim_out)
         if mode == ADAPTIVE:
-            return fit_adaptive_level(rows, partition, norm)
-        return orthogonal_level(partition, norm)
-
-    levels, features = _project_chain(data.vectors, schedule, make_level)
+            levels.append(fit_adaptive_level(current, partition, norm))
+        else:
+            levels.append(orthogonal_level(partition, norm))
+        features.append(project_rows(current, levels[-1]))
+        if len(features) > 1:
+            _round_to_float32(current)
+    if features:
+        _round_to_float32(features[-1])
     return SubspaceIndex(
         schedule=schedule,
         norm=norm,
         mode=mode,
-        levels=levels,
-        features=features,
+        levels=tuple(levels),
+        features=tuple(features),
         data=data.vectors,
         ids=data.ids,
     )
 
 
-def _project_chain(vectors: np.ndarray, schedule: DimensionSchedule, make_level):
-    """The levels and stored features of a schedule over ``vectors``.
-
-    ``make_level(rows, partition)`` makes each level from the previous
-    level's float64 values, which are then projected one level further and
-    only after that rounded to float32 values in place, chunk by chunk.  So
-    every level is fitted and projected from unrounded values, no level is
-    ever held twice at float64, and the features equal those a container
-    stores and ``load_index`` reads back.
-    """
-    levels = []
-    features = []
-    current = vectors
-    for dim_in, dim_out in zip(schedule.dims, schedule.dims[1:]):
-        level = make_level(current, BlockPartition.for_dims(dim_in, dim_out))
-        projected = project_rows(current, level)
-        if features:
-            _round_to_float32(current)
-        levels.append(level)
-        features.append(projected)
-        current = projected
-    if features:
-        _round_to_float32(current)
-    return tuple(levels), tuple(features)
-
-
 def _round_to_float32(matrix: np.ndarray) -> None:
     """Round a float64 matrix to float32 values in place, in 1 MiB row chunks."""
-    step = max(1, CHUNK_BYTES // (8 * matrix.shape[1]))
     # a value beyond the float32 range becomes inf, as it would on disk
     with np.errstate(over="ignore"):
-        for start in range(0, matrix.shape[0], step):
-            block = matrix[start:start + step]
-            block[...] = block.astype(np.float32)
+        for chunk in row_chunks(*matrix.shape):
+            matrix[chunk] = matrix[chunk].astype(np.float32)
 
 
 def level_margins(schedule: DimensionSchedule, scale: float) -> tuple[float, ...]:
@@ -343,18 +324,18 @@ def level_margins(schedule: DimensionSchedule, scale: float) -> tuple[float, ...
 def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     """All items within strict l_p distance epsilon of y, with counters.
 
-    Filters coarse-to-fine: items are evaluated level by level, each level
-    keeping a row while its distance is below epsilon plus the level's
-    margin (``level_margins``), and whatever reaches level 0 is verified
-    against the stored vectors.  The level-major sweep evaluates exactly the
-    pairs the per-item two-loop cascade would, so counters match the cost
-    model verbatim.  Each level
-    walks its candidates in cache-sized chunks (``norms.sweep``), so a query
-    never copies a whole feature or data matrix.  Under l_2 a level first
-    screens its candidates with one matrix-vector product (``_l2_screen``)
-    and runs the distance kernel only on the rows the screen leaves
-    undecided, plus, at level 0, on the matches whose distances it reports;
-    every decision and reported float is the kernel's own.
+    One filter walks the levels k = t..0 coarse to fine, over the level's
+    stored matrix, the query projected to it and a threshold tau_k: level k
+    keeps a row while its distance is below tau_k = epsilon plus the
+    level's margin (``level_margins``).  Verification is level 0, over the
+    stored vectors with tau_0 = epsilon, and its survivors are the matches.
+    The level-major sweep evaluates exactly the pairs the per-item two-loop
+    cascade would, so counters match the cost model verbatim.  Each level
+    first decides what it can without the distance kernel (``_screen``) and
+    then runs the kernel on the rest, walking them in cache-sized chunks
+    (``norms.sweep``), so a query never copies a whole feature or data
+    matrix.  At level 0 the kernel also runs on every row the screen keeps,
+    so every decision and reported float is the kernel's own.
     """
     query = np.asarray(y, dtype=np.float64)
     if query.ndim != 1 or query.size != index.schedule.dims[0]:
@@ -366,9 +347,14 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
-    projected = [query]
+    points = [query]
     for level in index.levels:
-        projected.append(project_level(projected[-1], level))
+        points.append(project_level(points[-1], level))
+    matrices = (index.data, *index.features)
+    with np.errstate(over="ignore"):  # an overflowed norm: no level prunes
+        scale = lp_norm(query, index.norm) + epsilon
+    taus = (epsilon, *(epsilon + margin
+                       for margin in level_margins(index.schedule, scale)))
 
     dims = index.schedule.dims
     t = index.schedule.levels
@@ -376,36 +362,27 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     survivors = [0] * (t + 1)
     candidates = np.arange(s)
     cost = 0
-    with np.errstate(over="ignore"):  # an overflowed norm: no level prunes
-        scale = lp_norm(query, index.norm) + epsilon
-    margins = level_margins(index.schedule, scale)
-    for k in range(t, 0, -1):
-        matrix = index.features[k - 1]
-        tau = epsilon + margins[k - 1]
+    for k in range(t, -1, -1):
         cost += candidates.size * dims[k]
-        if tau == math.inf:
-            # a match's stored features may have overflowed float32
-            keep = np.ones(candidates.size, dtype=bool)
-        elif index.norm == L2:
-            keep, band = _l2_screen(index, k, candidates, projected[k], tau)
-            keep[band] = sweep(matrix, candidates[band], projected[k], index.norm,
-                               distances_to_point) < tau
+        keep, band = _screen(index, k, candidates, points[k], taus[k])
+        if k == 0 and keep is not None:
+            band = keep | band  # every reported distance is the kernel's float
+        dist = sweep(matrices[k], candidates[band], points[k], index.norm,
+                     distances_to_point)
+        hit = dist < taus[k]
+        if keep is None:
+            keep = hit
         else:
-            keep = sweep(matrix, candidates, projected[k], index.norm,
-                         distances_to_point) < tau
+            keep[band] = hit
+        if k:
+            # only level 0 reports its distances; freeing a finer level's
+            # before compacting measurably keeps glibc from trimming and
+            # re-faulting the heap between sweeps
+            dist = None
         candidates = candidates[keep]
         survivors[k] = int(candidates.size)
-    cost += candidates.size * dims[0]
-    if index.norm == L2:
-        inside, band = _l2_screen(index, 0, candidates, query, epsilon)
-        candidates = candidates[inside | band]
-    exact = sweep(index.data, candidates, query, index.norm, distances_to_point)
-    hit = exact < epsilon
-    survivors[0] = int(np.count_nonzero(hit))
-    matches = tuple(
-        (int(index.ids[row]), float(dist))
-        for row, dist in zip(candidates[hit], exact[hit])
-    )
+    matches = tuple((int(index.ids[row]), float(d))
+                    for row, d in zip(candidates, dist[hit]))
     return QueryReport(
         matches=matches,
         survivors=tuple(survivors),
@@ -420,14 +397,25 @@ def _dot(block: np.ndarray, point: np.ndarray, norm) -> np.ndarray:
     return block @ point
 
 
-def _l2_screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
-               point: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Split candidates at level k by the l_2 kernel's verdict ``dist < tau``.
+def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
+            point: np.ndarray, tau: float):
+    """Decide what the kernel's verdict ``dist < tau`` at level k is for
+    candidates without running the kernel.
 
-    Returns boolean masks over ``candidates``: ``inside``, the rows whose
-    kernel distance is surely below ``tau``, and ``band``, the rows the
-    screen cannot decide; every other row's kernel distance is surely at
-    least ``tau``.  With xx the stored squared row norm and qq = q.q,
+    Returns ``(keep, band)``: ``keep`` is a boolean mask over
+    ``candidates``, true for rows surely kept, and ``band`` selects the rows
+    only the kernel can decide, whose ``keep`` entries the caller overwrites
+    with its verdict; every other row is surely pruned.  When the kernel
+    decides every row, ``keep`` is None and ``band`` is ``slice(None)``.
+
+    * An infinite tau keeps every row, even at distance inf: a match's
+      stored features may have overflowed float32 (``level_margins``).
+    * Under l_2 a matrix-vector product screens the rows: ``keep`` holds
+      those inside and ``band`` is a mask.
+    * Under every other norm the kernel decides every row, so a level is
+      one sweep and one comparison.
+
+    The l_2 screen.  With xx the stored squared row norm and qq = q.q,
 
         g = xx + qq - 2 x.q        (one GEMV: M @ q, or per 1 MiB gather)
         w = (4n + 16) eps (xx + qq + tau^2) + 2^-1022
@@ -460,10 +448,16 @@ def _l2_screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
     leaving room for the O(u^2) terms, for computed xx + qq standing in for
     S and for the rounding of w itself.  Gradual underflow adds an absolute
     error of at most 2^-1075 per product (about 6n of them in g and the
-    kernel), which the 2^-1022 term covers for any n < 2^50.  An overflowed tau^2 makes w infinite, so every row falls in
-    the band.  The constant family is that of the exact GEMM scan of
-    Johnson, Douze and Jegou (arXiv 1702.08734).
+    kernel), which the 2^-1022 term covers for any n < 2^50.  An overflowed
+    tau^2 makes w infinite, so every row falls in the band.  The constant
+    family is that of the exact GEMM scan of Johnson, Douze and Jegou
+    (arXiv 1702.08734).
     """
+    if tau == math.inf:
+        keep = np.ones(candidates.size, dtype=bool)
+        return keep, ~keep
+    if index.norm != L2:
+        return None, slice(None)
     matrix = index.data if k == 0 else index.features[k - 1]
     # an overflow only puts rows in the band, which the kernel then decides
     with np.errstate(over="ignore", invalid="ignore"):
@@ -529,7 +523,7 @@ def save_index(index: SubspaceIndex, path, include_data: bool = True) -> None:
     so saving holds no second copy of the vectors or of a feature matrix.
     """
     header = {
-        "format": "lpcascade-index",
+        "format": _FORMAT,
         "version": _VERSION,
         "norm": index.norm.label(),
         "mode": index.mode,
@@ -554,9 +548,8 @@ def save_index(index: SubspaceIndex, path, include_data: bool = True) -> None:
 def _write_rows(handle, matrix: np.ndarray, dtype: str) -> None:
     """Write a matrix row-major at ``dtype``, one 1 MiB chunk of rows at a
     time; a chunk is copied only if it needs a cast or is not row-major."""
-    step = max(1, CHUNK_BYTES // (8 * matrix.shape[1]))
-    for start in range(0, matrix.shape[0], step):
-        np.ascontiguousarray(matrix[start:start + step], dtype=dtype).tofile(handle)
+    for chunk in row_chunks(*matrix.shape):
+        np.ascontiguousarray(matrix[chunk], dtype=dtype).tofile(handle)
 
 
 def load_index(path, data: DataSet | None = None,
@@ -570,22 +563,25 @@ def load_index(path, data: DataSet | None = None,
     matrices.  Those are stored at float32 but held as float64, as
     ``build_index`` holds them, so in memory they weigh 8 bytes per feature,
     which for a fine first level is a large share of the data's own size.
-    A version-1 container stored adaptive l_p features, p < 2, under a scale
-    the query no longer uses; those are projected again from the vectors
-    the way ``build_index`` projects them, which reads the whole dataset
-    once.
+    A supplied ``data`` is used in place of embedded vectors, which are then
+    skipped unread.  A container of another format, version or mode is
+    rejected with ``ValueError``.
     """
     with open(path, "rb") as handle:
         prefix = handle.read(len(_MAGIC) + 12)
         if len(prefix) < len(_MAGIC) + 12 or prefix[:len(_MAGIC)] != _MAGIC:
             raise ValueError(f"{path}: not an index container")
         version, header_len = struct.unpack_from("<IQ", prefix, len(_MAGIC))
-        if version not in _READABLE_VERSIONS:
+        if version != _VERSION:
             raise ValueError(f"{path}: unsupported container version {version}")
         header = json.loads(handle.read(header_len).decode("utf-8"))
+        if header.get("format") != _FORMAT:
+            raise ValueError(f"{path}: unknown container format {header.get('format')!r}")
+        mode = header.get("mode")
+        if mode not in (ORTHOGONAL, ADAPTIVE):
+            raise ValueError(f"{path}: unknown mode {mode!r}")
 
         norm = as_norm_order(header["norm"])
-        mode = header["mode"]
         schedule = DimensionSchedule(tuple(header["schedule"]))
         count = int(header["count"])
         dims = schedule.dims
@@ -598,23 +594,22 @@ def load_index(path, data: DataSet | None = None,
             return arr.reshape(shape)
 
         ids = take("<i8", (count,)).astype(np.int64, copy=False)
-        vectors = None
-        if header["data_included"]:
-            if mmap_data and data is None:
-                vectors = np.memmap(path, dtype="<f8", mode="r",
-                                    offset=handle.tell(),
-                                    shape=(count, dims[0]))
-                handle.seek(count * dims[0] * 8, 1)
-            else:
-                vectors = take("<f8", (count, dims[0])).astype(np.float64, copy=False)
-        elif data is None:
-            raise ValueError(f"{path}: container has no embedded data; "
-                             "pass the original dataset")
         if data is not None:
             if data.dim != dims[0] or len(data) != count:
                 raise ValueError(f"dataset shape ({len(data)}, {data.dim}) does "
                                  f"not match container ({count}, {dims[0]})")
             vectors = data.vectors
+            if header["data_included"]:
+                handle.seek(count * dims[0] * 8, 1)
+        elif not header["data_included"]:
+            raise ValueError(f"{path}: container has no embedded data; "
+                             "pass the original dataset")
+        elif mmap_data:
+            vectors = np.memmap(path, dtype="<f8", mode="r", offset=handle.tell(),
+                                shape=(count, dims[0]))
+            handle.seek(count * dims[0] * 8, 1)
+        else:
+            vectors = take("<f8", (count, dims[0])).astype(np.float64, copy=False)
 
         levels = []
         features = []
@@ -625,14 +620,6 @@ def load_index(path, data: DataSet | None = None,
             features.append(take("<f4", (count, dim_out)).astype(np.float64))
         if handle.read(1):
             raise ValueError(f"{path}: trailing bytes after the last section")
-
-    if version == 1 and mode == ADAPTIVE and norm.p < 2.0:
-        # Stored under the scale 1 = max(1, ||d||_p*), not the ||d||_p* the
-        # query is projected with; each level feeds the next, so the whole
-        # chain is projected again from the vectors, as build_index would.
-        stored = iter(levels)
-        levels, features = _project_chain(vectors, schedule,
-                                          lambda rows, partition: next(stored))
 
     return SubspaceIndex(
         schedule=schedule,

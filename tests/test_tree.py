@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -398,40 +399,59 @@ def as_version(path, version):
     path.write_bytes(bytes(raw).replace(b'"version": 2', f'"version": {version}'.encode()))
 
 
-@pytest.mark.parametrize("p", [1, 1.5, 2, 4])
-def test_version_1_container_stays_exact(tmp_path, p):
-    # version 1 divided adaptive features by max(1, ||d||_p*) for every p
-    data = small_dataset(count=400, seed=42)
-    schedule = DimensionSchedule((64, 16, 4))
-    path = tmp_path / "v1.idx"
-    chain = write_old_container(path, data, schedule, "adaptive", p, 1, clamp=True)
-    loaded = load_index(path)
-    norm = loaded.norm
-    for level, (directions, _) in zip(loaded.levels, chain):
-        np.testing.assert_array_equal(level.directions, directions)
-    if norm.p < 2.0:
-        # the scale changed: features are projected again from the vectors
-        # and rounded as build_index rounds them
-        current = data.vectors
-        for level, feats in zip(loaded.levels, loaded.features):
-            current = projection.project_rows(current, level)
-            np.testing.assert_array_equal(feats, current.astype(np.float32))
-    else:
-        # the scale is the same up to rounding, so the stored features are kept
-        for feats, (_, stored) in zip(loaded.features, chain):
-            np.testing.assert_array_equal(feats, stored)
-    assert loaded.prune_margins == tree.level_margins(schedule, 1.0)
-    rng = np.random.Generator(np.random.Philox(key=43))
-    for row in (0, 57, 399):
-        for y in (data.vectors[row], data.vectors[row] + rng.standard_normal(64) * 0.05):
-            exact = np.sort(unchunked_distances(data.vectors, y, norm))
-            for epsilon in (1e-3, exact[1], exact[30]):
-                assert list(range_query(loaded, y, epsilon).matches) == \
-                    brute_force_range(data, y, epsilon, p)
-
-    as_version(path, 3)
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("version", [1, 3])
+def test_other_container_versions_are_rejected(tmp_path, version):
+    # version 1 stored adaptive l_1 features under another scale; only the
+    # version-2 layout is read
+    data = small_dataset(count=30)
+    index = build_index(data, DimensionSchedule((64, 16)), "adaptive", 1)
+    path = tmp_path / "other.idx"
+    save_index(index, path)
+    as_version(path, version)
+    with pytest.raises(ValueError, match=f"version {version}$"):
         load_index(path)
+
+
+def rewrite_header(path, **fields):
+    """Change fields of a saved container's JSON header, in place."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 12)
+    header = json.loads(raw[20:20 + length])
+    header.update(fields)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + length:])
+
+
+@pytest.mark.parametrize("field, value", [("format", "not-lpcascade"), ("mode", "bogus")])
+def test_unknown_format_or_mode_is_rejected(tmp_path, field, value):
+    data = small_dataset(count=30)
+    index = build_index(data, DimensionSchedule((64, 16)), "orthogonal", 2)
+    path = tmp_path / "header.idx"
+    save_index(index, path)
+    rewrite_header(path)
+    assert load_index(path).mode == "orthogonal"
+    rewrite_header(path, **{field: value})
+    with pytest.raises(ValueError, match=f"unknown .*'{value}'"):
+        load_index(path)
+
+
+def test_load_with_a_dataset_skips_the_embedded_vectors(tmp_path):
+    data = small_dataset(count=4000, dim=256, seed=77)
+    index = build_index(data, DimensionSchedule((256, 16, 4)), "orthogonal", 1)
+    path = tmp_path / "embedded.idx"
+    save_index(index, path)
+    tracemalloc.start()
+    try:
+        loaded = load_index(path, data=data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.data is data.vectors
+    for built, back in zip(index.features, loaded.features):
+        np.testing.assert_array_equal(back, built)
+    # the features weigh 12 bytes per value while loading (float32, then
+    # float64), 3/32 of the 8.2 MB data section
+    assert peak < data.vectors.nbytes / 4
 
 
 def recording_kernel(monkeypatch):
@@ -649,6 +669,32 @@ def test_l2_screen_falls_back_to_the_kernel_on_overflowed_norms():
     assert range_query(index, vectors[7], 1.0).match_ids == (7,)
 
 
+@pytest.mark.parametrize("p", [1, 2, 4, "inf"])
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_infinite_margins_prune_no_row_at_any_level(mode, p):
+    # rows near 1e40: their float32 features overflow to inf, so a query with
+    # ||y||_p + epsilon >= 2^127 has infinite margins and no level may prune,
+    # not even a row at level distance inf; only verification decides
+    rows = small_dataset(count=200, seed=76).vectors * 1e40
+    data = DataSet.from_array(rows)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, p)
+    assert all(np.isinf(feats).any() for feats in index.features)
+    rng = np.random.Generator(np.random.Philox(key=78))
+    near = rows[5] * (1.0 + 1e-3 * rng.standard_normal(64))
+    dist = np.sort(unchunked_distances(rows, near, index.norm))
+    small = rows[9] / 1e40
+    cases = [(near, dist[1]), (near, dist[40]), (near, math.inf),
+             (small, 2.0 ** 127), (small, math.inf)]
+    for y, epsilon in cases:
+        assert tree.level_margins(index.schedule, lp_norm(y, p) + epsilon)[0] == math.inf
+        report = range_query(index, y, epsilon)
+        with np.errstate(invalid="ignore"):  # the reference's l_4 of inf rows
+            assert report == gather_everything_query(index, y, epsilon)
+        assert list(report.matches) == brute_force_range(data, y, epsilon, p)
+        assert report.survivors[1:] == (len(data),) * index.schedule.levels
+    assert len(range_query(index, near, math.inf).matches) == len(data)
+
+
 @pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
 def test_l2_kernel_sees_only_matches_and_the_band(monkeypatch, mode):
     # on well-conditioned data the screen decides almost every row, so the
@@ -779,7 +825,7 @@ def test_saved_bytes_follow_the_version_2_layout(tmp_path, monkeypatch, mode,
     rows = small_dataset(count=40, seed=75).vectors
     data = DataSet.from_array(np.asarray(rows, order=order))
     # 3 rows of 64 per chunk: every section is written in several chunks
-    monkeypatch.setattr(tree, "CHUNK_BYTES", 8 * 64 * 3)
+    monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 64 * 3)
     index = build_index(data, DimensionSchedule((64, 16, 4)), mode, "inf")
     path = tmp_path / "layout.idx"
     save_index(index, path, include_data=include_data)
