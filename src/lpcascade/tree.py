@@ -76,6 +76,13 @@ _TINY = float(np.finfo(np.float64).tiny)
 # float32 (its largest value is just under 2^128).
 _F32_TINY = float(np.finfo(np.float32).tiny)
 _F32_SAFE = 2.0 ** 127
+# Share of a level's rows from which the l_2 screen forms its dot products
+# by one whole-matrix GEMV, indexed by the candidates, instead of gathering
+# the candidates' rows chunk by chunk.  On 20k random rows (2 CPUs, OpenBLAS
+# 2 threads) the gather costs as much as the whole GEMV at about 13% of the
+# rows for 64 columns, 15% for 240 and 22-25% for 16 and for 960 columns;
+# a sixth sits inside that range.
+_DENSE_SHARE = 1 / 6
 
 
 @dataclass(frozen=True)
@@ -417,7 +424,9 @@ def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
 
     The l_2 screen.  With xx the stored squared row norm and qq = q.q,
 
-        g = xx + qq - 2 x.q        (one GEMV: M @ q, or per 1 MiB gather)
+        g = xx + qq - 2 x.q        (M @ q over every row, indexed, once the
+                                    candidates reach _DENSE_SHARE of them;
+                                    else one GEMV per 1 MiB gather)
         w = (4n + 16) eps (xx + qq + tau^2) + 2^-1022
 
     a row is inside if g + w < tau^2, outside if g - w >= tau^2, and in the
@@ -459,13 +468,17 @@ def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
     if index.norm != L2:
         return None, slice(None)
     matrix = index.data if k == 0 else index.features[k - 1]
+    rows = matrix.shape[0]
     # an overflow only puts rows in the band, which the kernel then decides
     with np.errstate(over="ignore", invalid="ignore"):
-        if candidates.size == matrix.shape[0]:
-            # one whole-matrix GEMV, which BLAS splits over its threads; in
-            # 1 MiB pieces it runs at half the speed (20k x 480, 2 CPUs)
+        if candidates.size >= _DENSE_SHARE * rows:
+            # one whole-matrix GEMV, which BLAS splits over its threads; it
+            # reads every row (see _DENSE_SHARE)
             dots = matrix @ point
             xx = index.sq_norms[k]
+            if candidates.size < rows:
+                dots = dots[candidates]
+                xx = xx[candidates]
         else:
             dots = sweep(matrix, candidates, point, index.norm, _dot)
             xx = index.sq_norms[k][candidates]
@@ -560,12 +573,15 @@ def load_index(path, data: DataSet | None = None,
     the dataset it was built from.  ``mmap_data`` maps the embedded vectors
     read-only instead of loading them; the cascade touches level 0 only for
     final verification, so mapping keeps the resident set near the feature
-    matrices.  Those are stored at float32 but held as float64, as
-    ``build_index`` holds them, so in memory they weigh 8 bytes per feature,
-    which for a fine first level is a large share of the data's own size.
+    matrices (under l_2 a verification whose candidates reach
+    ``_DENSE_SHARE`` of the rows reads every row).  Those are stored at
+    float32 but held as float64, as ``build_index`` holds them, so in memory
+    they weigh 8 bytes per feature, which for a fine first level is a large
+    share of the data's own size.
     A supplied ``data`` is used in place of embedded vectors, which are then
-    skipped unread.  A container of another format, version or mode is
-    rejected with ``ValueError``.
+    skipped unread.  A container of another format, version or mode, or
+    whose header is not an object or lacks a field, is rejected with
+    ``ValueError``.
     """
     with open(path, "rb") as handle:
         prefix = handle.read(len(_MAGIC) + 12)
@@ -575,11 +591,16 @@ def load_index(path, data: DataSet | None = None,
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported container version {version}")
         header = json.loads(handle.read(header_len).decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: container header is not a JSON object")
         if header.get("format") != _FORMAT:
             raise ValueError(f"{path}: unknown container format {header.get('format')!r}")
         mode = header.get("mode")
         if mode not in (ORTHOGONAL, ADAPTIVE):
             raise ValueError(f"{path}: unknown mode {mode!r}")
+        for key in ("norm", "schedule", "count", "data_included"):
+            if key not in header:
+                raise ValueError(f"{path}: container header has no {key!r}")
 
         norm = as_norm_order(header["norm"])
         schedule = DimensionSchedule(tuple(header["schedule"]))

@@ -18,6 +18,8 @@ from lpcascade import (
     generate,
     range_query,
 )
+from lpcascade import tree
+from lpcascade.norms import L2, distances_to_point, sweep
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +43,22 @@ def test_unpruned_query_allocates_under_a_quarter_of_the_data(wide_data):
     assert report.survivors == (8000, 8000, 8000)
     peak = peak_bytes(lambda: range_query(index, wide_data.vectors[0], 1e9))
     assert peak < wide_data.vectors.nbytes / 4
+
+
+def test_dense_pruned_query_allocates_under_a_quarter_of_the_data():
+    # block-correlated rows, unlike iid ones, differ in their block means, so
+    # the coarse level prunes a few hundred of them
+    data = generate(SyntheticSpec(count=8000, dim=960, model="block-correlated",
+                                  block_size=4, correlation=0.8, rng_seed=62))
+    index = build_index(data, DimensionSchedule((960, 240, 60)), "orthogonal", 2)
+    y = data.vectors[0] + 0.01
+    epsilon = np.sort(sweep(data.vectors, None, y, L2, distances_to_point))[5]
+    report = range_query(index, y, epsilon)
+    # verification screens a pruned candidate set above the dense share: one
+    # whole-matrix GEMV over the vectors, indexed, copying no rows
+    assert tree._DENSE_SHARE * 8000 <= report.survivors[1] < 8000
+    peak = peak_bytes(lambda: range_query(index, y, epsilon))
+    assert peak < data.vectors.nbytes / 4
 
 
 def test_calibration_allocates_under_a_quarter_of_the_data(wide_data):

@@ -412,12 +412,11 @@ def test_other_container_versions_are_rejected(tmp_path, version):
         load_index(path)
 
 
-def rewrite_header(path, **fields):
-    """Change fields of a saved container's JSON header, in place."""
+def rewrite_header(path, edit=lambda header: header):
+    """Replace a saved container's JSON header by ``edit(header)``, in place."""
     raw = path.read_bytes()
     (length,) = struct.unpack_from("<Q", raw, 12)
-    header = json.loads(raw[20:20 + length])
-    header.update(fields)
+    header = edit(json.loads(raw[20:20 + length]))
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + length:])
 
@@ -430,8 +429,25 @@ def test_unknown_format_or_mode_is_rejected(tmp_path, field, value):
     save_index(index, path)
     rewrite_header(path)
     assert load_index(path).mode == "orthogonal"
-    rewrite_header(path, **{field: value})
+    rewrite_header(path, lambda header: {**header, field: value})
     with pytest.raises(ValueError, match=f"unknown .*'{value}'"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("field", ["norm", "schedule", "count", "data_included",
+                                   "non-object"])
+def test_incomplete_container_header_is_rejected(tmp_path, field):
+    data = small_dataset(count=30)
+    index = build_index(data, DimensionSchedule((64, 16)), "orthogonal", 2)
+    path = tmp_path / "header.idx"
+    save_index(index, path)
+    if field == "non-object":
+        rewrite_header(path, lambda header: sorted(header.items()))
+        message = "not a JSON object"
+    else:
+        rewrite_header(path, lambda header: {k: v for k, v in header.items() if k != field})
+        message = f"has no '{field}'$"
+    with pytest.raises(ValueError, match=message):
         load_index(path)
 
 
@@ -578,6 +594,13 @@ def test_prune_margins_are_derived_not_passed():
                            ids=index.ids, prune_margins=(0.0, 0.0))
 
 
+# Values of tree._DENSE_SHARE that force each way the l_2 screen forms its
+# dot products: 0 takes one whole-matrix GEMV at every level, and a share
+# above 1 gathers the candidates of every pruned level chunk by chunk.  The
+# screen's exactness tests run under both.
+SCREEN_SHARES = (0.0, 2.0)
+
+
 def boundary_epsilons(index, y):
     """Kernel distances at the verification level and at every projection
     level, each exactly and one ulp above: the epsilons that sit on the edge
@@ -607,15 +630,17 @@ def test_l2_screen_is_exact_at_the_epsilon_boundary(tmp_path, monkeypatch, mode,
     # 5 rows of 64, 20 of 16 or 80 of 4 per chunk: pruned levels and the
     # verification gather their candidates in several chunks
     monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 64 * 5)
-    rng = np.random.Generator(np.random.Philox(key=46))
     reports = []
-    for variant in (index, load_index(path), load_index(path, mmap_data=True)):
-        for row in (0, 211):
-            y = data.vectors[row] + rng.standard_normal(64) * 0.05
-            for epsilon in boundary_epsilons(variant, y):
-                report = range_query(variant, y, epsilon)
-                assert report == gather_everything_query(variant, y, epsilon)
-                reports.append(report)
+    for share in SCREEN_SHARES:
+        monkeypatch.setattr(tree, "_DENSE_SHARE", share)
+        rng = np.random.Generator(np.random.Philox(key=46))
+        for variant in (index, load_index(path), load_index(path, mmap_data=True)):
+            for row in (0, 211):
+                y = data.vectors[row] + rng.standard_normal(64) * 0.05
+                for epsilon in boundary_epsilons(variant, y):
+                    report = range_query(variant, y, epsilon)
+                    assert report == gather_everything_query(variant, y, epsilon)
+                    reports.append(report)
     if offset < 1e8:
         assert any(20 < r.survivors[2] < len(data) for r in reports)
         assert any(5 < r.survivors[1] < len(data) for r in reports)
@@ -627,7 +652,7 @@ def test_l2_screen_is_exact_at_the_epsilon_boundary(tmp_path, monkeypatch, mode,
 
 @pytest.mark.parametrize("offset, scale", [(0.0, 1.0), (1e3, 1.0), (1e6, 1.0),
                                            (0.0, 1e-160), (0.0, 1e-162)])
-def test_l2_screen_is_exact_on_an_equidistant_shell(offset, scale):
+def test_l2_screen_is_exact_on_an_equidistant_shell(monkeypatch, offset, scale):
     # every row is q plus a signed permutation of one vector v, so all share
     # the exact distance |v| and differ only by rounding: each epsilon sits
     # on the edge for hundreds of rows at once.  At 1e-160 and below the
@@ -641,13 +666,15 @@ def test_l2_screen_is_exact_on_an_equidistant_shell(offset, scale):
                         "orthogonal", 2)
     dist = np.unique(unchunked_distances(rows, q, index.norm))
     assert dist[-1] > 0.0
-    for epsilon in (*dist, *np.nextafter(dist, np.inf)):
-        if epsilon > 0.0:
-            assert range_query(index, q, epsilon) == \
-                gather_everything_query(index, q, epsilon)
+    for share in SCREEN_SHARES:
+        monkeypatch.setattr(tree, "_DENSE_SHARE", share)
+        for epsilon in (*dist, *np.nextafter(dist, np.inf)):
+            if epsilon > 0.0:
+                assert range_query(index, q, epsilon) == \
+                    gather_everything_query(index, q, epsilon)
 
 
-def test_l2_screen_falls_back_to_the_kernel_on_overflowed_norms():
+def test_l2_screen_falls_back_to_the_kernel_on_overflowed_norms(monkeypatch):
     # |x|^2 overflows to inf for rows near 1e155 while their differences
     # from a nearby query stay finite: only the kernel can decide them
     rng = np.random.Generator(np.random.Philox(key=47))
@@ -657,16 +684,18 @@ def test_l2_screen_falls_back_to_the_kernel_on_overflowed_norms():
     index = build_index(data, DimensionSchedule((64, 16, 4)), "orthogonal", 2)
     assert np.isinf(index.sq_norms[0][:60]).all()
     assert np.isfinite(index.sq_norms[0][60:]).all()
-    for y in (vectors[3] * (1.0 + 1e-5 * rng.standard_normal(64)),
-              vectors[100] + 0.05):
-        dist = np.sort(unchunked_distances(vectors, y, index.norm))
-        for rank in (1, 30, 59):
-            for epsilon in (dist[rank], np.nextafter(dist[rank], np.inf)):
-                report = range_query(index, y, epsilon)
-                assert report == gather_everything_query(index, y, epsilon)
-                assert list(report.matches) == brute_force_range(data, y, epsilon, 2)
-    # a huge query row matches itself only through the kernel
-    assert range_query(index, vectors[7], 1.0).match_ids == (7,)
+    queries = (vectors[3] * (1.0 + 1e-5 * rng.standard_normal(64)), vectors[100] + 0.05)
+    for share in SCREEN_SHARES:
+        monkeypatch.setattr(tree, "_DENSE_SHARE", share)
+        for y in queries:
+            dist = np.sort(unchunked_distances(vectors, y, index.norm))
+            for rank in (1, 30, 59):
+                for epsilon in (dist[rank], np.nextafter(dist[rank], np.inf)):
+                    report = range_query(index, y, epsilon)
+                    assert report == gather_everything_query(index, y, epsilon)
+                    assert list(report.matches) == brute_force_range(data, y, epsilon, 2)
+        # a huge query row matches itself only through the kernel
+        assert range_query(index, vectors[7], 1.0).match_ids == (7,)
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, "inf"])
@@ -702,16 +731,59 @@ def test_l2_kernel_sees_only_matches_and_the_band(monkeypatch, mode):
     data = small_dataset(count=2000, seed=50)
     index = build_index(data, DimensionSchedule((64, 16, 4)), mode, 2)
     blocks = recording_kernel(monkeypatch)
+    for share in SCREEN_SHARES:
+        monkeypatch.setattr(tree, "_DENSE_SHARE", share)
+        for row in (0, 50, 999):
+            y = data.vectors[row] + 0.05
+            exact = np.sort(unchunked_distances(data.vectors, y, index.norm))
+            for epsilon in (exact[20], (exact[20] + exact[21]) / 2, exact[40]):
+                blocks.clear()
+                report = range_query(index, y, epsilon)
+                assert report == gather_everything_query(index, y, epsilon)
+                seen = sum(len(block) for block in blocks)
+                assert len(report.matches) <= seen <= len(report.matches) + 3
+                assert 10 * seen < report.cost_s / index.schedule.dims[0]
+
+
+def test_dense_l2_levels_are_not_gathered(monkeypatch):
+    # a level whose candidates reach _DENSE_SHARE of its rows is screened by
+    # one whole-matrix GEMV; only a level below that share gathers its rows
+    data = small_dataset(count=2000, seed=52)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), "orthogonal", 2)
+    matrices = (index.data, *index.features)
+    gathered = []
+    sweep = tree.sweep
+
+    def recording(matrix, rows, point, norm, kernel):
+        if kernel is tree._dot:
+            gathered.append(next(k for k, m in enumerate(matrices) if m is matrix))
+        return sweep(matrix, rows, point, norm, kernel)
+
+    monkeypatch.setattr(tree, "sweep", recording)
+    s = len(data)
+    t = index.schedule.levels
+    seen = set()
     for row in (0, 50, 999):
         y = data.vectors[row] + 0.05
         exact = np.sort(unchunked_distances(data.vectors, y, index.norm))
-        for epsilon in (exact[20], (exact[20] + exact[21]) / 2, exact[40]):
-            blocks.clear()
+        for epsilon in (exact[1], exact[20], exact[400]):
+            gathered.clear()
             report = range_query(index, y, epsilon)
             assert report == gather_everything_query(index, y, epsilon)
-            seen = sum(len(block) for block in blocks)
-            assert len(report.matches) <= seen <= len(report.matches) + 3
-            assert 10 * seen < report.cost_s / index.schedule.dims[0]
+            for k in range(t + 1):
+                candidates = s if k == t else report.survivors[k + 1]
+                dense = candidates >= tree._DENSE_SHARE * s
+                assert gathered.count(k) == (0 if dense else 1)
+                seen.add((dense, candidates < s))
+    # pruned levels on both sides of the share occur
+    assert (True, True) in seen and (False, True) in seen
+
+    # the share itself is dense, one row fewer is gathered
+    gathered.clear()
+    at_share = math.ceil(tree._DENSE_SHARE * s)
+    for size in (at_share, at_share - 1):
+        tree._screen(index, 0, np.arange(size), data.vectors[0], 1.0)
+    assert gathered == [0]
 
 
 def test_level_margins_follow_the_schedule_and_the_query_scale():
