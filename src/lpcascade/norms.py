@@ -73,6 +73,13 @@ LINF = NormOrder(math.inf)
 # Byte budget of one chunk of float64 rows in a distance sweep: small
 # enough that the chunk and the kernel's buffer stay in L2.
 CHUNK_BYTES = 2 ** 20
+# Below this many columns numpy sums a row in order, one term after the
+# other, so a reduction down the columns of a transposed buffer gives the
+# same floats as one along the rows (see ``distances_to_point``).
+_NARROW = 8
+# Smallest sum of fourth powers the l_4 kernel takes as it is: from here up,
+# the at most 2^-1074 a term can lose to underflow is under 2^-274 of the sum.
+_L4_FLOOR = 2.0 ** -800
 
 
 def as_norm_order(p) -> NormOrder:
@@ -129,28 +136,74 @@ def lp_distance(x, y, p) -> float:
 def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.ndarray:
     """l_p distance from each row of ``rows`` to ``y``, vectorized.
 
-    Inputs are assumed validated (finite, matching dims); this is the hot
-    kernel behind scans and cascade levels, fed one chunk of rows at a time
-    (see ``sweep``).  It allocates one (rows x dim) buffer and works in
-    it in place.  The buffer is row-major whatever the layout of ``rows``,
-    so each row's distance is the same float in every caller.
+    Inputs are assumed validated (``y`` finite, matching dims); this is the
+    hot kernel behind scans and cascade levels, fed one chunk of rows at a
+    time (see ``sweep``).  It allocates one buffer of differences and works
+    in it in place.  The buffer's layout depends on the width n of the rows
+    only, never on the layout of ``rows``, so each row's distance is the
+    same float in every caller.  A row whose difference overflows float64,
+    or holds an infinite component, is at distance inf under every norm.
+
+    * l_2: the root of the difference's dot product with itself.
+    * l_1 and l_inf: the sum or the maximum of the absolute differences.
+    * l_4: the squared differences, dotted with themselves, give
+      s = sum d_i^4 within gamma_{n+6} (gamma_7 per term from the difference
+      and the two products, n - 1 roundings in the sum; u = 2^-53,
+      gamma_j = j u / (1 - j u)), and the distance sqrt(sqrt(s)) adds a
+      quarter of that and under 2u more, so it is within gamma_{n+6} of
+      exact.  A row whose s is not in [2^-800, inf)
+      has overflowed, or may have lost terms to underflow (an exact
+      duplicate has s = 0), and takes the max-divided form below instead,
+      which is within gamma_{2n+16}.
+    * Any other p: every term is divided by the row's maximum before the
+      power, so none overflows, and the root is multiplied back.
+
+    Rows narrower than 8 columns are differenced into a transposed
+    (n x rows) buffer and reduced down its columns under l_1, l_4 and
+    l_inf: numpy reduces fewer than 8 terms in order either way, so the
+    floats are those of the row-major reduction, at a fraction of the cost
+    of many short row reductions.
     """
-    diff = np.subtract(rows, y, order="C")
     p = norm.p
     if p == 2.0:
+        diff = np.subtract(rows, y, order="C")
         # squaring is sign-blind: (-a) * (-a) == a * a bit for bit
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    if not (p in (1.0, 4.0) or norm.is_infinite):
+        return _max_divided(np.abs(np.subtract(rows, y, order="C")), p)
+    narrow = rows.shape[1] < _NARROW
+    if narrow:
+        diff = np.subtract(rows.T, y[:, None], order="C")
+    else:
+        diff = np.subtract(rows, y, order="C")
+    axis = 0 if narrow else 1
+    if p == 4.0:
+        with np.errstate(over="ignore"):  # overflowed rows fall back below
+            np.multiply(diff, diff, out=diff)
+            total = np.einsum("ij,ij->j" if narrow else "ij,ij->i", diff, diff)
+        out = np.sqrt(np.sqrt(total))
+        fallback = ~((total >= _L4_FLOOR) & (total < math.inf))
+        if fallback.any():
+            out[fallback] = _max_divided(np.abs(rows[fallback] - y), p)
+        return out
     np.abs(diff, out=diff)
     if norm.is_infinite:
-        return diff.max(axis=1)
-    if p == 1.0:
-        return diff.sum(axis=1)
+        return diff.max(axis=axis)
+    return diff.sum(axis=axis)
+
+
+def _max_divided(diff: np.ndarray, p: float) -> np.ndarray:
+    """l_p lengths of the rows of a buffer of absolute differences, each
+    divided by its maximum m before the power so that no term overflows,
+    then scaled back by m: m * (sum (d_i / m)^p)^(1/p).  A row with m = 0
+    is at 0 and one with m = inf at inf.  Overwrites ``diff``."""
     m = diff.max(axis=1)
-    safe = np.where(m > 0.0, m, 1.0)
+    finite = (m > 0.0) & (m < math.inf)
+    safe = np.where(finite, m, 1.0)
     np.divide(diff, safe[:, None], out=diff)
     np.power(diff, p, out=diff)
     out = safe * np.sum(diff, axis=1) ** (1.0 / p)
-    return np.where(m > 0.0, out, 0.0)
+    return np.where(finite, out, m)
 
 
 def row_chunks(count: int, dim: int):

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,15 +121,78 @@ class DimensionSchedule:
         return len(self.dims) - 1
 
 
+class Matches(Sequence):
+    """The (id, distance) pairs of a query, held as one int64 and one float64
+    array (``ids`` and ``distances``, read-only).
+
+    It behaves as the tuple of ``(int, float)`` pairs it stands for:
+    iteration and indexing build the pairs on demand, as Python numbers, and
+    keep none of them; ``len``, ``in`` and ``hash`` are those of the tuple;
+    it equals another ``Matches``, or a tuple or list of pairs, holding the
+    same pairs in the same order; and a slice is a ``Matches`` again.  So a
+    kept report costs 16 bytes per match and a fixed few hundred bytes, where
+    a tuple of tuples took about 120 bytes per match.
+    """
+
+    __slots__ = ("ids", "distances")
+
+    def __init__(self, ids, distances) -> None:
+        ids = np.array(ids, dtype=np.int64)
+        distances = np.array(distances, dtype=np.float64)
+        if ids.ndim != 1 or ids.shape != distances.shape:
+            raise ValueError(f"ids {ids.shape} and distances {distances.shape} "
+                             "must be 1-d arrays of one length")
+        ids.flags.writeable = False
+        distances.flags.writeable = False
+        self.ids = ids
+        self.distances = distances
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __iter__(self):
+        return zip(self.ids.tolist(), self.distances.tolist())
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return Matches(self.ids[item], self.distances[item])
+        return int(self.ids[item]), float(self.distances[item])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Matches):
+            return (np.array_equal(self.ids, other.ids)
+                    and np.array_equal(self.distances, other.distances))
+        if isinstance(other, (tuple, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Matches({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class QueryReport:
-    """Result of one range query: matches plus per-level accounting."""
+    """Result of one range query: matches plus per-level accounting.
 
-    matches: tuple[tuple[int, float], ...]
+    ``matches`` may be given as any iterable of (id, distance) pairs and is
+    held as ``Matches``, which compares and hashes as the tuple of pairs.
+    """
+
+    matches: Matches
     survivors: tuple[int, ...]
     cost_s: int
     cost_l: int
     epsilon: float
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.matches, Matches):
+            pairs = tuple(self.matches)
+            object.__setattr__(self, "matches", Matches(
+                [operator.index(ident) for ident, _ in pairs],
+                [dist for _, dist in pairs]))
 
     @property
     def ratio(self) -> float:
@@ -136,7 +201,7 @@ class QueryReport:
 
     @property
     def match_ids(self) -> tuple[int, ...]:
-        return tuple(ident for ident, _ in self.matches)
+        return tuple(self.matches.ids.tolist())
 
 
 @dataclass(frozen=True)
@@ -279,14 +344,19 @@ def level_margins(schedule: DimensionSchedule, scale: float) -> tuple[float, ...
 
     * Kernel.  ``distances_to_point`` at dimension n returns the l_p length
       of the difference of its inputs within a relative kappa(n) =
-      gamma_{2n+16}, for every p: the differences round once; l_1 sums n
-      nonnegative terms (gamma_n); l_2 sums squares and takes a root
-      (gamma_{n+4}); l_inf is exact after the differences; any other p
-      divides by the row maximum, raises n terms to p (about (p + 4) u
-      each, divided by p under the final root), and the root, its exponent
-      and the product add a few u more.  So D = ||x - y||_p < epsilon (1 +
-      kappa(n_0)), and ||y||_p, computed by the same arithmetic, is within
-      kappa(n_0) too.
+      gamma_{2n+16}, for every p, in any order of summation (rows narrower
+      than 8 columns are reduced down a transposed buffer): the differences
+      round once; l_1 sums n nonnegative terms (gamma_n); l_2 sums squares
+      and takes a root (gamma_{n+4}); l_inf is exact after the differences;
+      l_4 squares twice, sums (gamma_{n+6} on the sum) and takes two roots
+      (a quarter of that plus under 2u), falling back to the next form for
+      a row whose sum is not in [2^-800, inf), so that overflow and
+      underflow never count; any other p divides by the row maximum, raises
+      n terms to p (about (p + 4) u each, divided by p under the final
+      root), and the root, its exponent and the product add a few u more.
+      So D = ||x - y||_p < epsilon (1 + kappa(n_0)), and ||y||_p, computed
+      by ``lp_norm`` (in max-divided form for p other than 1, 2 and inf),
+      is within kappa(n_0) too.
     * Level maps.  Exactly, a level map is linear and 1-Lipschitz in l_p
       (Hölder; see ``projection``).  Its one coefficient, 1/||d||_p*, is
       computed, which can raise the Lipschitz constant to 1 +
@@ -388,10 +458,8 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
             dist = None
         candidates = candidates[keep]
         survivors[k] = int(candidates.size)
-    matches = tuple((int(index.ids[row]), float(d))
-                    for row, d in zip(candidates, dist[hit]))
     return QueryReport(
-        matches=matches,
+        matches=Matches(index.ids[candidates], dist[hit]),
         survivors=tuple(survivors),
         cost_s=cost,
         cost_l=s * dims[0],

@@ -166,6 +166,8 @@ def test_run_query_writes_reports_json(query_files, tmp_path):
         assert entry["query"] == row
         assert entry["epsilon"] == report.epsilon
         assert [tuple(pair) for pair in entry["matches"]] == list(report.matches)
+        # ids stay JSON integers and distances JSON floats
+        assert all(type(i) is int and type(d) is float for i, d in entry["matches"])
         assert tuple(entry["survivors"]) == report.survivors
         assert entry["cost_s"] == report.cost_s and entry["cost_l"] == report.cost_l
         assert entry["ratio"] == report.ratio

@@ -8,16 +8,21 @@ import pytest
 from lpcascade import (
     L1,
     L2,
+    L4,
     LINF,
+    DataSet,
+    DimensionSchedule,
     NormOrder,
     as_norm_order,
+    build_index,
     check_norm_equivalence,
     lp_distance,
     lp_norm,
+    project_level,
 )
 from lpcascade import norms
 from lpcascade.norms import distances_to_point, sweep
-from unchunked import unchunked_distances
+from unchunked import max_divided_distances, unchunked_distances
 
 
 def test_norm_examples():
@@ -170,6 +175,98 @@ def test_in_place_kernel_matches_unchunked_kernel_bit_for_bit(p):
     np.testing.assert_array_equal(rows, before)
     # a column-major matrix yields the same floats as its row-major copy
     np.testing.assert_array_equal(distances_to_point(np.asfortranarray(rows), y, norm), want)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
+@pytest.mark.parametrize("p", [1, 2, 4, 3.5, "inf"])
+def test_narrow_and_wide_rows_match_the_row_major_reference(p, width):
+    # below 8 columns l_1, l_4 and l_inf reduce a transposed buffer down its
+    # columns and still give the floats of the row-major reference, on rows
+    # spanning many orders of magnitude; from 8 columns up nothing changes
+    rng = np.random.Generator(np.random.Philox(key=8))
+    rows = rng.standard_normal((300, width)) * np.exp(rng.uniform(-20.0, 20.0, (300, width)))
+    y = rng.standard_normal(width)
+    rows[5] = y
+    before = rows.copy()
+    norm = as_norm_order(p)
+    want = unchunked_distances(rows, y, norm)
+    np.testing.assert_array_equal(distances_to_point(rows, y, norm), want)
+    np.testing.assert_array_equal(rows, before)
+    np.testing.assert_array_equal(distances_to_point(np.asfortranarray(rows), y, norm), want)
+    assert want[5] == 0.0
+
+
+@pytest.mark.parametrize("p", [1, "inf"])
+def test_narrow_level_sweep_equals_the_row_major_reference(monkeypatch, p):
+    # the 4-column level of a 64/16/4 index, swept as slices and as gathers
+    # in chunks of 7 rows, gives the floats of one row-major reduction
+    rng = np.random.Generator(np.random.Philox(key=11))
+    vectors = rng.standard_normal((200, 64)) * np.exp(rng.uniform(-5.0, 5.0, (200, 1)))
+    index = build_index(DataSet.from_array(vectors), DimensionSchedule((64, 16, 4)),
+                        "adaptive", p)
+    level = index.features[-1]
+    assert level.shape[1] == 4
+    point = project_level(project_level(vectors[3] + 0.01, index.levels[0]),
+                          index.levels[1])
+    monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 4 * 7)
+    want = unchunked_distances(level, point, index.norm)
+    for matrix in (level, np.asfortranarray(level)):
+        np.testing.assert_array_equal(
+            sweep(matrix, None, point, index.norm, distances_to_point), want)
+        rows = np.flatnonzero(rng.random(200) < 0.4)
+        np.testing.assert_array_equal(
+            sweep(matrix, rows, point, index.norm, distances_to_point), want[rows])
+
+
+@pytest.mark.parametrize("width", [4, 16])
+@pytest.mark.parametrize("p", [1, 2, 4, 3.5, "inf"])
+def test_overflowed_differences_are_at_distance_inf(p, width):
+    # a difference beyond the float64 range, or an infinite component (a
+    # float32 feature that overflowed), puts a row at distance inf under
+    # every norm; the rows beside it keep their finite distances
+    rng = np.random.Generator(np.random.Philox(key=12))
+    rows = rng.standard_normal((6, width))
+    y = rng.standard_normal(width)
+    y[0] = rows[:, 0] = -1e308
+    rows[1, 0] = 1e308  # the difference overflows
+    rows[2, -1] = np.inf
+    rows[3] = -np.inf
+    rows[4] = 1e308
+    norm = as_norm_order(p)
+    with np.errstate(over="ignore"):
+        got = distances_to_point(rows, y, norm)
+        want = unchunked_distances(rows, y, norm)
+    assert np.isinf(got[1:5]).all()
+    assert np.isfinite(got[[0, 5]]).all()
+    np.testing.assert_array_equal(got, want)
+
+
+def test_l4_kernel_is_within_the_kernel_bound_of_the_max_divided_form():
+    # the squaring kernel against the max-divided formula it replaced, to
+    # gamma_{2n+16}: rows whose fourth powers overflow or underflow take the
+    # max-divided form, and exact duplicates stay at 0
+    rng = np.random.Generator(np.random.Philox(key=13))
+    u = np.finfo(np.float64).eps / 2
+    for width in (1, 3, 4, 7, 16, 64):
+        gamma = (2 * width + 16) * u / (1 - (2 * width + 16) * u)
+        blocks = [rng.standard_normal((40, width)) * scale
+                  for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300)]
+        # every coordinate at its own scale, from subnormal to near overflow
+        blocks.append(rng.standard_normal((200, width))
+                      * 10.0 ** rng.uniform(-320.0, 300.0, (200, width)))
+        rows = np.vstack(blocks)
+        y = np.zeros(width)
+        rows[::17] = y
+        got = distances_to_point(rows, y, L4)
+        want = max_divided_distances(np.abs(rows - y), 4.0)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= gamma * want)
+        assert np.all(got[::17] == 0.0) and np.all(got[want > 0.0] > 0.0)
+        # and a query away from the origin: differences round once more
+        y = rows[45] * (1.0 + 1e-3 * rng.standard_normal(width))
+        got = distances_to_point(rows, y, L4)
+        want = max_divided_distances(np.abs(rows - y), 4.0)
+        assert np.all(np.abs(got - want) <= gamma * want)
 
 
 def test_sweep_covers_the_rows_in_budget_sized_chunks(monkeypatch):

@@ -1,7 +1,9 @@
 """The subspace index: schedules, queries, cost accounting, persistence."""
 
+import dataclasses
 import json
 import math
+import pickle
 import struct
 import tracemalloc
 import warnings
@@ -190,6 +192,75 @@ def test_query_determinism():
     again = build_index(data, DimensionSchedule((64, 16, 4)), "adaptive", 2)
     for a, b in zip(index.features, again.features):
         np.testing.assert_array_equal(a, b)
+
+
+def test_matches_behave_as_a_tuple_of_pairs():
+    data = small_dataset(count=300, seed=54)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), "orthogonal", 2)
+    y = data.vectors[7] + 0.05
+    epsilon = np.sort(unchunked_distances(data.vectors, y, index.norm))[10]
+    report = range_query(index, y, epsilon)
+    matches = report.matches
+    truth = brute_force_range(data, y, epsilon, 2)
+    pairs = tuple(truth)
+    assert len(matches) == 10 and tuple(matches) == pairs
+    assert all(type(i) is int and type(d) is float for i, d in matches)
+    assert type(matches[3][0]) is int and type(matches[3][1]) is float
+    # == with tuples and lists of pairs, either way round
+    assert matches == pairs and matches == truth
+    assert pairs == matches and truth == matches
+    assert matches != pairs[1:] and matches != pairs[:-1] + ((pairs[-1][0], 0.0),)
+    assert matches != [list(pair) for pair in truth] and matches != "matches"
+    # indexing and slicing
+    assert matches[0] == pairs[0] and matches[-1] == pairs[-1]
+    with pytest.raises(IndexError):
+        matches[10]
+    assert matches[2:5] == pairs[2:5] and matches[::-3] == pairs[::-3]
+    assert matches[5:5] == () and matches[2:5] == matches[2:5]
+    assert pairs[4] in matches and (10 ** 9, 0.0) not in matches
+    # hashing follows the tuple of pairs, so a report's does too
+    assert hash(matches) == hash(pairs)
+    twin = dataclasses.replace(report, matches=pairs)
+    assert twin == report and hash(twin) == hash(report) and len({twin, report}) == 1
+    assert dataclasses.replace(report, matches=truth) == report
+    shorter = dataclasses.replace(report, matches=matches[1:])
+    assert list(shorter.matches) == truth[1:] and shorter != report
+    assert pickle.loads(pickle.dumps(report)) == report
+    assert report.match_ids == tuple(i for i, _ in truth)
+    assert all(type(i) is int for i in report.match_ids)
+    # an empty report, and pairs that are not (integer id, distance)
+    empty = dataclasses.replace(report, matches=())
+    assert empty.matches == () and not empty.matches and empty.match_ids == ()
+    with pytest.raises(TypeError):
+        dataclasses.replace(report, matches=[(1.5, 0.0)])
+    with pytest.raises(ValueError):
+        dataclasses.replace(report, matches=[(1, 0.0, 2)])
+    # the arrays are the report's own and cannot be written
+    with pytest.raises(ValueError):
+        matches.distances[0] = 0.0
+    assert not np.shares_memory(matches.ids, index.ids)
+
+
+def test_kept_reports_hold_their_matches_as_arrays():
+    # 400 desk-shaped reports of about 97 matches each, kept as a service or
+    # a benchmark keeps them: 16 bytes per match for the two arrays and a
+    # fixed share per report, where a tuple of tuples took about 120
+    data = small_dataset(count=2000, seed=53)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), "adaptive", 1)
+    queries = data.vectors[:400] + 0.01
+    epsilons = [np.sort(unchunked_distances(data.vectors, y, index.norm))[97]
+                for y in queries]
+    range_query(index, queries[0], epsilons[0])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports = [range_query(index, y, e) for y, e in zip(queries, epsilons)]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    matches = sum(len(report.matches) for report in reports)
+    assert matches >= 400 * 90
+    assert held <= 40 * matches
 
 
 def test_estimate_cost_examples():
@@ -717,8 +788,9 @@ def test_infinite_margins_prune_no_row_at_any_level(mode, p):
     for y, epsilon in cases:
         assert tree.level_margins(index.schedule, lp_norm(y, p) + epsilon)[0] == math.inf
         report = range_query(index, y, epsilon)
-        with np.errstate(invalid="ignore"):  # the reference's l_4 of inf rows
-            assert report == gather_everything_query(index, y, epsilon)
+        # the kernel, and the reference with it, puts a row with an infinite
+        # feature at distance inf under every norm, l_4 included (it was nan)
+        assert report == gather_everything_query(index, y, epsilon)
         assert list(report.matches) == brute_force_range(data, y, epsilon, p)
         assert report.survivors[1:] == (len(data),) * index.schedule.levels
     assert len(range_query(index, near, math.inf).matches) == len(data)
@@ -837,6 +909,30 @@ def test_no_match_is_lost_at_the_epsilon_boundary(tmp_path, mode, p):
                     if list(range_query(variant, y, epsilon).matches) != truth:
                         mismatches[v] += 1
     assert mismatches == [0, 0, 0]
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_l4_boundary_queries_stay_exact_at_extreme_scales(mode, scale):
+    # at 1e-150 the fourth powers underflow and at 1e150 they overflow, so
+    # every row takes the l_4 kernel's max-divided fallback, at the levels
+    # and at verification; epsilon sits at, and one ulp above, a distance
+    data, bases = block_offset_dataset()
+    data = DataSet.from_array(data.vectors * scale)
+    bases = bases * scale
+    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, 4)
+    per = len(data) // len(bases)
+    checked = 0
+    for c, y in enumerate(bases[:4]):
+        dist = unchunked_distances(data.vectors, y, index.norm)
+        assert np.all(np.isfinite(dist)) and np.all(dist > 0.0)
+        for row in range(c * per, (c + 1) * per, 8):
+            for epsilon in (dist[row], np.nextafter(dist[row], np.inf)):
+                report = range_query(index, y, epsilon)
+                assert list(report.matches) == brute_force_range(data, y, epsilon, 4)
+                assert report == gather_everything_query(index, y, epsilon)
+                checked += len(report.matches)
+    assert checked > 0
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, "inf"])

@@ -22,10 +22,29 @@ def unchunked_distances(rows, y, norm):
         return diff.sum(axis=1)
     if p == 2.0:
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    if p == 4.0:
+        # fourth powers as squared squares, summed in order below 8 terms as
+        # the kernel's column reduction does; a sum that overflowed or may
+        # have lost terms to underflow takes the max-divided form
+        with np.errstate(over="ignore"):
+            sq = diff * diff
+            total = ((sq * sq).sum(axis=1) if diff.shape[1] < 8
+                     else np.einsum("ij,ij->i", sq, sq))
+        out = np.sqrt(np.sqrt(total))
+        fallback = ~((total >= 2.0 ** -800) & (total < np.inf))
+        out[fallback] = max_divided_distances(diff[fallback], p)
+        return out
+    return max_divided_distances(diff, p)
+
+
+def max_divided_distances(diff, p):
+    """l_p lengths of rows of absolute differences, each divided by its
+    maximum before the power: 0 for a zero row, inf for an infinite one."""
     m = diff.max(axis=1)
-    safe = np.where(m > 0.0, m, 1.0)
+    finite = (m > 0.0) & (m < np.inf)
+    safe = np.where(finite, m, 1.0)
     out = safe * np.sum((diff / safe[:, None]) ** p, axis=1) ** (1.0 / p)
-    return np.where(m > 0.0, out, 0.0)
+    return np.where(finite, out, m)
 
 
 def gather_everything_query(index, y, epsilon):
