@@ -77,9 +77,10 @@ CHUNK_BYTES = 2 ** 20
 # other, so a reduction down the columns of a transposed buffer gives the
 # same floats as one along the rows (see ``distances_to_point``).
 _NARROW = 8
-# Smallest sum of fourth powers the l_4 kernel takes as it is: from here up,
-# the at most 2^-1074 a term can lose to underflow is under 2^-274 of the sum.
-_L4_FLOOR = 2.0 ** -800
+# Smallest sum of squares (l_2) or of fourth powers (l_4) the kernel takes as
+# it is: from here up, the at most 2^-1074 a term can lose to underflow is
+# under 2^-274 of the sum.
+_FLOOR = 2.0 ** -800
 
 
 def as_norm_order(p) -> NormOrder:
@@ -103,93 +104,88 @@ def _as_vector(v) -> np.ndarray:
     return arr
 
 
-def _norm_1d(arr: np.ndarray, norm: NormOrder) -> float:
-    a = np.abs(arr)
-    if norm.is_infinite:
-        return float(a.max())
-    p = norm.p
-    if p == 1.0:
-        return float(a.sum())
-    if p == 2.0:
-        return float(np.sqrt(np.dot(arr, arr)))
-    # max-factoring keeps |x_i|**p in range for large p / large components
-    m = float(a.max())
-    if m == 0.0:
-        return 0.0
-    return m * float(np.sum((a / m) ** p)) ** (1.0 / p)
-
-
 def lp_norm(v, p) -> float:
-    """(sum |x_i|^p)^(1/p) for finite p; max |x_i| for the Chebyshev norm."""
-    return _norm_1d(_as_vector(v), as_norm_order(p))
+    """(sum |x_i|^p)^(1/p) for finite p; max |x_i| for the Chebyshev norm:
+    the distance kernel's length of ``v`` from the zero vector."""
+    vec = _as_vector(v)
+    return float(distances_to_point(vec[None, :], np.zeros_like(vec), as_norm_order(p))[0])
 
 
 def lp_distance(x, y, p) -> float:
-    """l_p distance between two vectors of equal dimension."""
+    """l_p distance between two vectors of equal dimension, computed by the
+    distance kernel (``distances_to_point``) on one row."""
     xv = _as_vector(x)
     yv = _as_vector(y)
     if xv.shape != yv.shape:
         raise ValueError(f"dimension mismatch: {xv.shape[0]} vs {yv.shape[0]}")
-    return _norm_1d(xv - yv, as_norm_order(p))
+    return float(distances_to_point(xv[None, :], yv, as_norm_order(p))[0])
 
 
 def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.ndarray:
     """l_p distance from each row of ``rows`` to ``y``, vectorized.
 
-    Inputs are assumed validated (``y`` finite, matching dims); this is the
-    hot kernel behind scans and cascade levels, fed one chunk of rows at a
-    time (see ``sweep``).  It allocates one buffer of differences and works
-    in it in place.  The buffer's layout depends on the width n of the rows
-    only, never on the layout of ``rows``, so each row's distance is the
-    same float in every caller.  A row whose difference overflows float64,
-    or holds an infinite component, is at distance inf under every norm.
+    The package's one l_p length: scans, cascade levels, projection scales
+    and ``lp_norm`` / ``lp_distance`` all call it.  Inputs are assumed
+    validated (``y`` finite, matching dims); scans and levels feed it one
+    chunk of rows at a time (see ``sweep``).  It allocates one buffer of
+    differences and works in it in place.  The buffer's layout depends on
+    the width n of the rows only, never on the layout of ``rows``, so each
+    row's distance is the same float in every caller.  A row whose
+    difference overflows float64, or holds an infinite component, is at
+    distance inf under every norm.  There are three forms:
 
-    * l_2: the root of the difference's dot product with itself.
     * l_1 and l_inf: the sum or the maximum of the absolute differences.
-    * l_4: the squared differences, dotted with themselves, give
-      s = sum d_i^4 within gamma_{n+6} (gamma_7 per term from the difference
-      and the two products, n - 1 roundings in the sum; u = 2^-53,
-      gamma_j = j u / (1 - j u)), and the distance sqrt(sqrt(s)) adds a
-      quarter of that and under 2u more, so it is within gamma_{n+6} of
-      exact.  A row whose s is not in [2^-800, inf)
-      has overflowed, or may have lost terms to underflow (an exact
-      duplicate has s = 0), and takes the max-divided form below instead,
-      which is within gamma_{2n+16}.
+    * l_2 and l_4: the differences (squared first under l_4) dotted with
+      themselves give s = sum d_i^p within gamma_{n+6} (at most gamma_7
+      per term from the difference and the products, n - 1 roundings in the
+      sum; u = 2^-53, gamma_j = j u / (1 - j u)), and the distance, one square
+      root of s (two under l_4), adds 1/p of that and under 2u more, so it
+      is within gamma_{n+6} of exact.  A row whose s is not in
+      [2^-800, inf) has overflowed, or may have lost terms to underflow (an
+      exact duplicate has s = 0), and takes the next form instead, which is
+      within gamma_{2n+16}.
     * Any other p: every term is divided by the row's maximum before the
       power, so none overflows, and the root is multiplied back.
 
     Rows narrower than 8 columns are differenced into a transposed
-    (n x rows) buffer and reduced down its columns under l_1, l_4 and
-    l_inf: numpy reduces fewer than 8 terms in order either way, so the
+    (n x rows) buffer and reduced down its columns under l_1, l_4 (its
+    squares squared again and summed) and l_inf: numpy sums fewer than 8
+    terms in order either way, for a buffer of one row as of many, so the
     floats are those of the row-major reduction, at a fraction of the cost
-    of many short row reductions.
+    of many short row reductions.  l_2 stays row-major, whose dot product
+    a transposed buffer would change in the last bit.
     """
     p = norm.p
-    if p == 2.0:
-        diff = np.subtract(rows, y, order="C")
-        # squaring is sign-blind: (-a) * (-a) == a * a bit for bit
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    if not (p in (1.0, 4.0) or norm.is_infinite):
+    if not (p in (1.0, 2.0, 4.0) or norm.is_infinite):
         return _max_divided(np.abs(np.subtract(rows, y, order="C")), p)
-    narrow = rows.shape[1] < _NARROW
+    narrow = p != 2.0 and rows.shape[1] < _NARROW
     if narrow:
         diff = np.subtract(rows.T, y[:, None], order="C")
     else:
         diff = np.subtract(rows, y, order="C")
     axis = 0 if narrow else 1
+    if p == 1.0 or norm.is_infinite:
+        np.abs(diff, out=diff)
+        return diff.max(axis=axis) if norm.is_infinite else diff.sum(axis=axis)
     if p == 4.0:
         with np.errstate(over="ignore"):  # overflowed rows fall back below
             np.multiply(diff, diff, out=diff)
-            total = np.einsum("ij,ij->j" if narrow else "ij,ij->i", diff, diff)
-        out = np.sqrt(np.sqrt(total))
-        fallback = ~((total >= _L4_FLOOR) & (total < math.inf))
-        if fallback.any():
-            out[fallback] = _max_divided(np.abs(rows[fallback] - y), p)
-        return out
-    np.abs(diff, out=diff)
-    if norm.is_infinite:
-        return diff.max(axis=axis)
-    return diff.sum(axis=axis)
+            if narrow:
+                # einsum would sum a one-row buffer in another order
+                np.multiply(diff, diff, out=diff)
+                total = diff.sum(axis=0)
+    if not narrow:
+        # einsum flags no overflow, and squaring is sign-blind:
+        # (-a) * (-a) == a * a bit for bit
+        total = np.einsum("ij,ij->i", diff, diff)
+    out = np.sqrt(total)
+    if p == 4.0:
+        np.sqrt(out, out=out)
+    # two reductions clear a chunk whose rows are all in range without a mask
+    if total.size and not (total.min() >= _FLOOR and total.max() < math.inf):
+        fallback = ~((total >= _FLOOR) & (total < math.inf))
+        out[fallback] = _max_divided(np.abs(rows[fallback] - y), p)
+    return out
 
 
 def _max_divided(diff: np.ndarray, p: float) -> np.ndarray:
@@ -245,8 +241,8 @@ def check_norm_equivalence(v, q, p, rel_tol: float = 1e-9) -> bool:
         raise ValueError(f"need finite q < p, got q={qn}, p={pn}")
     vec = _as_vector(v)
     m = vec.shape[0]
-    norm_p = _norm_1d(vec, pn)
-    norm_q = _norm_1d(vec, qn)
+    norm_p = lp_norm(vec, pn)
+    norm_q = lp_norm(vec, qn)
     inv_p = 0.0 if pn.is_infinite else 1.0 / pn.p
     factor = m ** (1.0 / qn.p - inv_p)
     scale = max(norm_p, norm_q, 1.0)

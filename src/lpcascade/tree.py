@@ -345,18 +345,18 @@ def level_margins(schedule: DimensionSchedule, scale: float) -> tuple[float, ...
     * Kernel.  ``distances_to_point`` at dimension n returns the l_p length
       of the difference of its inputs within a relative kappa(n) =
       gamma_{2n+16}, for every p, in any order of summation (rows narrower
-      than 8 columns are reduced down a transposed buffer): the differences
-      round once; l_1 sums n nonnegative terms (gamma_n); l_2 sums squares
-      and takes a root (gamma_{n+4}); l_inf is exact after the differences;
-      l_4 squares twice, sums (gamma_{n+6} on the sum) and takes two roots
-      (a quarter of that plus under 2u), falling back to the next form for
-      a row whose sum is not in [2^-800, inf), so that overflow and
-      underflow never count; any other p divides by the row maximum, raises
-      n terms to p (about (p + 4) u each, divided by p under the final
-      root), and the root, its exponent and the product add a few u more.
-      So D = ||x - y||_p < epsilon (1 + kappa(n_0)), and ||y||_p, computed
-      by ``lp_norm`` (in max-divided form for p other than 1, 2 and inf),
-      is within kappa(n_0) too.
+      than 8 columns are reduced down a transposed buffer).  After
+      differences that round once, it takes one of three forms: l_1 sums n
+      nonnegative terms (gamma_n) and l_inf is exact; l_2 and l_4 square
+      once or twice, sum (gamma_{n+6} on the sum) and take one or two roots
+      (1/p of that plus under 2u), falling back to the last form for a row
+      whose sum is not in [2^-800, inf), so that overflow and underflow
+      never count; the last form, for any other p, divides by the row
+      maximum, raises n terms to p (about (p + 4) u each, divided by p
+      under the final root), and the root, its exponent and the product
+      add a few u more.  So D = ||x - y||_p < epsilon (1 + kappa(n_0)), and
+      ||y||_p, the kernel's distance from y to the origin (``lp_norm``), is
+      within kappa(n_0) too.
     * Level maps.  Exactly, a level map is linear and 1-Lipschitz in l_p
       (Hölder; see ``projection``).  Its one coefficient, 1/||d||_p*, is
       computed, which can raise the Lipschitz constant to 1 +
@@ -514,16 +514,24 @@ def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
       fl(x_i - q_i)^2))): each difference carries a factor (1 + d), |d| <= u,
       the sum of squares gamma_n, the root one more u, so c^2 lies within
       gamma_{n+4} D of D.  Thus c < tau whenever D < tau^2 (1 - gamma_{n+4}),
-      and c >= tau whenever D >= tau^2 (1 + 2 gamma_{n+4}).
+      and c >= tau whenever D >= tau^2 (1 + 2 gamma_{n+4}).  A row whose
+      sum of squares is not in [2^-800, inf) falls back to the max-divided
+      form, whose c is within gamma_{2n+16} of sqrt(D): then c < tau
+      whenever D < tau^2 (1 - 2 gamma_{2n+16}) and c >= tau whenever
+      D >= tau^2 (1 + 2 gamma_{2n+16}), to first order.
     * Comparisons.  fl(tau * tau) and fl(g +- w) are each rounded once more,
       so "inside" gives D < tau^2 (1 + 3u) - (w - |g - D|) and "outside"
       gives D >= tau^2 (1 - 3u) + (w - |g - D|).  Both verdicts then match
       the kernel once w >= |g - D| + (2 gamma_{n+4} + 3u) tau^2, about
-      (2n + 3) u S + (2n + 11) u tau^2.
+      (2n + 3) u S + (2n + 11) u tau^2, and for a fallback row once
+      w >= |g - D| + (2 gamma_{2n+16} + 3u) tau^2, about (2n + 3) u S +
+      (4n + 35) u tau^2.
 
-    w = (8n + 32) u (xx + qq + tau^2) is at least three times that bound,
-    leaving room for the O(u^2) terms, for computed xx + qq standing in for
-    S and for the rounding of w itself.  Gradual underflow adds an absolute
+    w = (8n + 32) u (xx + qq + tau^2) is at least three times the first
+    bound and exceeds the second by (6n + 29) u S + (4n - 3) u tau^2, at
+    least u (S + tau^2) for every n >= 1: room for the O(u^2) terms, for
+    computed xx + qq standing in for S and for the rounding of w itself,
+    while n^2 u is far below 1.  Gradual underflow adds an absolute
     error of at most 2^-1075 per product (about 6n of them in g and the
     kernel), which the 2^-1022 term covers for any n < 2^50.  An overflowed
     tau^2 makes w infinite, so every row falls in the band.  The constant

@@ -8,7 +8,6 @@ import pytest
 from lpcascade import (
     L1,
     L2,
-    L4,
     LINF,
     DataSet,
     DimensionSchedule,
@@ -148,12 +147,16 @@ def test_scaling(p):
 
 @pytest.mark.parametrize("p", [1, 2, 4, 3.5, "inf"])
 def test_batched_distances_match_scalar(p):
+    # lp_distance and lp_norm are the kernel on one row: the same floats at
+    # every width, narrow (transposed) and wide
     rng = np.random.Generator(np.random.Philox(key=6))
-    rows = rng.standard_normal((50, 8))
-    y = rng.standard_normal(8)
-    batch = distances_to_point(rows, y, as_norm_order(p))
-    for row, got in zip(rows, batch):
-        assert got == pytest.approx(lp_distance(row, y, p), rel=1e-12, abs=1e-300)
+    for width in (1, 2, 3, 4, 5, 6, 7, 8, 9, 16):
+        rows = rng.standard_normal((50, width))
+        y = rng.standard_normal(width)
+        batch = distances_to_point(rows, y, as_norm_order(p))
+        for row, got in zip(rows, batch):
+            assert got == lp_distance(row, y, p)
+            assert lp_norm(row, p) == lp_distance(row, np.zeros(width), p)
 
 
 def test_batched_distances_zero_rows():
@@ -241,10 +244,12 @@ def test_overflowed_differences_are_at_distance_inf(p, width):
     np.testing.assert_array_equal(got, want)
 
 
-def test_l4_kernel_is_within_the_kernel_bound_of_the_max_divided_form():
-    # the squaring kernel against the max-divided formula it replaced, to
-    # gamma_{2n+16}: rows whose fourth powers overflow or underflow take the
-    # max-divided form, and exact duplicates stay at 0
+@pytest.mark.parametrize("p", [2, 4])
+def test_squaring_kernels_are_within_the_kernel_bound_of_the_max_divided_form(p):
+    # the l_2 and l_4 kernels against the max-divided formula, to
+    # gamma_{2n+16}: rows whose squares or fourth powers overflow or
+    # underflow take the max-divided form, and exact duplicates stay at 0
+    norm = as_norm_order(p)
     rng = np.random.Generator(np.random.Philox(key=13))
     u = np.finfo(np.float64).eps / 2
     for width in (1, 3, 4, 7, 16, 64):
@@ -257,16 +262,27 @@ def test_l4_kernel_is_within_the_kernel_bound_of_the_max_divided_form():
         rows = np.vstack(blocks)
         y = np.zeros(width)
         rows[::17] = y
-        got = distances_to_point(rows, y, L4)
-        want = max_divided_distances(np.abs(rows - y), 4.0)
+        got = distances_to_point(rows, y, norm)
+        want = max_divided_distances(np.abs(rows - y), p)
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got - want) <= gamma * want)
         assert np.all(got[::17] == 0.0) and np.all(got[want > 0.0] > 0.0)
         # and a query away from the origin: differences round once more
         y = rows[45] * (1.0 + 1e-3 * rng.standard_normal(width))
-        got = distances_to_point(rows, y, L4)
-        want = max_divided_distances(np.abs(rows - y), 4.0)
+        got = distances_to_point(rows, y, norm)
+        want = max_divided_distances(np.abs(rows - y), p)
         assert np.all(np.abs(got - want) <= gamma * want)
+
+
+def test_l2_lengths_beyond_the_range_of_their_squares_stay_finite():
+    # squares overflow above about 1.3e154 and underflow below about 1e-154;
+    # such a row's sum of squares is not in [2^-800, inf), and it takes the
+    # max-divided form, as under l_4
+    np.testing.assert_array_equal(
+        distances_to_point(np.array([[1e200, 0.0]]), np.zeros(2), L2), [1e200])
+    assert lp_norm([1e200, 1e200], 2) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert lp_norm([3e-200, 4e-200], 2) == pytest.approx(5e-200, rel=1e-15)
+    assert lp_distance([1e-170, 0.0], [0.0, 1e-170], 2) > 0.0
 
 
 def test_sweep_covers_the_rows_in_budget_sized_chunks(monkeypatch):

@@ -911,28 +911,71 @@ def test_no_match_is_lost_at_the_epsilon_boundary(tmp_path, mode, p):
     assert mismatches == [0, 0, 0]
 
 
-@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
-@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+# adaptive mode cannot fit rows at 1e200: their raw second moments overflow
+@pytest.mark.parametrize("mode, scale", [
+    (mode, scale) for mode in ("orthogonal", "adaptive")
+    for scale in (1e-150, 1.0, 1e150, 1e200) if (mode, scale) != ("adaptive", 1e200)])
 def test_l4_boundary_queries_stay_exact_at_extreme_scales(mode, scale):
-    # at 1e-150 the fourth powers underflow and at 1e150 they overflow, so
-    # every row takes the l_4 kernel's max-divided fallback, at the levels
-    # and at verification; epsilon sits at, and one ulp above, a distance
+    # under l_4 the fourth powers underflow at 1e-150 and overflow from
+    # 1e150, under l_2 the squares underflow at 1e-150 and overflow at 1e200,
+    # so those rows take the kernel's max-divided fallback, at the levels and
+    # at verification; epsilon sits at, and one ulp above, a distance
     data, bases = block_offset_dataset()
     data = DataSet.from_array(data.vectors * scale)
     bases = bases * scale
-    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, 4)
     per = len(data) // len(bases)
-    checked = 0
-    for c, y in enumerate(bases[:4]):
-        dist = unchunked_distances(data.vectors, y, index.norm)
-        assert np.all(np.isfinite(dist)) and np.all(dist > 0.0)
-        for row in range(c * per, (c + 1) * per, 8):
-            for epsilon in (dist[row], np.nextafter(dist[row], np.inf)):
-                report = range_query(index, y, epsilon)
-                assert list(report.matches) == brute_force_range(data, y, epsilon, 4)
-                assert report == gather_everything_query(index, y, epsilon)
-                checked += len(report.matches)
-    assert checked > 0
+    for p in (2, 4):
+        index = build_index(data, DimensionSchedule((64, 16, 4)), mode, p)
+        checked = 0
+        for c, y in enumerate(bases[:4]):
+            dist = unchunked_distances(data.vectors, y, index.norm)
+            assert np.all(np.isfinite(dist)) and np.all(dist > 0.0)
+            for row in range(c * per, (c + 1) * per, 8):
+                for epsilon in (dist[row], np.nextafter(dist[row], np.inf)):
+                    report = range_query(index, y, epsilon)
+                    assert list(report.matches) == brute_force_range(data, y, epsilon, p)
+                    assert report == gather_everything_query(index, y, epsilon)
+                    checked += len(report.matches)
+        assert checked > 0
+
+
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_one_narrow_l4_candidate_is_verified_as_the_oracle_scans_it(mode):
+    # epsilon one ulp above the nearest row's distance leaves one candidate,
+    # which verification hands the kernel as a one-row chunk, while the
+    # oracle's chunks hold every row: below 8 columns both must sum the
+    # row's fourth powers in one order, or that match is lost
+    rng = np.random.Generator(np.random.Philox(key=79))
+    data = DataSet.from_array(rng.standard_normal((300, 4)))
+    index = build_index(data, DimensionSchedule((4, 2, 1)), mode, 4)
+    for row in range(300):
+        y = data.vectors[row] + 0.3 * rng.standard_normal(4)
+        epsilon = np.nextafter(unchunked_distances(data.vectors, y, index.norm).min(), np.inf)
+        truth = brute_force_range(data, y, epsilon, 4)
+        assert len(truth) == 1
+        assert list(range_query(index, y, epsilon).matches) == truth
+
+
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_l2_rows_whose_squares_overflow_are_found(mode):
+    # a row at l_2 distance 1e200 from the query: its sum of squares
+    # overflows, and the kernel's max-divided fallback keeps it finite, so
+    # both the oracle and the cascade report it.  Adaptive mode cannot fit
+    # rows at 1e200 (their raw second moments overflow), so it takes rows
+    # near 1e153 and a query whose differences from them overflow.
+    cases = [(np.array([2e153, 0.0, -1e153]), -1.5e154, 1.55e154, [1, 2])]
+    if mode == "orthogonal":
+        cases.append((np.array([1e200, 0.0, 3e200]), 0.0, 2e200, [0, 1]))
+    for first, offset, epsilon, want in cases:
+        rows = np.zeros((first.size, 4))
+        rows[:, 0] = first
+        data = DataSet.from_array(rows)
+        index = build_index(data, DimensionSchedule((4, 2, 1)), mode, 2)
+        y = np.array([offset, 0.0, 0.0, 0.0])
+        truth = brute_force_range(data, y, epsilon, 2)
+        assert [item for item, _ in truth] == want
+        assert all(math.isfinite(dist) for _, dist in truth)
+        assert list(range_query(index, y, epsilon).matches) == truth
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, "inf"])

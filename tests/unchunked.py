@@ -20,21 +20,23 @@ def unchunked_distances(rows, y, norm):
     p = norm.p
     if p == 1.0:
         return diff.sum(axis=1)
-    if p == 2.0:
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    if p == 4.0:
-        # fourth powers as squared squares, summed in order below 8 terms as
-        # the kernel's column reduction does; a sum that overflowed or may
-        # have lost terms to underflow takes the max-divided form
-        with np.errstate(over="ignore"):
+    if p not in (2.0, 4.0):
+        return max_divided_distances(diff, p)
+    # squares, or fourth powers as squared squares, the latter summed in
+    # order below 8 terms as the kernel's column reduction does; a sum that
+    # overflowed or may have lost terms to underflow takes the max-divided
+    # form under both norms
+    with np.errstate(over="ignore"):
+        if p == 2.0:
+            total = np.einsum("ij,ij->i", diff, diff)
+        else:
             sq = diff * diff
             total = ((sq * sq).sum(axis=1) if diff.shape[1] < 8
                      else np.einsum("ij,ij->i", sq, sq))
-        out = np.sqrt(np.sqrt(total))
-        fallback = ~((total >= 2.0 ** -800) & (total < np.inf))
-        out[fallback] = max_divided_distances(diff[fallback], p)
-        return out
-    return max_divided_distances(diff, p)
+    out = np.sqrt(total) if p == 2.0 else np.sqrt(np.sqrt(total))
+    fallback = ~((total >= 2.0 ** -800) & (total < np.inf))
+    out[fallback] = max_divided_distances(diff[fallback], p)
+    return out
 
 
 def max_divided_distances(diff, p):
