@@ -95,8 +95,9 @@ class ProjectionLevel:
         directions = np.asarray(self.directions, dtype=np.float64)
         if directions.ndim != 2 or directions.size == 0:
             raise ValueError(f"directions shape {directions.shape} is not (f, m)")
-        if np.any(np.abs(np.linalg.norm(directions, axis=1) - 1.0) > _UNIT_TOL):
-            raise ValueError("directions must have unit l_2 norm")
+        # negated, so that a nan entry fails the check
+        if not np.all(np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= _UNIT_TOL):
+            raise ValueError("directions must be finite with unit l_2 norm")
         f, m = directions.shape
         object.__setattr__(self, "norm", norm)
         object.__setattr__(self, "directions", directions)
@@ -212,6 +213,9 @@ def fit_adaptive_level(rows: np.ndarray, partition: BlockPartition,
     direction that best preserves their length is the one carrying the most
     raw energy, mean included.  Blocks with zero moment fall back to the
     m-secting direction.  One batched product forms every block's moment.
+    When finite rows have moments that overflow, the fit is run again on
+    every block scaled by the power of two of its largest |entry|, which
+    leaves its dominant eigenvector as it is.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != partition.dim_in:
@@ -220,8 +224,14 @@ def fit_adaptive_level(rows: np.ndarray, partition: BlockPartition,
         raise ValueError("cannot fit directions to zero rows")
     blocks = rows.reshape(rows.shape[0], partition.block_count, partition.block_size)
     # (f, m, s) @ (f, s, m): strided views, so BLAS reads the rows in place
-    moments = blocks.transpose(1, 2, 0) @ blocks.transpose(1, 0, 2) / rows.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        moments = blocks.transpose(1, 2, 0) @ blocks.transpose(1, 0, 2) / rows.shape[0]
     if not np.all(np.isfinite(moments)):
-        raise ValueError("rows contain non-finite values")
+        # max and min, not abs: no copy of the rows; a nan propagates
+        peaks = np.maximum(blocks.max(axis=(0, 2)), -blocks.min(axis=(0, 2)))
+        if not np.all(np.isfinite(peaks)):
+            raise ValueError("rows contain non-finite values")
+        scaled = np.ldexp(blocks, -np.frexp(peaks)[1][:, None])
+        return fit_adaptive_level(scaled.reshape(rows.shape), partition, norm)
     directions, _ = _dominant_eigenpairs(moments)
     return ProjectionLevel(norm=norm, directions=directions)

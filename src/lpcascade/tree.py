@@ -66,9 +66,8 @@ __all__ = [
 
 _MAGIC = b"LPCASIDX"
 _FORMAT = "lpcascade-index"
-# The only version read or written (see level_margins for version-2
-# features stored by earlier formulas).
-_VERSION = 2
+# The only version read or written.
+_VERSION = 3
 # float64 machine epsilon (2^-52) and smallest normal number (2^-1022): the
 # relative and absolute terms of the l_2 screen's band half-width.
 _EPS = float(np.finfo(np.float64).eps)
@@ -366,9 +365,7 @@ def level_margins(schedule: DimensionSchedule, scale: float) -> tuple[float, ...
       l_p length.  Level k+1 is projected from the unrounded level k, so
       ||x_k^ - y_k^||_p <= D (1 + sum_{j<=k} gamma_{2 m_j + 16}) +
       sum_{j<=k} gamma_{m_j + 2} (||x||_p + ||y||_p), and ||x_k^||_p <=
-      ||x||_p.  Features stored by earlier formulas (block mean times
-      m^(1/p); adaptive scales clamped at 1 for p >= 2) have coefficients
-      within gamma_{2m+16} too, adding sum_{j<=k} 2 gamma_{2 m_j + 16} ||x||_p.
+      ||x||_p.
     * Storage.  Rounding to float32 moves a feature by at most 2^-24 of its
       magnitude, or by 2^-150 among subnormals: the stored row lies within
       2^-24 (||x||_p + n_k 2^-126) of x_k^.  No match overflows, because
@@ -381,10 +378,9 @@ def level_margins(schedule: DimensionSchedule, scale: float) -> tuple[float, ...
 
     The other half covers the O(u^2) terms, the rounding of scale, of the
     margin and of epsilon + margin (a few u of scale, for any n_0 < 2^20),
-    the earlier formulas ((8 n_0 + 32 t) u of scale), and float64
-    underflow, at most sqrt(n 2^-1074) in any kernel distance and far below
-    c_k n_k 2^-126 / 2.  A non-match may be kept or pruned freely;
-    verification at level 0 decides it.
+    and float64 underflow, at most sqrt(n 2^-1074) in any kernel distance
+    and far below c_k n_k 2^-126 / 2.  A non-match may be kept or pruned
+    freely; verification at level 0 decides it.
     """
     dims = schedule.dims
     if not scale < _F32_SAFE:
@@ -603,7 +599,8 @@ def fit_const(reports, schedule: DimensionSchedule) -> float:
 
 
 def save_index(index: SubspaceIndex, path, include_data: bool = True) -> None:
-    """Persist an index: directions at float64, feature matrices at float32.
+    """Persist an index: every level's directions at float64, then its
+    feature matrix at float32, in one layout for both modes.
 
     The features already hold float32 values, so nothing is rounded here and
     ``load_index`` returns the same index bit for bit.  ``include_data``
@@ -613,7 +610,6 @@ def save_index(index: SubspaceIndex, path, include_data: bool = True) -> None:
     """
     header = {
         "format": _FORMAT,
-        "version": _VERSION,
         "norm": index.norm.label(),
         "mode": index.mode,
         "schedule": list(index.schedule.dims),
@@ -629,8 +625,7 @@ def save_index(index: SubspaceIndex, path, include_data: bool = True) -> None:
         if include_data:
             _write_rows(handle, index.data, "<f8")
         for level, feats in zip(index.levels, index.features):
-            if index.mode == ADAPTIVE:
-                _write_rows(handle, level.directions, "<f8")
+            _write_rows(handle, level.directions, "<f8")
             _write_rows(handle, feats, "<f4")
 
 
@@ -655,9 +650,11 @@ def load_index(path, data: DataSet | None = None,
     they weigh 8 bytes per feature, which for a fine first level is a large
     share of the data's own size.
     A supplied ``data`` is used in place of embedded vectors, which are then
-    skipped unread.  A container of another format, version or mode, or
-    whose header is not an object or lacks a field, is rejected with
-    ``ValueError``.
+    skipped unread.  Every level is rebuilt from its stored directions, so
+    the mode is only a label, checked to be ``orthogonal`` or ``adaptive``.
+    A container of another format, version or mode, whose header is not an
+    object or lacks a field, or whose directions are not finite unit rows,
+    is rejected with ``ValueError``.
     """
     with open(path, "rb") as handle:
         prefix = handle.read(len(_MAGIC) + 12)
@@ -711,9 +708,7 @@ def load_index(path, data: DataSet | None = None,
         levels = []
         features = []
         for dim_in, dim_out in zip(dims, dims[1:]):
-            partition = BlockPartition.for_dims(dim_in, dim_out)
-            levels.append(ProjectionLevel(norm, take("<f8", (dim_out, partition.block_size)))
-                          if mode == ADAPTIVE else orthogonal_level(partition, norm))
+            levels.append(ProjectionLevel(norm, take("<f8", (dim_out, dim_in // dim_out))))
             features.append(take("<f4", (count, dim_out)).astype(np.float64))
         if handle.read(1):
             raise ValueError(f"{path}: trailing bytes after the last section")

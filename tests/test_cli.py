@@ -1,6 +1,8 @@
 """Command-line surface: config parsing, subcommands, exit codes."""
 
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -201,6 +203,28 @@ def test_query_dataless_container_needs_data_flag(query_files, capsys):
                  "--queries", str(query_files["queries"]), "--epsilon", "1.5"])
     assert code == 1
     assert "no embedded data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_container_with_a_nan_direction_is_input_error(tmp_path, mode, capsys):
+    # a nan direction entry fails no "deviation from unit norm > tol" test,
+    # and its nan features would prune every row, matches included
+    data = generate(SyntheticSpec(count=50, dim=16, model="block-correlated",
+                                  block_size=4, correlation=0.8, rng_seed=12))
+    path = tmp_path / "nan.idx"
+    save_index(build_index(data, DimensionSchedule((16, 4)), mode, 2), path)
+    raw = bytearray(path.read_bytes())
+    (length,) = struct.unpack_from("<Q", raw, 12)
+    # after the prefix, the header, the ids and the embedded vectors
+    struct.pack_into("<d", raw, 20 + length + 8 * 50 + 8 * 50 * 16, math.nan)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="finite"):
+        load_index(path)
+    queries = tmp_path / "queries.fvecs"
+    write_fvecs(queries, data.vectors[:2])
+    assert main(["query", "--index", str(path), "--queries", str(queries),
+                 "--epsilon", "1.5"]) == 1
+    assert "error: directions must be finite" in capsys.readouterr().err
 
 
 def test_query_missing_file_is_input_error(tmp_path, capsys):

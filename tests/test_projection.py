@@ -235,6 +235,23 @@ def test_degenerate_block_falls_back_to_secting_direction():
     np.testing.assert_allclose(level.diversions(), np.zeros(2), atol=1e-12)
 
 
+def test_fit_adaptive_level_takes_rows_of_any_magnitude():
+    # the raw moments of two blocks near 2^600 overflow, so the fit scales
+    # each block by a power of two, which leaves its dominant eigenvector
+    rng = np.random.Generator(np.random.Philox(key=27))
+    rows = rng.random((300, 12))
+    part = BlockPartition.for_dims(12, 3)
+    plain = fit_adaptive_level(rows, part, 2).directions
+    big = rows.copy()
+    big[:, :8] *= 2.0 ** 600
+    np.testing.assert_allclose(fit_adaptive_level(big, part, 2).directions, plain,
+                               rtol=1e-12, atol=1e-15)
+    for bad in (math.inf, math.nan):
+        big[7, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_adaptive_level(big, part, 2)
+
+
 def test_fit_adaptive_level_shapes_and_flags():
     rng = np.random.Generator(np.random.Philox(key=26))
     rows = rng.random((500, 12))

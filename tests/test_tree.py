@@ -17,7 +17,6 @@ from lpcascade import (
     DimensionSchedule,
     QueryReport,
     SyntheticSpec,
-    as_norm_order,
     brute_force_range,
     build_index,
     estimate_cost,
@@ -318,7 +317,7 @@ def test_save_load_roundtrip(tmp_path, mode):
     for built, back in zip(index.features, loaded.features):
         np.testing.assert_array_equal(back, built)
     for lvl_a, lvl_b in zip(index.levels, loaded.levels):
-        # an orthogonal container stores no directions; the load rebuilds them
+        # every container stores its levels' directions, whatever the mode
         np.testing.assert_array_equal(lvl_a.directions, lvl_b.directions)
         np.testing.assert_array_equal(lvl_a.scales, lvl_b.scales)
         assert lvl_a.partition == lvl_b.partition
@@ -416,64 +415,18 @@ def test_load_rejects_corrupt_containers(tmp_path):
         load_index(padded)
 
 
-def old_formula_chain(vectors, schedule, mode, p, clamp):
-    """(directions, float32 features) per level as the two-kind level code
-    projected them: block mean times m^(1/p) for an orthogonal level, and
-    for an adaptive one the dot product over the per-row scale ||d||_p*,
-    raised to at least 1 when ``clamp``; directions are None when
-    orthogonal."""
-    norm = as_norm_order(p)
-    dims = schedule.dims
-    current = vectors
-    chain = []
-    for dim_in, dim_out in zip(dims, dims[1:]):
-        m = dim_in // dim_out
-        blocks = current.reshape(current.shape[0], dim_out, m)
-        if mode == "orthogonal":
-            directions = None
-            coefficient = 1.0 if norm.is_infinite else float(m) ** (1.0 / norm.p)
-            projected = blocks.mean(axis=2) * coefficient
-        else:
-            partition = BlockPartition.for_dims(dim_in, dim_out)
-            directions = fit_adaptive_level(current, partition, norm).directions
-            scales = np.array([lp_norm(row, norm.dual) for row in directions])
-            if clamp:
-                scales = np.maximum(scales, 1.0)
-            projected = np.einsum("sfm,fm->sf", blocks, directions) / scales
-        chain.append((directions, projected.astype(np.float32)))
-        current = projected
-    return chain
-
-
-def write_old_container(path, data, schedule, mode, p, version, clamp):
-    """Assemble a container's bytes by hand from ``old_formula_chain``."""
-    header = json.dumps({
-        "format": "lpcascade-index", "version": version,
-        "norm": as_norm_order(p).label(), "mode": mode,
-        "schedule": list(schedule.dims), "count": len(data), "data_included": True,
-    }, sort_keys=True).encode("utf-8")
-    parts = [b"LPCASIDX", struct.pack("<IQ", version, len(header)), header,
-             data.ids.astype("<i8").tobytes(), data.vectors.astype("<f8").tobytes()]
-    chain = old_formula_chain(data.vectors, schedule, mode, p, clamp)
-    for directions, features in chain:
-        if directions is not None:
-            parts.append(directions.astype("<f8").tobytes())
-        parts.append(features.astype("<f4").tobytes())
-    path.write_bytes(b"".join(parts))
-    return chain
-
-
 def as_version(path, version):
     """Relabel a saved container as another format version, in place."""
     raw = bytearray(path.read_bytes())
     raw[8:12] = struct.pack("<I", version)
-    path.write_bytes(bytes(raw).replace(b'"version": 2', f'"version": {version}'.encode()))
+    path.write_bytes(bytes(raw))
 
 
-@pytest.mark.parametrize("version", [1, 3])
+@pytest.mark.parametrize("version", [1, 2, 4])
 def test_other_container_versions_are_rejected(tmp_path, version):
-    # version 1 stored adaptive l_1 features under another scale; only the
-    # version-2 layout is read
+    # version 1 stored adaptive l_1 features under another scale and version
+    # 2 stored no directions for orthogonal levels; only the version-3
+    # layout is read
     data = small_dataset(count=30)
     index = build_index(data, DimensionSchedule((64, 16)), "adaptive", 1)
     path = tmp_path / "other.idx"
@@ -640,7 +593,7 @@ def test_l2_index_derives_squared_row_norms(tmp_path):
     index = build_index(data, schedule, "adaptive", 2)
     path = tmp_path / "l2.idx"
     save_index(index, path)
-    assert struct.unpack_from("<I", path.read_bytes(), 8) == (2,)
+    assert struct.unpack_from("<I", path.read_bytes(), 8) == (3,)
     for derived in (index, load_index(path), load_index(path, mmap_data=True)):
         matrices = (np.asarray(derived.data), *derived.features)
         assert len(derived.sq_norms) == len(matrices) == schedule.levels + 1
@@ -911,10 +864,9 @@ def test_no_match_is_lost_at_the_epsilon_boundary(tmp_path, mode, p):
     assert mismatches == [0, 0, 0]
 
 
-# adaptive mode cannot fit rows at 1e200: their raw second moments overflow
 @pytest.mark.parametrize("mode, scale", [
     (mode, scale) for mode in ("orthogonal", "adaptive")
-    for scale in (1e-150, 1.0, 1e150, 1e200) if (mode, scale) != ("adaptive", 1e200)])
+    for scale in (1e-150, 1.0, 1e150, 1e200)])
 def test_l4_boundary_queries_stay_exact_at_extreme_scales(mode, scale):
     # under l_4 the fourth powers underflow at 1e-150 and overflow from
     # 1e150, under l_2 the squares underflow at 1e-150 and overflow at 1e200,
@@ -960,12 +912,11 @@ def test_one_narrow_l4_candidate_is_verified_as_the_oracle_scans_it(mode):
 def test_l2_rows_whose_squares_overflow_are_found(mode):
     # a row at l_2 distance 1e200 from the query: its sum of squares
     # overflows, and the kernel's max-divided fallback keeps it finite, so
-    # both the oracle and the cascade report it.  Adaptive mode cannot fit
-    # rows at 1e200 (their raw second moments overflow), so it takes rows
-    # near 1e153 and a query whose differences from them overflow.
-    cases = [(np.array([2e153, 0.0, -1e153]), -1.5e154, 1.55e154, [1, 2])]
-    if mode == "orthogonal":
-        cases.append((np.array([1e200, 0.0, 3e200]), 0.0, 2e200, [0, 1]))
+    # both the oracle and the cascade report it; so is a row near 1e153
+    # whose difference from the query overflows.  The raw second moments of
+    # the rows at 1e200 overflow too, which adaptive mode fits around.
+    cases = [(np.array([2e153, 0.0, -1e153]), -1.5e154, 1.55e154, [1, 2]),
+             (np.array([1e200, 0.0, 3e200]), 0.0, 2e200, [0, 1])]
     for first, offset, epsilon, want in cases:
         rows = np.zeros((first.size, 4))
         rows[:, 0] = first
@@ -976,32 +927,6 @@ def test_l2_rows_whose_squares_overflow_are_found(mode):
         assert [item for item, _ in truth] == want
         assert all(math.isfinite(dist) for _, dist in truth)
         assert list(range_query(index, y, epsilon).matches) == truth
-
-
-@pytest.mark.parametrize("p", [1, 2, 4, "inf"])
-@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
-def test_old_formula_version_2_container_stays_exact(tmp_path, mode, p):
-    # a version-2 container written with block-mean orthogonal features, or
-    # adaptive scales clamped at 1 for p >= 2, answers boundary queries
-    # exactly under the one-operator projection of the query
-    data, bases = block_offset_dataset()
-    schedule = DimensionSchedule((64, 16, 4))
-    path = tmp_path / "old.idx"
-    write_old_container(path, data, schedule, mode, p, 2,
-                        clamp=as_norm_order(p).p >= 2.0)
-    fresh = build_index(data, schedule, mode, p)
-    variants = (fresh, load_index(path), load_index(path, mmap_data=True))
-    per = len(data) // len(bases)
-    mismatches = [0, 0, 0]
-    for c, y in enumerate(bases):
-        dist = unchunked_distances(data.vectors, y, fresh.norm)
-        for row in range(c * per, (c + 1) * per, 4):
-            for epsilon in (dist[row], np.nextafter(dist[row], np.inf)):
-                truth = brute_force_range(data, y, epsilon, p)
-                for v, variant in enumerate(variants):
-                    if list(range_query(variant, y, epsilon).matches) != truth:
-                        mismatches[v] += 1
-    assert mismatches == [0, 0, 0]
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, "inf"])
@@ -1031,7 +956,7 @@ def test_built_index_is_its_own_reload(tmp_path, mode, p):
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("include_data", [True, False])
 @pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
-def test_saved_bytes_follow_the_version_2_layout(tmp_path, monkeypatch, mode,
+def test_saved_bytes_follow_the_version_3_layout(tmp_path, monkeypatch, mode,
                                                  include_data, order):
     rows = small_dataset(count=40, seed=75).vectors
     data = DataSet.from_array(np.asarray(rows, order=order))
@@ -1041,17 +966,17 @@ def test_saved_bytes_follow_the_version_2_layout(tmp_path, monkeypatch, mode,
     path = tmp_path / "layout.idx"
     save_index(index, path, include_data=include_data)
     header = json.dumps({
-        "format": "lpcascade-index", "version": 2, "norm": "inf", "mode": mode,
+        "format": "lpcascade-index", "norm": "inf", "mode": mode,
         "schedule": [64, 16, 4], "count": 40, "data_included": include_data,
     }, sort_keys=True).encode("utf-8")
-    expected = [b"LPCASIDX", struct.pack("<IQ", 2, len(header)), header,
+    expected = [b"LPCASIDX", struct.pack("<IQ", 3, len(header)), header,
                 data.ids.astype("<i8").tobytes()]
     if include_data:
         expected.append(data.vectors.astype("<f8").tobytes())
     previous = data.vectors
     for level in index.levels:
-        if mode == "adaptive":
-            expected.append(level.directions.astype("<f8").tobytes())
+        # directions for both modes: the mode is a label, not a layout
+        expected.append(level.directions.astype("<f8").tobytes())
         previous = projection.project_rows(previous, level)
         expected.append(previous.astype("<f4").tobytes())
     assert path.read_bytes() == b"".join(expected)
