@@ -77,6 +77,18 @@ CHUNK_BYTES = 2 ** 20
 # other, so a reduction down the columns of a transposed buffer gives the
 # same floats as one along the rows (see ``distances_to_point``).
 _NARROW = 8
+# Below this many columns l_inf rows are reduced down a transposed buffer
+# too: a maximum is exact in any order.  A 20k-row l_inf scan (2 CPUs) takes
+# 1.0 ms that way against 3.1 ms row-major at 16 columns, but 8.2 against
+# 5.6 ms at 64; the two meet between 32 and 48 columns.
+_NARROW_MAX = 32
+# Share of a matrix's rows from which ``sweep`` runs the kernel on plain
+# slices of every row and indexes the distances, instead of gathering the
+# candidates' rows chunk by chunk.  Timed l_1, l_4 and l_inf sweeps of 20k
+# random rows (2 CPUs) break even near 0.3 of the rows at 4 columns, 0.4-0.6
+# at 16 and 64 and 0.6-0.7 at 768 and 960; two thirds sits at or above
+# every crossover.
+_DENSE_SHARE = 2 / 3
 # Smallest sum of squares (l_2) or of fourth powers (l_4) the kernel takes as
 # it is: from here up, the at most 2^-1074 a term can lose to underflow is
 # under 2^-274 of the sum.
@@ -147,18 +159,21 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
     * Any other p: every term is divided by the row's maximum before the
       power, so none overflows, and the root is multiplied back.
 
-    Rows narrower than 8 columns are differenced into a transposed
-    (n x rows) buffer and reduced down its columns under l_1, l_4 (its
-    squares squared again and summed) and l_inf: numpy sums fewer than 8
-    terms in order either way, for a buffer of one row as of many, so the
-    floats are those of the row-major reduction, at a fraction of the cost
-    of many short row reductions.  l_2 stays row-major, whose dot product
-    a transposed buffer would change in the last bit.
+    Rows narrower than 8 columns under l_1 and l_4 (its squares squared
+    again and summed), and narrower than 32 under l_inf, are differenced
+    into a transposed (n x rows) buffer and reduced down its columns, at a
+    fraction of the cost of many short row reductions.  The floats are
+    those of the row-major reduction: numpy sums fewer than 8 terms in
+    order either way, for a buffer of one row as of many, and a maximum is
+    exact in any order.  l_2 stays row-major, whose dot product a
+    transposed buffer would change in the last bit, and so do l_inf rows
+    of 32 columns or more, for which the transpose costs more than it
+    saves.
     """
     p = norm.p
     if not (p in (1.0, 2.0, 4.0) or norm.is_infinite):
         return _max_divided(np.abs(np.subtract(rows, y, order="C")), p)
-    narrow = p != 2.0 and rows.shape[1] < _NARROW
+    narrow = p != 2.0 and rows.shape[1] < (_NARROW_MAX if norm.is_infinite else _NARROW)
     if narrow:
         diff = np.subtract(rows.T, y[:, None], order="C")
     else:
@@ -214,18 +229,24 @@ def sweep(matrix: np.ndarray, rows: np.ndarray | None, point: np.ndarray,
           norm: NormOrder, kernel) -> np.ndarray:
     """Distances from ``point`` to ``matrix[rows]``, one cache-sized chunk at a time.
 
-    ``rows`` are ascending distinct row numbers; None, or every row, sweeps
-    the matrix as plain slices with no gather.  Each chunk (``row_chunks``)
-    is passed to ``kernel(chunk, point, norm)`` -- ``distances_to_point`` as
-    the caller's module sees it -- so no sweep copies the whole matrix.
+    ``rows`` are ascending distinct row numbers, or None for every row.
+    Each chunk (``row_chunks``) is passed to ``kernel(chunk, point, norm)``
+    -- ``distances_to_point`` as the caller's module sees it -- so no sweep
+    copies the whole matrix.  Once ``rows`` reach ``_DENSE_SHARE`` of the
+    matrix, every chunk is a plain slice of the matrix: the kernel runs on
+    every row, with no gather, and the candidates' distances are indexed
+    out of the result.  Below that share each chunk gathers the next
+    candidates' rows.  A row's distance is the same float either way (see
+    ``distances_to_point``).
     """
-    if rows is not None and rows.size == matrix.shape[0]:
-        rows = None
-    count = matrix.shape[0] if rows is None else rows.size
+    dense = rows is None or rows.size >= _DENSE_SHARE * matrix.shape[0]
+    count = matrix.shape[0] if dense else rows.size
     out = np.empty(count)
     for chunk in row_chunks(count, matrix.shape[1]):
-        block = matrix[chunk] if rows is None else matrix[rows[chunk]]
+        block = matrix[chunk] if dense else matrix[rows[chunk]]
         out[chunk] = kernel(block, point, norm)
+    if dense and rows is not None and rows.size < count:
+        out = out[rows]
     return out
 
 

@@ -42,6 +42,8 @@ ADAPTIVE = "adaptive"
 _SYMMETRY_TOL = 1e-9
 # largest deviation of a direction's l_2 norm from 1
 _UNIT_TOL = 1e-9
+# smallest normal float64 (2^-1022): a block moment below it has underflowed
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -213,9 +215,10 @@ def fit_adaptive_level(rows: np.ndarray, partition: BlockPartition,
     direction that best preserves their length is the one carrying the most
     raw energy, mean included.  Blocks with zero moment fall back to the
     m-secting direction.  One batched product forms every block's moment.
-    When finite rows have moments that overflow, the fit is run again on
-    every block scaled by the power of two of its largest |entry|, which
-    leaves its dominant eigenvector as it is.
+    When finite rows have moments that overflow, or a nonzero block's
+    largest moment is below 2^-1022 and so has lost precision to underflow,
+    the fit is run again on every block scaled by the power of two of its
+    largest |entry|, which leaves its dominant eigenvector as it is.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != partition.dim_in:
@@ -226,12 +229,18 @@ def fit_adaptive_level(rows: np.ndarray, partition: BlockPartition,
     # (f, m, s) @ (f, s, m): strided views, so BLAS reads the rows in place
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         moments = blocks.transpose(1, 2, 0) @ blocks.transpose(1, 0, 2) / rows.shape[0]
-    if not np.all(np.isfinite(moments)):
+    finite = np.all(np.isfinite(moments))
+    # a PSD moment's largest entry lies on its diagonal; nan fails the test
+    largest = moments.max(axis=(1, 2))
+    if not (finite and np.all(largest >= _TINY)):
         # max and min, not abs: no copy of the rows; a nan propagates
         peaks = np.maximum(blocks.max(axis=(0, 2)), -blocks.min(axis=(0, 2)))
         if not np.all(np.isfinite(peaks)):
             raise ValueError("rows contain non-finite values")
-        scaled = np.ldexp(blocks, -np.frexp(peaks)[1][:, None])
-        return fit_adaptive_level(scaled.reshape(rows.shape), partition, norm)
+        # scaled, a nonzero block's largest moment is at least 1 / (4 s), so
+        # the second fit never scales again; an all-zero block stays zero
+        if not finite or np.any((peaks > 0.0) & (largest < _TINY)):
+            scaled = np.ldexp(blocks, -np.frexp(peaks)[1][:, None])
+            return fit_adaptive_level(scaled.reshape(rows.shape), partition, norm)
     directions, _ = _dominant_eigenpairs(moments)
     return ProjectionLevel(norm=norm, directions=directions)

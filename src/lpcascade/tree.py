@@ -343,8 +343,10 @@ def level_margins(schedule: DimensionSchedule, scale: float) -> tuple[float, ...
 
     * Kernel.  ``distances_to_point`` at dimension n returns the l_p length
       of the difference of its inputs within a relative kappa(n) =
-      gamma_{2n+16}, for every p, in any order of summation (rows narrower
-      than 8 columns are reduced down a transposed buffer).  After
+      gamma_{2n+16}, for every p, in any order of summation (l_1 and l_4
+      rows narrower than 8 columns, and l_inf rows narrower than 32, are
+      reduced down a transposed buffer), and a row's distance is the same
+      float whether ``sweep`` gathers it or slices every row.  After
       differences that round once, it takes one of three forms: l_1 sums n
       nonnegative terms (gamma_n) and l_inf is exact; l_2 and l_4 square
       once or twice, sum (gamma_{n+6} on the sum) and take one or two roots
@@ -644,8 +646,8 @@ def load_index(path, data: DataSet | None = None,
     the dataset it was built from.  ``mmap_data`` maps the embedded vectors
     read-only instead of loading them; the cascade touches level 0 only for
     final verification, so mapping keeps the resident set near the feature
-    matrices (under l_2 a verification whose candidates reach
-    ``_DENSE_SHARE`` of the rows reads every row).  Those are stored at
+    matrices (a verification whose candidates reach ``norms._DENSE_SHARE``
+    of the rows, or under l_2 ``_DENSE_SHARE``, reads every row).  Those are stored at
     float32 but held as float64, as ``build_index`` holds them, so in memory
     they weigh 8 bytes per feature, which for a fine first level is a large
     share of the data's own size.
@@ -653,27 +655,37 @@ def load_index(path, data: DataSet | None = None,
     skipped unread.  Every level is rebuilt from its stored directions, so
     the mode is only a label, checked to be ``orthogonal`` or ``adaptive``.
     A container of another format, version or mode, whose header is not an
-    object or lacks a field, or whose directions are not finite unit rows,
-    is rejected with ``ValueError``.
+    object, lacks a field or holds an invalid norm or schedule, or whose
+    directions are not finite unit rows, is rejected with a ``ValueError``
+    whose message starts with the path.
     """
+    try:
+        return _read_container(path, data, mmap_data)
+    except (TypeError, ValueError) as err:
+        # header fields of the wrong type raise TypeError
+        raise ValueError(f"{path}: {err}") from err
+
+
+def _read_container(path, data: DataSet | None, mmap_data: bool) -> SubspaceIndex:
+    """``load_index`` without the path in its error messages."""
     with open(path, "rb") as handle:
         prefix = handle.read(len(_MAGIC) + 12)
         if len(prefix) < len(_MAGIC) + 12 or prefix[:len(_MAGIC)] != _MAGIC:
-            raise ValueError(f"{path}: not an index container")
+            raise ValueError("not an index container")
         version, header_len = struct.unpack_from("<IQ", prefix, len(_MAGIC))
         if version != _VERSION:
-            raise ValueError(f"{path}: unsupported container version {version}")
+            raise ValueError(f"unsupported container version {version}")
         header = json.loads(handle.read(header_len).decode("utf-8"))
         if not isinstance(header, dict):
-            raise ValueError(f"{path}: container header is not a JSON object")
+            raise ValueError("container header is not a JSON object")
         if header.get("format") != _FORMAT:
-            raise ValueError(f"{path}: unknown container format {header.get('format')!r}")
+            raise ValueError(f"unknown container format {header.get('format')!r}")
         mode = header.get("mode")
         if mode not in (ORTHOGONAL, ADAPTIVE):
-            raise ValueError(f"{path}: unknown mode {mode!r}")
+            raise ValueError(f"unknown mode {mode!r}")
         for key in ("norm", "schedule", "count", "data_included"):
             if key not in header:
-                raise ValueError(f"{path}: container header has no {key!r}")
+                raise ValueError(f"container header has no {key!r}")
 
         norm = as_norm_order(header["norm"])
         schedule = DimensionSchedule(tuple(header["schedule"]))
@@ -684,7 +696,7 @@ def load_index(path, data: DataSet | None = None,
             items = int(np.prod(shape))
             arr = np.fromfile(handle, dtype=dtype, count=items)
             if arr.size != items:
-                raise ValueError(f"{path}: truncated container")
+                raise ValueError("truncated container")
             return arr.reshape(shape)
 
         ids = take("<i8", (count,)).astype(np.int64, copy=False)
@@ -696,7 +708,7 @@ def load_index(path, data: DataSet | None = None,
             if header["data_included"]:
                 handle.seek(count * dims[0] * 8, 1)
         elif not header["data_included"]:
-            raise ValueError(f"{path}: container has no embedded data; "
+            raise ValueError("container has no embedded data; "
                              "pass the original dataset")
         elif mmap_data:
             vectors = np.memmap(path, dtype="<f8", mode="r", offset=handle.tell(),
@@ -711,7 +723,7 @@ def load_index(path, data: DataSet | None = None,
             levels.append(ProjectionLevel(norm, take("<f8", (dim_out, dim_in // dim_out))))
             features.append(take("<f4", (count, dim_out)).astype(np.float64))
         if handle.read(1):
-            raise ValueError(f"{path}: trailing bytes after the last section")
+            raise ValueError("trailing bytes after the last section")
 
     return SubspaceIndex(
         schedule=schedule,

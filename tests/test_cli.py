@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -224,7 +225,34 @@ def test_container_with_a_nan_direction_is_input_error(tmp_path, mode, capsys):
     write_fvecs(queries, data.vectors[:2])
     assert main(["query", "--index", str(path), "--queries", str(queries),
                  "--epsilon", "1.5"]) == 1
-    assert "error: directions must be finite" in capsys.readouterr().err
+    assert f"error: {path}: directions must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("schedule", [16, 3], "16 is not divisible by 3"),
+    ("schedule", 16, "object is not iterable"),
+    ("norm", "0.5", "p >= 1"),
+    ("norm", "bogus", "could not convert"),
+])
+def test_container_with_a_bad_header_field_is_input_error(tmp_path, capsys, field,
+                                                          value, message):
+    # the header parses, but its norm or schedule is invalid: load_index and
+    # the query command name the file
+    data = generate(SyntheticSpec(count=50, dim=16, rng_seed=13))
+    path = tmp_path / "bad-header.idx"
+    save_index(build_index(data, DimensionSchedule((16, 4)), "orthogonal", 2), path)
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 12)
+    header = {**json.loads(raw[20:20 + length]), field: value}
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + length:])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
+        load_index(path)
+    queries = tmp_path / "queries.fvecs"
+    write_fvecs(queries, data.vectors[:2])
+    assert main(["query", "--index", str(path), "--queries", str(queries),
+                 "--epsilon", "1.5"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_query_missing_file_is_input_error(tmp_path, capsys):

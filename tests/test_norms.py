@@ -185,7 +185,7 @@ def test_in_place_kernel_matches_unchunked_kernel_bit_for_bit(p):
 def test_narrow_and_wide_rows_match_the_row_major_reference(p, width):
     # below 8 columns l_1, l_4 and l_inf reduce a transposed buffer down its
     # columns and still give the floats of the row-major reference, on rows
-    # spanning many orders of magnitude; from 8 columns up nothing changes
+    # spanning many orders of magnitude; from 8 columns up only l_inf does
     rng = np.random.Generator(np.random.Philox(key=8))
     rows = rng.standard_normal((300, width)) * np.exp(rng.uniform(-20.0, 20.0, (300, width)))
     y = rng.standard_normal(width)
@@ -197,6 +197,69 @@ def test_narrow_and_wide_rows_match_the_row_major_reference(p, width):
     np.testing.assert_array_equal(rows, before)
     np.testing.assert_array_equal(distances_to_point(np.asfortranarray(rows), y, norm), want)
     assert want[5] == 0.0
+
+
+def test_linf_rows_below_32_columns_match_the_row_major_reference():
+    # l_inf rows of 8 to 31 columns are reduced down a transposed buffer: a
+    # maximum is exact in any order, so the floats are the row-major ones,
+    # for rows holding inf and rows whose difference overflows too
+    rng = np.random.Generator(np.random.Philox(key=14))
+    for width in range(8, 32):
+        rows = rng.standard_normal((300, width)) * np.exp(rng.uniform(-20.0, 20.0, (300, width)))
+        y = rng.standard_normal(width)
+        y[0] = rows[:, 0] = -1e308
+        rows[5] = y
+        rows[6, 0] = 1e308  # the difference overflows
+        rows[7, -1] = np.inf
+        rows[8] = -np.inf
+        with np.errstate(over="ignore"):
+            want = unchunked_distances(rows, y, LINF)
+            for matrix in (rows, np.asfortranarray(rows)):
+                np.testing.assert_array_equal(distances_to_point(matrix, y, LINF), want)
+            # a buffer of one row holds the same floats
+            np.testing.assert_array_equal(
+                [distances_to_point(row[None, :], y, LINF)[0] for row in rows[:12]],
+                want[:12])
+        assert want[5] == 0.0 and np.isinf(want[6:9]).all()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, "inf"])
+def test_dense_and_gathered_sweeps_give_the_same_floats(monkeypatch, p):
+    # just below _DENSE_SHARE of the rows a sweep gathers its candidates'
+    # rows; from the share up it runs the kernel on slices of every row and
+    # indexes the result: both give the row-major reference's floats
+    norm = as_norm_order(p)
+    rng = np.random.Generator(np.random.Philox(key=15))
+    monkeypatch.setattr(norms, "CHUNK_BYTES", 2 ** 12)  # several chunks a sweep
+    chunks = []
+
+    def recording(block, y, norm):
+        chunks.append(block)
+        return distances_to_point(block, y, norm)
+
+    count = 300
+    above = math.ceil(norms._DENSE_SHARE * count)
+    for width in (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 31, 32, 64):
+        rows = rng.standard_normal((count, width)) * np.exp(rng.uniform(-20.0, 20.0, (count, width)))
+        y = rng.standard_normal(width)
+        rows[0] = y  # at distance 0
+        rows[1, 0] = np.inf
+        rows[2] = 1e-300  # squares underflow
+        rows[3] = 1e300  # squares overflow
+        with np.errstate(over="ignore"):
+            want = unchunked_distances(rows, y, norm)
+        # the special rows are candidates on both sides of the share
+        picked = np.sort(rng.choice(np.arange(4, count), above - 4, replace=False))
+        dense_rows = np.concatenate([np.arange(4), picked])
+        gathered_rows = np.delete(dense_rows, -1)
+        for matrix in (rows, np.asfortranarray(rows)):
+            for candidates, dense in ((dense_rows, True), (gathered_rows, False)):
+                chunks.clear()
+                with np.errstate(over="ignore"):
+                    got = sweep(matrix, candidates, y, norm, recording)
+                np.testing.assert_array_equal(got, want[candidates])
+                assert all(np.shares_memory(c, matrix) == dense for c in chunks)
+                assert sum(len(c) for c in chunks) == (count if dense else candidates.size)
 
 
 @pytest.mark.parametrize("p", [1, "inf"])

@@ -252,6 +252,23 @@ def test_fit_adaptive_level_takes_rows_of_any_magnitude():
             fit_adaptive_level(big, part, 2)
 
 
+def test_fit_adaptive_level_takes_rows_whose_moments_underflow():
+    # below about 1e-160 the raw moments lose precision to underflow, and at
+    # 1e-300 they vanish: the fit scales each nonzero block by a power of
+    # two, while an all-zero block keeps the m-secting direction
+    rng = np.random.Generator(np.random.Philox(key=28))
+    rows = rng.standard_normal((300, 8)) * [3.0, 1.0, 0.5, 0.2, 2.0, 1.0, 0.1, 0.05]
+    part = BlockPartition.for_dims(8, 2)
+    plain = fit_adaptive_level(rows, part, 2).directions
+    for scale in (1e-150, 1e-165, 1e-300):
+        np.testing.assert_allclose(fit_adaptive_level(rows * scale, part, 2).directions,
+                                   plain, rtol=0.0, atol=1e-12)
+    rows[:, :4] = 0.0
+    tiny = fit_adaptive_level(rows * 1e-300, part, 2).directions
+    np.testing.assert_array_equal(tiny[0], np.full(4, 0.5))
+    np.testing.assert_allclose(tiny[1], plain[1], rtol=0.0, atol=1e-12)
+
+
 def test_fit_adaptive_level_shapes_and_flags():
     rng = np.random.Generator(np.random.Philox(key=26))
     rows = rng.random((500, 12))

@@ -18,8 +18,8 @@ from lpcascade import (
     generate,
     range_query,
 )
-from lpcascade import tree
-from lpcascade.norms import L2, distances_to_point, sweep
+from lpcascade import norms, tree
+from lpcascade.norms import L1, L2, L4, LINF, distances_to_point, sweep
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +65,21 @@ def test_calibration_allocates_under_a_quarter_of_the_data(wide_data):
     spec = CalibrationSpec(sample_size=3, target_nn=5)
     peak = peak_bytes(lambda: calibrate_epsilon(wide_data, spec, 1, rng_seed=61))
     assert peak < wide_data.vectors.nbytes / 4
+
+
+@pytest.mark.parametrize("width", [16, 64])
+@pytest.mark.parametrize("norm", [L1, L2, L4, LINF], ids=str)
+def test_dense_sweep_holds_one_chunk_and_one_distance_vector(norm, width):
+    # candidates above _DENSE_SHARE of the rows are swept as slices: the
+    # sweep holds one chunk's kernel buffer and a distance vector over every
+    # row, where gathering would hold a copy of each chunk's rows besides
+    rng = np.random.Generator(np.random.Philox(key=63))
+    matrix = rng.standard_normal((20000, width))
+    point = rng.standard_normal(width)
+    rows = np.flatnonzero(rng.random(20000) < 0.9)
+    assert rows.size >= norms._DENSE_SHARE * 20000
+    want = sweep(matrix, None, point, norm, distances_to_point)[rows]
+    np.testing.assert_array_equal(sweep(matrix, rows, point, norm, distances_to_point), want)
+    peak = peak_bytes(lambda: sweep(matrix, rows, point, norm, distances_to_point))
+    # a quarter chunk of room for the kernel's per-row outputs
+    assert peak <= norms.CHUNK_BYTES * 5 // 4 + 8 * matrix.shape[0]

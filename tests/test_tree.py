@@ -864,6 +864,37 @@ def test_no_match_is_lost_at_the_epsilon_boundary(tmp_path, mode, p):
     assert mismatches == [0, 0, 0]
 
 
+@pytest.mark.parametrize("p", [1, 4, "inf"])
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_dense_and_gathered_levels_stay_exact_at_the_epsilon_boundary(monkeypatch, mode, p):
+    # epsilon one ulp below, at and one ulp above a row's kernel distance,
+    # with levels whose candidates reach norms._DENSE_SHARE of the rows
+    # (swept as slices of every row) and levels below it (gathered)
+    data = small_dataset(count=600, seed=53)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, p)
+    monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 64 * 5)  # several chunks a level
+    sweep = tree.sweep
+    paths = set()
+
+    def recording(matrix, rows, point, norm, kernel):
+        if 0 < rows.size < matrix.shape[0]:
+            paths.add(bool(rows.size >= norms._DENSE_SHARE * matrix.shape[0]))
+        return sweep(matrix, rows, point, norm, kernel)
+
+    monkeypatch.setattr(tree, "sweep", recording)
+    rng = np.random.Generator(np.random.Philox(key=54))
+    for row in (0, 311):
+        y = data.vectors[row] + rng.standard_normal(64) * 0.05
+        dist = np.sort(unchunked_distances(data.vectors, y, index.norm))
+        for rank in (1, 20, 150, 400):
+            for epsilon in (np.nextafter(dist[rank], 0.0), dist[rank],
+                            np.nextafter(dist[rank], np.inf)):
+                report = range_query(index, y, epsilon)
+                assert list(report.matches) == brute_force_range(data, y, epsilon, p)
+    # pruned candidate sets on both sides of the share occur
+    assert paths == {True, False}
+
+
 @pytest.mark.parametrize("mode, scale", [
     (mode, scale) for mode in ("orthogonal", "adaptive")
     for scale in (1e-150, 1.0, 1e150, 1e200)])
