@@ -86,8 +86,12 @@ _NARROW_MAX = 32
 # slices of every row and indexes the distances, instead of gathering the
 # candidates' rows chunk by chunk.  Timed l_1, l_4 and l_inf sweeps of 20k
 # random rows (2 CPUs) break even near 0.3 of the rows at 4 columns, 0.4-0.6
-# at 16 and 64 and 0.6-0.7 at 768 and 960; two thirds sits at or above
-# every crossover.
+# at 16 and 64 and 0.6-0.7 at 768 and 960.  A later timing that alternated
+# float32 rows (the index's features, differenced into the same float64
+# buffer) with float64 rows of the same values put both near 0.3 at 4
+# columns and 0.75 at 16 and 64; at 768 and 960 columns float32 rows broke
+# even at 0.75-0.9 against 0.7-0.75, their dense sweeps running up to 7%
+# slower and their gathers no slower.  Two thirds stays, for both dtypes.
 _DENSE_SHARE = 2 / 3
 # Smallest sum of squares (l_2) or of fourth powers (l_4) the kernel takes as
 # it is: from here up, the at most 2^-1074 a term can lose to underflow is
@@ -142,9 +146,11 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
     chunk of rows at a time (see ``sweep``).  It allocates one buffer of
     differences and works in it in place.  The buffer's layout depends on
     the width n of the rows only, never on the layout of ``rows``, so each
-    row's distance is the same float in every caller.  A row whose
-    difference overflows float64, or holds an infinite component, is at
-    distance inf under every norm.  There are three forms:
+    row's distance is the same float in every caller.  The buffer is
+    float64 whatever the rows' dtype (``_differences``), so a float32 row is
+    at the distance of its float64 copy.  A row whose difference overflows
+    float64, or holds an infinite component, is at distance inf under every
+    norm.  There are three forms:
 
     * l_1 and l_inf: the sum or the maximum of the absolute differences.
     * l_2 and l_4: the differences (squared first under l_4) dotted with
@@ -172,12 +178,9 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
     """
     p = norm.p
     if not (p in (1.0, 2.0, 4.0) or norm.is_infinite):
-        return _max_divided(np.abs(np.subtract(rows, y, order="C")), p)
+        return _max_divided(np.abs(_differences(rows, y, False)), p)
     narrow = p != 2.0 and rows.shape[1] < (_NARROW_MAX if norm.is_infinite else _NARROW)
-    if narrow:
-        diff = np.subtract(rows.T, y[:, None], order="C")
-    else:
-        diff = np.subtract(rows, y, order="C")
+    diff = _differences(rows, y, narrow)
     axis = 0 if narrow else 1
     if p == 1.0 or norm.is_infinite:
         np.abs(diff, out=diff)
@@ -201,6 +204,20 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
         fallback = ~((total >= _FLOOR) & (total < math.inf))
         out[fallback] = _max_divided(np.abs(rows[fallback] - y), p)
     return out
+
+
+def _differences(rows: np.ndarray, y: np.ndarray, transpose: bool) -> np.ndarray:
+    """``rows - y`` in a new C-ordered float64 buffer, (n x rows) if
+    ``transpose``.  Rows of another dtype are cast into the buffer first and
+    differenced in place: the same floats for float32 rows, which convert
+    exactly, in 10-25% less time than numpy's mixed-dtype subtraction
+    (20k-row sweeps, 4 to 768 columns, every kernel norm)."""
+    if transpose:
+        rows, y = rows.T, y[:, None]
+    if rows.dtype == np.float64:
+        return np.subtract(rows, y, order="C")
+    diff = rows.astype(np.float64, order="C")
+    return np.subtract(diff, y, out=diff)
 
 
 def _max_divided(diff: np.ndarray, p: float) -> np.ndarray:

@@ -77,13 +77,18 @@ _TINY = float(np.finfo(np.float64).tiny)
 # float32 (its largest value is just under 2^128).
 _F32_TINY = float(np.finfo(np.float32).tiny)
 _F32_SAFE = 2.0 ** 127
+# float32 unit roundoff (2^-24) and smallest subnormal (2^-149): the
+# relative and absolute terms a float32 level adds to the l_2 screen's band.
+_F32_U = 2.0 ** -24
+_F32_MIN = 2.0 ** -149
 # Share of a level's rows from which the l_2 screen forms its dot products
 # by one whole-matrix GEMV, indexed by the candidates, instead of gathering
-# the candidates' rows chunk by chunk.  On 20k random rows (2 CPUs, OpenBLAS
-# 2 threads) the gather costs as much as the whole GEMV at about 13% of the
-# rows for 64 columns, 15% for 240 and 22-25% for 16 and for 960 columns;
-# a sixth sits inside that range.
-_DENSE_SHARE = 1 / 6
+# the candidates' rows chunk by chunk.  Alternating the two over float32
+# features of 20k random rows (2 CPUs, OpenBLAS 2 threads), the gather costs
+# as much as the whole GEMV at about 10-11% of the rows for 64 columns,
+# 11-14% for 16, 16-21% for 240, 21-22% for 960 and 22-27% for 480; a sixth
+# sits inside that range.
+_GEMV_SHARE = 1 / 6
 
 
 @dataclass(frozen=True)
@@ -207,24 +212,25 @@ class QueryReport:
 class SubspaceIndex:
     """Immutable index: levels, projected database copies, original data.
 
-    ``features[i]`` holds the level-(i+1) projection of every database row,
-    rounded to float32 values (the container's precision) but kept in float64
-    arrays, so a built index and its saved-and-reloaded copy are the same
-    object bit for bit.  Level k prunes a row when its level distance reaches
-    epsilon plus a margin that covers that rounding and the float64 rounding
-    of projection and distances; the rule (``level_margins``) reads only the
-    schedule, epsilon and the query's norm.  ``prune_margins`` is derived,
-    not passed in: the per-level margins of a query with ``||y||_p + epsilon
-    = 1``, which a query's own margins scale in proportion to.  Queries are
-    read-only and safe to run concurrently.
+    ``features[i]`` holds the level-(i+1) projection of every database row
+    as a float32 array, the container's precision, so a built index and its
+    saved-and-reloaded copy are the same object bit for bit; a feature matrix
+    of any other dtype is rejected with a ``ValueError``.  Level k prunes a
+    row when its level distance reaches epsilon plus a margin that covers
+    that rounding and the float64 rounding of projection and distances; the
+    rule (``level_margins``) reads only the schedule, epsilon and the query's
+    norm.  ``prune_margins`` is derived, not passed in: the per-level
+    margins of a query with ``||y||_p + epsilon = 1``, which a query's own
+    margins scale in proportion to.  Queries are read-only and safe to run
+    concurrently.
 
     Under l_2 the index also derives ``sq_norms``: ``sq_norms[0]`` holds the
-    float64 squared norm of every row of ``data`` and ``sq_norms[k]`` that of
-    every row of ``features[k-1]``, so a query can screen a level with one
-    matrix-vector product (see ``_screen``).  They are computed here, not
-    passed in or stored in the container, so built and loaded indexes derive
-    them alike; for a memory-mapped ``data`` that reads the vectors once.
-    Other norms derive nothing (``sq_norms == ()``).
+    squared norm of every row of ``data`` and ``sq_norms[k]`` that of every
+    row of ``features[k-1]``, each summed in float64, so a query can screen
+    a level with one matrix-vector product (see ``_screen``).  They are
+    computed here, not passed in or stored in the container, so built and
+    loaded indexes derive them alike; for a memory-mapped ``data`` that
+    reads the vectors once.  Other norms derive nothing (``sq_norms == ()``).
     """
 
     schedule: DimensionSchedule
@@ -237,10 +243,14 @@ class SubspaceIndex:
     sq_norms: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if any(np.asarray(m).dtype != np.float32 for m in self.features):
+            raise ValueError("feature matrices must be float32 arrays")
         sq_norms = ()
         if self.norm == L2:
             with np.errstate(over="ignore"):  # an inf norm defers rows to the kernel
-                sq_norms = tuple(np.einsum("ij,ij->i", m, m)
+                # float32 squares are exact in float64; einsum casts as it
+                # sums, so no float64 copy of a feature matrix is made
+                sq_norms = tuple(np.einsum("ij,ij->i", m, m, dtype=np.float64)
                                  for m in (self.data, *self.features))
         object.__setattr__(self, "sq_norms", sq_norms)
 
@@ -278,9 +288,9 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
     Adaptive levels are fitted on the projected data of the previous level,
     then every row is projected one level further.  Deterministic given the
     data order.  Each level is fitted and projected from the unrounded
-    float64 values of the one before, which are only then rounded to float32
-    values in place, so no level is ever held twice at float64 and the
-    features equal those ``save_index`` stores and ``load_index`` reads back.
+    float64 values of the one before, and only its float32 copy is kept, so
+    the features equal those ``save_index`` stores and ``load_index`` reads
+    back, and at most two levels are ever held at float64.
     """
     if not isinstance(data, DataSet):
         data = DataSet.from_array(data)
@@ -292,18 +302,17 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
 
     levels = []
     features = []
+    current = data.vectors
     for dim_in, dim_out in zip(schedule.dims, schedule.dims[1:]):
-        current = features[-1] if features else data.vectors
         partition = BlockPartition.for_dims(dim_in, dim_out)
         if mode == ADAPTIVE:
             levels.append(fit_adaptive_level(current, partition, norm))
         else:
             levels.append(orthogonal_level(partition, norm))
-        features.append(project_rows(current, levels[-1]))
-        if len(features) > 1:
-            _round_to_float32(current)
-    if features:
-        _round_to_float32(features[-1])
+        current = project_rows(current, levels[-1])
+        # a value beyond the float32 range becomes inf, as it would on disk
+        with np.errstate(over="ignore"):
+            features.append(current.astype(np.float32))
     return SubspaceIndex(
         schedule=schedule,
         norm=norm,
@@ -313,14 +322,6 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
         data=data.vectors,
         ids=data.ids,
     )
-
-
-def _round_to_float32(matrix: np.ndarray) -> None:
-    """Round a float64 matrix to float32 values in place, in 1 MiB row chunks."""
-    # a value beyond the float32 range becomes inf, as it would on disk
-    with np.errstate(over="ignore"):
-        for chunk in row_chunks(*matrix.shape):
-            matrix[chunk] = matrix[chunk].astype(np.float32)
 
 
 def level_margins(schedule: DimensionSchedule, scale: float) -> tuple[float, ...]:
@@ -488,26 +489,49 @@ def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
     * Under every other norm the kernel decides every row, so a level is
       one sweep and one comparison.
 
-    The l_2 screen.  With xx the stored squared row norm and qq = q.q,
+    The l_2 screen.  With n = dim, xx the stored squared row norm (summed
+    in float64) and qq = q.q,
 
         g = xx + qq - 2 x.q        (M @ q over every row, indexed, once the
-                                    candidates reach _DENSE_SHARE of them;
+                                    candidates reach _GEMV_SHARE of them;
                                     else one GEMV per 1 MiB gather)
-        w = (4n + 16) eps (xx + qq + tau^2) + 2^-1022
+        w = (r + (4n + 16) eps) (xx + qq + tau^2) + a
 
     a row is inside if g + w < tau^2, outside if g - w >= tau^2, and in the
     band otherwise or when g or w is not finite (an overflowed norm or dot).
+    Level 0 forms x.q in float64, and there r = 0 and a = 2^-1022.  A
+    float32 level forms it in float32, against q rounded to float32, so that
+    no float64 copy of its rows is ever made, and there
+
+        r = gamma'_{n+4} = (n + 4) v / (1 - (n + 4) v),   v = 2^-24
+        a = (2n + 8) 2^-149
 
     Why w decides as the kernel does (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 3; n = dim, u = eps/2 = 2^-53, gamma_j =
-    j u / (1 - j u); D = sum (x_i - q_i)^2 and S = |x|^2 + |q|^2 exactly):
+    Numerical Algorithms*, ch. 3; u = eps/2 = 2^-53, gamma_j =
+    j u / (1 - j u) and gamma'_j = j v / (1 - j v); D = sum (x_i - q_i)^2
+    and S = |x|^2 + |q|^2 exactly, x the stored row, whose float32 values
+    float64 holds exactly):
 
-    * Expansion.  xx, qq and x.q are dot products, accurate to gamma_n
-      times the sum of |terms| in any summation order (BLAS blocking and
-      thread count included), and sum |x_i q_i| <= S/2.  So
+    * Expansion.  xx and qq are float64 dot products (float32 squares are
+      exact in float64), accurate to gamma_n times the sum of their terms
+      in any summation order (BLAS blocking and thread count included), and
+      at level 0 so is x.q, to gamma_n sum |x_i q_i| <= gamma_n S/2.  So
       xx + qq - 2 x.q is within 2 gamma_n S of D; the two roundings forming
       g add u (xx + qq) + u |g| <= 3u S to first order, as D <= 2S.  Hence
-      |g - D| <= (2n + 3) u S + O(u^2).
+      |g - D| <= (2n + 3) u S + O(u^2) at level 0.
+    * Float32 dots.  Rounding q to q' moves each q_i by at most
+      v |q_i| + b, b = 2^-150 being half the smallest subnormal; each
+      float32 product x_i q'_i (fused or not) is off by v of itself plus b,
+      and the sum, in any order and any BLAS blocking, by gamma'_{n-1} of
+      the sum of |products| (a sum that lands among subnormals is exact).
+      With A = sum |x_i q_i| <= S/2 and b |x_i| <= (v x_i^2 + 2^-276)/2
+      (AM-GM), the computed dot is within gamma'_{n+1} A +
+      (1 + gamma'_n)(v |x|^2 + n 2^-276)/2 + (1 + gamma'_{n-1}) n b of x.q,
+      so twice it is within gamma'_{n+2} S + (1 + gamma'_n) n (2^-149 +
+      2^-276) of 2 x.q.  xx + qq and the two float64 roundings add
+      (n + 3) u S.  A float32 product or partial sum that overflows, or a
+      q_i beyond the float32 range, makes g inf or nan: the row is in the
+      band.
     * Kernel.  ``distances_to_point`` returns c = fl(sqrt(fl(sum
       fl(x_i - q_i)^2))): each difference carries a factor (1 + d), |d| <= u,
       the sum of squares gamma_n, the root one more u, so c^2 lies within
@@ -521,20 +545,26 @@ def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
       so "inside" gives D < tau^2 (1 + 3u) - (w - |g - D|) and "outside"
       gives D >= tau^2 (1 - 3u) + (w - |g - D|).  Both verdicts then match
       the kernel once w >= |g - D| + (2 gamma_{n+4} + 3u) tau^2, about
-      (2n + 3) u S + (2n + 11) u tau^2, and for a fallback row once
-      w >= |g - D| + (2 gamma_{2n+16} + 3u) tau^2, about (2n + 3) u S +
-      (4n + 35) u tau^2.
+      (2n + 3) u S + (2n + 11) u tau^2 at level 0, and for a fallback row
+      once w >= |g - D| + (2 gamma_{2n+16} + 3u) tau^2, about
+      (2n + 3) u S + (4n + 35) u tau^2.
 
-    w = (8n + 32) u (xx + qq + tau^2) is at least three times the first
-    bound and exceeds the second by (6n + 29) u S + (4n - 3) u tau^2, at
-    least u (S + tau^2) for every n >= 1: room for the O(u^2) terms, for
-    computed xx + qq standing in for S and for the rounding of w itself,
-    while n^2 u is far below 1.  Gradual underflow adds an absolute
-    error of at most 2^-1075 per product (about 6n of them in g and the
-    kernel), which the 2^-1022 term covers for any n < 2^50.  An overflowed
-    tau^2 makes w infinite, so every row falls in the band.  The constant
-    family is that of the exact GEMM scan of Johnson, Douze and Jegou
-    (arXiv 1702.08734).
+    (4n + 16) eps (xx + qq + tau^2) = (8n + 32) u (xx + qq + tau^2) is at
+    least three times the first level-0 bound and exceeds the second by
+    (6n + 29) u S + (4n - 3) u tau^2, at least u (S + tau^2) for every
+    n >= 1: room for the O(u^2) terms, for computed xx + qq standing in for
+    S and for the rounding of w itself, while n^2 u is far below 1.
+    Gradual underflow adds an absolute error of at most 2^-1075 per float64
+    product (about 6n of them in g and the kernel), which the 2^-1022 term
+    covers for any n < 2^50.  On a float32 level the same float64 term
+    covers the float64 part of |g - D|, now (n + 3) u S, with the kernel's,
+    and r, computed within u, exceeds gamma'_{n+2} by at least 2v, which
+    leaves v S for the rounding of w and xx + qq standing in for S; a
+    covers (1 + gamma'_n) n (2^-149 + 2^-276) and the float64 underflow, as
+    gamma'_n <= 1.  Both hold for every n < 2^23.  An overflowed tau^2
+    makes w infinite, so every row falls in the band.  The constant family
+    is that of the exact GEMM scan of Johnson, Douze and Jegou (arXiv
+    1702.08734), with the float32 term added.
     """
     if tau == math.inf:
         keep = np.ones(candidates.size, dtype=bool)
@@ -542,24 +572,31 @@ def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
     if index.norm != L2:
         return None, slice(None)
     matrix = index.data if k == 0 else index.features[k - 1]
-    rows = matrix.shape[0]
+    rows, n = matrix.shape
     # an overflow only puts rows in the band, which the kernel then decides
     with np.errstate(over="ignore", invalid="ignore"):
-        if candidates.size >= _DENSE_SHARE * rows:
+        if matrix.dtype == np.float32:
+            # float32 BLAS: a float64 vector would upcast the whole matrix
+            vector = point.astype(np.float32)
+            r = (n + 4) * _F32_U / (1.0 - (n + 4) * _F32_U)
+            a = (2 * n + 8) * _F32_MIN
+        else:
+            vector, r, a = point, 0.0, _TINY
+        if candidates.size >= _GEMV_SHARE * rows:
             # one whole-matrix GEMV, which BLAS splits over its threads; it
-            # reads every row (see _DENSE_SHARE)
-            dots = matrix @ point
+            # reads every row (see _GEMV_SHARE)
+            dots = matrix @ vector
             xx = index.sq_norms[k]
             if candidates.size < rows:
                 dots = dots[candidates]
                 xx = xx[candidates]
         else:
-            dots = sweep(matrix, candidates, point, index.norm, _dot)
+            dots = sweep(matrix, candidates, vector, index.norm, _dot)
             xx = index.sq_norms[k][candidates]
         qq = float(point @ point)
         tau_sq = tau * tau
         g = xx + qq - 2.0 * dots
-        w = (4 * matrix.shape[1] + 16) * _EPS * (xx + qq + tau_sq) + _TINY
+        w = (r + (4 * n + 16) * _EPS) * (xx + qq + tau_sq) + a
         decided = np.isfinite(g) & np.isfinite(w)
         inside = decided & (g + w < tau_sq)
         band = ~inside & ~(decided & (g - w >= tau_sq))
@@ -604,7 +641,7 @@ def save_index(index: SubspaceIndex, path, include_data: bool = True) -> None:
     """Persist an index: every level's directions at float64, then its
     feature matrix at float32, in one layout for both modes.
 
-    The features already hold float32 values, so nothing is rounded here and
+    The features are float32 arrays already, so nothing is rounded here and
     ``load_index`` returns the same index bit for bit.  ``include_data``
     embeds the original vectors (float64) so the file is self-contained for
     querying.  Each matrix is written in 1 MiB row chunks (``_write_rows``),
@@ -643,14 +680,14 @@ def load_index(path, data: DataSet | None = None,
     """Reload a persisted index, equal bit for bit to the one that was saved.
 
     If the file does not embed the original vectors, the caller must supply
-    the dataset it was built from.  ``mmap_data`` maps the embedded vectors
-    read-only instead of loading them; the cascade touches level 0 only for
-    final verification, so mapping keeps the resident set near the feature
-    matrices (a verification whose candidates reach ``norms._DENSE_SHARE``
-    of the rows, or under l_2 ``_DENSE_SHARE``, reads every row).  Those are stored at
-    float32 but held as float64, as ``build_index`` holds them, so in memory
-    they weigh 8 bytes per feature, which for a fine first level is a large
-    share of the data's own size.
+    the dataset it was built from.  The feature matrices are kept as the
+    float32 arrays they are read as, 4 bytes per feature, and converted to
+    nothing.  ``mmap_data`` maps the embedded vectors read-only instead of
+    loading them; the cascade touches level 0 only for final verification,
+    so mapping keeps the resident set near the feature matrices.  A
+    verification reads every row once its candidates reach
+    ``norms._DENSE_SHARE`` of them (the kernel sweeps slices of every row)
+    or, under l_2, ``_GEMV_SHARE`` (the screen's whole-matrix GEMV).
     A supplied ``data`` is used in place of embedded vectors, which are then
     skipped unread.  Every level is rebuilt from its stored directions, so
     the mode is only a label, checked to be ``orthogonal`` or ``adaptive``.
@@ -721,7 +758,7 @@ def _read_container(path, data: DataSet | None, mmap_data: bool) -> SubspaceInde
         features = []
         for dim_in, dim_out in zip(dims, dims[1:]):
             levels.append(ProjectionLevel(norm, take("<f8", (dim_out, dim_in // dim_out))))
-            features.append(take("<f4", (count, dim_out)).astype(np.float64))
+            features.append(take("<f4", (count, dim_out)).astype(np.float32, copy=False))
         if handle.read(1):
             raise ValueError("trailing bytes after the last section")
 

@@ -224,6 +224,27 @@ def test_linf_rows_below_32_columns_match_the_row_major_reference():
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, "inf"])
+def test_float32_rows_are_at_the_distances_of_their_float64_copies(p):
+    # an index's features are float32: the kernel casts them into its
+    # float64 buffer, narrow or wide, so every row's distance is that of its
+    # float64 copy, for subnormal and infinite entries too
+    norm = as_norm_order(p)
+    rng = np.random.Generator(np.random.Philox(key=16))
+    for width in (1, 2, 4, 7, 8, 9, 16, 31, 32, 64):
+        rows = (rng.standard_normal((300, width))
+                * np.exp(rng.uniform(-20.0, 20.0, (300, width)))).astype(np.float32)
+        y = rng.standard_normal(width)
+        rows[0] = y
+        rows[1, 0] = np.inf
+        rows[2] = 1e-40
+        want = unchunked_distances(rows.astype(np.float64), y, norm)
+        for matrix in (rows, np.asfortranarray(rows)):
+            np.testing.assert_array_equal(distances_to_point(matrix, y, norm), want)
+            np.testing.assert_array_equal(sweep(matrix, None, y, norm, distances_to_point), want)
+        assert np.isinf(want[1]) and 0.0 < want[0] < 1e-4  # y rounded to float32
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, "inf"])
 def test_dense_and_gathered_sweeps_give_the_same_floats(monkeypatch, p):
     # just below _DENSE_SHARE of the rows a sweep gathers its candidates'
     # rows; from the share up it runs the kernel on slices of every row and

@@ -56,9 +56,26 @@ def test_dense_pruned_query_allocates_under_a_quarter_of_the_data():
     report = range_query(index, y, epsilon)
     # verification screens a pruned candidate set above the dense share: one
     # whole-matrix GEMV over the vectors, indexed, copying no rows
-    assert tree._DENSE_SHARE * 8000 <= report.survivors[1] < 8000
+    assert tree._GEMV_SHARE * 8000 <= report.survivors[1] < 8000
     peak = peak_bytes(lambda: range_query(index, y, epsilon))
     assert peak < data.vectors.nbytes / 4
+
+
+def test_l2_query_holds_no_float64_copy_of_a_feature_matrix(wide_data):
+    # the l_2 screen meets each level's float32 features with a float32 copy
+    # of the query; a float64 query vector would make numpy upcast the whole
+    # matrix, twice the matrix's own size, which the data/4 bounds above
+    # only just catch
+    index = build_index(wide_data, DimensionSchedule((960, 240, 60)), "orthogonal", 2)
+    widest = index.features[0]
+    assert widest.dtype == np.float32
+    y = wide_data.vectors[0] + 0.01
+    exact = np.sort(sweep(wide_data.vectors, None, y, L2, distances_to_point))
+    for epsilon in (exact[5], exact[4000], 1e9):
+        # iid rows: no level prunes, so each is screened by one whole-matrix GEMV
+        assert range_query(index, y, epsilon).survivors[1:] == (8000, 8000)
+        peak = peak_bytes(lambda: range_query(index, y, epsilon))
+        assert peak < widest.nbytes / 2
 
 
 def test_calibration_allocates_under_a_quarter_of_the_data(wide_data):

@@ -489,9 +489,11 @@ def test_load_with_a_dataset_skips_the_embedded_vectors(tmp_path):
     assert loaded.data is data.vectors
     for built, back in zip(index.features, loaded.features):
         np.testing.assert_array_equal(back, built)
-    # the features weigh 12 bytes per value while loading (float32, then
-    # float64), 3/32 of the 8.2 MB data section
-    assert peak < data.vectors.nbytes / 4
+    # the features are kept as the float32 arrays they are read as, 4 bytes
+    # per value: with the ids 0.35 MB, a 23rd of the 8.2 MB data section.
+    # A float64 copy made while loading would bring them to 12 bytes per
+    # value, about 1 MB
+    assert peak < data.vectors.nbytes / 16
 
 
 def recording_kernel(monkeypatch):
@@ -599,13 +601,25 @@ def test_l2_index_derives_squared_row_norms(tmp_path):
         assert len(derived.sq_norms) == len(matrices) == schedule.levels + 1
         for sq, m in zip(derived.sq_norms, matrices):
             assert sq.dtype == np.float64
-            np.testing.assert_array_equal(sq, np.einsum("ij,ij->i", m, m))
+            # summed in float64, as over a float64 copy of the rows
+            wide = m.astype(np.float64)
+            np.testing.assert_array_equal(sq, np.einsum("ij,ij->i", wide, wide))
     for p in (1, 4, "inf"):
         assert build_index(data, schedule, "orthogonal", p).sq_norms == ()
     with pytest.raises(TypeError):
         tree.SubspaceIndex(schedule=index.schedule, norm=index.norm, mode=index.mode,
                            levels=index.levels, features=index.features, data=index.data,
                            ids=index.ids, sq_norms=index.sq_norms)
+
+
+def test_feature_matrices_must_be_float32():
+    data = small_dataset(count=50, seed=80)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), "orthogonal", 2)
+    assert [f.dtype for f in index.features] == [np.float32, np.float32]
+    first = index.features[0]
+    for bad in (first.astype(np.float64), first.astype(np.float16), first.tolist()):
+        with pytest.raises(ValueError, match="float32"):
+            dataclasses.replace(index, features=(bad, index.features[1]))
 
 
 def test_prune_margins_are_derived_not_passed():
@@ -618,7 +632,7 @@ def test_prune_margins_are_derived_not_passed():
                            ids=index.ids, prune_margins=(0.0, 0.0))
 
 
-# Values of tree._DENSE_SHARE that force each way the l_2 screen forms its
+# Values of tree._GEMV_SHARE that force each way the l_2 screen forms its
 # dot products: 0 takes one whole-matrix GEMV at every level, and a share
 # above 1 gathers the candidates of every pruned level chunk by chunk.  The
 # screen's exactness tests run under both.
@@ -641,6 +655,41 @@ def boundary_epsilons(index, y):
     return [e for e in epsilons if e > 0.0]
 
 
+def threshold_epsilons(index, y):
+    """Epsilons at which a projection level's threshold tau_k = epsilon +
+    margin_k, formed as range_query forms it, crosses a row's level-k kernel
+    distance: the last one below it and the next two.  They put rows on the
+    edge of the l_2 screen at the float32 levels, where boundary_epsilons
+    leaves the margin between a row and tau_k."""
+    projected = [np.asarray(y, dtype=np.float64)]
+    for level in index.levels:
+        projected.append(projection.project_level(projected[-1], level))
+    norm_y = lp_norm(y, index.norm)
+
+    def margin(k, epsilon):
+        return tree.level_margins(index.schedule, norm_y + epsilon)[k - 1]
+
+    epsilons = []
+    for k in range(1, len(projected)):
+        dist = np.sort(unchunked_distances(index.features[k - 1], projected[k], index.norm))
+        for target in dist[[20, 150]]:
+            if not (math.isfinite(target) and math.isfinite(margin(k, target))):
+                continue
+            # the margin moves by under 2^-22 of epsilon: a fixed point in a
+            # few steps, then ulp steps to the crossing
+            epsilon = target
+            for _ in range(3):
+                epsilon = target - margin(k, epsilon)
+            if not epsilon > 0.0:
+                continue
+            while epsilon + margin(k, epsilon) >= target:
+                epsilon = np.nextafter(epsilon, -np.inf)
+            while (after := np.nextafter(epsilon, np.inf)) + margin(k, after) < target:
+                epsilon = after
+            epsilons += [epsilon, after, np.nextafter(after, np.inf)]
+    return epsilons
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e8])
 @pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
 def test_l2_screen_is_exact_at_the_epsilon_boundary(tmp_path, monkeypatch, mode, offset):
@@ -656,12 +705,12 @@ def test_l2_screen_is_exact_at_the_epsilon_boundary(tmp_path, monkeypatch, mode,
     monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 64 * 5)
     reports = []
     for share in SCREEN_SHARES:
-        monkeypatch.setattr(tree, "_DENSE_SHARE", share)
+        monkeypatch.setattr(tree, "_GEMV_SHARE", share)
         rng = np.random.Generator(np.random.Philox(key=46))
         for variant in (index, load_index(path), load_index(path, mmap_data=True)):
             for row in (0, 211):
                 y = data.vectors[row] + rng.standard_normal(64) * 0.05
-                for epsilon in boundary_epsilons(variant, y):
+                for epsilon in boundary_epsilons(variant, y) + threshold_epsilons(variant, y):
                     report = range_query(variant, y, epsilon)
                     assert report == gather_everything_query(variant, y, epsilon)
                     reports.append(report)
@@ -691,11 +740,41 @@ def test_l2_screen_is_exact_on_an_equidistant_shell(monkeypatch, offset, scale):
     dist = np.unique(unchunked_distances(rows, q, index.norm))
     assert dist[-1] > 0.0
     for share in SCREEN_SHARES:
-        monkeypatch.setattr(tree, "_DENSE_SHARE", share)
+        monkeypatch.setattr(tree, "_GEMV_SHARE", share)
         for epsilon in (*dist, *np.nextafter(dist, np.inf)):
             if epsilon > 0.0:
                 assert range_query(index, q, epsilon) == \
                     gather_everything_query(index, q, epsilon)
+
+
+@pytest.mark.parametrize("scale", [1e19, 1e20, 1e-30, 1e-40])
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_float32_l2_screen_is_exact_where_float32_products_fail(tmp_path, monkeypatch,
+                                                                mode, scale):
+    # the screen's float32 levels take x.q in float32 BLAS.  Rows spread from
+    # a hundredth of 1e19 or 1e20 to ten times it make some dots overflow
+    # float32 (a product or partial sum above 3.4e38: the row goes to the
+    # band) and leave others finite, decided by the band's float32 relative
+    # term.  Around 1e-30 and 1e-40 every product underflows float32, so the
+    # dots are 0 and only the band's float32 absolute term keeps g from
+    # deciding.
+    base = small_dataset(count=300, seed=45).vectors
+    rng = np.random.Generator(np.random.Philox(key=79))
+    factors = scale * 10.0 ** rng.uniform(-2.0, 1.0, (300, 1))
+    data = DataSet.from_array((base - base.mean(axis=0)) * factors)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, 2)
+    path = tmp_path / "f32.idx"
+    save_index(index, path)
+    loaded = load_index(path)
+    for share in SCREEN_SHARES:
+        monkeypatch.setattr(tree, "_GEMV_SHARE", share)
+        for row in (int(np.argmin(factors)), 211):
+            y = data.vectors[row] + rng.standard_normal(64) * 0.05 * factors[row]
+            for epsilon in boundary_epsilons(index, y) + threshold_epsilons(index, y):
+                report = range_query(index, y, epsilon)
+                assert report == gather_everything_query(index, y, epsilon)
+                assert list(report.matches) == brute_force_range(data, y, epsilon, 2)
+                assert range_query(loaded, y, epsilon) == report
 
 
 def test_l2_screen_falls_back_to_the_kernel_on_overflowed_norms(monkeypatch):
@@ -710,7 +789,7 @@ def test_l2_screen_falls_back_to_the_kernel_on_overflowed_norms(monkeypatch):
     assert np.isfinite(index.sq_norms[0][60:]).all()
     queries = (vectors[3] * (1.0 + 1e-5 * rng.standard_normal(64)), vectors[100] + 0.05)
     for share in SCREEN_SHARES:
-        monkeypatch.setattr(tree, "_DENSE_SHARE", share)
+        monkeypatch.setattr(tree, "_GEMV_SHARE", share)
         for y in queries:
             dist = np.sort(unchunked_distances(vectors, y, index.norm))
             for rank in (1, 30, 59):
@@ -757,7 +836,7 @@ def test_l2_kernel_sees_only_matches_and_the_band(monkeypatch, mode):
     index = build_index(data, DimensionSchedule((64, 16, 4)), mode, 2)
     blocks = recording_kernel(monkeypatch)
     for share in SCREEN_SHARES:
-        monkeypatch.setattr(tree, "_DENSE_SHARE", share)
+        monkeypatch.setattr(tree, "_GEMV_SHARE", share)
         for row in (0, 50, 999):
             y = data.vectors[row] + 0.05
             exact = np.sort(unchunked_distances(data.vectors, y, index.norm))
@@ -771,7 +850,7 @@ def test_l2_kernel_sees_only_matches_and_the_band(monkeypatch, mode):
 
 
 def test_dense_l2_levels_are_not_gathered(monkeypatch):
-    # a level whose candidates reach _DENSE_SHARE of its rows is screened by
+    # a level whose candidates reach _GEMV_SHARE of its rows is screened by
     # one whole-matrix GEMV; only a level below that share gathers its rows
     data = small_dataset(count=2000, seed=52)
     index = build_index(data, DimensionSchedule((64, 16, 4)), "orthogonal", 2)
@@ -797,7 +876,7 @@ def test_dense_l2_levels_are_not_gathered(monkeypatch):
             assert report == gather_everything_query(index, y, epsilon)
             for k in range(t + 1):
                 candidates = s if k == t else report.survivors[k + 1]
-                dense = candidates >= tree._DENSE_SHARE * s
+                dense = candidates >= tree._GEMV_SHARE * s
                 assert gathered.count(k) == (0 if dense else 1)
                 seen.add((dense, candidates < s))
     # pruned levels on both sides of the share occur
@@ -805,7 +884,7 @@ def test_dense_l2_levels_are_not_gathered(monkeypatch):
 
     # the share itself is dense, one row fewer is gathered
     gathered.clear()
-    at_share = math.ceil(tree._DENSE_SHARE * s)
+    at_share = math.ceil(tree._GEMV_SHARE * s)
     for size in (at_share, at_share - 1):
         tree._screen(index, 0, np.arange(size), data.vectors[0], 1.0)
     assert gathered == [0]
@@ -970,7 +1049,7 @@ def test_built_index_is_its_own_reload(tmp_path, mode, p):
     rng = np.random.Generator(np.random.Philox(key=74))
     for loaded in (load_index(path), load_index(path, mmap_data=True)):
         for built, back in zip(index.features, loaded.features):
-            assert built.dtype == back.dtype == np.float64
+            assert built.dtype == back.dtype == np.float32
             np.testing.assert_array_equal(back, built)
         assert loaded.prune_margins == index.prune_margins
         for row in (0, 150, 299):
