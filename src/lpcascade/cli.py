@@ -13,12 +13,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .data import (
+    MODELS,
+    REPORT_FORMATS,
     BenchRow,
     DataSet,
     SyntheticSpec,
@@ -29,7 +32,7 @@ from .data import (
 )
 from .norms import as_norm_order
 from .oracle import CalibrationSpec, brute_force_range, calibrate_epsilon
-from .projection import ADAPTIVE, ORTHOGONAL
+from .projection import MODES, ORTHOGONAL
 from .reference import REFERENCE_TABLES, match_reference
 from .tree import (
     DimensionSchedule,
@@ -53,28 +56,49 @@ class InternalCheckError(RuntimeError):
     """A result disagreed with the oracle; reported numbers would be wrong."""
 
 
+def _help(default, text: str):
+    """A BenchConfig field's default with its flag's help text."""
+    return field(default=default, metadata={"help": text})
+
+
 @dataclass(frozen=True)
 class BenchConfig:
-    """Dataset source, schedule, and benchmark matrix for build/bench runs."""
+    """Dataset source, schedule, and benchmark matrix for build/bench runs.
 
-    data: str | None = None
-    model: str = "iid-uniform"
-    count: int = 2000
-    dim: int = 64
-    block_size: int = 4
-    correlation: float = 0.5
-    window: int = 4
-    schedule: tuple[int, ...] = (64, 16, 4)
-    modes: tuple[str, ...] = ("orthogonal",)
-    norms: tuple[str, ...] = ("2",)
-    epsilon: float | None = None
+    Every field is a config-file key (``block_size=4``) and a flag
+    (``--block-size 4``), read as its declared type: a tuple from
+    comma-separated values, ``X | None`` as X.  ``_ALIASES`` names the
+    paper's letters for four of them.  The synthetic-data fields default to
+    ``SyntheticSpec``'s values.  Unknown modes or report formats are
+    rejected here, so before any cell runs.
+    """
+
+    data: str | None = _help(None, "dataset file (.fvecs or .csv)")
+    model: str = _help(SyntheticSpec.model, "synthetic model: " + ", ".join(MODELS))
+    count: int = _help(2000, "synthetic dataset size")
+    dim: int = _help(64, "synthetic dimensionality")
+    block_size: int = SyntheticSpec.block_size
+    correlation: float = SyntheticSpec.correlation
+    window: int = SyntheticSpec.window
+    schedule: tuple[int, ...] = _help((64, 16, 4), "comma-separated dims, e.g. 64,16,4")
+    modes: tuple[str, ...] = _help((ORTHOGONAL,),
+                                   "comma-separated subset of " + ",".join(MODES))
+    norms: tuple[str, ...] = _help(("2",), "comma-separated, e.g. 1,2,4,inf")
+    epsilon: float | None = _help(None, "fixed epsilon (omit to calibrate)")
     target_nn: int = 52
     calibration_sample: int = 400
-    queries: int = 400
+    queries: int = _help(400, "query sample size")
     verify_queries: int = 20
     seed: int = 0
-    out: str | None = None
-    format: str = "csv"
+    out: str | None = _help(None, "output path")
+    format: str = _help("csv", "report format: " + ", ".join(REPORT_FORMATS))
+
+    def __post_init__(self) -> None:
+        unknown = sorted(set(self.modes) - set(MODES))
+        if unknown:
+            raise CliInputError(f"unknown modes {unknown}")
+        if self.format not in REPORT_FORMATS:
+            raise CliInputError(f"unknown report format {self.format!r}")
 
     def dataset(self) -> DataSet:
         if self.data is not None:
@@ -85,29 +109,28 @@ class BenchConfig:
             window=self.window, rng_seed=self.seed))
 
 
-_LIST_KEYS = {"schedule", "modes", "norms"}
-_INT_KEYS = {"count", "dim", "block_size", "window", "target_nn",
-             "calibration_sample", "queries", "verify_queries", "seed"}
-_FLOAT_KEYS = {"correlation", "epsilon"}
-_KEY_ALIASES = {"s": "count", "n": "dim", "m": "block_size", "rho": "correlation"}
-_FORMATS = ("csv", "json")
+# the paper's letters for four keys, in a config file and as flags
+_ALIASES = {"s": "count", "n": "dim", "m": "block_size", "rho": "correlation"}
 
 
-def _coerce(key: str, value: str):
-    if key == "schedule":
-        return tuple(int(part) for part in value.split(",") if part)
-    if key in _LIST_KEYS:
-        return tuple(part.strip() for part in value.split(",") if part.strip())
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    return value
+def _parser(hint):
+    """The function that reads a value of type ``hint`` from its text."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        item = _parser(args[0])
+        return lambda text: tuple(item(part.strip()) for part in text.split(",")
+                                  if part.strip())
+    if type(None) in args:  # X | None
+        return _parser(args[0])
+    return hint
+
+
+# each BenchConfig field's name and the parser of its declared type
+_KEYS = {name: _parser(hint) for name, hint in get_type_hints(BenchConfig).items()}
 
 
 def parse_config_file(path) -> dict:
     """Flat key=value lines; '#' starts a comment; unknown keys rejected."""
-    known = {f.name for f in fields(BenchConfig)}
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
@@ -116,11 +139,11 @@ def parse_config_file(path) -> dict:
         if "=" not in text:
             raise CliInputError(f"{path}:{lineno}: expected key=value, got {text!r}")
         key, _, value = text.partition("=")
-        key = _KEY_ALIASES.get(key.strip(), key.strip())
-        if key not in known:
+        key = _ALIASES.get(key.strip(), key.strip())
+        if key not in _KEYS:
             raise CliInputError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _coerce(key, value.strip())
+            values[key] = _KEYS[key](value.strip())
         except ValueError as exc:
             raise CliInputError(f"{path}:{lineno}: {exc}") from None
     return values
@@ -135,33 +158,17 @@ def load_vector_file(path) -> DataSet:
 
 
 def _config_from_args(args) -> BenchConfig:
-    config = BenchConfig()
-    if args.config:
-        config = replace(config, **parse_config_file(args.config))
-    overrides = {}
-    for spec_field in fields(BenchConfig):
-        value = getattr(args, spec_field.name, None)
-        if value is not None:
-            overrides[spec_field.name] = value
-    if overrides:
-        config = replace(config, **overrides)
-    return config
-
-
-def _check_matrix(config: BenchConfig) -> None:
-    """Reject unknown modes or report formats, from flags or a file, before any cell runs."""
-    unknown = sorted(set(config.modes) - {ORTHOGONAL, ADAPTIVE})
-    if unknown:
-        raise CliInputError(f"unknown modes {unknown}")
-    if config.format not in _FORMATS:
-        raise CliInputError(f"unknown report format {config.format!r}")
+    values = parse_config_file(args.config) if args.config else {}
+    # flags win over the file
+    values.update((key, getattr(args, key)) for key in _KEYS
+                  if getattr(args, key) is not None)
+    return BenchConfig(**values)
 
 
 def run_build(config: BenchConfig, log=print) -> list[str]:
     """Build one index per (mode, norm) cell and persist each to disk."""
     if config.out is None:
         raise CliInputError("build requires an output path (--out or out=)")
-    _check_matrix(config)
     data = config.dataset()
     schedule = DimensionSchedule(config.schedule)
     cells = [(mode, norm) for mode in sorted(set(config.modes))
@@ -237,7 +244,6 @@ def run_bench(config: BenchConfig, log=print) -> list[BenchRow]:
     if config.verify_queries < 1:
         raise CliInputError(f"verify_queries {config.verify_queries} must be at "
                             "least 1: every cell is checked against the oracle")
-    _check_matrix(config)
     full = config.dataset()
     if config.queries < 1 or config.queries >= len(full):
         raise CliInputError(f"query sample {config.queries} must be in "
@@ -313,30 +319,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """``--config`` and one flag per BenchConfig field, with its aliases."""
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--data", help="dataset file (.fvecs or .csv)")
-    parser.add_argument("--model", choices=("iid-uniform", "block-correlated",
-                                            "piecewise-smooth"))
-    parser.add_argument("--count", "-s", type=int, help="synthetic dataset size")
-    parser.add_argument("--dim", "-n", type=int, help="synthetic dimensionality")
-    parser.add_argument("--block-size", "-m", dest="block_size", type=int)
-    parser.add_argument("--rho", dest="correlation", type=float)
-    parser.add_argument("--window", type=int)
-    parser.add_argument("--schedule", type=lambda v: _coerce("schedule", v),
-                        help="comma-separated dims, e.g. 64,16,4")
-    parser.add_argument("--modes", type=lambda v: _coerce("modes", v),
-                        help="comma-separated subset of orthogonal,adaptive")
-    parser.add_argument("--norms", type=lambda v: _coerce("norms", v),
-                        help="comma-separated, e.g. 1,2,4,inf")
-    parser.add_argument("--epsilon", type=float,
-                        help="fixed epsilon (omit to calibrate)")
-    parser.add_argument("--target-nn", dest="target_nn", type=int)
-    parser.add_argument("--calibration-sample", dest="calibration_sample", type=int)
-    parser.add_argument("--queries", type=int, help="query sample size")
-    parser.add_argument("--verify-queries", dest="verify_queries", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", help="output path")
-    parser.add_argument("--format", choices=_FORMATS)
+    for spec in fields(BenchConfig):
+        names = [spec.name, *(alias for alias, key in _ALIASES.items() if key == spec.name)]
+        flags = [f"-{name}" if len(name) == 1 else "--" + name.replace("_", "-")
+                 for name in names]
+        parser.add_argument(*flags, dest=spec.name, type=_KEYS[spec.name],
+                            help=spec.metadata.get("help"))
 
 
 def _build_parser() -> _Parser:

@@ -10,11 +10,13 @@ import csv
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 __all__ = [
+    "MODELS",
+    "REPORT_FORMATS",
     "DataSet",
     "SyntheticSpec",
     "generate",
@@ -27,6 +29,7 @@ __all__ = [
 ]
 
 MODELS = ("iid-uniform", "block-correlated", "piecewise-smooth")
+REPORT_FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,13 @@ def load_csv(path, has_header: bool = False) -> DataSet:
 
 @dataclass(frozen=True)
 class BenchRow:
-    """One benchmark cell: a (projection mode, norm) pair and its measured means."""
+    """One benchmark cell: a (projection mode, norm) pair and its measured means.
+
+    The fields, in order, are a report's JSON keys and CSV columns, with
+    ``mean_survivors`` spread over one ``sigma_i`` column per level.  Each
+    value is converted to its field's type, so a row read back from text
+    equals the row written.
+    """
 
     mode: str
     norm: str
@@ -201,88 +210,62 @@ class BenchRow:
     fitted_const: float
     estimated_cost: float
 
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "norm": self.norm,
-            "epsilon": self.epsilon,
-            "mean_cost": self.mean_cost,
-            "mean_ratio": self.mean_ratio,
-            "mean_survivors": list(self.mean_survivors),
-            "fitted_const": self.fitted_const,
-            "estimated_cost": self.estimated_cost,
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "BenchRow":
-        return cls(
-            mode=str(record["mode"]),
-            norm=str(record["norm"]),
-            epsilon=float(record["epsilon"]),
-            mean_cost=float(record["mean_cost"]),
-            mean_ratio=float(record["mean_ratio"]),
-            mean_survivors=tuple(float(v) for v in record["mean_survivors"]),
-            fitted_const=float(record["fitted_const"]),
-            estimated_cost=float(record["estimated_cost"]),
-        )
+    def __post_init__(self) -> None:
+        # the annotations are strings: this module postpones their evaluation
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.type == "str":
+                value = str(value)
+            elif spec.type == "float":
+                value = float(value)
+            else:  # tuple[float, ...]
+                value = tuple(float(v) for v in value)
+            object.__setattr__(self, spec.name, value)
 
 
-_FIXED_COLUMNS = ("mode", "norm", "epsilon", "mean_cost", "mean_ratio")
-_TAIL_COLUMNS = ("fitted_const", "estimated_cost")
+_NAMES = tuple(spec.name for spec in fields(BenchRow))
+_SIGMA_AT = _NAMES.index("mean_survivors")
+
+
+def _columns(values, survivors) -> list:
+    """A row's fields in order, ``survivors`` spread where mean_survivors sits."""
+    return [*values[:_SIGMA_AT], *survivors, *values[_SIGMA_AT + 1:]]
 
 
 def write_report(rows, path, fmt: str = "json") -> None:
     """Serialize benchmark rows; survivor means become sigma_0..sigma_t columns."""
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
     rows = list(rows)
     if fmt == "json":
         with open(path, "w") as handle:
-            json.dump([row.as_dict() for row in rows], handle, indent=2)
+            json.dump([asdict(row) for row in rows], handle, indent=2)
             handle.write("\n")
         return
-    if fmt != "csv":
-        raise ValueError(f"unknown report format {fmt!r}")
     levels = len(rows[0].mean_survivors) if rows else 0
-    sigma_cols = tuple(f"sigma_{i}" for i in range(levels))
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(_FIXED_COLUMNS + sigma_cols + _TAIL_COLUMNS)
+        writer.writerow(_columns(_NAMES, (f"sigma_{i}" for i in range(levels))))
         for row in rows:
             if len(row.mean_survivors) != levels:
                 raise ValueError("rows disagree on survivor count")
-            writer.writerow(
-                (row.mode, row.norm, repr(row.epsilon), repr(row.mean_cost),
-                 repr(row.mean_ratio))
-                + tuple(repr(v) for v in row.mean_survivors)
-                + (repr(row.fitted_const), repr(row.estimated_cost))
-            )
+            # a float's text is its repr, which reads back to the same float
+            writer.writerow(_columns(astuple(row), row.mean_survivors))
 
 
 def read_report(path, fmt: str = "json") -> list[BenchRow]:
     """Inverse of write_report."""
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
     if fmt == "json":
         with open(path, "r") as handle:
-            return [BenchRow.from_dict(record) for record in json.load(handle)]
-    if fmt != "csv":
-        raise ValueError(f"unknown report format {fmt!r}")
+            return [BenchRow(**record) for record in json.load(handle)]
     with open(path, "r", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: missing header") from None
-        sigma_count = len(header) - len(_FIXED_COLUMNS) - len(_TAIL_COLUMNS)
-        rows = []
-        for record in reader:
-            if not record:
-                continue
-            rows.append(BenchRow(
-                mode=record[0],
-                norm=record[1],
-                epsilon=float(record[2]),
-                mean_cost=float(record[3]),
-                mean_ratio=float(record[4]),
-                mean_survivors=tuple(float(v) for v in record[5:5 + sigma_count]),
-                fitted_const=float(record[5 + sigma_count]),
-                estimated_cost=float(record[6 + sigma_count]),
-            ))
-        return rows
+        end = _SIGMA_AT + len(header) - len(_NAMES) + 1
+        return [BenchRow(*record[:_SIGMA_AT], record[_SIGMA_AT:end], *record[end:])
+                for record in reader if record]

@@ -19,6 +19,7 @@ __all__ = [
     "L4",
     "LINF",
     "as_norm_order",
+    "as_vector",
     "lp_norm",
     "lp_distance",
     "distances_to_point",
@@ -111,10 +112,14 @@ def as_norm_order(p) -> NormOrder:
     return NormOrder(p)
 
 
-def _as_vector(v) -> np.ndarray:
+def as_vector(v, dim: int | None = None) -> np.ndarray:
+    """``v`` as a float64 array, checked to be a nonempty 1-d vector of
+    finite components, ``dim`` of them when given: every query is checked
+    here before it reaches the kernel."""
     arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"expected a nonempty 1-d vector, got shape {arr.shape}")
+    if arr.ndim != 1 or arr.size == 0 or (dim is not None and arr.size != dim):
+        expected = "a nonempty 1-d vector" if dim is None else f"a {dim}-vector"
+        raise ValueError(f"expected {expected}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector contains non-finite components")
     return arr
@@ -123,17 +128,15 @@ def _as_vector(v) -> np.ndarray:
 def lp_norm(v, p) -> float:
     """(sum |x_i|^p)^(1/p) for finite p; max |x_i| for the Chebyshev norm:
     the distance kernel's length of ``v`` from the zero vector."""
-    vec = _as_vector(v)
+    vec = as_vector(v)
     return float(distances_to_point(vec[None, :], np.zeros_like(vec), as_norm_order(p))[0])
 
 
 def lp_distance(x, y, p) -> float:
     """l_p distance between two vectors of equal dimension, computed by the
     distance kernel (``distances_to_point``) on one row."""
-    xv = _as_vector(x)
-    yv = _as_vector(y)
-    if xv.shape != yv.shape:
-        raise ValueError(f"dimension mismatch: {xv.shape[0]} vs {yv.shape[0]}")
+    xv = as_vector(x)
+    yv = as_vector(y, xv.size)
     return float(distances_to_point(xv[None, :], yv, as_norm_order(p))[0])
 
 
@@ -277,7 +280,7 @@ def check_norm_equivalence(v, q, p, rel_tol: float = 1e-9) -> bool:
     pn = as_norm_order(p)
     if qn.is_infinite or not qn.p < pn.p:
         raise ValueError(f"need finite q < p, got q={qn}, p={pn}")
-    vec = _as_vector(v)
+    vec = as_vector(v)
     m = vec.shape[0]
     norm_p = lp_norm(vec, pn)
     norm_q = lp_norm(vec, qn)

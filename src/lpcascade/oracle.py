@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataSet
-from .norms import as_norm_order, distances_to_point, sweep
+from .norms import as_norm_order, as_vector, distances_to_point, sweep
 
 __all__ = ["CalibrationSpec", "brute_force_range", "calibrate_epsilon"]
 
@@ -39,11 +39,7 @@ def brute_force_range(data: DataSet, y, epsilon: float, p) -> list[tuple[int, fl
     Scans the whole dataset; cost is s * n by definition.  Returned in
     ascending id order.
     """
-    query = np.asarray(y, dtype=np.float64)
-    if query.ndim != 1 or query.size != data.dim:
-        raise ValueError(f"query shape {query.shape} != data dim {data.dim}")
-    if not np.all(np.isfinite(query)):
-        raise ValueError("query contains non-finite components")
+    query = as_vector(y, data.dim)
     dist = sweep(data.vectors, None, query, as_norm_order(p), distances_to_point)
     hits = np.nonzero(dist < float(epsilon))[0]
     return [(int(data.ids[i]), float(dist[i])) for i in hits]

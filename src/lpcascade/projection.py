@@ -24,6 +24,7 @@ from .norms import NormOrder, as_norm_order, distances_to_point
 __all__ = [
     "ORTHOGONAL",
     "ADAPTIVE",
+    "MODES",
     "BlockPartition",
     "ProjectionLevel",
     "PrincipalComponent",
@@ -37,6 +38,8 @@ __all__ = [
 
 ORTHOGONAL = "orthogonal"
 ADAPTIVE = "adaptive"
+# every direction choice a level, an index or a container may name
+MODES = (ORTHOGONAL, ADAPTIVE)
 
 # largest |A - A^T| entry first_principal_component accepts, relative to max|A|
 _SYMMETRY_TOL = 1e-9

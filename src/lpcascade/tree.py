@@ -35,14 +35,16 @@ from .norms import (
     L2,
     NormOrder,
     as_norm_order,
+    as_vector,
     distances_to_point,
     lp_norm,
     row_chunks,
     sweep,
 )
 from .projection import (
+    _TINY,
     ADAPTIVE,
-    ORTHOGONAL,
+    MODES,
     BlockPartition,
     ProjectionLevel,
     fit_adaptive_level,
@@ -68,10 +70,10 @@ _MAGIC = b"LPCASIDX"
 _FORMAT = "lpcascade-index"
 # The only version read or written.
 _VERSION = 3
-# float64 machine epsilon (2^-52) and smallest normal number (2^-1022): the
-# relative and absolute terms of the l_2 screen's band half-width.
+# float64 machine epsilon (2^-52) and projection's _TINY, the smallest normal
+# float64 (2^-1022): the relative and absolute terms of the l_2 screen's band
+# half-width.
 _EPS = float(np.finfo(np.float64).eps)
-_TINY = float(np.finfo(np.float64).tiny)
 # Smallest normal float32 (2^-126), the floor of a stored feature's relative
 # rounding, and the query scale from which a match's features may overflow
 # float32 (its largest value is just under 2^128).
@@ -91,9 +93,17 @@ _F32_MIN = 2.0 ** -149
 _GEMV_SHARE = 1 / 6
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int: an integer, numpy's included, but never a bool,
+    a float (8.9 or 8.0) or a string."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class DimensionSchedule:
-    """Strictly decreasing dimensions [dim(U_0), ..., dim(U_t)].
+    """Strictly decreasing integer dimensions [dim(U_0), ..., dim(U_t)].
 
     Every dimension must divide its predecessor.  Adjacent ratios outside
     [2, 16] only warn: small ratios are the regime block filters work in,
@@ -103,7 +113,7 @@ class DimensionSchedule:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_integer(d, "dimension") for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if not dims:
             raise ValueError("schedule must contain at least one dimension")
@@ -294,7 +304,7 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
     """
     if not isinstance(data, DataSet):
         data = DataSet.from_array(data)
-    if mode not in (ORTHOGONAL, ADAPTIVE):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     norm = as_norm_order(p)
     if data.dim != schedule.dims[0]:
@@ -413,12 +423,7 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     matrix.  At level 0 the kernel also runs on every row the screen keeps,
     so every decision and reported float is the kernel's own.
     """
-    query = np.asarray(y, dtype=np.float64)
-    if query.ndim != 1 or query.size != index.schedule.dims[0]:
-        raise ValueError(
-            f"query shape {query.shape} != index dim {index.schedule.dims[0]}")
-    if not np.all(np.isfinite(query)):
-        raise ValueError("query contains non-finite components")
+    query = as_vector(y, index.schedule.dims[0])
     epsilon = float(epsilon)
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -690,11 +695,12 @@ def load_index(path, data: DataSet | None = None,
     or, under l_2, ``_GEMV_SHARE`` (the screen's whole-matrix GEMV).
     A supplied ``data`` is used in place of embedded vectors, which are then
     skipped unread.  Every level is rebuilt from its stored directions, so
-    the mode is only a label, checked to be ``orthogonal`` or ``adaptive``.
+    the mode is only a label, checked to be one of ``projection.MODES``.
     A container of another format, version or mode, whose header is not an
-    object, lacks a field or holds an invalid norm or schedule, or whose
-    directions are not finite unit rows, is rejected with a ``ValueError``
-    whose message starts with the path.
+    object, lacks a field, holds an invalid norm or schedule, a count that
+    is not an integer of at least 1 or a ``data_included`` that is not a
+    bool, or whose directions are not finite unit rows, is rejected with a
+    ``ValueError`` whose message starts with the path.
     """
     try:
         return _read_container(path, data, mmap_data)
@@ -718,7 +724,7 @@ def _read_container(path, data: DataSet | None, mmap_data: bool) -> SubspaceInde
         if header.get("format") != _FORMAT:
             raise ValueError(f"unknown container format {header.get('format')!r}")
         mode = header.get("mode")
-        if mode not in (ORTHOGONAL, ADAPTIVE):
+        if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         for key in ("norm", "schedule", "count", "data_included"):
             if key not in header:
@@ -726,7 +732,11 @@ def _read_container(path, data: DataSet | None, mmap_data: bool) -> SubspaceInde
 
         norm = as_norm_order(header["norm"])
         schedule = DimensionSchedule(tuple(header["schedule"]))
-        count = int(header["count"])
+        count = _integer(header["count"], "count")
+        if count < 1:
+            raise ValueError(f"count {count} must be at least 1")
+        if not isinstance(header["data_included"], bool):
+            raise ValueError(f"data_included {header['data_included']!r} is not a bool")
         dims = schedule.dims
 
         def take(dtype, shape):

@@ -1,5 +1,6 @@
 """Command-line surface: config parsing, subcommands, exit codes."""
 
+import dataclasses
 import json
 import math
 import re
@@ -233,11 +234,19 @@ def test_container_with_a_nan_direction_is_input_error(tmp_path, mode, capsys):
     ("schedule", 16, "object is not iterable"),
     ("norm", "0.5", "p >= 1"),
     ("norm", "bogus", "could not convert"),
+    # int() would take 50.7 as 50 and 16.9 as 16, and "no" is truthy
+    ("count", 50.7, "count 50.7 is not an integer"),
+    ("count", 50.0, "count 50.0 is not an integer"),
+    ("count", True, "count True is not an integer"),
+    ("schedule", [16.9, 4.2], "dimension 16.9 is not an integer"),
+    ("schedule", [16, True], "dimension True is not an integer"),
+    ("data_included", "no", "data_included 'no' is not a bool"),
+    ("data_included", 1, "data_included 1 is not a bool"),
 ])
 def test_container_with_a_bad_header_field_is_input_error(tmp_path, capsys, field,
                                                           value, message):
-    # the header parses, but its norm or schedule is invalid: load_index and
-    # the query command name the file
+    # the header parses, but a field's value is invalid: load_index and the
+    # query command name the file
     data = generate(SyntheticSpec(count=50, dim=16, rng_seed=13))
     path = tmp_path / "bad-header.idx"
     save_index(build_index(data, DimensionSchedule((16, 4)), "orthogonal", 2), path)
@@ -253,6 +262,26 @@ def test_container_with_a_bad_header_field_is_input_error(tmp_path, capsys, fiel
     assert main(["query", "--index", str(path), "--queries", str(queries),
                  "--epsilon", "1.5"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_container_with_no_rows_is_input_error(tmp_path, capsys):
+    # a consistent zero-row container: every section is empty but the
+    # directions; loaded, its first query would divide by a zero scan cost
+    data = generate(SyntheticSpec(count=50, dim=16, rng_seed=14))
+    index = build_index(data, DimensionSchedule((16, 4)), "adaptive", 2)
+    path = tmp_path / "empty.idx"
+    save_index(index, path)
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 12)
+    blob = json.dumps({**json.loads(raw[20:20 + length]), "count": 0}).encode("utf-8")
+    directions = b"".join(level.directions.astype("<f8").tobytes()
+                          for level in index.levels)
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + directions)
+    queries = tmp_path / "queries.fvecs"
+    write_fvecs(queries, data.vectors[:2])
+    assert main(["query", "--index", str(path), "--queries", str(queries),
+                 "--epsilon", "1.5"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: count 0 must be at least 1\n"
 
 
 def test_query_missing_file_is_input_error(tmp_path, capsys):
@@ -378,3 +407,47 @@ def test_flags_override_config_file(tmp_path):
     assert code == 0
     rows = read_report(out, "json")
     assert len(rows) == 1
+
+
+# a text for every BenchConfig key, and the value it reads as: none of them
+# the default, so a key that is silently dropped shows
+KEY_TEXTS = {
+    "data": ("d.fvecs", "d.fvecs"),
+    "model": ("piecewise-smooth", "piecewise-smooth"),
+    "count": ("123", 123),
+    "dim": ("48", 48),
+    "block_size": ("8", 8),
+    "correlation": ("0.25", 0.25),
+    "window": ("3", 3),
+    "schedule": ("48,12", (48, 12)),
+    "modes": ("adaptive,orthogonal", ("adaptive", "orthogonal")),
+    "norms": ("1, inf", ("1", "inf")),
+    "epsilon": ("2.5", 2.5),
+    "target_nn": ("7", 7),
+    "calibration_sample": ("99", 99),
+    "queries": ("11", 11),
+    "verify_queries": ("3", 3),
+    "seed": ("42", 42),
+    "out": ("r.json", "r.json"),
+    "format": ("json", "json"),
+}
+# the paper's letters, documented for the file and the flags alike
+KEY_ALIASES = {"s": "count", "n": "dim", "m": "block_size", "rho": "correlation"}
+
+
+@pytest.mark.parametrize("key", [spec.name for spec in dataclasses.fields(BenchConfig)]
+                         + list(KEY_ALIASES))
+def test_every_key_works_as_a_flag_and_in_a_config_file(key, tmp_path, monkeypatch):
+    import lpcascade.cli as cli_module
+
+    name = KEY_ALIASES.get(key, key)
+    text, value = KEY_TEXTS[name]
+    assert value != getattr(BenchConfig(), name)
+    flag = f"-{key}" if len(key) == 1 else "--" + key.replace("_", "-")
+    cfg = tmp_path / "key.cfg"
+    cfg.write_text(f"{key}={text}\n")
+    for argv in (["bench", flag, text], ["bench", "--config", str(cfg)]):
+        seen = []
+        monkeypatch.setattr(cli_module, "run_bench", seen.append)
+        assert main(argv) == 0, argv
+        assert getattr(seen[0], name) == value, argv

@@ -213,3 +213,51 @@ def test_report_unknown_format(tmp_path):
         write_report([], tmp_path / "x.bin", "parquet")
     with pytest.raises(ValueError):
         read_report(tmp_path / "x.bin", "parquet")
+
+
+def test_report_bytes_are_fixed(tmp_path):
+    # column order, key order and float text, not only the round trip
+    rows = [
+        BenchRow(mode="orthogonal", norm="1", epsilon=50.0, mean_cost=54268.4,
+                 mean_ratio=1.893, mean_survivors=(103.2, 2860.1),
+                 fitted_const=0.0001843, estimated_cost=84321.5),
+        BenchRow(mode="adaptive", norm="inf", epsilon=1e-05, mean_cost=77538.0,
+                 mean_ratio=1.27, mean_survivors=(87.8, 6555.6),
+                 fitted_const=math.nan, estimated_cost=math.nan),
+    ]
+    write_report(rows, tmp_path / "r.csv", "csv")
+    assert (tmp_path / "r.csv").read_bytes() == (
+        b"mode,norm,epsilon,mean_cost,mean_ratio,sigma_0,sigma_1,fitted_const,"
+        b"estimated_cost\r\n"
+        b"orthogonal,1,50.0,54268.4,1.893,103.2,2860.1,0.0001843,84321.5\r\n"
+        b"adaptive,inf,1e-05,77538.0,1.27,87.8,6555.6,nan,nan\r\n")
+    write_report(rows, tmp_path / "r.json", "json")
+    assert (tmp_path / "r.json").read_bytes() == b"""[
+  {
+    "mode": "orthogonal",
+    "norm": "1",
+    "epsilon": 50.0,
+    "mean_cost": 54268.4,
+    "mean_ratio": 1.893,
+    "mean_survivors": [
+      103.2,
+      2860.1
+    ],
+    "fitted_const": 0.0001843,
+    "estimated_cost": 84321.5
+  },
+  {
+    "mode": "adaptive",
+    "norm": "inf",
+    "epsilon": 1e-05,
+    "mean_cost": 77538.0,
+    "mean_ratio": 1.27,
+    "mean_survivors": [
+      87.8,
+      6555.6
+    ],
+    "fitted_const": NaN,
+    "estimated_cost": NaN
+  }
+]
+"""

@@ -56,6 +56,12 @@ def test_schedule_validation():
         DimensionSchedule((16, 32))
     with pytest.raises(ValueError):
         DimensionSchedule((16, 6))
+    # int() would have taken (8.9, 2.2) as (8, 2) and (True,) as (1,)
+    for dims in ((8.9, 2.2), (8.0, 2.0), (True,), (8, "2")):
+        with pytest.raises(ValueError, match="is not an integer"):
+            DimensionSchedule(dims)
+    numpy_dims = DimensionSchedule(tuple(np.array([64, 16, 4]))).dims
+    assert numpy_dims == (64, 16, 4) and all(type(d) is int for d in numpy_dims)
     with pytest.warns(UserWarning):
         DimensionSchedule((64, 2))
     with warnings.catch_warnings():
