@@ -25,7 +25,6 @@ from .norms import (
     NormOrder,
     as_norm_order,
     check_norm_equivalence,
-    lp_distance,
     lp_norm,
 )
 from .oracle import CalibrationSpec, brute_force_range, calibrate_epsilon

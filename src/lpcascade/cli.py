@@ -69,8 +69,8 @@ class BenchConfig:
     (``--block-size 4``), read as its declared type: a tuple from
     comma-separated values, ``X | None`` as X.  ``_ALIASES`` names the
     paper's letters for four of them.  The synthetic-data fields default to
-    ``SyntheticSpec``'s values.  Unknown modes or report formats are
-    rejected here, so before any cell runs.
+    ``SyntheticSpec``'s values.  Unknown modes or report formats, and an
+    empty mode or norm list, are rejected here, so before any cell runs.
     """
 
     data: str | None = _help(None, "dataset file (.fvecs or .csv)")
@@ -94,6 +94,8 @@ class BenchConfig:
     format: str = _help("csv", "report format: " + ", ".join(REPORT_FORMATS))
 
     def __post_init__(self) -> None:
+        if not self.modes or not self.norms:
+            raise CliInputError("no (mode, norm) cells configured")
         unknown = sorted(set(self.modes) - set(MODES))
         if unknown:
             raise CliInputError(f"unknown modes {unknown}")
@@ -173,8 +175,6 @@ def run_build(config: BenchConfig, log=print) -> list[str]:
     schedule = DimensionSchedule(config.schedule)
     cells = [(mode, norm) for mode in sorted(set(config.modes))
              for norm in _sorted_norms(config.norms)]
-    if not cells:
-        raise CliInputError("no (mode, norm) cells configured")
     out = Path(config.out)
     written = []
     for mode, norm in cells:
@@ -200,9 +200,6 @@ def run_query(index_path, queries_path, epsilon: float, data_path=None,
     data = load_vector_file(data_path) if data_path else None
     index = load_index(index_path, data=data)
     queries = load_vector_file(queries_path)
-    if queries.dim != index.schedule.dims[0]:
-        raise CliInputError(f"query dim {queries.dim} != index dim "
-                            f"{index.schedule.dims[0]}")
     reports = []
     for row, query in enumerate(queries.vectors):
         report = range_query(index, query, epsilon)
@@ -237,9 +234,9 @@ def run_bench(config: BenchConfig, log=print) -> list[BenchRow]:
     """Execute the benchmark matrix and return one row per (mode, norm) cell.
 
     Queries are a disjoint sample: the sampled rows are removed from the
-    indexed set.  Per cell, epsilon is either the configured fixed value or
-    calibrated under that cell's norm; the first verify_queries results are
-    checked against the brute-force oracle, so at least one must be.
+    indexed set.  Epsilon is the configured fixed value or is calibrated
+    once per norm, before any build; the first verify_queries results of a
+    cell are checked against the brute-force oracle, so at least one must be.
     """
     if config.verify_queries < 1:
         raise CliInputError(f"verify_queries {config.verify_queries} must be at "
@@ -256,19 +253,18 @@ def run_bench(config: BenchConfig, log=print) -> list[BenchRow]:
     scanned = DataSet(vectors=full.vectors[mask], ids=full.ids[mask])
     queries = full.vectors[chosen]
 
+    norms = {label: as_norm_order(label) for label in _sorted_norms(config.norms)}
+    epsilons = dict.fromkeys(norms, config.epsilon)
+    if config.epsilon is None:
+        spec = CalibrationSpec(min(config.calibration_sample, len(scanned) - 1),
+                               config.target_nn)
+        epsilons = {label: calibrate_epsilon(scanned, spec, norm, rng_seed=config.seed + 1)
+                    for label, norm in norms.items()}
     rows = []
     for mode in sorted(set(config.modes)):
-        for norm_label in _sorted_norms(config.norms):
-            norm = as_norm_order(norm_label)
+        for norm_label, norm in norms.items():
+            epsilon = float(epsilons[norm_label])
             index = build_index(scanned, schedule, mode, norm)
-            if config.epsilon is not None:
-                epsilon = float(config.epsilon)
-            else:
-                spec = CalibrationSpec(
-                    sample_size=min(config.calibration_sample, len(scanned) - 1),
-                    target_nn=config.target_nn)
-                epsilon = calibrate_epsilon(scanned, spec, norm,
-                                            rng_seed=config.seed + 1)
             reports = [range_query(index, query, epsilon) for query in queries]
             for query, report in zip(queries, reports[:config.verify_queries]):
                 expected = [ident for ident, _ in

@@ -21,7 +21,6 @@ __all__ = [
     "as_norm_order",
     "as_vector",
     "lp_norm",
-    "lp_distance",
     "distances_to_point",
     "sweep",
     "check_norm_equivalence",
@@ -132,22 +131,14 @@ def lp_norm(v, p) -> float:
     return float(distances_to_point(vec[None, :], np.zeros_like(vec), as_norm_order(p))[0])
 
 
-def lp_distance(x, y, p) -> float:
-    """l_p distance between two vectors of equal dimension, computed by the
-    distance kernel (``distances_to_point``) on one row."""
-    xv = as_vector(x)
-    yv = as_vector(y, xv.size)
-    return float(distances_to_point(xv[None, :], yv, as_norm_order(p))[0])
-
-
 def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.ndarray:
     """l_p distance from each row of ``rows`` to ``y``, vectorized.
 
     The package's one l_p length: scans, cascade levels, projection scales
-    and ``lp_norm`` / ``lp_distance`` all call it.  Inputs are assumed
-    validated (``y`` finite, matching dims); scans and levels feed it one
-    chunk of rows at a time (see ``sweep``).  It allocates one buffer of
-    differences and works in it in place.  The buffer's layout depends on
+    and ``lp_norm`` all call it.  Inputs are assumed validated (``y``
+    finite, matching dims); scans and levels feed it one chunk of rows at
+    a time (see ``sweep``).  It allocates one buffer of differences and
+    works in it in place.  The buffer's layout depends on
     the width n of the rows only, never on the layout of ``rows``, so each
     row's distance is the same float in every caller.  The buffer is
     float64 whatever the rows' dtype (``_differences``), so a float32 row is

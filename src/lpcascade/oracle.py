@@ -57,8 +57,6 @@ def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
     s = len(data)
     if spec.sample_size > s:
         raise ValueError(f"sample_size {spec.sample_size} exceeds dataset size {s}")
-    if spec.target_nn >= s:
-        raise ValueError(f"target_nn {spec.target_nn} must be below dataset size {s}")
     remaining = s - spec.sample_size
     if spec.target_nn > remaining:
         raise ValueError(

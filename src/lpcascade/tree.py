@@ -89,7 +89,8 @@ _F32_MIN = 2.0 ** -149
 # features of 20k random rows (2 CPUs, OpenBLAS 2 threads), the gather costs
 # as much as the whole GEMV at about 10-11% of the rows for 64 columns,
 # 11-14% for 16, 16-21% for 240, 21-22% for 960 and 22-27% for 480; a sixth
-# sits inside that range.
+# sits inside that range.  The gather stays for sparse levels, which no
+# benchmark workload reaches yet (README "Query engine" has the timings).
 _GEMV_SHARE = 1 / 6
 
 
@@ -224,15 +225,19 @@ class SubspaceIndex:
 
     ``features[i]`` holds the level-(i+1) projection of every database row
     as a float32 array, the container's precision, so a built index and its
-    saved-and-reloaded copy are the same object bit for bit; a feature matrix
-    of any other dtype is rejected with a ``ValueError``.  Level k prunes a
+    saved-and-reloaded copy are the same object bit for bit.  Construction
+    is the one check that the parts agree, built or loaded: it raises
+    ``ValueError`` (dtype first) unless ``mode`` is in ``projection.MODES``,
+    ``data`` is (count, dims[0]), ``ids`` (count,), and each of the
+    ``schedule.levels`` levels k maps dims[k-1] to dims[k] under ``norm``,
+    as exactness needs, with features (count, dims[k]).  Level k prunes a
     row when its level distance reaches epsilon plus a margin that covers
-    that rounding and the float64 rounding of projection and distances; the
-    rule (``level_margins``) reads only the schedule, epsilon and the query's
-    norm.  ``prune_margins`` is derived, not passed in: the per-level
-    margins of a query with ``||y||_p + epsilon = 1``, which a query's own
-    margins scale in proportion to.  Queries are read-only and safe to run
-    concurrently.
+    the float32 rounding and the float64 rounding of projection and
+    distances; the rule (``level_margins``) reads only the schedule, epsilon
+    and the query's norm.  ``prune_margins`` is derived, not passed in: the
+    per-level margins of a query with ``||y||_p + epsilon = 1``, which a
+    query's own margins scale in proportion to.  Queries are read-only and
+    safe to run concurrently.
 
     Under l_2 the index also derives ``sq_norms``: ``sq_norms[0]`` holds the
     squared norm of every row of ``data`` and ``sq_norms[k]`` that of every
@@ -255,6 +260,22 @@ class SubspaceIndex:
     def __post_init__(self) -> None:
         if any(np.asarray(m).dtype != np.float32 for m in self.features):
             raise ValueError("feature matrices must be float32 arrays")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        dims = self.schedule.dims
+        data, ids = np.shape(self.data), np.shape(self.ids)
+        if len(data) != 2 or data[1] != dims[0] or ids != data[:1]:
+            raise ValueError(f"data {data}, ids {ids}: not (count, {dims[0]}) and (count,)")
+        if not len(self.levels) == len(self.features) == self.schedule.levels:
+            raise ValueError(f"{len(self.levels)} levels and {len(self.features)} feature "
+                             f"matrices for a {self.schedule.levels}-level schedule")
+        pairs = zip(dims, dims[1:], self.levels, self.features)
+        for k, (n_in, n_out, level, feats) in enumerate(pairs, start=1):
+            if (level.dim_in, level.dim_out, level.norm) != (n_in, n_out, self.norm):
+                raise ValueError(f"level {k} maps {level.dim_in} to {level.dim_out} under "
+                                 f"{level.norm}, not {n_in} to {n_out} under {self.norm}")
+            if np.shape(feats) != (data[0], n_out):
+                raise ValueError(f"features {k}: {np.shape(feats)}, not {data[0], n_out}")
         sq_norms = ()
         if self.norm == L2:
             with np.errstate(over="ignore"):  # an inf norm defers rows to the kernel
@@ -304,8 +325,6 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
     """
     if not isinstance(data, DataSet):
         data = DataSet.from_array(data)
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     norm = as_norm_order(p)
     if data.dim != schedule.dims[0]:
         raise ValueError(f"data dim {data.dim} != schedule head {schedule.dims[0]}")
@@ -695,12 +714,13 @@ def load_index(path, data: DataSet | None = None,
     or, under l_2, ``_GEMV_SHARE`` (the screen's whole-matrix GEMV).
     A supplied ``data`` is used in place of embedded vectors, which are then
     skipped unread.  Every level is rebuilt from its stored directions, so
-    the mode is only a label, checked to be one of ``projection.MODES``.
-    A container of another format, version or mode, whose header is not an
-    object, lacks a field, holds an invalid norm or schedule, a count that
-    is not an integer of at least 1 or a ``data_included`` that is not a
-    bool, or whose directions are not finite unit rows, is rejected with a
-    ``ValueError`` whose message starts with the path.
+    the mode is only a label.  A container of another format or version,
+    whose header is not an object, lacks a field, holds an invalid norm or
+    schedule, a count that is not an integer of at least 1 or a
+    ``data_included`` that is not a bool, or whose directions are not
+    finite unit rows, raises a ``ValueError`` whose message starts with the
+    path; so do an unknown mode and a ``data`` not (count, dims[0]), which
+    ``SubspaceIndex`` rejects.
     """
     try:
         return _read_container(path, data, mmap_data)
@@ -724,8 +744,6 @@ def _read_container(path, data: DataSet | None, mmap_data: bool) -> SubspaceInde
         if header.get("format") != _FORMAT:
             raise ValueError(f"unknown container format {header.get('format')!r}")
         mode = header.get("mode")
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
         for key in ("norm", "schedule", "count", "data_included"):
             if key not in header:
                 raise ValueError(f"container header has no {key!r}")
@@ -748,9 +766,6 @@ def _read_container(path, data: DataSet | None, mmap_data: bool) -> SubspaceInde
 
         ids = take("<i8", (count,)).astype(np.int64, copy=False)
         if data is not None:
-            if data.dim != dims[0] or len(data) != count:
-                raise ValueError(f"dataset shape ({len(data)}, {data.dim}) does "
-                                 f"not match container ({count}, {dims[0]})")
             vectors = data.vectors
             if header["data_included"]:
                 handle.seek(count * dims[0] * 8, 1)

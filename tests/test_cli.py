@@ -13,6 +13,7 @@ from lpcascade import (
     DimensionSchedule,
     SyntheticSpec,
     build_index,
+    calibrate_epsilon,
     generate,
     load_fvecs,
     load_index,
@@ -198,6 +199,26 @@ def test_query_out_flag_writes_file(query_files, tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())) == 4
     assert f"wrote 4 query reports -> {out}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("shape", [(300, 16), (299, 32)], ids=["width", "rows"])
+def test_query_data_of_another_shape_is_input_error(query_files, tmp_path, shape, capsys):
+    # SubspaceIndex rejects the loaded parts, and load_index names the file
+    other = tmp_path / "other.fvecs"
+    write_fvecs(other, np.ones(shape))
+    assert main(["query", "--index", str(query_files["slim"]), "--data", str(other),
+                 "--queries", str(query_files["queries"]), "--epsilon", "1.5"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {query_files['slim']}: data ")
+
+
+def test_query_file_of_another_width_is_input_error(query_files, tmp_path, capsys):
+    narrow = tmp_path / "narrow.fvecs"
+    write_fvecs(narrow, np.ones((2, 16)))
+    assert main(["query", "--index", str(query_files["full"]), "--queries", str(narrow),
+                 "--epsilon", "1.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: expected a 32-vector, got shape (16,)\n"
+    assert "query 0" not in captured.out
 
 
 def test_query_dataless_container_needs_data_flag(query_files, capsys):
@@ -394,6 +415,39 @@ def test_bench_modes_are_checked_before_any_cell(source, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "unknown modes ['bogus']" in captured.err
     assert "cell" not in captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "bench"])
+@pytest.mark.parametrize("flag, value", [("--modes", ""), ("--norms", ",")])
+def test_an_empty_cell_matrix_is_checked_before_any_cell(command, flag, value, tmp_path,
+                                                         capsys):
+    out = tmp_path / "out.json"
+    flags = [f for f in BENCH_FLAGS[1:] if f not in ("--modes", "orthogonal", "--norms", "2")]
+    assert main([command, *flags, flag, value, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no (mode, norm) cells configured\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_bench_calibrates_once_per_norm(monkeypatch):
+    import lpcascade.cli as cli_module
+
+    calls = []
+
+    def counting(data, spec, norm, rng_seed):
+        calls.append(norm.label())
+        return calibrate_epsilon(data, spec, norm, rng_seed=rng_seed)
+
+    monkeypatch.setattr(cli_module, "calibrate_epsilon", counting)
+    config = BenchConfig(model="iid-uniform", count=300, dim=32, schedule=(32, 8),
+                         modes=("orthogonal", "adaptive"), norms=("2", "1"),
+                         queries=10, target_nn=5, calibration_sample=20, seed=3)
+    rows = run_bench(config, log=lambda *a: None)
+    assert calls == ["1", "2"]
+    assert [(r.mode, r.norm) for r in rows] == [
+        ("adaptive", "1"), ("adaptive", "2"), ("orthogonal", "1"), ("orthogonal", "2")]
+    # each norm's epsilon serves both modes
+    assert rows[0].epsilon == rows[2].epsilon and rows[1].epsilon == rows[3].epsilon
 
 
 def test_flags_override_config_file(tmp_path):

@@ -15,7 +15,6 @@ from lpcascade import (
     as_norm_order,
     build_index,
     check_norm_equivalence,
-    lp_distance,
     lp_norm,
     project_level,
 )
@@ -31,11 +30,12 @@ def test_norm_examples():
 
 
 def test_distance_examples():
-    assert lp_distance([1, 0], [0, 1], 1) == pytest.approx(2.0)
-    assert lp_distance([1, 0], [0, 1], 2) == pytest.approx(math.sqrt(2.0))
-    x = [0.3, -1.7, 2.2]
+    # a distance is the length of the difference, or the kernel's distance
+    assert lp_norm(np.subtract([1, 0], [0, 1]), 1) == pytest.approx(2.0)
+    assert lp_norm(np.subtract([1, 0], [0, 1]), 2) == pytest.approx(math.sqrt(2.0))
+    x = np.array([0.3, -1.7, 2.2])
     for p in (1, 2, 4, "inf"):
-        assert lp_distance(x, x, p) == 0.0
+        assert distances_to_point(x[None, :], x, as_norm_order(p))[0] == 0.0
 
 
 def test_norm_zero_iff_zero_vector():
@@ -50,8 +50,9 @@ def test_input_validation():
         lp_norm([1.0, float("inf")], 1)
     with pytest.raises(ValueError):
         lp_norm([], 2)
-    with pytest.raises(ValueError):
-        lp_distance([1, 2], [1, 2, 3], 2)
+    # the check every query passes before it reaches the kernel
+    with pytest.raises(ValueError, match="expected a 3-vector"):
+        norms.as_vector([1, 2], 3)
 
 
 def test_norm_order_validation():
@@ -122,7 +123,7 @@ def test_tightened_triangle_inequality(p):
     for _ in range(200):
         x = rng.standard_normal(24)
         y = rng.standard_normal(24)
-        dist = lp_distance(x, y, p)
+        dist = lp_norm(x - y, p)
         scale = max(lp_norm(x, p), lp_norm(y, p), 1.0)
         assert abs(lp_norm(x, p) - lp_norm(y, p)) <= dist + 1e-9 * scale
 
@@ -147,16 +148,17 @@ def test_scaling(p):
 
 @pytest.mark.parametrize("p", [1, 2, 4, 3.5, "inf"])
 def test_batched_distances_match_scalar(p):
-    # lp_distance and lp_norm are the kernel on one row: the same floats at
-    # every width, narrow (transposed) and wide
+    # lp_norm is the kernel on one row, and the length of a difference is
+    # the kernel's distance: the same floats at every width, narrow
+    # (transposed) and wide
     rng = np.random.Generator(np.random.Philox(key=6))
     for width in (1, 2, 3, 4, 5, 6, 7, 8, 9, 16):
         rows = rng.standard_normal((50, width))
         y = rng.standard_normal(width)
         batch = distances_to_point(rows, y, as_norm_order(p))
         for row, got in zip(rows, batch):
-            assert got == lp_distance(row, y, p)
-            assert lp_norm(row, p) == lp_distance(row, np.zeros(width), p)
+            assert got == lp_norm(row - y, p)
+            assert got == distances_to_point(row[None, :], y, as_norm_order(p))[0]
 
 
 def test_batched_distances_zero_rows():
@@ -366,7 +368,7 @@ def test_l2_lengths_beyond_the_range_of_their_squares_stay_finite():
         distances_to_point(np.array([[1e200, 0.0]]), np.zeros(2), L2), [1e200])
     assert lp_norm([1e200, 1e200], 2) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
     assert lp_norm([3e-200, 4e-200], 2) == pytest.approx(5e-200, rel=1e-15)
-    assert lp_distance([1e-170, 0.0], [0.0, 1e-170], 2) > 0.0
+    assert lp_norm(np.subtract([1e-170, 0.0], [0.0, 1e-170]), 2) > 0.0
 
 
 def test_sweep_covers_the_rows_in_budget_sized_chunks(monkeypatch):

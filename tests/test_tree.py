@@ -623,9 +623,37 @@ def test_feature_matrices_must_be_float32():
     index = build_index(data, DimensionSchedule((64, 16, 4)), "orthogonal", 2)
     assert [f.dtype for f in index.features] == [np.float32, np.float32]
     first = index.features[0]
-    for bad in (first.astype(np.float64), first.astype(np.float16), first.tolist()):
+    # the dtype is checked before the shape
+    for bad in (first.astype(np.float64), first.astype(np.float16), first.tolist(),
+                first[:, :8].astype(np.float64)):
         with pytest.raises(ValueError, match="float32"):
             dataclasses.replace(index, features=(bad, index.features[1]))
+
+
+@pytest.mark.parametrize("change, message", [
+    # relabelled l_2, an l_1 index prunes true matches: its levels are
+    # divided by the l_inf length of their directions, not the l_2 one
+    (lambda index: {"norm": norms.L2}, "level 1 maps 64 to 16 under l_1, not 64 to 16 under l_2"),
+    (lambda index: {"schedule": DimensionSchedule((64, 32, 4))}, "not 64 to 32 under l_1"),
+    (lambda index: {"features": (index.features[0][:, :8].copy(), index.features[1])},
+     r"features 1: \(60, 8\), not \(60, 16\)"),
+    (lambda index: {"features": (index.features[0][:-1], index.features[1])},
+     r"features 1: \(59, 16\), not \(60, 16\)"),
+    (lambda index: {"ids": index.ids[:-1]}, r"ids \(59,\): not \(count, 64\)"),
+    (lambda index: {"levels": (projection.ProjectionLevel(norms.L2, index.levels[0].directions),
+                               index.levels[1])}, "under l_2, not 64 to 16 under l_1"),
+    (lambda index: {"data": index.data[:, :32]}, r"data \(60, 32\), ids"),
+    (lambda index: {"levels": index.levels[:1], "features": index.features[:1]},
+     "1 levels and 1 feature matrices for a 2-level schedule"),
+    # saved, such an index would write a container load_index rejects
+    (lambda index: {"mode": "bogus"}, "unknown mode 'bogus'"),
+], ids=["norm", "schedule", "feature-width", "feature-rows", "ids", "level-norm",
+        "data-width", "level-count", "mode"])
+def test_an_index_whose_parts_disagree_is_rejected(change, message):
+    data = small_dataset(count=60, seed=81)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), "orthogonal", 1)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(index, **change(index))
 
 
 def test_prune_margins_are_derived_not_passed():
