@@ -69,8 +69,9 @@ class BenchConfig:
     (``--block-size 4``), read as its declared type: a tuple from
     comma-separated values, ``X | None`` as X.  ``_ALIASES`` names the
     paper's letters for four of them.  The synthetic-data fields default to
-    ``SyntheticSpec``'s values.  Unknown modes or report formats, and an
-    empty mode or norm list, are rejected here, so before any cell runs.
+    ``SyntheticSpec``'s values.  Unknown modes, norm labels or report
+    formats, and an empty mode or norm list, are rejected here, so before
+    any data are loaded or generated.
     """
 
     data: str | None = _help(None, "dataset file (.fvecs or .csv)")
@@ -99,6 +100,11 @@ class BenchConfig:
         unknown = sorted(set(self.modes) - set(MODES))
         if unknown:
             raise CliInputError(f"unknown modes {unknown}")
+        for label in self.norms:
+            try:
+                as_norm_order(label)
+            except ValueError as exc:
+                raise CliInputError(f"norms: {label!r} is not a norm order: {exc}") from None
         if self.format not in REPORT_FORMATS:
             raise CliInputError(f"unknown report format {self.format!r}")
 

@@ -166,15 +166,13 @@ def write_fvecs(path, vectors) -> None:
         handle.write(out.tobytes())
 
 
-def load_csv(path, has_header: bool = False) -> DataSet:
+def load_csv(path) -> DataSet:
     """One vector per row of decimal floats; uniform column count enforced."""
     rows = []
     width = None
     with open(path, "r", newline="") as handle:
         reader = csv.reader(handle)
         for lineno, row in enumerate(reader, start=1):
-            if has_header and lineno == 1:
-                continue
             if not row:
                 continue
             if width is None:

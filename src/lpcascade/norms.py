@@ -97,6 +97,15 @@ _DENSE_SHARE = 2 / 3
 # it is: from here up, the at most 2^-1074 a term can lose to underflow is
 # under 2^-274 of the sum.
 _FLOOR = 2.0 ** -800
+# float64 machine epsilon (2^-52) and smallest normal float64 (2^-1022): the
+# relative and absolute terms of the l_2 band's half-width (``l2_band``).  A
+# block moment below 2^-1022 has underflowed (``projection``).
+_EPS = 2.0 ** -52
+_TINY = 2.0 ** -1022
+# float32 unit roundoff (2^-24) and smallest subnormal (2^-149): the
+# relative and absolute terms float32 inner products add to the band.
+_F32_U = 2.0 ** -24
+_F32_MIN = 2.0 ** -149
 
 
 def as_norm_order(p) -> NormOrder:
@@ -259,6 +268,116 @@ def sweep(matrix: np.ndarray, rows: np.ndarray | None, point: np.ndarray,
     if dense and rows is not None and rows.size < count:
         out = out[rows]
     return out
+
+
+def l2_expansion(xx, qq, dots):
+    """g = xx + qq - 2 dots, the expansion of |x - q|^2 that ``l2_band``
+    screens, from the squared norms of the rows (xx) and of the query (qq),
+    each summed in float64, and the rows' inner products with the query.
+    Broadcasts; an overflow leaves g inf or nan, which the band takes in.
+    Callers hold ``np.errstate(over="ignore", invalid="ignore")``."""
+    return xx + qq - 2.0 * dots
+
+
+def l2_half_width(xx, qq, tau_sq, n: int, single: bool = False):
+    """w = (r + (4n + 16) eps) (xx + qq + tau^2) + a, the half-width of
+    ``l2_band`` for rows of width n: r = 0 and a = 2^-1022 for float64
+    inner products, and for float32 ones (``single``)
+
+        r = gamma'_{n+4} = (n + 4) v / (1 - (n + 4) v),   v = 2^-24
+        a = (2n + 8) 2^-149
+    """
+    if single:
+        r = (n + 4) * _F32_U / (1.0 - (n + 4) * _F32_U)
+        a = (2 * n + 8) * _F32_MIN
+    else:
+        r, a = 0.0, _TINY
+    return (r + (4 * n + 16) * _EPS) * (xx + qq + tau_sq) + a
+
+
+def l2_band(g, xx, qq, tau, n: int, single: bool = False):
+    """Decide the kernel's verdict ``distances_to_point(x, q, L2) < tau`` for
+    rows x of width n from the expansion g (``l2_expansion``) alone, where
+    that is safe.
+
+    Returns boolean masks ``(inside, band)`` shaped like g (which broadcasts
+    with xx, qq and tau): ``inside`` rows are surely below tau, ``band``
+    rows only the kernel can decide, and every other row is surely at or
+    above tau.  With w the half-width (``l2_half_width``), a row is inside
+    if g + w < tau^2, outside if g - w >= tau^2, and in the band otherwise
+    or when g or w is not finite (an overflowed norm, dot or tau^2).  The
+    inner products are float64 (level 0 of the index, calibration's GEMM),
+    or float32 (``single``: a float32 feature matrix against q rounded to
+    float32, so that no float64 copy of its rows is ever made).  Callers
+    hold ``np.errstate(over="ignore", invalid="ignore")``.
+
+    Why w decides as the kernel does (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3; u = eps/2 = 2^-53, gamma_j =
+    j u / (1 - j u) and gamma'_j = j v / (1 - j v); D = sum (x_i - q_i)^2
+    and S = |x|^2 + |q|^2 exactly, x the stored row, whose float32 values
+    float64 holds exactly):
+
+    * Expansion.  xx and qq are float64 dot products (float32 squares are
+      exact in float64), accurate to gamma_n times the sum of their terms
+      in any summation order (BLAS blocking and thread count, GEMV or GEMM,
+      included), and with float64 inner products so is x.q, to
+      gamma_n sum |x_i q_i| <= gamma_n S/2.  So xx + qq - 2 x.q is within
+      2 gamma_n S of D; the two roundings forming g add u (xx + qq) + u |g|
+      <= 3u S to first order, as D <= 2S.  Hence |g - D| <= (2n + 3) u S +
+      O(u^2) with float64 inner products.
+    * Float32 dots.  Rounding q to q' moves each q_i by at most
+      v |q_i| + b, b = 2^-150 being half the smallest subnormal; each
+      float32 product x_i q'_i (fused or not) is off by v of itself plus b,
+      and the sum, in any order and any BLAS blocking, by gamma'_{n-1} of
+      the sum of |products| (a sum that lands among subnormals is exact).
+      With A = sum |x_i q_i| <= S/2 and b |x_i| <= (v x_i^2 + 2^-276)/2
+      (AM-GM), the computed dot is within gamma'_{n+1} A +
+      (1 + gamma'_n)(v |x|^2 + n 2^-276)/2 + (1 + gamma'_{n-1}) n b of x.q,
+      so twice it is within gamma'_{n+2} S + (1 + gamma'_n) n (2^-149 +
+      2^-276) of 2 x.q.  xx + qq and the two float64 roundings add
+      (n + 3) u S.  A float32 product or partial sum that overflows, or a
+      q_i beyond the float32 range, makes g inf or nan: the row is in the
+      band.
+    * Kernel.  ``distances_to_point`` returns c = fl(sqrt(fl(sum
+      fl(x_i - q_i)^2))): each difference carries a factor (1 + d), |d| <= u,
+      the sum of squares gamma_n, the root one more u, so c^2 lies within
+      gamma_{n+4} D of D.  Thus c < tau whenever D < tau^2 (1 - gamma_{n+4}),
+      and c >= tau whenever D >= tau^2 (1 + 2 gamma_{n+4}).  A row whose
+      sum of squares is not in [2^-800, inf) falls back to the max-divided
+      form, whose c is within gamma_{2n+16} of sqrt(D): then c < tau
+      whenever D < tau^2 (1 - 2 gamma_{2n+16}) and c >= tau whenever
+      D >= tau^2 (1 + 2 gamma_{2n+16}), to first order.
+    * Comparisons.  fl(tau * tau) and fl(g +- w) are each rounded once more,
+      so "inside" gives D < tau^2 (1 + 3u) - (w - |g - D|) and "outside"
+      gives D >= tau^2 (1 - 3u) + (w - |g - D|).  Both verdicts then match
+      the kernel once w >= |g - D| + (2 gamma_{n+4} + 3u) tau^2, about
+      (2n + 3) u S + (2n + 11) u tau^2 with float64 inner products, and for
+      a fallback row once w >= |g - D| + (2 gamma_{2n+16} + 3u) tau^2,
+      about (2n + 3) u S + (4n + 35) u tau^2.
+
+    (4n + 16) eps (xx + qq + tau^2) = (8n + 32) u (xx + qq + tau^2) is at
+    least three times the first float64 bound and exceeds the second by
+    (6n + 29) u S + (4n - 3) u tau^2, at least u (S + tau^2) for every
+    n >= 1: room for the O(u^2) terms, for computed xx + qq standing in for
+    S and for the rounding of w itself, while n^2 u is far below 1.
+    Gradual underflow adds an absolute error of at most 2^-1075 per float64
+    product (about 6n of them in g and the kernel), which the 2^-1022 term
+    covers for any n < 2^50.  With float32 inner products the same float64
+    term covers the float64 part of |g - D|, now (n + 3) u S, with the
+    kernel's, and r, computed within u, exceeds gamma'_{n+2} by at least
+    2v, which leaves v S for the rounding of w and xx + qq standing in for
+    S; a covers (1 + gamma'_n) n (2^-149 + 2^-276) and the float64
+    underflow, as gamma'_n <= 1.  Both hold for every n < 2^23.  An
+    overflowed tau^2 makes w infinite, so every row falls in the band.  The
+    constant family is that of the exact GEMM scan of Johnson, Douze and
+    Jegou (arXiv 1702.08734), with the float32 term added.
+    """
+    tau_sq = tau * tau
+    w = l2_half_width(xx, qq, tau_sq, n, single)
+    decided = np.isfinite(g) & np.isfinite(w)
+    inside = decided & (g + w < tau_sq)
+    band = ~inside & ~(decided & (g - w >= tau_sq))
+    return inside, band
 
 
 def check_norm_equivalence(v, q, p, rel_tol: float = 1e-9) -> bool:

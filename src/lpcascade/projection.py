@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import NormOrder, as_norm_order, distances_to_point
+from .norms import _TINY, NormOrder, as_norm_order, distances_to_point
 
 __all__ = [
     "ORTHOGONAL",
@@ -45,8 +45,6 @@ MODES = (ORTHOGONAL, ADAPTIVE)
 _SYMMETRY_TOL = 1e-9
 # largest deviation of a direction's l_2 norm from 1
 _UNIT_TOL = 1e-9
-# smallest normal float64 (2^-1022): a block moment below it has underflowed
-_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)

@@ -32,17 +32,19 @@ import numpy as np
 
 from .data import DataSet
 from .norms import (
+    _EPS,
     L2,
     NormOrder,
     as_norm_order,
     as_vector,
     distances_to_point,
+    l2_band,
+    l2_expansion,
     lp_norm,
     row_chunks,
     sweep,
 )
 from .projection import (
-    _TINY,
     ADAPTIVE,
     MODES,
     BlockPartition,
@@ -70,19 +72,11 @@ _MAGIC = b"LPCASIDX"
 _FORMAT = "lpcascade-index"
 # The only version read or written.
 _VERSION = 3
-# float64 machine epsilon (2^-52) and projection's _TINY, the smallest normal
-# float64 (2^-1022): the relative and absolute terms of the l_2 screen's band
-# half-width.
-_EPS = float(np.finfo(np.float64).eps)
 # Smallest normal float32 (2^-126), the floor of a stored feature's relative
 # rounding, and the query scale from which a match's features may overflow
 # float32 (its largest value is just under 2^128).
 _F32_TINY = float(np.finfo(np.float32).tiny)
 _F32_SAFE = 2.0 ** 127
-# float32 unit roundoff (2^-24) and smallest subnormal (2^-149): the
-# relative and absolute terms a float32 level adds to the l_2 screen's band.
-_F32_U = 2.0 ** -24
-_F32_MIN = 2.0 ** -149
 # Share of a level's rows from which the l_2 screen forms its dot products
 # by one whole-matrix GEMV, indexed by the candidates, instead of gathering
 # the candidates' rows chunk by chunk.  Alternating the two over float32
@@ -513,82 +507,15 @@ def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
     * Under every other norm the kernel decides every row, so a level is
       one sweep and one comparison.
 
-    The l_2 screen.  With n = dim, xx the stored squared row norm (summed
-    in float64) and qq = q.q,
-
-        g = xx + qq - 2 x.q        (M @ q over every row, indexed, once the
-                                    candidates reach _GEMV_SHARE of them;
-                                    else one GEMV per 1 MiB gather)
-        w = (r + (4n + 16) eps) (xx + qq + tau^2) + a
-
-    a row is inside if g + w < tau^2, outside if g - w >= tau^2, and in the
-    band otherwise or when g or w is not finite (an overflowed norm or dot).
-    Level 0 forms x.q in float64, and there r = 0 and a = 2^-1022.  A
-    float32 level forms it in float32, against q rounded to float32, so that
-    no float64 copy of its rows is ever made, and there
-
-        r = gamma'_{n+4} = (n + 4) v / (1 - (n + 4) v),   v = 2^-24
-        a = (2n + 8) 2^-149
-
-    Why w decides as the kernel does (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 3; u = eps/2 = 2^-53, gamma_j =
-    j u / (1 - j u) and gamma'_j = j v / (1 - j v); D = sum (x_i - q_i)^2
-    and S = |x|^2 + |q|^2 exactly, x the stored row, whose float32 values
-    float64 holds exactly):
-
-    * Expansion.  xx and qq are float64 dot products (float32 squares are
-      exact in float64), accurate to gamma_n times the sum of their terms
-      in any summation order (BLAS blocking and thread count included), and
-      at level 0 so is x.q, to gamma_n sum |x_i q_i| <= gamma_n S/2.  So
-      xx + qq - 2 x.q is within 2 gamma_n S of D; the two roundings forming
-      g add u (xx + qq) + u |g| <= 3u S to first order, as D <= 2S.  Hence
-      |g - D| <= (2n + 3) u S + O(u^2) at level 0.
-    * Float32 dots.  Rounding q to q' moves each q_i by at most
-      v |q_i| + b, b = 2^-150 being half the smallest subnormal; each
-      float32 product x_i q'_i (fused or not) is off by v of itself plus b,
-      and the sum, in any order and any BLAS blocking, by gamma'_{n-1} of
-      the sum of |products| (a sum that lands among subnormals is exact).
-      With A = sum |x_i q_i| <= S/2 and b |x_i| <= (v x_i^2 + 2^-276)/2
-      (AM-GM), the computed dot is within gamma'_{n+1} A +
-      (1 + gamma'_n)(v |x|^2 + n 2^-276)/2 + (1 + gamma'_{n-1}) n b of x.q,
-      so twice it is within gamma'_{n+2} S + (1 + gamma'_n) n (2^-149 +
-      2^-276) of 2 x.q.  xx + qq and the two float64 roundings add
-      (n + 3) u S.  A float32 product or partial sum that overflows, or a
-      q_i beyond the float32 range, makes g inf or nan: the row is in the
-      band.
-    * Kernel.  ``distances_to_point`` returns c = fl(sqrt(fl(sum
-      fl(x_i - q_i)^2))): each difference carries a factor (1 + d), |d| <= u,
-      the sum of squares gamma_n, the root one more u, so c^2 lies within
-      gamma_{n+4} D of D.  Thus c < tau whenever D < tau^2 (1 - gamma_{n+4}),
-      and c >= tau whenever D >= tau^2 (1 + 2 gamma_{n+4}).  A row whose
-      sum of squares is not in [2^-800, inf) falls back to the max-divided
-      form, whose c is within gamma_{2n+16} of sqrt(D): then c < tau
-      whenever D < tau^2 (1 - 2 gamma_{2n+16}) and c >= tau whenever
-      D >= tau^2 (1 + 2 gamma_{2n+16}), to first order.
-    * Comparisons.  fl(tau * tau) and fl(g +- w) are each rounded once more,
-      so "inside" gives D < tau^2 (1 + 3u) - (w - |g - D|) and "outside"
-      gives D >= tau^2 (1 - 3u) + (w - |g - D|).  Both verdicts then match
-      the kernel once w >= |g - D| + (2 gamma_{n+4} + 3u) tau^2, about
-      (2n + 3) u S + (2n + 11) u tau^2 at level 0, and for a fallback row
-      once w >= |g - D| + (2 gamma_{2n+16} + 3u) tau^2, about
-      (2n + 3) u S + (4n + 35) u tau^2.
-
-    (4n + 16) eps (xx + qq + tau^2) = (8n + 32) u (xx + qq + tau^2) is at
-    least three times the first level-0 bound and exceeds the second by
-    (6n + 29) u S + (4n - 3) u tau^2, at least u (S + tau^2) for every
-    n >= 1: room for the O(u^2) terms, for computed xx + qq standing in for
-    S and for the rounding of w itself, while n^2 u is far below 1.
-    Gradual underflow adds an absolute error of at most 2^-1075 per float64
-    product (about 6n of them in g and the kernel), which the 2^-1022 term
-    covers for any n < 2^50.  On a float32 level the same float64 term
-    covers the float64 part of |g - D|, now (n + 3) u S, with the kernel's,
-    and r, computed within u, exceeds gamma'_{n+2} by at least 2v, which
-    leaves v S for the rounding of w and xx + qq standing in for S; a
-    covers (1 + gamma'_n) n (2^-149 + 2^-276) and the float64 underflow, as
-    gamma'_n <= 1.  Both hold for every n < 2^23.  An overflowed tau^2
-    makes w infinite, so every row falls in the band.  The constant family
-    is that of the exact GEMM scan of Johnson, Douze and Jegou (arXiv
-    1702.08734), with the float32 term added.
+    The l_2 screen forms g = xx + qq - 2 x.q (``norms.l2_expansion``),
+    with xx the stored squared row norm (``sq_norms``), qq = q.q and the
+    inner products x.q by one whole-matrix GEMV ``M @ q``, indexed, once the
+    candidates reach ``_GEMV_SHARE`` of the rows, and else by one GEMV per
+    1 MiB gather.  Level 0 forms them in float64; a float32 level in
+    float32, against q rounded to float32, so that no float64 copy of its
+    rows is ever made.  ``norms.l2_band`` then splits the candidates into
+    inside, band and outside; its docstring derives the half-width that
+    makes each verdict the kernel's.
     """
     if tau == math.inf:
         keep = np.ones(candidates.size, dtype=bool)
@@ -597,15 +524,11 @@ def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
         return None, slice(None)
     matrix = index.data if k == 0 else index.features[k - 1]
     rows, n = matrix.shape
+    single = matrix.dtype == np.float32
     # an overflow only puts rows in the band, which the kernel then decides
     with np.errstate(over="ignore", invalid="ignore"):
-        if matrix.dtype == np.float32:
-            # float32 BLAS: a float64 vector would upcast the whole matrix
-            vector = point.astype(np.float32)
-            r = (n + 4) * _F32_U / (1.0 - (n + 4) * _F32_U)
-            a = (2 * n + 8) * _F32_MIN
-        else:
-            vector, r, a = point, 0.0, _TINY
+        # float32 BLAS: a float64 vector would upcast the whole matrix
+        vector = point.astype(np.float32) if single else point
         if candidates.size >= _GEMV_SHARE * rows:
             # one whole-matrix GEMV, which BLAS splits over its threads; it
             # reads every row (see _GEMV_SHARE)
@@ -618,13 +541,7 @@ def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
             dots = sweep(matrix, candidates, vector, index.norm, _dot)
             xx = index.sq_norms[k][candidates]
         qq = float(point @ point)
-        tau_sq = tau * tau
-        g = xx + qq - 2.0 * dots
-        w = (r + (4 * n + 16) * _EPS) * (xx + qq + tau_sq) + a
-        decided = np.isfinite(g) & np.isfinite(w)
-        inside = decided & (g + w < tau_sq)
-        band = ~inside & ~(decided & (g - w >= tau_sq))
-    return inside, band
+        return l2_band(l2_expansion(xx, qq, dots), xx, qq, tau, n, single)
 
 
 def estimate_cost(schedule: DimensionSchedule, s: int, const: float) -> float:

@@ -418,6 +418,31 @@ def test_bench_modes_are_checked_before_any_cell(source, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["build", "bench"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_norm_labels_are_checked_before_any_data(command, source, tmp_path, monkeypatch,
+                                                 capsys):
+    import lpcascade.cli as cli_module
+
+    def no_data(spec):
+        raise AssertionError("data generated before the norm labels were checked")
+
+    monkeypatch.setattr(cli_module, "generate", no_data)
+    flags = [flag for flag in BENCH_FLAGS[1:] if flag not in ("--norms", "2")]
+    if source == "flag":
+        flags += ["--norms", "2,bogus"]
+    else:
+        cfg = tmp_path / "n.cfg"
+        cfg.write_text("norms=2,bogus\n")
+        flags += ["--config", str(cfg)]
+    out = tmp_path / "out.csv"
+    assert main([command, *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: norms: 'bogus' is not a norm order: "
+                            "could not convert string to float: 'bogus'\n")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "bench"])
 @pytest.mark.parametrize("flag, value", [("--modes", ""), ("--norms", ",")])
 def test_an_empty_cell_matrix_is_checked_before_any_cell(command, flag, value, tmp_path,
                                                          capsys):

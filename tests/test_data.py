@@ -144,11 +144,6 @@ def test_csv_loading(tmp_path):
     ds = load_csv(path)
     np.testing.assert_array_equal(ds.vectors, [[1.0, 2.0], [3.5, -4.25]])
 
-    headed = tmp_path / "headed.csv"
-    headed.write_text("a,b\n1,2\n")
-    np.testing.assert_array_equal(load_csv(headed, has_header=True).vectors,
-                                  [[1.0, 2.0]])
-
 
 def test_csv_errors(tmp_path):
     empty = tmp_path / "empty.csv"

@@ -1,5 +1,8 @@
 """Brute-force ground truth and epsilon calibration."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,8 @@ from lpcascade import (
     calibrate_epsilon,
     generate,
 )
-from lpcascade import norms
-from unchunked import unchunked_brute_force, unchunked_calibration
+from lpcascade import norms, oracle
+from unchunked import unchunked_brute_force, unchunked_calibration, unchunked_kth
 
 
 def test_strict_boundary():
@@ -96,7 +99,7 @@ def test_calibrated_epsilon_yields_target_scale_counts():
     assert 26.0 <= float(np.mean(counts)) <= 104.0
 
 
-@pytest.mark.parametrize("p", [1, 2, 4, "inf"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, "inf"])
 def test_chunked_scans_equal_unchunked_references(monkeypatch, p):
     ds = generate(SyntheticSpec(count=700, dim=24, rng_seed=53))
     monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 24 * 9)  # 78 chunks per scan
@@ -115,3 +118,116 @@ def test_wide_calibration_equals_unchunked_reference():
     spec = CalibrationSpec(sample_size=20, target_nn=52)
     assert calibrate_epsilon(ds, spec, 2, rng_seed=56) == \
         unchunked_calibration(ds, spec, 2, rng_seed=56)
+
+
+def spied_calibration(monkeypatch, data, spec, p, rng_seed):
+    """calibrate_epsilon's result, each sample's k-th distance (the array
+    its median is taken of) and the samples that took the full sweep."""
+    taken, swept = [], []
+    median, sweep_kth = np.median, oracle._kth_by_sweep
+
+    def spy_median(values, *args, **kwargs):
+        taken.append(np.array(values))
+        return median(values, *args, **kwargs)
+
+    def spy_sweep(vectors, chosen, row, norm, k):
+        swept.append(int(row))
+        return sweep_kth(vectors, chosen, row, norm, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle.np, "median", spy_median)
+        patch.setattr(oracle, "_kth_by_sweep", spy_sweep)
+        got = calibrate_epsilon(data, spec, p, rng_seed=rng_seed)
+    return got, taken[-1], swept
+
+
+def lattice_twice():
+    # every point of {0..3}^3 twice: integer coordinates make every squared
+    # distance exact, so many rows tie at each sample's k-th distance
+    grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), axis=-1).reshape(-1, 3)
+    return np.concatenate([grid, grid])
+
+
+def normal(seed, rows, dim):
+    return np.random.default_rng(seed).standard_normal((rows, dim))
+
+
+L2_CALIBRATION_CASES = {
+    "tied": (lattice_twice, CalibrationSpec(sample_size=16, target_nn=10)),
+    # 12 rows 15 times each: the k-th neighbor is an exact duplicate at
+    # distance 0, where the kernel takes its max-divided form
+    "zero": (lambda: np.repeat(normal(70, 12, 8), 15, axis=0),
+             CalibrationSpec(sample_size=20, target_nn=5)),
+    # a common offset of 1e8 makes the band wider than the distances
+    "offset-1e8": (lambda: normal(71, 300, 16) + 1e8,
+                   CalibrationSpec(sample_size=25, target_nn=7)),
+    # and one of 1e7 about as wide as the gaps between neighbors
+    "offset-1e7": (lambda: normal(72, 300, 16) + 1e7,
+                   CalibrationSpec(sample_size=25, target_nn=7)),
+    # squared norms and inner products overflow: g is nan, tau infinite
+    "scale-1e154": (lambda: normal(72, 300, 16) * 1e154,
+                    CalibrationSpec(sample_size=25, target_nn=7)),
+    # squared norms are subnormal: the band's absolute term covers every row
+    "scale-1e-160": (lambda: normal(73, 300, 16) * 1e-160,
+                     CalibrationSpec(sample_size=25, target_nn=7)),
+    # the k-th neighbor is the last row left after the holdout
+    "last": (lambda: normal(74, 120, 6), CalibrationSpec(sample_size=10, target_nn=110)),
+}
+
+
+@pytest.mark.parametrize("case", list(L2_CALIBRATION_CASES))
+def test_l2_calibration_equals_unchunked_reference(monkeypatch, case):
+    make, spec = L2_CALIBRATION_CASES[case]
+    data = DataSet.from_array(make())
+    got, kth, swept = spied_calibration(monkeypatch, data, spec, 2, rng_seed=75)
+    np.testing.assert_array_equal(kth, unchunked_kth(data, spec, 2, rng_seed=75))
+    assert got == unchunked_calibration(data, spec, 2, rng_seed=75)
+    # the screened GEMM pass decides every sample; none takes the full sweep
+    assert swept == []
+
+
+def test_l2_calibration_falls_back_per_sample(monkeypatch):
+    # rows at +1e308 and -1e308 in the first coordinate, whose differences
+    # overflow: a sample at either end has fewer than k neighbors at a
+    # finite distance, so the band leaves too few rows below tau and that
+    # sample takes the full sweep, while a sample near 0 does not
+    rng = np.random.default_rng(76)
+    rows = rng.standard_normal((90, 4))
+    rows[:30, 0] = 1e308
+    rows[30:60, 0] = -1e308
+    data = DataSet.from_array(rows)
+    spec = CalibrationSpec(sample_size=12, target_nn=66)
+    with np.errstate(over="ignore"):
+        got, kth, swept = spied_calibration(monkeypatch, data, spec, 2, rng_seed=77)
+        want = unchunked_kth(data, spec, 2, rng_seed=77)
+        assert got == unchunked_calibration(data, spec, 2, rng_seed=77)
+    np.testing.assert_array_equal(kth, want)
+    far = np.flatnonzero(np.abs(rows[:, 0]) == 1e308)
+    assert swept and set(swept) <= set(far)
+    assert 0 < len(swept) < spec.sample_size and np.isinf(kth).sum() == len(swept)
+
+
+@pytest.mark.parametrize("p", [1, 3, 4, "inf"])
+def test_threaded_calibration_equals_unchunked_reference(monkeypatch, p):
+    # more threads than cores, switching every microsecond: a lost or
+    # misplaced slot would leave some sample's k-th distance wrong
+    ds = generate(SyntheticSpec(count=600, dim=12, rng_seed=57))
+    spec = CalibrationSpec(sample_size=37, target_nn=6)
+    threads = set()
+    sweep_kth = oracle._kth_by_sweep
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return sweep_kth(*args)
+
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(oracle, "_kth_by_sweep", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got, kth, swept = spied_calibration(monkeypatch, ds, spec, p, rng_seed=58)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(kth, unchunked_kth(ds, spec, p, rng_seed=58))
+    assert got == unchunked_calibration(ds, spec, p, rng_seed=58)
+    assert len(swept) == spec.sample_size and len(threads) > 1

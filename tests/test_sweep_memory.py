@@ -79,9 +79,12 @@ def test_l2_query_holds_no_float64_copy_of_a_feature_matrix(wide_data):
 
 
 def test_calibration_allocates_under_a_quarter_of_the_data(wide_data):
-    spec = CalibrationSpec(sample_size=3, target_nn=5)
-    peak = peak_bytes(lambda: calibrate_epsilon(wide_data, spec, 1, rng_seed=61))
-    assert peak < wide_data.vectors.nbytes / 4
+    # l_1 sweeps on threads, each with its own buffer; under l_2 16 of the 20
+    # samples share one GEMM block of CHUNK_BYTES
+    for p, samples in ((1, 3), (2, 20)):
+        spec = CalibrationSpec(sample_size=samples, target_nn=5)
+        peak = peak_bytes(lambda: calibrate_epsilon(wide_data, spec, p, rng_seed=61))
+        assert peak < wide_data.vectors.nbytes / 4
 
 
 @pytest.mark.parametrize("width", [16, 64])

@@ -89,8 +89,9 @@ def unchunked_brute_force(data, y, epsilon, p):
     return [(int(data.ids[i]), float(dist[i])) for i in np.nonzero(dist < epsilon)[0]]
 
 
-def unchunked_calibration(data, spec, p, rng_seed=0):
-    """calibrate_epsilon scanning a copy of the dataset without the held-out rows."""
+def unchunked_kth(data, spec, p, rng_seed=0):
+    """Each sample's target_nn-th distance in calibrate_epsilon, from a scan
+    of a copy of the dataset without the held-out rows."""
     s = len(data)
     norm = as_norm_order(p)
     rng = np.random.Generator(np.random.Philox(key=rng_seed))
@@ -102,4 +103,9 @@ def unchunked_calibration(data, spec, p, rng_seed=0):
     for pos, row in enumerate(chosen):
         dist = unchunked_distances(scanned, data.vectors[row], norm)
         kth[pos] = np.partition(dist, spec.target_nn - 1)[spec.target_nn - 1]
-    return float(np.median(kth))
+    return kth
+
+
+def unchunked_calibration(data, spec, p, rng_seed=0):
+    """calibrate_epsilon as the median of ``unchunked_kth``."""
+    return float(np.median(unchunked_kth(data, spec, p, rng_seed)))
