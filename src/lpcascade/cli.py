@@ -56,9 +56,10 @@ class InternalCheckError(RuntimeError):
     """A result disagreed with the oracle; reported numbers would be wrong."""
 
 
-def _help(default, text: str):
-    """A BenchConfig field's default with its flag's help text."""
-    return field(default=default, metadata={"help": text})
+def _help(default, text: str | None = None, bench: bool = False):
+    """A BenchConfig field's default with its flag's help text; a ``bench``
+    field is a flag of ``bench`` only, since ``build`` never reads it."""
+    return field(default=default, metadata={"help": text, "bench": bench})
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,12 @@ class BenchConfig:
 
     Every field is a config-file key (``block_size=4``) and a flag
     (``--block-size 4``), read as its declared type: a tuple from
-    comma-separated values, ``X | None`` as X.  ``_ALIASES`` names the
-    paper's letters for four of them.  The synthetic-data fields default to
-    ``SyntheticSpec``'s values.  Unknown modes, norm labels or report
-    formats, and an empty mode or norm list, are rejected here, so before
-    any data are loaded or generated.
+    comma-separated values, ``X | None`` as X.  The six fields marked
+    ``bench`` are flags of ``bench`` only, and ``build`` ignores them in a
+    config file.  ``_ALIASES`` names the paper's letters for four fields.
+    The synthetic-data fields default to ``SyntheticSpec``'s values.
+    Unknown modes, norm labels or report formats, and an empty mode or norm
+    list, are rejected here, so before any data are loaded or generated.
     """
 
     data: str | None = _help(None, "dataset file (.fvecs or .csv)")
@@ -85,14 +87,14 @@ class BenchConfig:
     modes: tuple[str, ...] = _help((ORTHOGONAL,),
                                    "comma-separated subset of " + ",".join(MODES))
     norms: tuple[str, ...] = _help(("2",), "comma-separated, e.g. 1,2,4,inf")
-    epsilon: float | None = _help(None, "fixed epsilon (omit to calibrate)")
-    target_nn: int = 52
-    calibration_sample: int = 400
-    queries: int = _help(400, "query sample size")
-    verify_queries: int = 20
+    epsilon: float | None = _help(None, "fixed epsilon (omit to calibrate)", bench=True)
+    target_nn: int = _help(52, bench=True)
+    calibration_sample: int = _help(400, bench=True)
+    queries: int = _help(400, "query sample size", bench=True)
+    verify_queries: int = _help(20, bench=True)
     seed: int = 0
     out: str | None = _help(None, "output path")
-    format: str = _help("csv", "report format: " + ", ".join(REPORT_FORMATS))
+    format: str = _help("csv", "report format: " + ", ".join(REPORT_FORMATS), bench=True)
 
     def __post_init__(self) -> None:
         if not self.modes or not self.norms:
@@ -169,7 +171,7 @@ def _config_from_args(args) -> BenchConfig:
     values = parse_config_file(args.config) if args.config else {}
     # flags win over the file
     values.update((key, getattr(args, key)) for key in _KEYS
-                  if getattr(args, key) is not None)
+                  if getattr(args, key, None) is not None)
     return BenchConfig(**values)
 
 
@@ -320,10 +322,13 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """``--config`` and one flag per BenchConfig field, with its aliases."""
+def _add_config_flags(parser: argparse.ArgumentParser, bench: bool) -> None:
+    """``--config`` and one flag per BenchConfig field, with its aliases;
+    the fields marked ``bench`` only if ``bench``."""
     parser.add_argument("--config", help="flat key=value config file")
     for spec in fields(BenchConfig):
+        if spec.metadata.get("bench") and not bench:
+            continue
         names = [spec.name, *(alias for alias, key in _ALIASES.items() if key == spec.name)]
         flags = [f"-{name}" if len(name) == 1 else "--" + name.replace("_", "-")
                  for name in names]
@@ -337,7 +342,7 @@ def _build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     build = commands.add_parser("build", parents=[], help="build and persist indexes")
-    _add_config_flags(build)
+    _add_config_flags(build, bench=False)
 
     query = commands.add_parser("query", help="run range queries against an index")
     query.add_argument("--index", required=True, help="index container file")
@@ -348,7 +353,7 @@ def _build_parser() -> _Parser:
     query.add_argument("--out", help="also write the reports as JSON")
 
     bench = commands.add_parser("bench", help="run the benchmark matrix")
-    _add_config_flags(bench)
+    _add_config_flags(bench, bench=True)
     return parser
 
 

@@ -52,10 +52,10 @@ class DataSet:
         object.__setattr__(self, "ids", ids)
 
     @classmethod
-    def from_array(cls, vectors, ids=None) -> "DataSet":
+    def from_array(cls, vectors) -> "DataSet":
+        """``vectors`` with the ordinal ids 0, 1, ..., count - 1."""
         vectors = np.asarray(vectors, dtype=np.float64)
-        if ids is None:
-            ids = np.arange(vectors.shape[0], dtype=np.int64) if vectors.ndim == 2 else None
+        ids = np.arange(vectors.shape[0], dtype=np.int64) if vectors.ndim == 2 else None
         return cls(vectors=vectors, ids=ids)
 
     @property

@@ -73,15 +73,15 @@ LINF = NormOrder(math.inf)
 # Byte budget of one chunk of float64 rows in a distance sweep: small
 # enough that the chunk and the kernel's buffer stay in L2.
 CHUNK_BYTES = 2 ** 20
-# Below this many columns numpy sums a row in order, one term after the
-# other, so a reduction down the columns of a transposed buffer gives the
-# same floats as one along the rows (see ``distances_to_point``).
-_NARROW = 8
-# Below this many columns l_inf rows are reduced down a transposed buffer
-# too: a maximum is exact in any order.  A 20k-row l_inf scan (2 CPUs) takes
-# 1.0 ms that way against 3.1 ms row-major at 16 columns, but 8.2 against
-# 5.6 ms at 64; the two meet between 32 and 48 columns.
-_NARROW_MAX = 32
+# Rows narrower than this are reduced down the columns of a transposed
+# buffer, in order (``_sums``: numpy's own sum turns pairwise from 8
+# terms on, in a one-row buffer only) or by a maximum; wider rows along
+# themselves.  A 20k-row l_inf scan (2 CPUs) takes 1.0 ms that way against
+# 3.1 ms row-major at 16 columns, but 8.2 against 5.6 ms at 64: they meet
+# between 32 and 48 columns.  ``einsum`` is not used: above 8,192 columns
+# (``np.getbufsize()``) it gives a row in a one-row or three-row buffer
+# another float than in a larger one.
+_NARROW = 32
 # Share of a matrix's rows from which ``sweep`` runs the kernel on plain
 # slices of every row and indexes the distances, instead of gathering the
 # candidates' rows chunk by chunk.  Timed l_1, l_4 and l_inf sweeps of 20k
@@ -106,6 +106,7 @@ _TINY = 2.0 ** -1022
 # relative and absolute terms float32 inner products add to the band.
 _F32_U = 2.0 ** -24
 _F32_MIN = 2.0 ** -149
+_EQUIVALENCE_TOL = 1e-9  # relative slack of ``check_norm_equivalence``
 
 
 def as_norm_order(p) -> NormOrder:
@@ -146,59 +147,45 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
     The package's one l_p length: scans, cascade levels, projection scales
     and ``lp_norm`` all call it.  Inputs are assumed validated (``y``
     finite, matching dims); scans and levels feed it one chunk of rows at
-    a time (see ``sweep``).  It allocates one buffer of differences and
-    works in it in place.  The buffer's layout depends on
-    the width n of the rows only, never on the layout of ``rows``, so each
-    row's distance is the same float in every caller.  The buffer is
-    float64 whatever the rows' dtype (``_differences``), so a float32 row is
-    at the distance of its float64 copy.  A row whose difference overflows
-    float64, or holds an infinite component, is at distance inf under every
-    norm.  There are three forms:
+    a time (see ``sweep``).  It allocates one float64 buffer of
+    differences whatever the rows' dtype (``_differences``), so a float32
+    row is at the distance of its float64 copy, and works in it in place.
+    A row whose difference overflows float64, or holds an infinite
+    component, is at distance inf under every norm.  There are three forms:
 
     * l_1 and l_inf: the sum or the maximum of the absolute differences.
-    * l_2 and l_4: the differences (squared first under l_4) dotted with
-      themselves give s = sum d_i^p within gamma_{n+6} (at most gamma_7
-      per term from the difference and the products, n - 1 roundings in the
-      sum; u = 2^-53, gamma_j = j u / (1 - j u)), and the distance, one square
-      root of s (two under l_4), adds 1/p of that and under 2u more, so it
-      is within gamma_{n+6} of exact.  A row whose s is not in
-      [2^-800, inf) has overflowed, or may have lost terms to underflow (an
-      exact duplicate has s = 0), and takes the next form instead, which is
-      within gamma_{2n+16}.
+    * l_2 and l_4: the differences squared (twice under l_4) and summed
+      give s = sum d_i^p within gamma_{n+6} in any order of summation (at
+      most gamma_7 per term from the difference and the products, n - 1
+      roundings in the sum; u = 2^-53, gamma_j = j u / (1 - j u)), and the
+      distance, one square root of s (two under l_4), adds 1/p of that and
+      under 2u more, so it is within gamma_{n+6} of exact.  A row whose s is
+      not in [2^-800, inf) has overflowed, or may have lost terms to
+      underflow (an exact duplicate has s = 0), and takes the next form
+      instead, which is within gamma_{2n+16}.
     * Any other p: every term is divided by the row's maximum before the
       power, so none overflows, and the root is multiplied back.
 
-    Rows narrower than 8 columns under l_1 and l_4 (its squares squared
-    again and summed), and narrower than 32 under l_inf, are differenced
-    into a transposed (n x rows) buffer and reduced down its columns, at a
-    fraction of the cost of many short row reductions.  The floats are
-    those of the row-major reduction: numpy sums fewer than 8 terms in
-    order either way, for a buffer of one row as of many, and a maximum is
-    exact in any order.  l_2 stays row-major, whose dot product a
-    transposed buffer would change in the last bit, and so do l_inf rows
-    of 32 columns or more, for which the transpose costs more than it
-    saves.
+    One rule reduces the rows of the first two forms, so a row's distance
+    is the same float whatever the layout of ``rows`` and however many rows
+    share its buffer: rows narrower than ``_NARROW`` (32) columns down the
+    columns of a transposed (n x rows) buffer, by a maximum or in order
+    (``_sums``), and wider rows along themselves by numpy's pairwise
+    ``sum`` or ``max``, whose order depends on n alone.
     """
     p = norm.p
     if not (p in (1.0, 2.0, 4.0) or norm.is_infinite):
         return _max_divided(np.abs(_differences(rows, y, False)), p)
-    narrow = p != 2.0 and rows.shape[1] < (_NARROW_MAX if norm.is_infinite else _NARROW)
+    narrow = rows.shape[1] < _NARROW
     diff = _differences(rows, y, narrow)
-    axis = 0 if narrow else 1
-    if p == 1.0 or norm.is_infinite:
-        np.abs(diff, out=diff)
-        return diff.max(axis=axis) if norm.is_infinite else diff.sum(axis=axis)
-    if p == 4.0:
-        with np.errstate(over="ignore"):  # overflowed rows fall back below
+    if norm.is_infinite:
+        return np.abs(diff, out=diff).max(axis=0 if narrow else 1)
+    if p == 1.0:
+        return _sums(np.abs(diff, out=diff), narrow)
+    with np.errstate(over="ignore"):  # an overflowed row falls back below
+        for _ in range(int(p) // 2):  # l_2 squares once, l_4 twice; (-a)^2 == a^2
             np.multiply(diff, diff, out=diff)
-            if narrow:
-                # einsum would sum a one-row buffer in another order
-                np.multiply(diff, diff, out=diff)
-                total = diff.sum(axis=0)
-    if not narrow:
-        # einsum flags no overflow, and squaring is sign-blind:
-        # (-a) * (-a) == a * a bit for bit
-        total = np.einsum("ij,ij->i", diff, diff)
+        total = _sums(diff, narrow)
     out = np.sqrt(total)
     if p == 4.0:
         np.sqrt(out, out=out)
@@ -221,6 +208,18 @@ def _differences(rows: np.ndarray, y: np.ndarray, transpose: bool) -> np.ndarray
         return np.subtract(rows, y, order="C")
     diff = rows.astype(np.float64, order="C")
     return np.subtract(diff, y, out=diff)
+
+
+def _sums(terms: np.ndarray, narrow: bool) -> np.ndarray:
+    """Each row's sum of terms: numpy's pairwise ``sum`` along a (rows x n)
+    buffer, or, for a ``narrow`` (n x rows) one, ((t_0 + t_1) + t_2) + ...
+    down its columns, in the same order for one column as for many."""
+    if not narrow:
+        return terms.sum(axis=1)
+    total = terms[0].copy()
+    for row in terms[1:]:
+        total += row
+    return total
 
 
 def _max_divided(diff: np.ndarray, p: float) -> np.ndarray:
@@ -340,8 +339,8 @@ def l2_band(g, xx, qq, tau, n: int, single: bool = False):
       band.
     * Kernel.  ``distances_to_point`` returns c = fl(sqrt(fl(sum
       fl(x_i - q_i)^2))): each difference carries a factor (1 + d), |d| <= u,
-      the sum of squares gamma_n, the root one more u, so c^2 lies within
-      gamma_{n+4} D of D.  Thus c < tau whenever D < tau^2 (1 - gamma_{n+4}),
+      the sum of squares gamma_n in any order, the root one more u, so c^2
+      lies within gamma_{n+4} D of D.  Thus c < tau whenever D < tau^2 (1 - gamma_{n+4}),
       and c >= tau whenever D >= tau^2 (1 + 2 gamma_{n+4}).  A row whose
       sum of squares is not in [2^-800, inf) falls back to the max-divided
       form, whose c is within gamma_{2n+16} of sqrt(D): then c < tau
@@ -380,8 +379,8 @@ def l2_band(g, xx, qq, tau, n: int, single: bool = False):
     return inside, band
 
 
-def check_norm_equivalence(v, q, p, rel_tol: float = 1e-9) -> bool:
-    """True iff ||v||_p <= ||v||_q <= m^(1/q - 1/p) * ||v||_p within rel_tol.
+def check_norm_equivalence(v, q, p) -> bool:
+    """True iff ||v||_p <= ||v||_q <= m^(1/q - 1/p) * ||v||_p within _EQUIVALENCE_TOL.
 
     Requires q < p (q finite; p finite or infinite, with 1/inf taken as 0).
     A property-test helper; the query path never calls this.
@@ -397,5 +396,5 @@ def check_norm_equivalence(v, q, p, rel_tol: float = 1e-9) -> bool:
     inv_p = 0.0 if pn.is_infinite else 1.0 / pn.p
     factor = m ** (1.0 / qn.p - inv_p)
     scale = max(norm_p, norm_q, 1.0)
-    slack = rel_tol * scale
+    slack = _EQUIVALENCE_TOL * scale
     return norm_p <= norm_q + slack and norm_q <= factor * norm_p + slack

@@ -20,9 +20,11 @@ operations directly; the formula is the invariant tests hold it to.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import operator
+import os
 import struct
 import warnings
 from collections.abc import Sequence
@@ -83,8 +85,10 @@ _F32_SAFE = 2.0 ** 127
 # features of 20k random rows (2 CPUs, OpenBLAS 2 threads), the gather costs
 # as much as the whole GEMV at about 10-11% of the rows for 64 columns,
 # 11-14% for 16, 16-21% for 240, 21-22% for 960 and 22-27% for 480; a sixth
-# sits inside that range.  The gather stays for sparse levels, which no
-# benchmark workload reaches yet (README "Query engine" has the timings).
+# sits inside that range.  The gather serves sparse levels: on perfbench's
+# seed-1 inputs desk's level-0 verification gathers in 99 of 200 l_2
+# queries and gist-deep's in 1 of 60, and on multi-scale data, whose coarse
+# levels prune, most finer levels do (README "Query engine" has timings).
 _GEMV_SHARE = 1 / 6
 
 
@@ -367,21 +371,21 @@ def level_margins(schedule: DimensionSchedule, scale: float) -> tuple[float, ...
 
     * Kernel.  ``distances_to_point`` at dimension n returns the l_p length
       of the difference of its inputs within a relative kappa(n) =
-      gamma_{2n+16}, for every p, in any order of summation (l_1 and l_4
-      rows narrower than 8 columns, and l_inf rows narrower than 32, are
-      reduced down a transposed buffer), and a row's distance is the same
-      float whether ``sweep`` gathers it or slices every row.  After
-      differences that round once, it takes one of three forms: l_1 sums n
-      nonnegative terms (gamma_n) and l_inf is exact; l_2 and l_4 square
-      once or twice, sum (gamma_{n+6} on the sum) and take one or two roots
-      (1/p of that plus under 2u), falling back to the last form for a row
-      whose sum is not in [2^-800, inf), so that overflow and underflow
-      never count; the last form, for any other p, divides by the row
-      maximum, raises n terms to p (about (p + 4) u each, divided by p
-      under the final root), and the root, its exponent and the product
-      add a few u more.  So D = ||x - y||_p < epsilon (1 + kappa(n_0)), and
-      ||y||_p, the kernel's distance from y to the origin (``lp_norm``), is
-      within kappa(n_0) too.
+      gamma_{2n+16}, for every p, in any order of summation (rows narrower
+      than 32 columns are summed in order down a transposed buffer, wider
+      ones pairwise), and a row's distance is the same float in a buffer
+      of any size, whether ``sweep`` gathers it or slices every row.
+      After differences that round once, it takes one of three forms: l_1
+      sums n nonnegative terms (gamma_n) and l_inf is exact; l_2 and l_4
+      square once or twice, sum (gamma_{n+6} on the sum) and take one or
+      two roots (1/p of that plus under 2u), falling back to the last form
+      for a row whose sum is not in [2^-800, inf), so that overflow and
+      underflow never count; the last form, for any other p, divides by
+      the row maximum, raises n terms to p (about (p + 4) u each, divided
+      by p under the final root), and the root, its exponent and the
+      product add a few u more.  So D = ||x - y||_p < epsilon (1 +
+      kappa(n_0)), and ||y||_p, the kernel's distance from y to the origin
+      (``lp_norm``), is within kappa(n_0) too.
     * Level maps.  Exactly, a level map is linear and 1-Lipschitz in l_p
       (Hölder; see ``projection``).  Its one coefficient, 1/||d||_p*, is
       computed, which can raise the Lipschitz constant to 1 +
@@ -587,6 +591,10 @@ def save_index(index: SubspaceIndex, path, include_data: bool = True) -> None:
     embeds the original vectors (float64) so the file is self-contained for
     querying.  Each matrix is written in 1 MiB row chunks (``_write_rows``),
     so saving holds no second copy of the vectors or of a feature matrix.
+    The container is written to a new file beside ``path``, which takes
+    the old file's place only once it is whole: a save that fails leaves
+    ``path`` as it was, and an index loaded from ``path`` with
+    ``mmap_data=True`` can be saved back to it.
     """
     header = {
         "format": _FORMAT,
@@ -597,16 +605,34 @@ def save_index(index: SubspaceIndex, path, include_data: bool = True) -> None:
         "data_included": bool(include_data),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(struct.pack("<IQ", _VERSION, len(blob)))
-        handle.write(blob)
-        np.asarray(index.ids, dtype="<i8").tofile(handle)
-        if include_data:
-            _write_rows(handle, index.data, "<f8")
-        for level, feats in zip(index.levels, index.features):
-            _write_rows(handle, level.directions, "<f8")
-            _write_rows(handle, feats, "<f4")
+    head = _MAGIC + struct.pack("<IQ", _VERSION, len(blob)) + blob
+    matrices = [(index.data, "<f8")] if include_data else []
+    for level, feats in zip(index.levels, index.features):
+        matrices += [(level.directions, "<f8"), (feats, "<f4")]
+    size = len(head) + 8 * index.count + sum(
+        matrix.size * np.dtype(dtype).itemsize for matrix, dtype in matrices)
+    # written beside the target, which is replaced only once the new file is
+    # whole: a failed save leaves the old file as it was, and an index
+    # mapping it keeps its bytes
+    partial = f"{os.fspath(path)}.{os.urandom(4).hex()}.partial"
+    try:
+        with open(partial, "xb") as handle:
+            if hasattr(os, "posix_fallocate"):
+                # blocks reserved before the first write: ext4 flushes a file
+                # whose blocks are still unallocated when os.replace puts it
+                # over an existing one, 0.4 s for a 403 MB container
+                os.posix_fallocate(handle.fileno(), 0, size)
+            handle.write(head)
+            np.asarray(index.ids, dtype="<i8").tofile(handle)
+            for matrix, dtype in matrices:
+                _write_rows(handle, matrix, dtype)
+        # one step: until it returns the old file is whole, and after it the
+        # partial name no longer exists
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
 
 
 def _write_rows(handle, matrix: np.ndarray, dtype: str) -> None:

@@ -22,9 +22,11 @@ from lpcascade import (
     write_fvecs,
 )
 from lpcascade.cli import (
+    _KEYS,
     BenchConfig,
     CliInputError,
     InternalCheckError,
+    _build_parser,
     main,
     parse_config_file,
     run_bench,
@@ -371,8 +373,10 @@ def test_bench_oracle_disagreement_exits_2(monkeypatch, capsys):
     assert "internal check failed" in capsys.readouterr().err
 
 
-BENCH_FLAGS = ["bench", "--model", "iid-uniform", "--count", "300", "--dim", "32",
-               "--schedule", "32,8", "--modes", "orthogonal", "--norms", "2",
+# flags both build and bench take, and a bench run that uses them
+CELL_FLAGS = ["--model", "iid-uniform", "--count", "300", "--dim", "32",
+              "--schedule", "32,8", "--modes", "orthogonal", "--norms", "2"]
+BENCH_FLAGS = ["bench", *CELL_FLAGS,
                "--queries", "10", "--target-nn", "5", "--calibration-sample", "20"]
 
 
@@ -427,7 +431,7 @@ def test_norm_labels_are_checked_before_any_data(command, source, tmp_path, monk
         raise AssertionError("data generated before the norm labels were checked")
 
     monkeypatch.setattr(cli_module, "generate", no_data)
-    flags = [flag for flag in BENCH_FLAGS[1:] if flag not in ("--norms", "2")]
+    flags = [flag for flag in CELL_FLAGS if flag not in ("--norms", "2")]
     if source == "flag":
         flags += ["--norms", "2,bogus"]
     else:
@@ -447,11 +451,35 @@ def test_norm_labels_are_checked_before_any_data(command, source, tmp_path, monk
 def test_an_empty_cell_matrix_is_checked_before_any_cell(command, flag, value, tmp_path,
                                                          capsys):
     out = tmp_path / "out.json"
-    flags = [f for f in BENCH_FLAGS[1:] if f not in ("--modes", "orthogonal", "--norms", "2")]
+    flags = [f for f in CELL_FLAGS if f not in ("--modes", "orthogonal", "--norms", "2")]
     assert main([command, *flags, flag, value, "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: no (mode, norm) cells configured\n"
     assert captured.out == "" and not out.exists()
+
+
+# the BenchConfig fields only bench reads, with a value build used to accept
+BENCH_ONLY = {"epsilon": "-5", "queries": "0", "verify_queries": "0", "target_nn": "999",
+              "calibration_sample": "0", "format": "json"}
+
+
+@pytest.mark.parametrize("key", sorted(BENCH_ONLY))
+def test_build_rejects_bench_only_flags(key, tmp_path, capsys):
+    flag = "--" + key.replace("_", "-")
+    out = tmp_path / "x.idx"
+    assert main(["build", *CELL_FLAGS, flag, BENCH_ONLY[key], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} {BENCH_ONLY[key]}\n"
+    assert not out.exists()
+
+
+def test_build_takes_twelve_keys_and_ignores_bench_keys_in_a_config_file(tmp_path):
+    build = set(vars(_build_parser().parse_args(["build"]))) - {"command", "config"}
+    assert build == set(_KEYS) - set(BENCH_ONLY) and len(build) == 12
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in BENCH_ONLY.items()))
+    out = tmp_path / "x.idx"
+    assert main(["build", *CELL_FLAGS, "--config", str(cfg), "--out", str(out)]) == 0
+    assert load_index(out).count == 300
 
 
 def test_bench_calibrates_once_per_norm(monkeypatch):

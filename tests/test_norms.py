@@ -185,9 +185,9 @@ def test_in_place_kernel_matches_unchunked_kernel_bit_for_bit(p):
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
 @pytest.mark.parametrize("p", [1, 2, 4, 3.5, "inf"])
 def test_narrow_and_wide_rows_match_the_row_major_reference(p, width):
-    # below 8 columns l_1, l_4 and l_inf reduce a transposed buffer down its
-    # columns and still give the floats of the row-major reference, on rows
-    # spanning many orders of magnitude; from 8 columns up only l_inf does
+    # below 32 columns every kernel norm reduces a transposed buffer down its
+    # columns and gives the floats of the reference's in-order row sums, on
+    # rows spanning many orders of magnitude
     rng = np.random.Generator(np.random.Philox(key=8))
     rows = rng.standard_normal((300, width)) * np.exp(rng.uniform(-20.0, 20.0, (300, width)))
     y = rng.standard_normal(width)
@@ -223,6 +223,33 @@ def test_linf_rows_below_32_columns_match_the_row_major_reference():
                 [distances_to_point(row[None, :], y, LINF)[0] for row in rows[:12]],
                 want[:12])
         assert want[5] == 0.0 and np.isinf(want[6:9]).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, "inf"])
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 31, 32, 33, 64, 960, 8192, 8193, 12288])
+def test_a_rows_distance_is_the_same_float_in_every_buffer(monkeypatch, width, p, dtype):
+    # one summation rule per width: around 8 terms, where numpy's sum down a
+    # one-row buffer turns pairwise, around the 32-column narrow limit, and
+    # past numpy's 8,192-element buffer (np.getbufsize()), where einsum gave
+    # a row in a one-row or three-row buffer another float
+    norm = as_norm_order(p)
+    rng = np.random.Generator(np.random.Philox(key=17))
+    count = 24
+    rows = (rng.standard_normal((count, width))
+            * np.exp(rng.uniform(-3.0, 3.0, (count, width)))).astype(dtype)
+    y = rng.standard_normal(width)
+    want = distances_to_point(rows, y, norm)
+    for size in (1, 2, 3, 7):
+        got = np.concatenate([distances_to_point(rows[start:start + size], y, norm)
+                              for start in range(0, count, size)])
+        np.testing.assert_array_equal(got, want, err_msg=f"buffers of {size} rows")
+    # sweeps in chunks of 5 rows: slices of every row, and gathers of a third
+    monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * width * 5)
+    gathered = np.arange(0, count, 3)
+    np.testing.assert_array_equal(sweep(rows, None, y, norm, distances_to_point), want)
+    np.testing.assert_array_equal(sweep(rows, gathered, y, norm, distances_to_point),
+                                  want[gathered])
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, "inf"])

@@ -186,6 +186,18 @@ def test_l2_calibration_equals_unchunked_reference(monkeypatch, case):
     assert swept == []
 
 
+def test_l2_calibration_of_rows_wider_than_numpys_buffer(monkeypatch):
+    # the band leaves one kernel row per sample at k = 1, a one-row chunk:
+    # past numpy's 8,192-element buffer einsum gave it another float than
+    # the reference's scan over every row
+    data = DataSet.from_array(normal(79, 120, 8193))
+    spec = CalibrationSpec(sample_size=12, target_nn=1)
+    got, kth, swept = spied_calibration(monkeypatch, data, spec, 2, rng_seed=80)
+    np.testing.assert_array_equal(kth, unchunked_kth(data, spec, 2, rng_seed=80))
+    assert got == unchunked_calibration(data, spec, 2, rng_seed=80)
+    assert swept == []
+
+
 def test_l2_calibration_falls_back_per_sample(monkeypatch):
     # rows at +1e308 and -1e308 in the first coordinate, whose differences
     # overflow: a sample at either end has fewer than k neighbors at a

@@ -398,6 +398,73 @@ def test_mmap_loaded_index_matches(tmp_path):
         range_query(index, query, 3.0).matches
 
 
+def test_a_mapped_index_saved_to_its_own_path_reloads_equal(tmp_path):
+    data = small_dataset(count=3000, seed=39)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), "adaptive", 1)
+    path = tmp_path / "own.idx"
+    save_index(index, path)
+    mapped = load_index(path, mmap_data=True)
+    # a save that truncated the mapped file would make every read of the
+    # mapped rows, a traceback's repr of them included, a fatal bus error
+    try:
+        save_index(mapped, path)
+        failure = None
+    except OSError as err:
+        failure = str(err)
+    assert failure is None
+    query = data.vectors[7] + 0.02
+    assert range_query(mapped, query, 3.0) == range_query(index, query, 3.0)
+    again = load_index(path)
+    np.testing.assert_array_equal(again.data, index.data)
+    for ours, theirs in zip(again.features, index.features):
+        np.testing.assert_array_equal(ours, theirs)
+    assert [entry.name for entry in tmp_path.iterdir()] == ["own.idx"]
+
+
+def test_a_failed_save_leaves_the_old_file_untouched(tmp_path, monkeypatch):
+    index = build_index(small_dataset(count=3000, seed=40), DimensionSchedule((64, 16, 4)),
+                        "orthogonal", 2)
+    path = tmp_path / "old.idx"
+    save_index(index, path)
+    before = path.read_bytes()
+    write_rows = tree._write_rows
+    written = []
+
+    def failing(handle, matrix, dtype):
+        if written:
+            raise OSError("disk full")
+        written.append(dtype)
+        write_rows(handle, matrix, dtype)
+
+    monkeypatch.setattr(tree, "_write_rows", failing)
+    with pytest.raises(OSError, match="disk full"):
+        save_index(index, path)
+    assert written == ["<f8"]  # the vectors went out before the failure
+    assert path.read_bytes() == before
+    assert [entry.name for entry in tmp_path.iterdir()] == ["old.idx"]
+
+
+def test_a_save_whose_swap_fails_keeps_one_whole_container(tmp_path, monkeypatch):
+    data = small_dataset(count=300, seed=41)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), "orthogonal", 2)
+    path = tmp_path / "old.idx"
+    save_index(index, path)
+    before = path.read_bytes()
+
+    def failing(src, dst):
+        raise OSError("swap interrupted")
+
+    monkeypatch.setattr(tree.os, "replace", failing)
+    with pytest.raises(OSError, match="swap interrupted"):
+        save_index(build_index(data, DimensionSchedule((64, 8)), "orthogonal", 1), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [entry.name for entry in tmp_path.iterdir()] == ["old.idx"]
+    reloaded = load_index(path)
+    np.testing.assert_array_equal(reloaded.data, index.data)
+    assert reloaded.schedule.dims == (64, 16, 4)
+
+
 def test_load_rejects_corrupt_containers(tmp_path):
     data = small_dataset(count=30)
     index = build_index(data, DimensionSchedule((64, 16)), "orthogonal", 2)
@@ -1050,6 +1117,28 @@ def test_one_narrow_l4_candidate_is_verified_as_the_oracle_scans_it(mode):
         truth = brute_force_range(data, y, epsilon, 4)
         assert len(truth) == 1
         assert list(range_query(index, y, epsilon).matches) == truth
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_rows_wider_than_numpys_buffer_stay_exact_at_their_own_distances(p):
+    # verification runs the kernel on the few gathered candidates the levels
+    # (l_4) or the screen (l_2) leave, and the oracle on slices of every row,
+    # 10 rows a chunk at 12,288 columns: past numpy's 8,192-element buffer
+    # einsum gave a row in a one-row or three-row buffer another float, and
+    # the cascade kept rows the oracle drops.  Block-constant offsets of
+    # spread sizes let the coarse levels prune.
+    rng = np.random.Generator(np.random.Philox(key=79))
+    y = rng.uniform(size=12288)
+    offsets = rng.choice([-1.0, 1.0], (101, 12)) * np.exp(rng.uniform(-1.0, 1.0, (101, 1)))
+    data = DataSet.from_array(y + np.repeat(offsets, 1024, axis=1)
+                              + rng.uniform(-0.5, 0.5, (101, 12288)))
+    index = build_index(data, DimensionSchedule((12288, 768, 48, 12)), "orthogonal", p)
+    dist = np.array([d for _, d in brute_force_range(data, y, 1e9, p)])
+    for row in np.argsort(dist)[:16]:
+        for epsilon in (dist[row], np.nextafter(dist[row], np.inf)):
+            report = range_query(index, y, epsilon)
+            assert report.matches == brute_force_range(data, y, epsilon, p), (row, epsilon)
+            assert report.survivors[1] < 40  # verification gathers its candidates
 
 
 @pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])

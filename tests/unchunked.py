@@ -13,26 +13,29 @@ from lpcascade.tree import level_margins
 
 
 def unchunked_distances(rows, y, norm):
-    """The distance kernel on whole matrices: ``|rows - y|``, then a reduction."""
+    """The distance kernel on whole matrices: ``|rows - y|``, its powers, and
+    a reduction of each row, in order below 32 columns and by numpy's
+    pairwise ``sum`` from 32 up."""
     diff = np.abs(rows - y)
     if norm.is_infinite:
         return diff.max(axis=1)
     p = norm.p
-    if p == 1.0:
-        return diff.sum(axis=1)
-    if p not in (2.0, 4.0):
+    if p not in (1.0, 2.0, 4.0):
         return max_divided_distances(diff, p)
-    # squares, or fourth powers as squared squares, the latter summed in
-    # order below 8 terms as the kernel's column reduction does; a sum that
-    # overflowed or may have lost terms to underflow takes the max-divided
-    # form under both norms
+    # a sum that overflowed or may have lost terms to underflow takes the
+    # max-divided form under l_2 and l_4
     with np.errstate(over="ignore"):
-        if p == 2.0:
-            total = np.einsum("ij,ij->i", diff, diff)
+        terms = diff if p == 1.0 else diff * diff
+        if p == 4.0:
+            terms = terms * terms
+        if diff.shape[1] < 32:
+            total = np.zeros(diff.shape[0])
+            for column in terms.T:
+                total += column
         else:
-            sq = diff * diff
-            total = ((sq * sq).sum(axis=1) if diff.shape[1] < 8
-                     else np.einsum("ij,ij->i", sq, sq))
+            total = terms.sum(axis=1)
+    if p == 1.0:
+        return total
     out = np.sqrt(total) if p == 2.0 else np.sqrt(np.sqrt(total))
     fallback = ~((total >= 2.0 ** -800) & (total < np.inf))
     out[fallback] = max_divided_distances(diff[fallback], p)
