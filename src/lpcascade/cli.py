@@ -30,7 +30,7 @@ from .data import (
     load_fvecs,
     write_report,
 )
-from .norms import as_norm_order
+from .norms import NormOrder, as_norm_order
 from .oracle import CalibrationSpec, brute_force_range, calibrate_epsilon
 from .projection import MODES, ORTHOGONAL
 from .reference import REFERENCE_TABLES, match_reference
@@ -74,6 +74,9 @@ class BenchConfig:
     The synthetic-data fields default to ``SyntheticSpec``'s values.
     Unknown modes, norm labels or report formats, and an empty mode or norm
     list, are rejected here, so before any data are loaded or generated.
+    Each cell is listed once: ``modes`` is kept sorted without repeats and
+    ``norms`` as canonical labels (``NormOrder.label``) sorted by p, so
+    ``2,2.0,inf,oo`` is the two cells ``2`` and ``inf``.
     """
 
     data: str | None = _help(None, "dataset file (.fvecs or .csv)")
@@ -102,11 +105,14 @@ class BenchConfig:
         unknown = sorted(set(self.modes) - set(MODES))
         if unknown:
             raise CliInputError(f"unknown modes {unknown}")
+        orders = set()
         for label in self.norms:
             try:
-                as_norm_order(label)
+                orders.add(as_norm_order(label).p)
             except ValueError as exc:
                 raise CliInputError(f"norms: {label!r} is not a norm order: {exc}") from None
+        object.__setattr__(self, "modes", tuple(sorted(set(self.modes))))
+        object.__setattr__(self, "norms", tuple(NormOrder(p).label() for p in sorted(orders)))
         if self.format not in REPORT_FORMATS:
             raise CliInputError(f"unknown report format {self.format!r}")
 
@@ -181,8 +187,7 @@ def run_build(config: BenchConfig, log=print) -> list[str]:
         raise CliInputError("build requires an output path (--out or out=)")
     data = config.dataset()
     schedule = DimensionSchedule(config.schedule)
-    cells = [(mode, norm) for mode in sorted(set(config.modes))
-             for norm in _sorted_norms(config.norms)]
+    cells = [(mode, norm) for mode in config.modes for norm in config.norms]
     out = Path(config.out)
     written = []
     for mode, norm in cells:
@@ -202,11 +207,10 @@ def run_build(config: BenchConfig, log=print) -> list[str]:
     return written
 
 
-def run_query(index_path, queries_path, epsilon: float, data_path=None,
-              out_path=None, log=print) -> list:
+def run_query(index_path, queries_path, epsilon: float, out_path=None,
+              log=print) -> list:
     """Run a range query for every vector in the query file."""
-    data = load_vector_file(data_path) if data_path else None
-    index = load_index(index_path, data=data)
+    index = load_index(index_path)
     queries = load_vector_file(queries_path)
     reports = []
     for row, query in enumerate(queries.vectors):
@@ -234,10 +238,6 @@ def run_query(index_path, queries_path, epsilon: float, data_path=None,
     return reports
 
 
-def _sorted_norms(labels) -> list[str]:
-    return sorted(set(labels), key=lambda label: as_norm_order(label).p)
-
-
 def run_bench(config: BenchConfig, log=print) -> list[BenchRow]:
     """Execute the benchmark matrix and return one row per (mode, norm) cell.
 
@@ -261,7 +261,7 @@ def run_bench(config: BenchConfig, log=print) -> list[BenchRow]:
     scanned = DataSet(vectors=full.vectors[mask], ids=full.ids[mask])
     queries = full.vectors[chosen]
 
-    norms = {label: as_norm_order(label) for label in _sorted_norms(config.norms)}
+    norms = {label: as_norm_order(label) for label in config.norms}
     epsilons = dict.fromkeys(norms, config.epsilon)
     if config.epsilon is None:
         spec = CalibrationSpec(min(config.calibration_sample, len(scanned) - 1),
@@ -269,7 +269,7 @@ def run_bench(config: BenchConfig, log=print) -> list[BenchRow]:
         epsilons = {label: calibrate_epsilon(scanned, spec, norm, rng_seed=config.seed + 1)
                     for label, norm in norms.items()}
     rows = []
-    for mode in sorted(set(config.modes)):
+    for mode in config.modes:
         for norm_label, norm in norms.items():
             epsilon = float(epsilons[norm_label])
             index = build_index(scanned, schedule, mode, norm)
@@ -348,8 +348,6 @@ def _build_parser() -> _Parser:
     query.add_argument("--index", required=True, help="index container file")
     query.add_argument("--queries", required=True, help="query vector file")
     query.add_argument("--epsilon", type=float, required=True)
-    query.add_argument("--data", help="original dataset, for containers saved "
-                                      "without embedded vectors")
     query.add_argument("--out", help="also write the reports as JSON")
 
     bench = commands.add_parser("bench", help="run the benchmark matrix")
@@ -364,8 +362,7 @@ def main(argv=None) -> int:
         if args.command == "build":
             run_build(_config_from_args(args))
         elif args.command == "query":
-            run_query(args.index, args.queries, args.epsilon,
-                      data_path=args.data, out_path=args.out)
+            run_query(args.index, args.queries, args.epsilon, out_path=args.out)
         else:
             run_bench(_config_from_args(args))
     except InternalCheckError as exc:

@@ -8,6 +8,7 @@ distinct case, never approximated by a large finite exponent.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +30,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NormOrder:
-    """Exponent of an l_p norm; ``p = math.inf`` selects the Chebyshev norm."""
+    """Exponent of an l_p norm, any real number (numpy's too) but a bool;
+    ``p = math.inf`` selects the Chebyshev norm."""
 
     p: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.p, bool) or not isinstance(self.p, (int, float)):
+        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
             raise ValueError(f"norm order must be a number, got {self.p!r}")
         object.__setattr__(self, "p", float(self.p))
         if math.isnan(self.p) or self.p < 1.0:

@@ -582,17 +582,17 @@ def fit_const(reports, schedule: DimensionSchedule) -> float:
     return num / den
 
 
-def save_index(index: SubspaceIndex, path, include_data: bool = True) -> None:
-    """Persist an index: every level's directions at float64, then its
-    feature matrix at float32, in one layout for both modes.
+def save_index(index: SubspaceIndex, path) -> None:
+    """Persist an index: its ids and vectors at float64, then every level's
+    directions at float64 and its features at float32, one layout for both
+    modes.
 
-    The features are float32 arrays already, so nothing is rounded here and
-    ``load_index`` returns the same index bit for bit.  ``include_data``
-    embeds the original vectors (float64) so the file is self-contained for
-    querying.  Each matrix is written in 1 MiB row chunks (``_write_rows``),
-    so saving holds no second copy of the vectors or of a feature matrix.
-    The container is written to a new file beside ``path``, which takes
-    the old file's place only once it is whole: a save that fails leaves
+    Nothing is rounded, so ``load_index`` returns the same index bit for
+    bit.  The vectors are always embedded: the search is exact only over the
+    rows the levels were projected from.  Each matrix is written in 1 MiB
+    row chunks (``_write_rows``), so saving holds no second copy of one.
+    The container is written to a new file beside ``path``, which takes the
+    old file's place only once it is whole: a save that fails leaves
     ``path`` as it was, and an index loaded from ``path`` with
     ``mmap_data=True`` can be saved back to it.
     """
@@ -602,15 +602,14 @@ def save_index(index: SubspaceIndex, path, include_data: bool = True) -> None:
         "mode": index.mode,
         "schedule": list(index.schedule.dims),
         "count": index.count,
-        "data_included": bool(include_data),
+        "data_included": True,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     head = _MAGIC + struct.pack("<IQ", _VERSION, len(blob)) + blob
-    matrices = [(index.data, "<f8")] if include_data else []
+    matrices = [(index.data, "<f8")]
     for level, feats in zip(index.levels, index.features):
         matrices += [(level.directions, "<f8"), (feats, "<f4")]
-    size = len(head) + 8 * index.count + sum(
-        matrix.size * np.dtype(dtype).itemsize for matrix, dtype in matrices)
+    size = _container_size(len(blob), index.count, index.schedule.dims)
     # written beside the target, which is replaced only once the new file is
     # whole: a failed save leaves the old file as it was, and an index
     # mapping it keeps its bytes
@@ -635,6 +634,13 @@ def save_index(index: SubspaceIndex, path, include_data: bool = True) -> None:
         raise
 
 
+def _container_size(header_len: int, count: int, dims: tuple[int, ...]) -> int:
+    """Bytes of a container: prefix and header, ids and vectors, then each
+    level's directions (8 * dims[k-1]) and features (4 * count * dims[k])."""
+    return len(_MAGIC) + 12 + header_len + 8 * count * (1 + dims[0]) + sum(
+        8 * dim_in + 4 * count * dim_out for dim_in, dim_out in zip(dims, dims[1:]))
+
+
 def _write_rows(handle, matrix: np.ndarray, dtype: str) -> None:
     """Write a matrix row-major at ``dtype``, one 1 MiB chunk of rows at a
     time; a chunk is copied only if it needs a cast or is not row-major."""
@@ -642,45 +648,46 @@ def _write_rows(handle, matrix: np.ndarray, dtype: str) -> None:
         np.ascontiguousarray(matrix[chunk], dtype=dtype).tofile(handle)
 
 
-def load_index(path, data: DataSet | None = None,
-               mmap_data: bool = False) -> SubspaceIndex:
+def load_index(path, mmap_data: bool = False) -> SubspaceIndex:
     """Reload a persisted index, equal bit for bit to the one that was saved.
 
-    If the file does not embed the original vectors, the caller must supply
-    the dataset it was built from.  The feature matrices are kept as the
+    The embedded vectors are read, or with ``mmap_data`` mapped read-only;
+    the cascade touches level 0 only for final verification, so mapping
+    keeps the resident set near the feature matrices.  A verification reads
+    every row once its candidates reach ``norms._DENSE_SHARE`` of them (the
+    kernel sweeps slices of every row) or, under l_2, ``_GEMV_SHARE`` (the
+    screen's whole-matrix GEMV).  The feature matrices are kept as the
     float32 arrays they are read as, 4 bytes per feature, and converted to
-    nothing.  ``mmap_data`` maps the embedded vectors read-only instead of
-    loading them; the cascade touches level 0 only for final verification,
-    so mapping keeps the resident set near the feature matrices.  A
-    verification reads every row once its candidates reach
-    ``norms._DENSE_SHARE`` of them (the kernel sweeps slices of every row)
-    or, under l_2, ``_GEMV_SHARE`` (the screen's whole-matrix GEMV).
-    A supplied ``data`` is used in place of embedded vectors, which are then
-    skipped unread.  Every level is rebuilt from its stored directions, so
-    the mode is only a label.  A container of another format or version,
-    whose header is not an object, lacks a field, holds an invalid norm or
+    nothing.  Every level is rebuilt from its stored directions, so the mode
+    is only a label.  A container of another format or version, whose
+    header is not an object, lacks a field, holds an invalid norm or
     schedule, a count that is not an integer of at least 1 or a
-    ``data_included`` that is not a bool, or whose directions are not
-    finite unit rows, raises a ``ValueError`` whose message starts with the
-    path; so do an unknown mode and a ``data`` not (count, dims[0]), which
-    ``SubspaceIndex`` rejects.
+    ``data_included`` that is not ``true``, whose size is not the one its
+    header describes, or whose directions are not finite unit rows, raises
+    a ``ValueError`` whose message starts with the path; so does an unknown
+    mode, which ``SubspaceIndex`` rejects.
     """
     try:
-        return _read_container(path, data, mmap_data)
-    except (TypeError, ValueError) as err:
-        # header fields of the wrong type raise TypeError
+        return _read_container(path, mmap_data)
+    except (TypeError, ValueError, RecursionError) as err:
+        # header fields of the wrong type raise TypeError, and a header
+        # nested too deep for the JSON decoder RecursionError
         raise ValueError(f"{path}: {err}") from err
 
 
-def _read_container(path, data: DataSet | None, mmap_data: bool) -> SubspaceIndex:
+def _read_container(path, mmap_data: bool) -> SubspaceIndex:
     """``load_index`` without the path in its error messages."""
     with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
         prefix = handle.read(len(_MAGIC) + 12)
         if len(prefix) < len(_MAGIC) + 12 or prefix[:len(_MAGIC)] != _MAGIC:
             raise ValueError("not an index container")
         version, header_len = struct.unpack_from("<IQ", prefix, len(_MAGIC))
         if version != _VERSION:
             raise ValueError(f"unsupported container version {version}")
+        if header_len > size - len(prefix):
+            raise ValueError(f"a {header_len}-byte header does not fit "
+                             f"in a {size}-byte container")
         header = json.loads(handle.read(header_len).decode("utf-8"))
         if not isinstance(header, dict):
             raise ValueError("container header is not a JSON object")
@@ -696,26 +703,21 @@ def _read_container(path, data: DataSet | None, mmap_data: bool) -> SubspaceInde
         count = _integer(header["count"], "count")
         if count < 1:
             raise ValueError(f"count {count} must be at least 1")
-        if not isinstance(header["data_included"], bool):
-            raise ValueError(f"data_included {header['data_included']!r} is not a bool")
+        if header["data_included"] is not True:
+            raise ValueError(f"data_included {header['data_included']!r} is not True: "
+                             "every container embeds its vectors")
         dims = schedule.dims
+        # the one size check, before any section is allocated: a hostile
+        # count or schedule is rejected here, and every read below is whole
+        expected = _container_size(header_len, count, dims)
+        if size != expected:
+            raise ValueError(f"container holds {size} bytes, its header describes {expected}")
 
         def take(dtype, shape):
-            items = int(np.prod(shape))
-            arr = np.fromfile(handle, dtype=dtype, count=items)
-            if arr.size != items:
-                raise ValueError("truncated container")
-            return arr.reshape(shape)
+            return np.fromfile(handle, dtype=dtype, count=math.prod(shape)).reshape(shape)
 
         ids = take("<i8", (count,)).astype(np.int64, copy=False)
-        if data is not None:
-            vectors = data.vectors
-            if header["data_included"]:
-                handle.seek(count * dims[0] * 8, 1)
-        elif not header["data_included"]:
-            raise ValueError("container has no embedded data; "
-                             "pass the original dataset")
-        elif mmap_data:
+        if mmap_data:
             vectors = np.memmap(path, dtype="<f8", mode="r", offset=handle.tell(),
                                 shape=(count, dims[0]))
             handle.seek(count * dims[0] * 8, 1)
@@ -727,8 +729,6 @@ def _read_container(path, data: DataSet | None, mmap_data: bool) -> SubspaceInde
         for dim_in, dim_out in zip(dims, dims[1:]):
             levels.append(ProjectionLevel(norm, take("<f8", (dim_out, dim_in // dim_out))))
             features.append(take("<f4", (count, dim_out)).astype(np.float32, copy=False))
-        if handle.read(1):
-            raise ValueError("trailing bytes after the last section")
 
     return SubspaceIndex(
         schedule=schedule,

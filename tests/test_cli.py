@@ -104,6 +104,19 @@ def test_build_multiple_cells_fans_out_names(tmp_path):
     ]
 
 
+def test_a_norm_listed_twice_is_one_cell(tmp_path):
+    config = BenchConfig(model="iid-uniform", count=300, dim=32, schedule=(32, 8),
+                         modes=("orthogonal", "orthogonal"), norms=("2", "2.0", "inf", "oo"),
+                         queries=10, target_nn=5, calibration_sample=20, seed=3)
+    assert config.modes == ("orthogonal",) and config.norms == ("2", "inf")
+    rows = run_bench(config, log=lambda *a: None)
+    assert [(r.mode, r.norm) for r in rows] == [("orthogonal", "2"), ("orthogonal", "inf")]
+    out = tmp_path / "index.idx"
+    assert main(["build", "--model", "iid-uniform", "--count", "150", "--dim", "32",
+                 "--schedule", "32,8", "--norms", "2,2.0", "--out", str(out)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["index.idx"]
+
+
 def test_build_adaptive_on_iid_reports_small_diversion(tmp_path, capsys):
     code = main([
         "build", "--model", "iid-uniform", "--count", "5000", "--dim", "32",
@@ -147,20 +160,19 @@ def test_query_command(tmp_path, capsys):
 
 @pytest.fixture
 def query_files(tmp_path):
-    """Adaptive index saved with and without embedded data, plus its dataset
-    and queries as float32-exact .fvecs files."""
+    """Adaptive index saved as a container, plus its dataset and queries as
+    float32-exact .fvecs files."""
     raw = generate(SyntheticSpec(count=300, dim=32, model="block-correlated",
                                  block_size=4, correlation=0.8, rng_seed=10))
     data_path = tmp_path / "data.fvecs"
     write_fvecs(data_path, raw.vectors)
     data = load_fvecs(data_path)
     index = build_index(data, DimensionSchedule((32, 8, 2)), "adaptive", 2)
-    full, slim = tmp_path / "full.idx", tmp_path / "slim.idx"
+    full = tmp_path / "full.idx"
     save_index(index, full)
-    save_index(index, slim, include_data=False)
     queries = tmp_path / "queries.fvecs"
     write_fvecs(queries, data.vectors[:4] + 0.05)
-    return {"full": full, "slim": slim, "data": data_path, "queries": queries}
+    return {"full": full, "data": data_path, "queries": queries}
 
 
 def test_run_query_writes_reports_json(query_files, tmp_path):
@@ -181,19 +193,6 @@ def test_run_query_writes_reports_json(query_files, tmp_path):
     assert any(entry["matches"] for entry in written)
 
 
-def test_query_data_flag_matches_embedded_copy(query_files, tmp_path):
-    embedded, supplied = tmp_path / "embedded.json", tmp_path / "supplied.json"
-    common = ["query", "--queries", str(query_files["queries"]), "--epsilon", "1.5"]
-    assert main(common + ["--index", str(query_files["full"]),
-                          "--out", str(embedded)]) == 0
-    assert main(common + ["--index", str(query_files["slim"]),
-                          "--data", str(query_files["data"]),
-                          "--out", str(supplied)]) == 0
-    got = json.loads(supplied.read_text())
-    assert got == json.loads(embedded.read_text())
-    assert any(entry["matches"] for entry in got)
-
-
 def test_query_out_flag_writes_file(query_files, tmp_path, capsys):
     out = tmp_path / "q.json"
     assert main(["query", "--index", str(query_files["full"]),
@@ -201,16 +200,6 @@ def test_query_out_flag_writes_file(query_files, tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())) == 4
     assert f"wrote 4 query reports -> {out}" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("shape", [(300, 16), (299, 32)], ids=["width", "rows"])
-def test_query_data_of_another_shape_is_input_error(query_files, tmp_path, shape, capsys):
-    # SubspaceIndex rejects the loaded parts, and load_index names the file
-    other = tmp_path / "other.fvecs"
-    write_fvecs(other, np.ones(shape))
-    assert main(["query", "--index", str(query_files["slim"]), "--data", str(other),
-                 "--queries", str(query_files["queries"]), "--epsilon", "1.5"]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {query_files['slim']}: data ")
 
 
 def test_query_file_of_another_width_is_input_error(query_files, tmp_path, capsys):
@@ -223,11 +212,12 @@ def test_query_file_of_another_width_is_input_error(query_files, tmp_path, capsy
     assert "query 0" not in captured.out
 
 
-def test_query_dataless_container_needs_data_flag(query_files, capsys):
-    code = main(["query", "--index", str(query_files["slim"]),
-                 "--queries", str(query_files["queries"]), "--epsilon", "1.5"])
+def test_query_has_no_data_flag(query_files, capsys):
+    code = main(["query", "--index", str(query_files["full"]),
+                 "--queries", str(query_files["queries"]), "--epsilon", "1.5",
+                 "--data", str(query_files["data"])])
     assert code == 1
-    assert "no embedded data" in capsys.readouterr().err
+    assert "unrecognized arguments: --data" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
@@ -263,8 +253,13 @@ def test_container_with_a_nan_direction_is_input_error(tmp_path, mode, capsys):
     ("count", True, "count True is not an integer"),
     ("schedule", [16.9, 4.2], "dimension 16.9 is not an integer"),
     ("schedule", [16, True], "dimension True is not an integer"),
-    ("data_included", "no", "data_included 'no' is not a bool"),
-    ("data_included", 1, "data_included 1 is not a bool"),
+    ("data_included", "no", "data_included 'no' is not True"),
+    ("data_included", 1, "data_included 1 is not True"),
+    # a container without its vectors: no dataset may stand in for the rows
+    # the levels were projected from
+    ("data_included", False, "data_included False is not True"),
+    # the size check comes before any section is allocated
+    ("count", 10 ** 12, "its header describes"),
 ])
 def test_container_with_a_bad_header_field_is_input_error(tmp_path, capsys, field,
                                                           value, message):

@@ -8,6 +8,7 @@ import pytest
 from lpcascade import (
     L1,
     L2,
+    L4,
     LINF,
     DataSet,
     DimensionSchedule,
@@ -65,6 +66,19 @@ def test_norm_order_validation():
     assert as_norm_order("inf").is_infinite
     assert as_norm_order(2) == L2
     assert as_norm_order(L1) is L1
+
+
+@pytest.mark.parametrize("p, expected", [
+    (np.int64(2), L2), (np.float32(4.0), L4), (np.float64(np.inf), LINF),
+    (True, None), (np.True_, None), (0.5, None),
+])
+def test_norm_order_takes_any_real_but_a_bool(p, expected):
+    # np.bool_ is not a numbers.Real, and True is rejected by name
+    if expected is None:
+        with pytest.raises(ValueError):
+            as_norm_order(p)
+    else:
+        assert as_norm_order(p) == expected
 
 
 def test_dual_exponents():

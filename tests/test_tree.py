@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 import struct
 import tracemalloc
 import warnings
@@ -346,19 +347,6 @@ def test_loaded_index_queries_stay_exact(tmp_path):
         assert list(got.matches) == brute_force_range(data, query, epsilon, 1)
 
 
-def test_save_without_data_requires_dataset(tmp_path):
-    data = small_dataset(count=60)
-    index = build_index(data, DimensionSchedule((64, 16)), "orthogonal", 2)
-    path = tmp_path / "slim.idx"
-    save_index(index, path, include_data=False)
-    with pytest.raises(ValueError):
-        load_index(path)
-    loaded = load_index(path, data=data)
-    np.testing.assert_array_equal(loaded.data, data.vectors)
-    with pytest.raises(ValueError):
-        load_index(path, data=small_dataset(count=61))
-
-
 def test_features_are_rowwise_projections():
     from lpcascade import project_level
 
@@ -471,21 +459,34 @@ def test_load_rejects_corrupt_containers(tmp_path):
     path = tmp_path / "ok.idx"
     save_index(index, path)
     raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 12)
 
-    bad_magic = tmp_path / "magic.idx"
-    bad_magic.write_bytes(b"NOTANIDX" + raw[8:])
-    with pytest.raises(ValueError):
-        load_index(bad_magic)
-
-    truncated = tmp_path / "short.idx"
-    truncated.write_bytes(raw[:-100])
-    with pytest.raises(ValueError):
-        load_index(truncated)
-
-    padded = tmp_path / "long.idx"
-    padded.write_bytes(raw + b"\x00" * 8)
-    with pytest.raises(ValueError):
-        load_index(padded)
+    corrupt = {
+        "magic": b"NOTANIDX" + raw[8:],
+        "short": raw[:-100],
+        "long": raw + b"\x00" * 8,
+        # hostile headers: each once allocated (or overflowed on) what it
+        # names, 7 TiB of vectors, PiBs of directions, a 2^63-byte header,
+        # or overran the JSON decoder's recursion limit
+        "huge-header": raw[:12] + struct.pack("<Q", 2 ** 63 - 1) + raw[20:],
+        "deep-header": raw[:12] + struct.pack("<Q", 200_000) + b"[" * 100_000
+        + b"]" * 100_000 + raw[20 + length:],
+    }
+    edits = {
+        "huge-count": {"count": 10 ** 12},
+        "huge-schedule": {"schedule": [2 ** 40, 2 ** 39]},
+        # a container without its vectors: no other dataset may stand in
+        "dataless": {"data_included": False},
+    }
+    for name in [*corrupt, *edits]:
+        bad = tmp_path / f"{name}.idx"
+        bad.write_bytes(corrupt.get(name, raw))
+        if name in edits:
+            rewrite_header(bad, lambda header: {**header, **edits[name]})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: "):
+            load_index(bad)
+    with pytest.raises(ValueError, match="data_included False is not True"):
+        load_index(tmp_path / "dataless.idx")
 
 
 def as_version(path, version):
@@ -555,11 +556,13 @@ def test_load_with_a_dataset_skips_the_embedded_vectors(tmp_path):
     save_index(index, path)
     tracemalloc.start()
     try:
-        loaded = load_index(path, data=data)
+        loaded = load_index(path, mmap_data=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert loaded.data is data.vectors
+    # mapped, the vectors are not read: only the ids and features are
+    assert isinstance(loaded.data, np.memmap)
+    np.testing.assert_array_equal(loaded.data, data.vectors)
     for built, back in zip(index.features, loaded.features):
         np.testing.assert_array_equal(back, built)
     # the features are kept as the float32 arrays they are read as, 4 bytes
@@ -1187,25 +1190,21 @@ def test_built_index_is_its_own_reload(tmp_path, mode, p):
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("include_data", [True, False])
 @pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
-def test_saved_bytes_follow_the_version_3_layout(tmp_path, monkeypatch, mode,
-                                                 include_data, order):
+def test_saved_bytes_follow_the_version_3_layout(tmp_path, monkeypatch, mode, order):
     rows = small_dataset(count=40, seed=75).vectors
     data = DataSet.from_array(np.asarray(rows, order=order))
     # 3 rows of 64 per chunk: every section is written in several chunks
     monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 64 * 3)
     index = build_index(data, DimensionSchedule((64, 16, 4)), mode, "inf")
     path = tmp_path / "layout.idx"
-    save_index(index, path, include_data=include_data)
+    save_index(index, path)
     header = json.dumps({
         "format": "lpcascade-index", "norm": "inf", "mode": mode,
-        "schedule": [64, 16, 4], "count": 40, "data_included": include_data,
+        "schedule": [64, 16, 4], "count": 40, "data_included": True,
     }, sort_keys=True).encode("utf-8")
     expected = [b"LPCASIDX", struct.pack("<IQ", 3, len(header)), header,
-                data.ids.astype("<i8").tobytes()]
-    if include_data:
-        expected.append(data.vectors.astype("<f8").tobytes())
+                data.ids.astype("<i8").tobytes(), data.vectors.astype("<f8").tobytes()]
     previous = data.vectors
     for level in index.levels:
         # directions for both modes: the mode is a label, not a layout
