@@ -13,9 +13,7 @@ from .data import (
     generate,
     load_csv,
     load_fvecs,
-    read_report,
     write_fvecs,
-    write_report,
 )
 from .norms import (
     L1,

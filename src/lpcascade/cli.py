@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -21,14 +21,12 @@ import numpy as np
 
 from .data import (
     MODELS,
-    REPORT_FORMATS,
     BenchRow,
     DataSet,
     SyntheticSpec,
     generate,
     load_csv,
     load_fvecs,
-    write_report,
 )
 from .norms import NormOrder, as_norm_order
 from .oracle import CalibrationSpec, brute_force_range, calibrate_epsilon
@@ -56,6 +54,19 @@ class InternalCheckError(RuntimeError):
     """A result disagreed with the oracle; reported numbers would be wrong."""
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """A search radius is finite and above 0; checked before any data."""
+    if not 0.0 < epsilon < math.inf:
+        raise CliInputError(f"epsilon {epsilon} must be finite and above 0")
+
+
+def _write_json(payload, path) -> None:
+    """Write a report as strict JSON: a non-finite float raises before the
+    file is opened, since NaN and Infinity are not JSON."""
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")
+
+
 def _help(default, text: str | None = None, bench: bool = False):
     """A BenchConfig field's default with its flag's help text; a ``bench``
     field is a flag of ``bench`` only, since ``build`` never reads it."""
@@ -68,12 +79,13 @@ class BenchConfig:
 
     Every field is a config-file key (``block_size=4``) and a flag
     (``--block-size 4``), read as its declared type: a tuple from
-    comma-separated values, ``X | None`` as X.  The six fields marked
+    comma-separated values, ``X | None`` as X.  The five fields marked
     ``bench`` are flags of ``bench`` only, and ``build`` ignores them in a
     config file.  ``_ALIASES`` names the paper's letters for four fields.
     The synthetic-data fields default to ``SyntheticSpec``'s values.
-    Unknown modes, norm labels or report formats, and an empty mode or norm
-    list, are rejected here, so before any data are loaded or generated.
+    Unknown modes or norm labels, an empty mode or norm list and a fixed
+    epsilon that is not finite and above 0 are rejected here, so before any
+    data are loaded or generated.
     Each cell is listed once: ``modes`` is kept sorted without repeats and
     ``norms`` as canonical labels (``NormOrder.label``) sorted by p, so
     ``2,2.0,inf,oo`` is the two cells ``2`` and ``inf``.
@@ -96,8 +108,7 @@ class BenchConfig:
     queries: int = _help(400, "query sample size", bench=True)
     verify_queries: int = _help(20, bench=True)
     seed: int = 0
-    out: str | None = _help(None, "output path")
-    format: str = _help("csv", "report format: " + ", ".join(REPORT_FORMATS), bench=True)
+    out: str | None = _help(None, "output path (bench: a JSON report)")
 
     def __post_init__(self) -> None:
         if not self.modes or not self.norms:
@@ -113,8 +124,8 @@ class BenchConfig:
                 raise CliInputError(f"norms: {label!r} is not a norm order: {exc}") from None
         object.__setattr__(self, "modes", tuple(sorted(set(self.modes))))
         object.__setattr__(self, "norms", tuple(NormOrder(p).label() for p in sorted(orders)))
-        if self.format not in REPORT_FORMATS:
-            raise CliInputError(f"unknown report format {self.format!r}")
+        if self.epsilon is not None:
+            _check_epsilon(self.epsilon)
 
     def dataset(self) -> DataSet:
         if self.data is not None:
@@ -175,7 +186,9 @@ def load_vector_file(path) -> DataSet:
 
 def _config_from_args(args) -> BenchConfig:
     values = parse_config_file(args.config) if args.config else {}
-    # flags win over the file
+    # a file key this command has no flag for (a bench key, under build) is
+    # ignored; flags win over the file
+    values = {key: value for key, value in values.items() if key in vars(args)}
     values.update((key, getattr(args, key)) for key in _KEYS
                   if getattr(args, key, None) is not None)
     return BenchConfig(**values)
@@ -210,6 +223,7 @@ def run_build(config: BenchConfig, log=print) -> list[str]:
 def run_query(index_path, queries_path, epsilon: float, out_path=None,
               log=print) -> list:
     """Run a range query for every vector in the query file."""
+    _check_epsilon(epsilon)
     index = load_index(index_path)
     queries = load_vector_file(queries_path)
     reports = []
@@ -231,9 +245,7 @@ def run_query(index_path, queries_path, epsilon: float, out_path=None,
             "cost_l": report.cost_l,
             "ratio": report.ratio,
         } for row, report in enumerate(reports)]
-        with open(out_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        _write_json(payload, out_path)
         log(f"wrote {len(reports)} query reports -> {out_path}")
     return reports
 
@@ -264,8 +276,10 @@ def run_bench(config: BenchConfig, log=print) -> list[BenchRow]:
     norms = {label: as_norm_order(label) for label in config.norms}
     epsilons = dict.fromkeys(norms, config.epsilon)
     if config.epsilon is None:
-        spec = CalibrationSpec(min(config.calibration_sample, len(scanned) - 1),
-                               config.target_nn)
+        # the held-out sample leaves at least target_nn rows to search
+        spec = CalibrationSpec(
+            min(config.calibration_sample, max(1, len(scanned) - config.target_nn)),
+            config.target_nn)
         epsilons = {label: calibrate_epsilon(scanned, spec, norm, rng_seed=config.seed + 1)
                     for label, norm in norms.items()}
     rows = []
@@ -283,10 +297,10 @@ def run_bench(config: BenchConfig, log=print) -> list[BenchRow]:
                         f"from the brute-force oracle at epsilon {epsilon}")
             try:
                 const = fit_const(reports, schedule)
-            except ValueError:
-                const = math.nan
-            estimated = (estimate_cost(schedule, len(scanned), const)
-                         if math.isfinite(const) and const > 0 else math.nan)
+            except ValueError:  # every survivor count is zero
+                const = None
+            estimated = (None if const is None
+                         else estimate_cost(schedule, len(scanned), const))
             survivor_means = np.mean([report.survivors for report in reports],
                                      axis=0)
             row = BenchRow(
@@ -312,7 +326,7 @@ def run_bench(config: BenchConfig, log=print) -> list[BenchRow]:
                 f"mean cost {ref.mean_cost:.0f}, ratio {ref.mean_ratio:.2f}")
 
     if config.out is not None:
-        write_report(rows, config.out, config.format)
+        _write_json([asdict(row) for row in rows], config.out)
         log(f"wrote {len(rows)} rows -> {config.out}")
     return rows
 

@@ -1,4 +1,4 @@
-"""Dataset ingestion, synthetic data generation, and report serialization.
+"""Dataset ingestion, synthetic data generation, and the benchmark row.
 
 Synthetic generation runs on the counter-based Philox-4x64-10 generator, so
 every fixture is reproducible from (model, parameters, seed) alone.
@@ -7,16 +7,14 @@ every fixture is reproducible from (model, parameters, seed) alone.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import struct
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "MODELS",
-    "REPORT_FORMATS",
     "DataSet",
     "SyntheticSpec",
     "generate",
@@ -24,12 +22,9 @@ __all__ = [
     "write_fvecs",
     "load_csv",
     "BenchRow",
-    "write_report",
-    "read_report",
 ]
 
 MODELS = ("iid-uniform", "block-correlated", "piecewise-smooth")
-REPORT_FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -193,10 +188,9 @@ def load_csv(path) -> DataSet:
 class BenchRow:
     """One benchmark cell: a (projection mode, norm) pair and its measured means.
 
-    The fields, in order, are a report's JSON keys and CSV columns, with
-    ``mean_survivors`` spread over one ``sigma_i`` column per level.  Each
-    value is converted to its field's type, so a row read back from text
-    equals the row written.
+    The fields, in order, are the keys of the cell's object in a report.
+    ``fitted_const`` and ``estimated_cost`` are None (JSON null) when no
+    const fits, because every survivor count of the cell is zero.
     """
 
     mode: str
@@ -205,65 +199,5 @@ class BenchRow:
     mean_cost: float
     mean_ratio: float
     mean_survivors: tuple[float, ...]
-    fitted_const: float
-    estimated_cost: float
-
-    def __post_init__(self) -> None:
-        # the annotations are strings: this module postpones their evaluation
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.type == "str":
-                value = str(value)
-            elif spec.type == "float":
-                value = float(value)
-            else:  # tuple[float, ...]
-                value = tuple(float(v) for v in value)
-            object.__setattr__(self, spec.name, value)
-
-
-_NAMES = tuple(spec.name for spec in fields(BenchRow))
-_SIGMA_AT = _NAMES.index("mean_survivors")
-
-
-def _columns(values, survivors) -> list:
-    """A row's fields in order, ``survivors`` spread where mean_survivors sits."""
-    return [*values[:_SIGMA_AT], *survivors, *values[_SIGMA_AT + 1:]]
-
-
-def write_report(rows, path, fmt: str = "json") -> None:
-    """Serialize benchmark rows; survivor means become sigma_0..sigma_t columns."""
-    if fmt not in REPORT_FORMATS:
-        raise ValueError(f"unknown report format {fmt!r}")
-    rows = list(rows)
-    if fmt == "json":
-        with open(path, "w") as handle:
-            json.dump([asdict(row) for row in rows], handle, indent=2)
-            handle.write("\n")
-        return
-    levels = len(rows[0].mean_survivors) if rows else 0
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_columns(_NAMES, (f"sigma_{i}" for i in range(levels))))
-        for row in rows:
-            if len(row.mean_survivors) != levels:
-                raise ValueError("rows disagree on survivor count")
-            # a float's text is its repr, which reads back to the same float
-            writer.writerow(_columns(astuple(row), row.mean_survivors))
-
-
-def read_report(path, fmt: str = "json") -> list[BenchRow]:
-    """Inverse of write_report."""
-    if fmt not in REPORT_FORMATS:
-        raise ValueError(f"unknown report format {fmt!r}")
-    if fmt == "json":
-        with open(path, "r") as handle:
-            return [BenchRow(**record) for record in json.load(handle)]
-    with open(path, "r", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: missing header") from None
-        end = _SIGMA_AT + len(header) - len(_NAMES) + 1
-        return [BenchRow(*record[:_SIGMA_AT], record[_SIGMA_AT:end], *record[end:])
-                for record in reader if record]
+    fitted_const: float | None
+    estimated_cost: float | None

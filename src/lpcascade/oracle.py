@@ -77,9 +77,9 @@ def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
       kernel runs on the few rows near or below the k-th distance
       (``_l2_kth``).
     * Under every other norm each sample's sweep runs as it is, the samples
-      split into min(os.cpu_count(), samples) contiguous parts: the calling
-      thread sweeps the first and a thread pool the rest, each thread
-      writing its own samples' slots.
+      split into min(``_usable_cpus()``, samples) contiguous parts: the
+      calling thread sweeps the first and a thread pool the rest, each
+      thread writing its own samples' slots.
     """
     s = len(data)
     if spec.sample_size > s:
@@ -101,7 +101,7 @@ def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
             for pos in part:
                 kth[pos] = _kth_by_sweep(vectors, chosen, chosen[pos], norm, k)
 
-        parts = np.array_split(np.arange(chosen.size), min(os.cpu_count() or 1, chosen.size))
+        parts = np.array_split(np.arange(chosen.size), min(_usable_cpus(), chosen.size))
         with ThreadPoolExecutor(max(1, len(parts) - 1)) as pool:
             # the calling thread sweeps the first part: one pool thread
             # fewer, whose heap would keep its scan buffers resident
@@ -110,6 +110,14 @@ def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
             for future in futures:
                 future.result()  # re-raises a worker's exception
     return float(np.median(kth))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (a ``taskset`` or cgroup cpuset narrows it), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _kth_by_sweep(vectors: np.ndarray, chosen: np.ndarray, row, norm, k: int) -> float:

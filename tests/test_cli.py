@@ -17,7 +17,6 @@ from lpcascade import (
     generate,
     load_fvecs,
     load_index,
-    read_report,
     save_index,
     write_fvecs,
 )
@@ -32,6 +31,14 @@ from lpcascade.cli import (
     run_bench,
     run_query,
 )
+
+
+def strict_json(path):
+    """A report's contents, read by a parser that refuses NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 def test_parse_config_file(tmp_path):
@@ -315,18 +322,20 @@ def test_bad_arguments_are_input_errors(capsys):
 
 
 def test_bench_end_to_end(tmp_path):
-    out = tmp_path / "report.csv"
+    out = tmp_path / "report.json"
     config = BenchConfig(
         model="block-correlated", count=1200, dim=64, block_size=4,
         correlation=0.8, schedule=(64, 16, 4),
         modes=("adaptive", "orthogonal"), norms=("2", "1"),
         queries=25, target_nn=10, calibration_sample=40, verify_queries=10,
-        seed=6, out=str(out), format="csv")
+        seed=6, out=str(out))
     rows = run_bench(config, log=lambda *a: None)
     assert [(r.mode, r.norm) for r in rows] == [
         ("adaptive", "1"), ("adaptive", "2"),
         ("orthogonal", "1"), ("orthogonal", "2")]
-    assert read_report(out, "csv") == rows
+    assert strict_json(out) == [
+        {**dataclasses.asdict(row), "mean_survivors": list(row.mean_survivors)}
+        for row in rows]
     for row in rows:
         assert row.mean_cost > 0 and row.mean_ratio > 0
         assert len(row.mean_survivors) == 3
@@ -390,14 +399,89 @@ def test_bench_verify_queries_config_below_one_is_input_error(value, tmp_path, c
     assert f"verify_queries {value} must be at least 1" in capsys.readouterr().err
 
 
-def test_bench_format_config_is_checked_before_any_cell(tmp_path, capsys):
+def no_data(spec):
+    raise AssertionError("data generated before the configuration was checked")
+
+
+def test_bench_format_config_is_checked_before_any_cell(tmp_path, monkeypatch, capsys):
+    # a report is JSON only: format is neither a key nor a flag
+    import lpcascade.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "generate", no_data)
     cfg = tmp_path / "f.cfg"
-    cfg.write_text("format=xml\n")
-    out = tmp_path / "r.xml"
+    cfg.write_text("format=csv\n")
+    out = tmp_path / "r.csv"
     assert main(BENCH_FLAGS + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:1: unknown key 'format'\n"
+    assert main(BENCH_FLAGS + ["--format", "json", "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert "unknown report format 'xml'" in captured.err
-    assert "cell" not in captured.out and not out.exists()
+    assert captured.err == "error: unrecognized arguments: --format json\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bench_epsilon_is_checked_before_any_data(source, value, tmp_path, monkeypatch,
+                                                  capsys):
+    import lpcascade.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "generate", no_data)
+    flags = BENCH_FLAGS + ["--out", str(tmp_path / "r.json")]
+    if source == "flag":
+        flags += [f"--epsilon={value}"]
+    else:
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(f"epsilon={value}\n")
+        flags += ["--config", str(cfg)]
+    assert main(flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: epsilon {float(value)} must be finite and above 0\n"
+    assert captured.out == "" and not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_query_epsilon_is_checked_before_the_index_is_loaded(value, query_files, tmp_path,
+                                                            monkeypatch, capsys):
+    import lpcascade.cli as cli_module
+
+    def no_index(path):
+        raise AssertionError("index loaded before epsilon was checked")
+
+    monkeypatch.setattr(cli_module, "load_index", no_index)
+    out = tmp_path / "q.json"
+    assert main(["query", "--index", str(query_files["full"]),
+                 "--queries", str(query_files["queries"]), f"--epsilon={value}",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: epsilon {float(value)} must be finite and above 0\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_bench_and_query_reports_are_strict_json(query_files, tmp_path):
+    # 1e-9 leaves every survivor count at zero, so no const fits: null
+    bench = tmp_path / "bench.json"
+    assert main(BENCH_FLAGS + ["--norms", "1,2,inf", "--out", str(bench)]) == 0
+    no_fit = tmp_path / "no-fit.json"
+    assert main(BENCH_FLAGS + ["--epsilon", "1e-9", "--out", str(no_fit)]) == 0
+    reports = tmp_path / "reports.json"
+    assert main(["query", "--index", str(query_files["full"]),
+                 "--queries", str(query_files["queries"]), "--epsilon", "1.5",
+                 "--out", str(reports)]) == 0
+    assert len(strict_json(bench)) == 3 and len(strict_json(reports)) == 4
+    (row,) = strict_json(no_fit)
+    assert row["fitted_const"] is None and row["estimated_cost"] is None
+    assert row["epsilon"] == 1e-9 and row["mean_survivors"][0] == 0.0
+
+
+def test_default_calibration_sample_leaves_target_nn_rows(capsys):
+    # 380 rows after 20 queries: the default sample of 400 is capped at 328,
+    # which leaves the default target_nn of 52 rows to search.  The cap
+    # min(sample, len(scanned) - target_nn) changes no run that a cap of
+    # len(scanned) - 1 let pass: such a run's sample left target_nn rows, so
+    # it is under both caps, or its target_nn is 1, where the caps are equal
+    assert main(["bench", "--model", "block-correlated", "--count", "400", "--dim", "32",
+                 "--schedule", "32,8,2", "--norms", "2", "--queries", "20"]) == 0
+    assert "cell orthogonal l_2" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -421,9 +505,6 @@ def test_bench_modes_are_checked_before_any_cell(source, tmp_path, capsys):
 def test_norm_labels_are_checked_before_any_data(command, source, tmp_path, monkeypatch,
                                                  capsys):
     import lpcascade.cli as cli_module
-
-    def no_data(spec):
-        raise AssertionError("data generated before the norm labels were checked")
 
     monkeypatch.setattr(cli_module, "generate", no_data)
     flags = [flag for flag in CELL_FLAGS if flag not in ("--norms", "2")]
@@ -455,7 +536,7 @@ def test_an_empty_cell_matrix_is_checked_before_any_cell(command, flag, value, t
 
 # the BenchConfig fields only bench reads, with a value build used to accept
 BENCH_ONLY = {"epsilon": "-5", "queries": "0", "verify_queries": "0", "target_nn": "999",
-              "calibration_sample": "0", "format": "json"}
+              "calibration_sample": "0"}
 
 
 @pytest.mark.parametrize("key", sorted(BENCH_ONLY))
@@ -504,11 +585,9 @@ def test_flags_override_config_file(tmp_path):
                    "modes=orthogonal\nnorms=2\nqueries=10\ntarget_nn=5\n"
                    "calibration_sample=20\nseed=1\n")
     out = tmp_path / "r.json"
-    code = main(["bench", "--config", str(cfg), "--queries", "12",
-                 "--format", "json", "--out", str(out)])
+    code = main(["bench", "--config", str(cfg), "--queries", "12", "--out", str(out)])
     assert code == 0
-    rows = read_report(out, "json")
-    assert len(rows) == 1
+    assert len(strict_json(out)) == 1
 
 
 # a text for every BenchConfig key, and the value it reads as: none of them
@@ -531,7 +610,6 @@ KEY_TEXTS = {
     "verify_queries": ("3", 3),
     "seed": ("42", 42),
     "out": ("r.json", "r.json"),
-    "format": ("json", "json"),
 }
 # the paper's letters, documented for the file and the flags alike
 KEY_ALIASES = {"s": "count", "n": "dim", "m": "block_size", "rho": "correlation"}

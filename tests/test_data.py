@@ -1,5 +1,7 @@
-"""Loaders, synthetic generation, and report serialization."""
+"""Loaders, synthetic generation, and the bench report's bytes."""
 
+import dataclasses
+import json
 import math
 import struct
 
@@ -14,10 +16,9 @@ from lpcascade import (
     generate,
     load_csv,
     load_fvecs,
-    read_report,
     write_fvecs,
-    write_report,
 )
+from lpcascade.cli import _write_json
 
 
 def test_dataset_validation():
@@ -167,66 +168,31 @@ def test_csv_errors(tmp_path):
         load_csv(nonfinite)
 
 
-def sample_rows():
-    return [
-        BenchRow(mode="orthogonal", norm="1", epsilon=50.0, mean_cost=54268.4,
-                 mean_ratio=1.893, mean_survivors=(103.2, 2860.1, 18531.1),
-                 fitted_const=0.0001843, estimated_cost=84321.5),
-        BenchRow(mode="orthogonal", norm="inf", epsilon=2.25, mean_cost=77538.0,
-                 mean_ratio=1.27, mean_survivors=(87.8, 6555.6, 19882.9),
-                 fitted_const=0.0002931, estimated_cost=91830.25),
-    ]
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_report_roundtrip(tmp_path, fmt):
-    rows = sample_rows()
-    path = tmp_path / f"report.{fmt}"
-    write_report(rows, path, fmt)
-    assert read_report(path, fmt) == rows
-
-
-def test_report_formats_agree(tmp_path):
-    rows = sample_rows()
-    write_report(rows, tmp_path / "r.json", "json")
-    write_report(rows, tmp_path / "r.csv", "csv")
-    assert read_report(tmp_path / "r.json", "json") == read_report(
-        tmp_path / "r.csv", "csv")
-
-
 def test_report_empty(tmp_path):
-    write_report([], tmp_path / "e.csv", "csv")
-    header = (tmp_path / "e.csv").read_text().strip()
-    assert header.startswith("mode,norm,epsilon")
-    assert read_report(tmp_path / "e.csv", "csv") == []
-    write_report([], tmp_path / "e.json", "json")
-    assert read_report(tmp_path / "e.json", "json") == []
+    _write_json([], tmp_path / "e.json")
+    assert (tmp_path / "e.json").read_bytes() == b"[]\n"
+    assert json.loads((tmp_path / "e.json").read_text()) == []
 
 
-def test_report_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        write_report([], tmp_path / "x.bin", "parquet")
-    with pytest.raises(ValueError):
-        read_report(tmp_path / "x.bin", "parquet")
+def test_report_writer_rejects_non_finite_floats(tmp_path):
+    # NaN and Infinity are not JSON: nothing is written
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            _write_json([{"epsilon": value}], tmp_path / "bad.json")
+        assert not (tmp_path / "bad.json").exists()
 
 
 def test_report_bytes_are_fixed(tmp_path):
-    # column order, key order and float text, not only the round trip
+    # key order and float text; a cell with no fitted const holds null
     rows = [
         BenchRow(mode="orthogonal", norm="1", epsilon=50.0, mean_cost=54268.4,
                  mean_ratio=1.893, mean_survivors=(103.2, 2860.1),
                  fitted_const=0.0001843, estimated_cost=84321.5),
         BenchRow(mode="adaptive", norm="inf", epsilon=1e-05, mean_cost=77538.0,
                  mean_ratio=1.27, mean_survivors=(87.8, 6555.6),
-                 fitted_const=math.nan, estimated_cost=math.nan),
+                 fitted_const=None, estimated_cost=None),
     ]
-    write_report(rows, tmp_path / "r.csv", "csv")
-    assert (tmp_path / "r.csv").read_bytes() == (
-        b"mode,norm,epsilon,mean_cost,mean_ratio,sigma_0,sigma_1,fitted_const,"
-        b"estimated_cost\r\n"
-        b"orthogonal,1,50.0,54268.4,1.893,103.2,2860.1,0.0001843,84321.5\r\n"
-        b"adaptive,inf,1e-05,77538.0,1.27,87.8,6555.6,nan,nan\r\n")
-    write_report(rows, tmp_path / "r.json", "json")
+    _write_json([dataclasses.asdict(row) for row in rows], tmp_path / "r.json")
     assert (tmp_path / "r.json").read_bytes() == b"""[
   {
     "mode": "orthogonal",
@@ -251,8 +217,8 @@ def test_report_bytes_are_fixed(tmp_path):
       87.8,
       6555.6
     ],
-    "fitted_const": NaN,
-    "estimated_cost": NaN
+    "fitted_const": null,
+    "estimated_cost": null
   }
 ]
 """
