@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -58,6 +59,19 @@ def _check_epsilon(epsilon: float) -> None:
     """A search radius is finite and above 0; checked before any data."""
     if not 0.0 < epsilon < math.inf:
         raise CliInputError(f"epsilon {epsilon} must be finite and above 0")
+
+
+def _check_out(path) -> None:
+    """A report path names no directory, and its directory exists and is
+    writable; checked before any data are made or an index is loaded, so
+    that a report that cannot be written is not found after all the work."""
+    target = Path(path)
+    if not target.parent.is_dir():
+        raise CliInputError(f"{path}: no directory {target.parent}")
+    if target.is_dir():
+        raise CliInputError(f"{path}: is a directory")
+    if not os.access(target.parent, os.W_OK | os.X_OK):
+        raise CliInputError(f"{path}: directory {target.parent} is not writable")
 
 
 def _write_json(payload, path) -> None:
@@ -224,6 +238,8 @@ def run_query(index_path, queries_path, epsilon: float, out_path=None,
               log=print) -> list:
     """Run a range query for every vector in the query file."""
     _check_epsilon(epsilon)
+    if out_path is not None:
+        _check_out(out_path)
     index = load_index(index_path)
     queries = load_vector_file(queries_path)
     reports = []
@@ -261,6 +277,8 @@ def run_bench(config: BenchConfig, log=print) -> list[BenchRow]:
     if config.verify_queries < 1:
         raise CliInputError(f"verify_queries {config.verify_queries} must be at "
                             "least 1: every cell is checked against the oracle")
+    if config.out is not None:
+        _check_out(config.out)
     full = config.dataset()
     if config.queries < 1 or config.queries >= len(full):
         raise CliInputError(f"query sample {config.queries} must be in "

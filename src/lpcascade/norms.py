@@ -89,16 +89,21 @@ _NARROW = 32
 # candidates' rows chunk by chunk.  Timed l_1, l_4 and l_inf sweeps of 20k
 # random rows (2 CPUs) break even near 0.3 of the rows at 4 columns, 0.4-0.6
 # at 16 and 64 and 0.6-0.7 at 768 and 960.  A later timing that alternated
-# float32 rows (the index's features, differenced into the same float64
-# buffer) with float64 rows of the same values put both near 0.3 at 4
+# float32 rows (the index's features, then cast into a float64 buffer at
+# every level) with float64 rows of the same values put both near 0.3 at 4
 # columns and 0.75 at 16 and 64; at 768 and 960 columns float32 rows broke
 # even at 0.75-0.9 against 0.7-0.75, their dense sweeps running up to 7%
 # slower and their gathers no slower.  Two thirds stays, for both dtypes.
+# l_1, l_4 and l_inf levels now difference their float32 features in a
+# float32 buffer (``distances_to_point``), a case those timings predate.
 _DENSE_SHARE = 2 / 3
 # Smallest sum of squares (l_2) or of fourth powers (l_4) the kernel takes as
 # it is: from here up, the at most 2^-1074 a term can lose to underflow is
 # under 2^-274 of the sum.
 _FLOOR = 2.0 ** -800
+# The same for the float32 kernel: from 2^-100 up, the at most 2^-150 a
+# float32 term can lose to underflow is under 2^-50 of the sum.
+_F32_FLOOR = 2.0 ** -100
 # float64 machine epsilon (2^-52) and smallest normal float64 (2^-1022): the
 # relative and absolute terms of the l_2 band's half-width (``l2_band``).  A
 # block moment below 2^-1022 has underflowed (``projection``).
@@ -144,16 +149,20 @@ def lp_norm(v, p) -> float:
 
 
 def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.ndarray:
-    """l_p distance from each row of ``rows`` to ``y``, vectorized.
+    """l_p distance from each row of ``rows`` to ``y``, vectorized, as float64.
 
     The package's one l_p length: scans, cascade levels, projection scales
     and ``lp_norm`` all call it.  Inputs are assumed validated (``y``
     finite, matching dims); scans and levels feed it one chunk of rows at
-    a time (see ``sweep``).  It allocates one float64 buffer of
-    differences whatever the rows' dtype (``_differences``), so a float32
-    row is at the distance of its float64 copy, and works in it in place.
-    A row whose difference overflows float64, or holds an infinite
-    component, is at distance inf under every norm.  There are three forms:
+    a time (see ``sweep``).  It allocates one buffer of differences
+    (``_differences``) and works in it in place.  The dtypes select the
+    arithmetic of the first two forms below: float32 when ``rows`` and
+    ``y`` are both float32 (the l_1, l_4 and l_inf levels of an index,
+    ``tree.range_query``), float64 otherwise, where a float32 row is cast
+    into the float64 buffer and so is at the distance of its float64 copy.
+    The third form is float64 arithmetic whatever the dtypes.  A row whose
+    difference overflows, or holds an infinite component, is at distance
+    inf under every norm.  There are three forms:
 
     * l_1 and l_inf: the sum or the maximum of the absolute differences.
     * l_2 and l_4: the differences squared (twice under l_4) and summed
@@ -164,7 +173,9 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
       under 2u more, so it is within gamma_{n+6} of exact.  A row whose s is
       not in [2^-800, inf) has overflowed, or may have lost terms to
       underflow (an exact duplicate has s = 0), and takes the next form
-      instead, which is within gamma_{2n+16}.
+      instead, which is within gamma_{2n+16}.  In float32 the same holds
+      with u = 2^-24 for s in [2^-100, inf) (``_F32_FLOOR``), and a row whose
+      s is not takes the float64 kernel, against ``y`` converted exactly.
     * Any other p: every term is divided by the row's maximum before the
       power, so none overflows, and the root is multiplied back.
 
@@ -177,13 +188,14 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
     """
     p = norm.p
     if not (p in (1.0, 2.0, 4.0) or norm.is_infinite):
-        return _max_divided(np.abs(_differences(rows, y, False)), p)
+        diff = _differences(rows, y.astype(np.float64, copy=False), False)
+        return _max_divided(np.abs(diff), p)
     narrow = rows.shape[1] < _NARROW
     diff = _differences(rows, y, narrow)
     if norm.is_infinite:
-        return np.abs(diff, out=diff).max(axis=0 if narrow else 1)
+        return np.abs(diff, out=diff).max(axis=0 if narrow else 1).astype(np.float64, copy=False)
     if p == 1.0:
-        return _sums(np.abs(diff, out=diff), narrow)
+        return _sums(np.abs(diff, out=diff), narrow).astype(np.float64, copy=False)
     with np.errstate(over="ignore"):  # an overflowed row falls back below
         for _ in range(int(p) // 2):  # l_2 squares once, l_4 twice; (-a)^2 == a^2
             np.multiply(diff, diff, out=diff)
@@ -191,22 +203,30 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
     out = np.sqrt(total)
     if p == 4.0:
         np.sqrt(out, out=out)
+    out = out.astype(np.float64, copy=False)
+    single = diff.dtype == np.float32
+    floor = _F32_FLOOR if single else _FLOOR
     # two reductions clear a chunk whose rows are all in range without a mask
-    if total.size and not (total.min() >= _FLOOR and total.max() < math.inf):
-        fallback = ~((total >= _FLOOR) & (total < math.inf))
-        out[fallback] = _max_divided(np.abs(rows[fallback] - y), p)
+    if total.size and not (total.min() >= floor and total.max() < math.inf):
+        fallback = ~((total >= floor) & (total < math.inf))
+        if single:
+            out[fallback] = distances_to_point(rows[fallback], y.astype(np.float64), norm)
+        else:
+            out[fallback] = _max_divided(np.abs(rows[fallback] - y), p)
     return out
 
 
 def _differences(rows: np.ndarray, y: np.ndarray, transpose: bool) -> np.ndarray:
-    """``rows - y`` in a new C-ordered float64 buffer, (n x rows) if
-    ``transpose``.  Rows of another dtype are cast into the buffer first and
-    differenced in place: the same floats for float32 rows, which convert
-    exactly, in 10-25% less time than numpy's mixed-dtype subtraction
-    (20k-row sweeps, 4 to 768 columns, every kernel norm)."""
+    """``rows - y`` in a new C-ordered buffer, (n x rows) if ``transpose``:
+    a float32 buffer when ``rows`` and ``y`` are both float32, and a
+    float64 one otherwise.  Rows of another dtype than ``y`` are cast into
+    the float64 buffer first and differenced in place: the same floats for
+    float32 rows, which convert exactly, in 10-25% less time than numpy's
+    mixed-dtype subtraction (20k-row sweeps, 4 to 768 columns, every kernel
+    norm)."""
     if transpose:
         rows, y = rows.T, y[:, None]
-    if rows.dtype == np.float64:
+    if rows.dtype == y.dtype:
         return np.subtract(rows, y, order="C")
     diff = rows.astype(np.float64, order="C")
     return np.subtract(diff, y, out=diff)

@@ -35,7 +35,11 @@ import numpy as np
 from .data import DataSet
 from .norms import (
     _EPS,
+    _F32_U,
+    L1,
     L2,
+    L4,
+    LINF,
     NormOrder,
     as_norm_order,
     as_vector,
@@ -79,6 +83,11 @@ _VERSION = 3
 # float32 (its largest value is just under 2^128).
 _F32_TINY = float(np.finfo(np.float32).tiny)
 _F32_SAFE = 2.0 ** 127
+# Norms whose levels k >= 1 run the distance kernel in float32 arithmetic,
+# against the projected query rounded to float32 (``range_query``).  l_2
+# levels keep the float64 kernel, against which ``norms.l2_band`` is
+# derived, and so does the max-divided form of every other norm.
+_FLOAT32_NORMS = (L1, L4, LINF)
 # Share of a level's rows from which the l_2 screen forms its dot products
 # by one whole-matrix GEMV, indexed by the candidates, instead of gathering
 # the candidates' rows chunk by chunk.  Alternating the two over float32
@@ -230,11 +239,12 @@ class SubspaceIndex:
     ``schedule.levels`` levels k maps dims[k-1] to dims[k] under ``norm``,
     as exactness needs, with features (count, dims[k]).  Level k prunes a
     row when its level distance reaches epsilon plus a margin that covers
-    the float32 rounding and the float64 rounding of projection and
-    distances; the rule (``level_margins``) reads only the schedule, epsilon
-    and the query's norm.  ``prune_margins`` is derived, not passed in: the
-    per-level margins of a query with ``||y||_p + epsilon = 1``, which a
-    query's own margins scale in proportion to.  Queries are read-only and
+    the float32 rounding of the features and the rounding of projection and
+    distances; the rule (``level_margins``) reads only the schedule, the
+    index's norm, epsilon and the query's norm.  ``prune_margins`` is
+    derived, not passed in: the per-level margins of a query with
+    ``||y||_p + epsilon = 1``, which a query's own margins scale in
+    proportion to.  Queries are read-only and
     safe to run concurrently.
 
     Under l_2 the index also derives ``sq_norms``: ``sq_norms[0]`` holds the
@@ -285,7 +295,7 @@ class SubspaceIndex:
 
     @property
     def prune_margins(self) -> tuple[float, ...]:
-        return level_margins(self.schedule, 1.0)
+        return level_margins(self.schedule, 1.0, self.norm)
 
     @property
     def count(self) -> int:
@@ -351,18 +361,24 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
     )
 
 
-def level_margins(schedule: DimensionSchedule, scale: float) -> tuple[float, ...]:
+def level_margins(schedule: DimensionSchedule, scale: float,
+                  norm: NormOrder) -> tuple[float, ...]:
     """What each level adds to epsilon before it prunes, for a query y with
-    ``scale = ||y||_p + epsilon``: level k keeps a row while its kernel
-    distance is below ``epsilon + margin_k``.  With n_k = dim(U_k), block
-    sizes m_j = n_{j-1} / n_j and eps = 2^-52,
+    ``scale = ||y||_p + epsilon`` on an index under ``norm``: level k keeps a
+    row while its kernel distance is below ``epsilon + margin_k``.  With
+    n_k = dim(U_k), block sizes m_j = n_{j-1} / n_j, eps = 2^-52 and
+    v = 2^-24,
 
-        margin_k = c_k (scale + n_k 2^-126)
+        margin_k = (c_k + f_k) (scale + n_k 2^-126)
         c_k = 2^-23 + (2 n_0 + 2 n_k + sum_{j=1..k} (4 m_j + 20) + 32) eps
+        f_k = gamma'_j = j v / (1 - j v)
 
-    and every margin is infinite, so that no level prunes, once scale is not
-    below 2^127.  The rule reads the schedule and the scale only, never a
-    stored row, so memory-mapped vectors stay untouched.
+    where f_k, the float32 term, has j = n_k + 1 under l_1, (n_k + 20) / 4
+    under l_4 and 2 under l_inf, the norms whose levels run the kernel in
+    float32 (``range_query``), and f_k = 0 under l_2 and every other norm.
+    Every margin is infinite, so that no level prunes, once scale is not
+    below 2^127.  The rule reads the schedule, the norm and the scale only,
+    never a stored row, so memory-mapped vectors stay untouched.
 
     Why no match is pruned (Higham, *Accuracy and Stability of Numerical
     Algorithms*, ch. 3; u = eps/2 = 2^-53, gamma_j = j u / (1 - j u), bounds
@@ -404,13 +420,53 @@ def level_margins(schedule: DimensionSchedule, scale: float) -> tuple[float, ...
     * Sum.  As epsilon <= scale and ||x||_p + ||y||_p < 2 scale, the level-k
       kernel distance of x exceeds epsilon by at most scale (2^-24 +
       kappa(n_0) + kappa(n_k) + sum_{j<=k} (gamma_{2 m_j + 16} + 2
-      gamma_{m_j + 2})) + 2^-24 n_k 2^-126, which is margin_k / 2.
+      gamma_{m_j + 2})) + 2^-24 n_k 2^-126, which is c_k (scale + n_k
+      2^-126) / 2.
 
-    The other half covers the O(u^2) terms, the rounding of scale, of the
-    margin and of epsilon + margin (a few u of scale, for any n_0 < 2^20),
-    and float64 underflow, at most sqrt(n 2^-1074) in any kernel distance
-    and far below c_k n_k 2^-126 / 2.  A non-match may be kept or pruned
-    freely; verification at level 0 decides it.
+    The other half of c_k covers the O(u^2) terms, the rounding of scale, of
+    the margin and of epsilon + margin (a few u of scale, for any n_0 <
+    2^20), and float64 underflow, at most sqrt(n 2^-1074) in any kernel
+    distance and far below c_k n_k 2^-126 / 2.
+
+    * Float32 levels (f_k).  Under l_1, l_4 and l_inf a level k >= 1 runs
+      the kernel on the stored row x' against q' = fl32(y_k^), all in
+      float32 (gamma'_j = j v / (1 - j v)).  Rounding moves each y_k^_i by
+      at most v |y_k^_i|, or 2^-150 among subnormals, so ||q' - y_k^||_p <=
+      v ||y_k^||_p + n 2^-150; no q'_i overflows while scale < 2^127.  Each
+      float32 difference rounds once (exactly, if subnormal).  Then l_inf
+      is exact, and l_1 sums n nonnegative terms within gamma'_{n-1} of
+      their sum in any order (a sum that lands among subnormals is exact).
+      l_4 squares twice (gamma'_7 per term with the difference) and may lose
+      2^-150 per term to underflow; the sum is within gamma'_{n+6} of
+      sum e_i^4 (e = x' - q') plus n 2^-150, under n 2^-49 of it, as a row
+      whose float32 sum s is not in [2^-100, inf) takes the float64 kernel
+      (within kappa(n)) instead; the two roots add a quarter of that and
+      3v/2.  So the kernel returns c' within kappa' of A' = ||x' - q'||_p,
+      relatively and with no absolute term: kappa' = v under l_inf,
+      gamma'_n under l_1, and (n + 14) v / 4 under l_4 (to first order, for
+      n < 2^26).  c' is returned as float64, exactly, and compared with
+      tau_k in float64.  A match's differences and sums stay below 2^127
+      (times 1 + O(v)), so none overflows.  With A = ||x' - y_k^||_p, the
+      float64 kernel's level distance of a match was within kappa(n_k) of
+      A, so A - epsilon is at most the bound of Sum less scale kappa(n_k),
+      and A + ||y_k^||_p <= scale (1 + 2^-22) by the bounds above.  The
+      triangle inequality gives
+
+          c' - epsilon <= (A - epsilon) + v ||y_k^||_p
+                          + kappa' (A + v ||y_k^||_p) + (1 + kappa') n 2^-150,
+
+      and as kappa' >= v, v ||y_k^||_p + kappa' A <= kappa' (A + ||y_k^||_p)
+      <= kappa' scale (1 + 2^-22).  f_k exceeds kappa' by at least v, which
+      covers kappa' (2^-22 + v) <= v / 4 for n_k < 2^20, the O(v^2) terms
+      and the rounding of f_k and of the margin; f_k n_k 2^-126 >= j n_k
+      2^-150 >= 2 n_k 2^-150 covers the absolute term, as kappa' <= 1.  The
+      term is stated relative to scale, the one input of the rule: the
+      query's rounding is relative to ||y_k^||_p, not to the level distance,
+      so a bound by kappa' tau_k, tighter by about epsilon / scale in its
+      kappa' part, would need epsilon and ||y||_p apart.
+
+    A non-match may be kept or pruned freely; verification at level 0
+    decides it.
     """
     dims = schedule.dims
     if not scale < _F32_SAFE:
@@ -420,8 +476,17 @@ def level_margins(schedule: DimensionSchedule, scale: float) -> tuple[float, ...
     for k in range(1, len(dims)):
         maps += 4 * (dims[k - 1] // dims[k]) + 20
         c_k = 2.0 ** -23 + (2 * dims[0] + 2 * dims[k] + maps + 32) * _EPS
-        margins.append(c_k * (scale + dims[k] * _F32_TINY))
+        margins.append((c_k + _float32_term(norm, dims[k])) * (scale + dims[k] * _F32_TINY))
     return tuple(margins)
+
+
+def _float32_term(norm: NormOrder, n: int) -> float:
+    """f_k of ``level_margins`` for a level of width n: gamma'_j under the
+    norms whose levels run the kernel in float32, and 0.0 otherwise."""
+    if norm not in _FLOAT32_NORMS:
+        return 0.0
+    j = n + 1 if norm == L1 else (n + 20) / 4 if norm == L4 else 2
+    return j * _F32_U / (1.0 - j * _F32_U)
 
 
 def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
@@ -438,7 +503,11 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     then runs the kernel on the rest, walking them in cache-sized chunks
     (``norms.sweep``), so a query never copies a whole feature or data
     matrix.  At level 0 the kernel also runs on every row the screen keeps,
-    so every decision and reported float is the kernel's own.
+    so every decision and reported float is the kernel's own.  Under l_1,
+    l_4 and l_inf (``_FLOAT32_NORMS``) the levels k >= 1 hand the kernel the
+    projected query rounded to float32, so that it differences and reduces
+    their float32 features in float32 arithmetic, which the margins' float32
+    term covers; level 0 and the levels of every other norm work in float64.
     """
     query = as_vector(y, index.schedule.dims[0])
     epsilon = float(epsilon)
@@ -451,8 +520,12 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     matrices = (index.data, *index.features)
     with np.errstate(over="ignore"):  # an overflowed norm: no level prunes
         scale = lp_norm(query, index.norm) + epsilon
+        if index.norm in _FLOAT32_NORMS:
+            # the float32 kernel's query; it overflows only under infinite
+            # margins, which prune nothing
+            points[1:] = [point.astype(np.float32) for point in points[1:]]
     taus = (epsilon, *(epsilon + margin
-                       for margin in level_margins(index.schedule, scale)))
+                       for margin in level_margins(index.schedule, scale, index.norm)))
 
     dims = index.schedule.dims
     t = index.schedule.levels

@@ -457,6 +457,40 @@ def test_query_epsilon_is_checked_before_the_index_is_loaded(value, query_files,
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("case", ["missing", "file", "directory", "unwritable"])
+def test_report_path_is_checked_before_any_data_or_index(case, query_files, tmp_path,
+                                                         monkeypatch, capsys):
+    # a report that cannot be written is an input error found before the
+    # data are generated or the index is loaded, not after every cell
+    import lpcascade.cli as cli_module
+
+    def no_index(path):
+        raise AssertionError("index loaded before the report path was checked")
+
+    monkeypatch.setattr(cli_module, "generate", no_data)
+    monkeypatch.setattr(cli_module, "load_index", no_index)
+    (tmp_path / "plain").write_text("")
+    (tmp_path / "dir").mkdir()
+    out, message = {
+        "missing": (tmp_path / "missing" / "r.json", f"no directory {tmp_path / 'missing'}"),
+        "file": (tmp_path / "plain" / "r.json", f"no directory {tmp_path / 'plain'}"),
+        "directory": (tmp_path / "dir", "is a directory"),
+        "unwritable": (tmp_path / "r.json", f"directory {tmp_path} is not writable"),
+    }[case]
+    if case == "unwritable":  # a test run as root may write anywhere
+        monkeypatch.setattr(cli_module.os, "access", lambda path, mode: False)
+    commands = (BENCH_FLAGS + ["--out", str(out)],
+                ["query", "--index", str(query_files["full"]),
+                 "--queries", str(query_files["queries"]), "--epsilon", "1.5",
+                 "--out", str(out)])
+    for argv in commands:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}: {message}\n"
+        assert captured.out == ""
+    assert not (tmp_path / "r.json").exists() and not any((tmp_path / "dir").iterdir())
+
+
 def test_bench_and_query_reports_are_strict_json(query_files, tmp_path):
     # 1e-9 leaves every survivor count at zero, so no const fits: null
     bench = tmp_path / "bench.json"

@@ -268,9 +268,10 @@ def test_a_rows_distance_is_the_same_float_in_every_buffer(monkeypatch, width, p
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, "inf"])
 def test_float32_rows_are_at_the_distances_of_their_float64_copies(p):
-    # an index's features are float32: the kernel casts them into its
-    # float64 buffer, narrow or wide, so every row's distance is that of its
-    # float64 copy, for subnormal and infinite entries too
+    # an index's features are float32: against a float64 query the kernel
+    # casts them into its float64 buffer, narrow or wide, so every row's
+    # distance is that of its float64 copy, for subnormal and infinite
+    # entries too
     norm = as_norm_order(p)
     rng = np.random.Generator(np.random.Philox(key=16))
     for width in (1, 2, 4, 7, 8, 9, 16, 31, 32, 64):
@@ -285,6 +286,67 @@ def test_float32_rows_are_at_the_distances_of_their_float64_copies(p):
             np.testing.assert_array_equal(distances_to_point(matrix, y, norm), want)
             np.testing.assert_array_equal(sweep(matrix, None, y, norm, distances_to_point), want)
         assert np.isinf(want[1]) and 0.0 < want[0] < 1e-4  # y rounded to float32
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, "inf"])
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 31, 32, 33, 64, 768])
+def test_float32_arithmetic_matches_the_float32_reference_in_every_buffer(width, p):
+    # float32 rows against a float32 query: the kernel differences, powers
+    # and reduces in float32 (the max-divided form in float64), and a row
+    # has the reference's float in buffers of 1, 2, 3 and 7 rows as in one
+    # of 9.  l_4 rows whose float32 differences exceed 2^32 or fall below
+    # 2^-37 have fourth-power sums outside [2^-100, inf) and take the
+    # float64 kernel; a zero row does too, and an infinite one is at inf
+    norm = as_norm_order(p)
+    rng = np.random.Generator(np.random.Philox(key=18))
+    rows = (rng.standard_normal((9, width))
+            * np.exp(rng.uniform(-3.0, 3.0, (9, width)))).astype(np.float32)
+    for y in (rng.standard_normal(width).astype(np.float32), np.zeros(width, np.float32)):
+        rows[0] = y
+        rows[1] = y + np.float32(2.0 ** 34) * rng.uniform(1.0, 2.0, width).astype(np.float32)
+        rows[2] = y + np.float32(2.0 ** -40) * rng.standard_normal(width).astype(np.float32)
+        rows[3, -1] = np.inf
+        want = unchunked_distances(rows, y, norm)
+        assert want.dtype == np.float64
+        assert want[0] == 0.0 and np.isinf(want[3]) and np.isfinite(want[[1, 2]]).all()
+        for size in (1, 2, 3, 7, 9):
+            got = np.concatenate([distances_to_point(rows[start:start + size], y, norm)
+                                  for start in range(0, 9, size)])
+            np.testing.assert_array_equal(got, want, err_msg=f"buffers of {size} rows")
+        np.testing.assert_array_equal(distances_to_point(np.asfortranarray(rows), y, norm),
+                                      want)
+        wide = unchunked_distances(rows, y.astype(np.float64), norm)
+        if p == 3:
+            np.testing.assert_array_equal(want, wide)
+        elif y.any():
+            assert not np.array_equal(want[4:], wide[4:])  # float32 arithmetic
+    if p == 4:
+        # rows 1 and 2 fell back: their fourth powers overflow or underflow
+        # float32, and the float64 kernel gives them
+        with np.errstate(over="ignore", under="ignore"):
+            sums = np.sum((rows[1:3] - y) ** 4, axis=1, dtype=np.float32)
+        assert np.isinf(sums[0]) and sums[1] < 2.0 ** -100
+        np.testing.assert_array_equal(want[1:3], wide[1:3])
+
+
+@pytest.mark.parametrize("p", [1, 4, "inf"])
+def test_float32_kernel_stays_within_its_bound(p):
+    # tree.level_margins charges the float32 kernel kappa' of the length of
+    # its float32 inputs' difference: 2^-24 under l_inf, gamma'_n under l_1
+    # and (n + 14) 2^-24 / 4 under l_4, in either reduction order; the
+    # float64 kernel, within gamma_{2n+16}, stands in for the exact length
+    norm = as_norm_order(p)
+    rng = np.random.Generator(np.random.Philox(key=19))
+    v = 2.0 ** -24
+    for width in (1, 4, 8, 16, 31, 32, 64, 768):
+        kappa = {1: width * v / (1 - width * v), 4: (width + 14) * v / 4, math.inf: v}[norm.p]
+        gamma = (2 * width + 16) * v * 2.0 ** -29
+        rows = (rng.standard_normal((400, width))
+                * np.exp(rng.uniform(-8.0, 8.0, (400, width)))).astype(np.float32)
+        y = rows[7] + (0.01 * rng.standard_normal(width)).astype(np.float32)
+        got = distances_to_point(rows, y, norm)
+        want = distances_to_point(rows, y.astype(np.float64), norm)
+        assert np.all(np.abs(got - want) <= (kappa + 2 * gamma) * want)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, "inf"])

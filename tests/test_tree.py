@@ -30,7 +30,7 @@ from lpcascade import (
     save_index,
 )
 from lpcascade import norms, projection, tree
-from unchunked import gather_everything_query, unchunked_distances
+from unchunked import gather_everything_query, kernel_points, unchunked_distances
 
 GIST_SCHEDULE = (960, 480, 240, 120, 60, 30, 10, 5)
 
@@ -729,7 +729,7 @@ def test_an_index_whose_parts_disagree_is_rejected(change, message):
 def test_prune_margins_are_derived_not_passed():
     data = small_dataset(count=50, seed=71)
     index = build_index(data, DimensionSchedule((64, 16, 4)), "orthogonal", 1)
-    assert index.prune_margins == tree.level_margins(index.schedule, 1.0)
+    assert index.prune_margins == tree.level_margins(index.schedule, 1.0, index.norm)
     with pytest.raises(TypeError):
         tree.SubspaceIndex(schedule=index.schedule, norm=index.norm, mode=index.mode,
                            levels=index.levels, features=index.features, data=index.data,
@@ -747,9 +747,7 @@ def boundary_epsilons(index, y):
     """Kernel distances at the verification level and at every projection
     level, each exactly and one ulp above: the epsilons that sit on the edge
     of the l_2 screen's band."""
-    projected = [np.asarray(y, dtype=np.float64)]
-    for level in index.levels:
-        projected.append(projection.project_level(projected[-1], level))
+    projected = kernel_points(index, y)
     matrices = (np.asarray(index.data), *index.features)
     epsilons = []
     for k, (m, q) in enumerate(zip(matrices, projected)):
@@ -763,15 +761,14 @@ def threshold_epsilons(index, y):
     """Epsilons at which a projection level's threshold tau_k = epsilon +
     margin_k, formed as range_query forms it, crosses a row's level-k kernel
     distance: the last one below it and the next two.  They put rows on the
-    edge of the l_2 screen at the float32 levels, where boundary_epsilons
+    edge of the l_2 screen at the float32 levels, and on the edge of the
+    float32 kernel of l_1, l_4 and l_inf levels, where boundary_epsilons
     leaves the margin between a row and tau_k."""
-    projected = [np.asarray(y, dtype=np.float64)]
-    for level in index.levels:
-        projected.append(projection.project_level(projected[-1], level))
+    projected = kernel_points(index, y)
     norm_y = lp_norm(y, index.norm)
 
     def margin(k, epsilon):
-        return tree.level_margins(index.schedule, norm_y + epsilon)[k - 1]
+        return tree.level_margins(index.schedule, norm_y + epsilon, index.norm)[k - 1]
 
     epsilons = []
     for k in range(1, len(projected)):
@@ -779,8 +776,9 @@ def threshold_epsilons(index, y):
         for target in dist[[20, 150]]:
             if not (math.isfinite(target) and math.isfinite(margin(k, target))):
                 continue
-            # the margin moves by under 2^-22 of epsilon: a fixed point in a
-            # few steps, then ulp steps to the crossing
+            # the margin moves by c_k + f_k, under 2^-17 at 64 columns, of
+            # any change in epsilon: a fixed point in a few steps, then ulp
+            # steps to the crossing
             epsilon = target
             for _ in range(3):
                 epsilon = target - margin(k, epsilon)
@@ -922,7 +920,8 @@ def test_infinite_margins_prune_no_row_at_any_level(mode, p):
     cases = [(near, dist[1]), (near, dist[40]), (near, math.inf),
              (small, 2.0 ** 127), (small, math.inf)]
     for y, epsilon in cases:
-        assert tree.level_margins(index.schedule, lp_norm(y, p) + epsilon)[0] == math.inf
+        scale = lp_norm(y, p) + epsilon
+        assert tree.level_margins(index.schedule, scale, index.norm)[0] == math.inf
         report = range_query(index, y, epsilon)
         # the kernel, and the reference with it, puts a row with an infinite
         # feature at distance inf under every norm, l_4 included (it was nan)
@@ -994,20 +993,43 @@ def test_dense_l2_levels_are_not_gathered(monkeypatch):
     assert gathered == [0]
 
 
+def parent_margins(schedule, scale):
+    """level_margins with no float32 term: the float64 kernel's rule, which
+    l_2 and every norm but l_1, l_4 and l_inf keep."""
+    dims = schedule.dims
+    if not scale < 2.0 ** 127:
+        return (math.inf,) * schedule.levels
+    eps = np.finfo(np.float64).eps
+    margins, maps = [], 0
+    for k in range(1, len(dims)):
+        maps += 4 * (dims[k - 1] // dims[k]) + 20
+        c_k = 2.0 ** -23 + (2 * dims[0] + 2 * dims[k] + maps + 32) * eps
+        margins.append(c_k * (scale + dims[k] * 2.0 ** -126))
+    return tuple(margins)
+
+
 def test_level_margins_follow_the_schedule_and_the_query_scale():
     schedule = DimensionSchedule((64, 16, 4))
     eps = np.finfo(np.float64).eps
     # c_1 = 2^-23 + (2*64 + 2*16 + (4*4 + 20) + 32) eps, and level 2 adds a map
     c = [2.0 ** -23 + 228 * eps, 2.0 ** -23 + (128 + 8 + 36 + 36 + 32) * eps]
     tiny = 2.0 ** -126
-    assert tree.level_margins(schedule, 1.0) == (c[0] * (1.0 + 16 * tiny),
-                                                 c[1] * (1.0 + 4 * tiny))
-    assert tree.level_margins(schedule, 1e6) == (c[0] * (1e6 + 16 * tiny),
-                                                 c[1] * (1e6 + 4 * tiny))
+    assert tree.level_margins(schedule, 1.0, norms.L2) == (c[0] * (1.0 + 16 * tiny),
+                                                           c[1] * (1.0 + 4 * tiny))
+    assert tree.level_margins(schedule, 1e6, norms.L2) == (c[0] * (1e6 + 16 * tiny),
+                                                           c[1] * (1e6 + 4 * tiny))
+    # float32 levels add gamma'_j = j v / (1 - j v), v = 2^-24, with j = n + 1
+    # under l_1, (n + 20) / 4 under l_4 and 2 under l_inf
+    v = 2.0 ** -24
+    for norm, j in ((norms.L1, (17, 5)), (norms.L4, (9, 6)), (norms.LINF, (2, 2))):
+        f = [j[0] * v / (1 - j[0] * v), j[1] * v / (1 - j[1] * v)]
+        assert tree.level_margins(schedule, 1e6, norm) == (
+            (c[0] + f[0]) * (1e6 + 16 * tiny), (c[1] + f[1]) * (1e6 + 4 * tiny))
     # a match's features could overflow float32: no level prunes
-    for scale in (2.0 ** 127, math.inf, math.nan):
-        assert tree.level_margins(schedule, scale) == (math.inf, math.inf)
-    assert tree.level_margins(DimensionSchedule((64,)), 1.0) == ()
+    for norm in (norms.L1, norms.L2, norms.L4, norms.LINF):
+        for scale in (2.0 ** 127, math.inf, math.nan):
+            assert tree.level_margins(schedule, scale, norm) == (math.inf, math.inf)
+        assert tree.level_margins(DimensionSchedule((64,)), 1.0, norm) == ()
 
 
 def block_offset_dataset(clusters=8, per=40, seed=72):
@@ -1076,6 +1098,110 @@ def test_dense_and_gathered_levels_stay_exact_at_the_epsilon_boundary(monkeypatc
                 assert list(report.matches) == brute_force_range(data, y, epsilon, p)
     # pruned candidate sets on both sides of the share occur
     assert paths == {True, False}
+
+
+@pytest.mark.parametrize("scale", [1e19, 1e-30])
+@pytest.mark.parametrize("p", [1, 4, "inf"])
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_float32_levels_are_exact_at_every_threshold(monkeypatch, mode, p, scale):
+    # level 1 (64 columns, reduced pairwise) and level 2 (8 columns, in
+    # order) run the kernel in float32 against the query rounded to float32.
+    # Rows spread from a hundredth of the scale to ten times it.  Near 1e19
+    # l_4's float32 differences exceed 2^32 and their fourth powers
+    # overflow; near 1e-30 they fall below 2^-37 and the fourth powers
+    # underflow: such rows take the float64 kernel, recorded below
+    base = generate(SyntheticSpec(count=300, dim=256, block_size=4, correlation=0.8,
+                                  rng_seed=82)).vectors
+    rng = np.random.Generator(np.random.Philox(key=83))
+    factors = scale * 10.0 ** rng.uniform(-2.0, 1.0, (300, 1))
+    data = DataSet.from_array((base - base.mean(axis=0)) * factors)
+    index = build_index(data, DimensionSchedule((256, 64, 8)), mode, p)
+    fallback = []
+    kernel = norms.distances_to_point
+
+    def recording(rows, y, norm):
+        if rows.dtype == np.float32 and y.dtype == np.float64:
+            fallback.append(len(rows))
+        return kernel(rows, y, norm)
+
+    # the float32 kernel hands its fallback rows to the module's own name
+    monkeypatch.setattr(norms, "distances_to_point", recording)
+    reports = []
+    for row in (int(np.argmin(factors)), 211):
+        y = data.vectors[row] + rng.standard_normal(256) * 0.05 * factors[row]
+        for epsilon in boundary_epsilons(index, y) + threshold_epsilons(index, y):
+            report = range_query(index, y, epsilon)
+            assert list(report.matches) == brute_force_range(data, y, epsilon, p)
+            assert report == gather_everything_query(index, y, epsilon)
+            reports.append(report)
+    assert any(0 < r.survivors[2] < len(data) for r in reports)
+    assert any(0 < r.survivors[1] < r.survivors[2] for r in reports)
+    assert (sum(fallback) > 0) == (p == 4)
+
+
+@pytest.mark.parametrize("dims, stride", [((64, 16, 4), 1), ((256, 64, 8), 8)])
+def test_a_match_whose_float32_level_sum_rounds_up_at_every_step_is_kept(dims, stride):
+    # under orthogonal l_1 a level-1 feature is the sum of its block, so a
+    # row holding one nonzero per block has exactly the features it is
+    # given.  Row 0's features are 1, then 2^-24 + 2^-34 where the float32
+    # sum adds to the running total that holds the 1: every column of the
+    # in-order sum of a narrow level, every eighth along the first partial
+    # sum of numpy's pairwise one.  Each addition rounds up by almost
+    # 2^-24, so the level distance exceeds the exact one by nearly
+    # (additions) 2^-24 of it: the float32 term (17 and 65 2^-24 here)
+    # covers that, and c_1 alone (about 2^-23) does not
+    n0, n1 = dims[:2]
+    rng = np.random.Generator(np.random.Philox(key=85))
+    rows = 10.0 * rng.standard_normal((60, n0))
+    features = np.zeros(n1)
+    features[0] = 1.0
+    features[stride::stride] = 2.0 ** -24 + 2.0 ** -34
+    rows[0] = 0.0
+    rows[0, ::n0 // n1] = features
+    data = DataSet.from_array(rows)
+    index = build_index(data, DimensionSchedule(dims), "orthogonal", 1)
+    np.testing.assert_array_equal(index.features[0][0], features)
+    y = np.zeros(n0)
+    exact = unchunked_distances(data.vectors[:1], y, index.norm)[0]
+    level = unchunked_distances(index.features[0][:1], np.zeros(n1, np.float32), index.norm)[0]
+    additions = (n1 - 1) // stride
+    assert level - exact > 0.99 * additions * 2.0 ** -24 * exact
+    for epsilon in (np.nextafter(exact, np.inf), exact * (1.0 + 2.0 ** -40)):
+        report = range_query(index, y, epsilon)
+        assert report.match_ids == (0,)
+        assert list(report.matches) == brute_force_range(data, y, epsilon, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_l2_and_l3_levels_keep_the_float64_kernel_and_the_parent_margins(monkeypatch, p):
+    # only l_1, l_4 and l_inf levels take float32 arithmetic: l_2 and l_3
+    # margins are the float64 rule's, bit for bit, and every kernel call
+    # gets a float64 query, so their reports are those of that rule
+    schedule = DimensionSchedule((64, 16, 4))
+    norm = norms.as_norm_order(p)
+    for scale in (1e-30, 1.0, 1e6, 1e19, 2.0 ** 127, math.inf):
+        assert tree.level_margins(schedule, scale, norm) == parent_margins(schedule, scale)
+    data = small_dataset(count=300, seed=84)
+    index = build_index(data, schedule, "adaptive", p)
+    assert index.prune_margins == parent_margins(schedule, 1.0)
+    dtypes = set()
+    kernel = tree.distances_to_point
+
+    def recording(rows, y, norm):
+        dtypes.add(y.dtype)
+        return kernel(rows, y, norm)
+
+    monkeypatch.setattr(tree, "distances_to_point", recording)
+    reports = []
+    for row in (0, 150):
+        y = data.vectors[row] + 0.05
+        exact = np.sort(unchunked_distances(data.vectors, y, index.norm))
+        for epsilon in boundary_epsilons(index, y) + threshold_epsilons(index, y) + [exact[50]]:
+            report = range_query(index, y, epsilon)
+            assert report == gather_everything_query(index, y, epsilon)
+            reports.append(report)
+    assert dtypes == {np.dtype(np.float64)}
+    assert any(0 < r.survivors[1] < len(data) for r in reports)
 
 
 @pytest.mark.parametrize("mode, scale", [

@@ -15,30 +15,37 @@ from lpcascade.tree import level_margins
 def unchunked_distances(rows, y, norm):
     """The distance kernel on whole matrices: ``|rows - y|``, its powers, and
     a reduction of each row, in order below 32 columns and by numpy's
-    pairwise ``sum`` from 32 up."""
-    diff = np.abs(rows - y)
-    if norm.is_infinite:
-        return diff.max(axis=1)
+    pairwise ``sum`` from 32 up, returned as float64.  Float32 arithmetic
+    when rows and y are both float32 (an l_2 or l_4 row whose float32 sum
+    is not in [2^-100, inf) is recomputed in float64), float64 otherwise;
+    the max-divided form always in float64."""
     p = norm.p
-    if p not in (1.0, 2.0, 4.0):
-        return max_divided_distances(diff, p)
+    if not (norm.is_infinite or p in (1.0, 2.0, 4.0)):
+        return max_divided_distances(np.abs(rows - np.asarray(y, dtype=np.float64)), p)
+    diff = np.abs(rows - y)
+    single = diff.dtype == np.float32
+    if norm.is_infinite:
+        return diff.max(axis=1).astype(np.float64)
     # a sum that overflowed or may have lost terms to underflow takes the
-    # max-divided form under l_2 and l_4
+    # max-divided form under l_2 and l_4, or the float64 kernel in float32
     with np.errstate(over="ignore"):
         terms = diff if p == 1.0 else diff * diff
         if p == 4.0:
             terms = terms * terms
         if diff.shape[1] < 32:
-            total = np.zeros(diff.shape[0])
+            total = np.zeros(diff.shape[0], dtype=diff.dtype)
             for column in terms.T:
                 total += column
         else:
             total = terms.sum(axis=1)
     if p == 1.0:
-        return total
-    out = np.sqrt(total) if p == 2.0 else np.sqrt(np.sqrt(total))
-    fallback = ~((total >= 2.0 ** -800) & (total < np.inf))
-    out[fallback] = max_divided_distances(diff[fallback], p)
+        return total.astype(np.float64)
+    out = (np.sqrt(total) if p == 2.0 else np.sqrt(np.sqrt(total))).astype(np.float64)
+    fallback = ~((total >= (2.0 ** -100 if single else 2.0 ** -800)) & (total < np.inf))
+    if single:
+        out[fallback] = unchunked_distances(rows[fallback], y.astype(np.float64), norm)
+    else:
+        out[fallback] = max_divided_distances(diff[fallback], p)
     return out
 
 
@@ -52,12 +59,24 @@ def max_divided_distances(diff, p):
     return np.where(finite, out, m)
 
 
+def kernel_points(index, y):
+    """The query projected to every level as range_query hands it to the
+    distance kernel: float64 at level 0 and at l_2 and max-divided levels,
+    and rounded to float32 at the l_1, l_4 and l_inf levels k >= 1, which
+    take float32 arithmetic."""
+    points = [np.asarray(y, dtype=np.float64)]
+    for level in index.levels:
+        points.append(project_level(points[-1], level))
+    if index.norm.p in (1.0, 4.0) or index.norm.is_infinite:
+        with np.errstate(over="ignore"):  # only under infinite margins
+            points[1:] = [point.astype(np.float32) for point in points[1:]]
+    return points
+
+
 def gather_everything_query(index, y, epsilon):
     """range_query with every level gathering all its candidates' rows at once."""
     query = np.asarray(y, dtype=np.float64)
-    projected = [query]
-    for level in index.levels:
-        projected.append(project_level(projected[-1], level))
+    projected = kernel_points(index, query)
     dims = index.schedule.dims
     t = index.schedule.levels
     s = index.count
@@ -65,10 +84,13 @@ def gather_everything_query(index, y, epsilon):
     candidates = np.arange(s)
     cost = 0
     with np.errstate(over="ignore"):
-        margins = level_margins(index.schedule, lp_norm(query, index.norm) + epsilon)
+        margins = level_margins(index.schedule, lp_norm(query, index.norm) + epsilon,
+                                index.norm)
     for k in range(t, 0, -1):
         rows = index.features[k - 1][candidates]
-        level_dist = unchunked_distances(rows, projected[k], index.norm)
+        # a query beyond the float32 range (infinite margins) differences inf - inf
+        with np.errstate(invalid="ignore"):
+            level_dist = unchunked_distances(rows, projected[k], index.norm)
         cost += candidates.size * dims[k]
         tau = epsilon + margins[k - 1]
         # an infinite margin prunes nothing, not even rows at distance inf
