@@ -212,6 +212,7 @@ def run_build(config: BenchConfig, log=print) -> list[str]:
     """Build one index per (mode, norm) cell and persist each to disk."""
     if config.out is None:
         raise CliInputError("build requires an output path (--out or out=)")
+    _check_out(config.out)
     data = config.dataset()
     schedule = DimensionSchedule(config.schedule)
     cells = [(mode, norm) for mode in config.modes for norm in config.norms]

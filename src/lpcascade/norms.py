@@ -94,8 +94,8 @@ _NARROW = 32
 # columns and 0.75 at 16 and 64; at 768 and 960 columns float32 rows broke
 # even at 0.75-0.9 against 0.7-0.75, their dense sweeps running up to 7%
 # slower and their gathers no slower.  Two thirds stays, for both dtypes.
-# l_1, l_4 and l_inf levels now difference their float32 features in a
-# float32 buffer (``distances_to_point``), a case those timings predate.
+# l_1, l_2, l_4 and l_inf levels now difference their float32 features in
+# a float32 buffer (``distances_to_point``), a case those timings predate.
 _DENSE_SHARE = 2 / 3
 # Smallest sum of squares (l_2) or of fourth powers (l_4) the kernel takes as
 # it is: from here up, the at most 2^-1074 a term can lose to underflow is
@@ -157,12 +157,12 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
     a time (see ``sweep``).  It allocates one buffer of differences
     (``_differences``) and works in it in place.  The dtypes select the
     arithmetic of the first two forms below: float32 when ``rows`` and
-    ``y`` are both float32 (the l_1, l_4 and l_inf levels of an index,
-    ``tree.range_query``), float64 otherwise, where a float32 row is cast
-    into the float64 buffer and so is at the distance of its float64 copy.
-    The third form is float64 arithmetic whatever the dtypes.  A row whose
-    difference overflows, or holds an infinite component, is at distance
-    inf under every norm.  There are three forms:
+    ``y`` are both float32 (every level k >= 1 of an index, whose query
+    ``tree.range_query`` rounds to float32), float64 otherwise, where a
+    float32 row is cast into the float64 buffer and so is at the distance
+    of its float64 copy.  The third form is float64 arithmetic whatever the
+    dtypes.  A row whose difference overflows, or holds an infinite
+    component, is at distance inf under every norm.  There are three forms:
 
     * l_1 and l_inf: the sum or the maximum of the absolute differences.
     * l_2 and l_4: the differences squared (twice under l_4) and summed
@@ -303,7 +303,7 @@ def l2_expansion(xx, qq, dots):
 def l2_half_width(xx, qq, tau_sq, n: int, single: bool = False):
     """w = (r + (4n + 16) eps) (xx + qq + tau^2) + a, the half-width of
     ``l2_band`` for rows of width n: r = 0 and a = 2^-1022 for float64
-    inner products, and for float32 ones (``single``)
+    inner products and kernel, and for float32 ones (``single``)
 
         r = gamma'_{n+4} = (n + 4) v / (1 - (n + 4) v),   v = 2^-24
         a = (2n + 8) 2^-149
@@ -327,16 +327,18 @@ def l2_band(g, xx, qq, tau, n: int, single: bool = False):
     above tau.  With w the half-width (``l2_half_width``), a row is inside
     if g + w < tau^2, outside if g - w >= tau^2, and in the band otherwise
     or when g or w is not finite (an overflowed norm, dot or tau^2).  The
-    inner products are float64 (level 0 of the index, calibration's GEMM),
-    or float32 (``single``: a float32 feature matrix against q rounded to
-    float32, so that no float64 copy of its rows is ever made).  Callers
-    hold ``np.errstate(over="ignore", invalid="ignore")``.
+    inner products take the kernel's own x and q, both float64 (level 0 of
+    the index, calibration's GEMM) or both float32 (``single``: a level's
+    feature matrix and the float32 query ``tree.range_query`` hands its
+    kernel, so that no float64 copy of the rows is ever made), and the
+    kernel's arithmetic follows them.  Callers hold
+    ``np.errstate(over="ignore", invalid="ignore")``.
 
     Why w decides as the kernel does (Higham, *Accuracy and Stability of
     Numerical Algorithms*, ch. 3; u = eps/2 = 2^-53, gamma_j =
     j u / (1 - j u) and gamma'_j = j v / (1 - j v); D = sum (x_i - q_i)^2
-    and S = |x|^2 + |q|^2 exactly, x the stored row, whose float32 values
-    float64 holds exactly):
+    and S = |x|^2 + |q|^2 exactly, for x and q as the kernel takes them,
+    whose float32 values float64 holds exactly):
 
     * Expansion.  xx and qq are float64 dot products (float32 squares are
       exact in float64), accurate to gamma_n times the sum of their terms
@@ -346,19 +348,15 @@ def l2_band(g, xx, qq, tau, n: int, single: bool = False):
       2 gamma_n S of D; the two roundings forming g add u (xx + qq) + u |g|
       <= 3u S to first order, as D <= 2S.  Hence |g - D| <= (2n + 3) u S +
       O(u^2) with float64 inner products.
-    * Float32 dots.  Rounding q to q' moves each q_i by at most
-      v |q_i| + b, b = 2^-150 being half the smallest subnormal; each
-      float32 product x_i q'_i (fused or not) is off by v of itself plus b,
-      and the sum, in any order and any BLAS blocking, by gamma'_{n-1} of
-      the sum of |products| (a sum that lands among subnormals is exact).
-      With A = sum |x_i q_i| <= S/2 and b |x_i| <= (v x_i^2 + 2^-276)/2
-      (AM-GM), the computed dot is within gamma'_{n+1} A +
-      (1 + gamma'_n)(v |x|^2 + n 2^-276)/2 + (1 + gamma'_{n-1}) n b of x.q,
-      so twice it is within gamma'_{n+2} S + (1 + gamma'_n) n (2^-149 +
-      2^-276) of 2 x.q.  xx + qq and the two float64 roundings add
-      (n + 3) u S.  A float32 product or partial sum that overflows, or a
-      q_i beyond the float32 range, makes g inf or nan: the row is in the
-      band.
+    * Float32 dots.  Each float32 product x_i q_i (fused or not) is off by
+      v of itself plus b = 2^-150, half the smallest subnormal, and the
+      sum, in any order and any BLAS blocking, by gamma'_{n-1} of the sum
+      of |products| (a sum that lands among subnormals is exact).  With
+      A = sum |x_i q_i| <= S/2, the computed dot is within gamma'_n A +
+      (1 + gamma'_{n-1}) n b of x.q, so twice it is within gamma'_n S +
+      (1 + gamma'_{n-1}) n 2^-149 of 2 x.q.  xx + qq and the two float64
+      roundings add (n + 3) u S.  A float32 product or partial sum that
+      overflows makes g inf or nan: the row is in the band.
     * Kernel.  ``distances_to_point`` returns c = fl(sqrt(fl(sum
       fl(x_i - q_i)^2))): each difference carries a factor (1 + d), |d| <= u,
       the sum of squares gamma_n in any order, the root one more u, so c^2
@@ -368,13 +366,22 @@ def l2_band(g, xx, qq, tau, n: int, single: bool = False):
       form, whose c is within gamma_{2n+16} of sqrt(D): then c < tau
       whenever D < tau^2 (1 - 2 gamma_{2n+16}) and c >= tau whenever
       D >= tau^2 (1 + 2 gamma_{2n+16}), to first order.
+    * Float32 kernel.  In float32 each term of c^2 carries at most n + 4
+      factors (1 + d), |d| <= v, so (1 - (n + 4) v) D <= c^2 <= D / (1 -
+      (n + 4) v): c < tau whenever D < tau^2 (1 - gamma'_{n+4}), and c >= tau
+      whenever D >= tau^2 (1 + gamma'_{n+4}).  A square that underflows
+      loses at most 2^-150, in all at most n 2^-50 of a float32 sum in
+      [2^-100, inf), so under n 2^-48 S as D <= 2S.  A row whose float32
+      sum is not in that range takes the float64 kernel against q converted
+      exactly, which decides as above.
     * Comparisons.  fl(tau * tau) and fl(g +- w) are each rounded once more,
       so "inside" gives D < tau^2 (1 + 3u) - (w - |g - D|) and "outside"
       gives D >= tau^2 (1 - 3u) + (w - |g - D|).  Both verdicts then match
       the kernel once w >= |g - D| + (2 gamma_{n+4} + 3u) tau^2, about
       (2n + 3) u S + (2n + 11) u tau^2 with float64 inner products, and for
       a fallback row once w >= |g - D| + (2 gamma_{2n+16} + 3u) tau^2,
-      about (2n + 3) u S + (4n + 35) u tau^2.
+      about (2n + 3) u S + (4n + 35) u tau^2.  The float32 kernel's verdict
+      needs w >= |g - D| + (gamma'_{n+4} + 3u) tau^2 + n 2^-48 S.
 
     (4n + 16) eps (xx + qq + tau^2) = (8n + 32) u (xx + qq + tau^2) is at
     least three times the first float64 bound and exceeds the second by
@@ -383,15 +390,18 @@ def l2_band(g, xx, qq, tau, n: int, single: bool = False):
     S and for the rounding of w itself, while n^2 u is far below 1.
     Gradual underflow adds an absolute error of at most 2^-1075 per float64
     product (about 6n of them in g and the kernel), which the 2^-1022 term
-    covers for any n < 2^50.  With float32 inner products the same float64
-    term covers the float64 part of |g - D|, now (n + 3) u S, with the
-    kernel's, and r, computed within u, exceeds gamma'_{n+2} by at least
-    2v, which leaves v S for the rounding of w and xx + qq standing in for
-    S; a covers (1 + gamma'_n) n (2^-149 + 2^-276) and the float64
-    underflow, as gamma'_n <= 1.  Both hold for every n < 2^23.  An
-    overflowed tau^2 makes w infinite, so every row falls in the band.  The
-    constant family is that of the exact GEMM scan of Johnson, Douze and
-    Jegou (arXiv 1702.08734), with the float32 term added.
+    covers for any n < 2^50.  With float32 inner products and kernel the
+    same float64 term covers the float64 part of |g - D|, now (n + 3) u S,
+    the comparisons and a row the float32 kernel hands to the float64 one.
+    r = gamma'_{n+4}, computed within u, covers the float32 kernel's
+    gamma'_{n+4} tau^2 and exceeds gamma'_n, the dots' share of S, by at
+    least 4v: that leaves v S for the kernel's underflow, n 2^-48 S, and
+    more than 2v S for the rounding of w and xx + qq standing in for S.  a
+    covers (1 + gamma'_{n-1}) n 2^-149 and the float64 underflow, as
+    gamma'_{n-1} <= 1.  Both hold for every n < 2^22.  An overflowed tau^2
+    makes w infinite, so every row falls in the band.  The constant family
+    is that of the exact GEMM scan of Johnson, Douze and Jegou (arXiv
+    1702.08734), with the float32 term added.
     """
     tau_sq = tau * tau
     w = l2_half_width(xx, qq, tau_sq, n, single)

@@ -36,10 +36,7 @@ from .data import DataSet
 from .norms import (
     _EPS,
     _F32_U,
-    L1,
     L2,
-    L4,
-    LINF,
     NormOrder,
     as_norm_order,
     as_vector,
@@ -83,11 +80,6 @@ _VERSION = 3
 # float32 (its largest value is just under 2^128).
 _F32_TINY = float(np.finfo(np.float32).tiny)
 _F32_SAFE = 2.0 ** 127
-# Norms whose levels k >= 1 run the distance kernel in float32 arithmetic,
-# against the projected query rounded to float32 (``range_query``).  l_2
-# levels keep the float64 kernel, against which ``norms.l2_band`` is
-# derived, and so does the max-divided form of every other norm.
-_FLOAT32_NORMS = (L1, L4, LINF)
 # Share of a level's rows from which the l_2 screen forms its dot products
 # by one whole-matrix GEMV, indexed by the candidates, instead of gathering
 # the candidates' rows chunk by chunk.  Alternating the two over float32
@@ -373,9 +365,10 @@ def level_margins(schedule: DimensionSchedule, scale: float,
         c_k = 2^-23 + (2 n_0 + 2 n_k + sum_{j=1..k} (4 m_j + 20) + 32) eps
         f_k = gamma'_j = j v / (1 - j v)
 
-    where f_k, the float32 term, has j = n_k + 1 under l_1, (n_k + 20) / 4
-    under l_4 and 2 under l_inf, the norms whose levels run the kernel in
-    float32 (``range_query``), and f_k = 0 under l_2 and every other norm.
+    where f_k, the float32 term, has j = n_k + 1 under l_1, (n_k + 8) / 2
+    under l_2, (n_k + 20) / 4 under l_4, and 2 under l_inf and every other
+    norm: every level k >= 1 runs the kernel against the query rounded to
+    float32 (``range_query``).
     Every margin is infinite, so that no level prunes, once scale is not
     below 2^127.  The rule reads the schedule, the norm and the scale only,
     never a stored row, so memory-mapped vectors stay untouched.
@@ -428,29 +421,31 @@ def level_margins(schedule: DimensionSchedule, scale: float,
     2^20), and float64 underflow, at most sqrt(n 2^-1074) in any kernel
     distance and far below c_k n_k 2^-126 / 2.
 
-    * Float32 levels (f_k).  Under l_1, l_4 and l_inf a level k >= 1 runs
-      the kernel on the stored row x' against q' = fl32(y_k^), all in
-      float32 (gamma'_j = j v / (1 - j v)).  Rounding moves each y_k^_i by
-      at most v |y_k^_i|, or 2^-150 among subnormals, so ||q' - y_k^||_p <=
-      v ||y_k^||_p + n 2^-150; no q'_i overflows while scale < 2^127.  Each
-      float32 difference rounds once (exactly, if subnormal).  Then l_inf
-      is exact, and l_1 sums n nonnegative terms within gamma'_{n-1} of
-      their sum in any order (a sum that lands among subnormals is exact).
-      l_4 squares twice (gamma'_7 per term with the difference) and may lose
-      2^-150 per term to underflow; the sum is within gamma'_{n+6} of
-      sum e_i^4 (e = x' - q') plus n 2^-150, under n 2^-49 of it, as a row
-      whose float32 sum s is not in [2^-100, inf) takes the float64 kernel
-      (within kappa(n)) instead; the two roots add a quarter of that and
-      3v/2.  So the kernel returns c' within kappa' of A' = ||x' - q'||_p,
-      relatively and with no absolute term: kappa' = v under l_inf,
-      gamma'_n under l_1, and (n + 14) v / 4 under l_4 (to first order, for
-      n < 2^26).  c' is returned as float64, exactly, and compared with
-      tau_k in float64.  A match's differences and sums stay below 2^127
-      (times 1 + O(v)), so none overflows.  With A = ||x' - y_k^||_p, the
-      float64 kernel's level distance of a match was within kappa(n_k) of
-      A, so A - epsilon is at most the bound of Sum less scale kappa(n_k),
-      and A + ||y_k^||_p <= scale (1 + 2^-22) by the bounds above.  The
-      triangle inequality gives
+    * Float32 levels (f_k).  A level k >= 1 runs the kernel on the stored
+      row x' against q' = fl32(y_k^) (gamma'_j = j v / (1 - j v)).
+      Rounding moves each y_k^_i by at most v |y_k^_i|, or 2^-150 among
+      subnormals, so ||q' - y_k^||_p <= v ||y_k^||_p + n 2^-150; no q'_i
+      overflows while scale < 2^127.  Under l_1, l_2, l_4 and l_inf the
+      kernel works in float32, and each float32 difference rounds once
+      (exactly, if subnormal).  Then l_inf is exact, and l_1 sums n
+      nonnegative terms within gamma'_{n-1} of their sum in any order (a
+      sum that lands among subnormals is exact).  l_2 and l_4 square once
+      or twice (gamma'_3 or gamma'_7 per term with the difference) and may
+      lose 2^-150 per term to underflow; the sum is within gamma'_{n+2} or
+      gamma'_{n+6} of sum e_i^p (e = x' - q') plus n 2^-150, under n 2^-49
+      of it, as a row whose float32 sum s is not in [2^-100, inf) takes the
+      float64 kernel (within kappa(n)) instead; the one root adds half of
+      that and v, the two roots a quarter and 3v/2.  So the kernel returns
+      c' within kappa' of A' = ||x' - q'||_p, relatively and with no
+      absolute term: kappa' = v under l_inf, gamma'_n under l_1,
+      (n + 6) v / 2 under l_2 and (n + 14) v / 4 under l_4 (to first order,
+      for n < 2^26).  c' is returned as float64, exactly, and compared with
+      tau_k in float64.  A match's differences and l_1 sums stay below
+      2^127 (times 1 + O(v)), so none overflows.  With A = ||x' - y_k^||_p,
+      the float64 kernel's level distance of a match was within kappa(n_k)
+      of A, so A - epsilon is at most the bound of Sum less scale
+      kappa(n_k), and A + ||y_k^||_p <= scale (1 + 2^-22) by the bounds
+      above.  The triangle inequality gives
 
           c' - epsilon <= (A - epsilon) + v ||y_k^||_p
                           + kappa' (A + v ||y_k^||_p) + (1 + kappa') n 2^-150,
@@ -459,11 +454,16 @@ def level_margins(schedule: DimensionSchedule, scale: float,
       <= kappa' scale (1 + 2^-22).  f_k exceeds kappa' by at least v, which
       covers kappa' (2^-22 + v) <= v / 4 for n_k < 2^20, the O(v^2) terms
       and the rounding of f_k and of the margin; f_k n_k 2^-126 >= j n_k
-      2^-150 >= 2 n_k 2^-150 covers the absolute term, as kappa' <= 1.  The
-      term is stated relative to scale, the one input of the rule: the
-      query's rounding is relative to ||y_k^||_p, not to the level distance,
-      so a bound by kappa' tau_k, tighter by about epsilon / scale in its
-      kappa' part, would need epsilon and ||y||_p apart.
+      2^-150 >= 2 n_k 2^-150 covers the absolute term, as kappa' <= 1.
+      Under any other p the kernel takes x' and q' into float64 exactly, and
+      its max-divided form is within kappa(n_k) of A', so c' - epsilon <=
+      (A - epsilon) + kappa(n_k) A + (1 + kappa(n_k)) (v ||y_k^||_p +
+      n 2^-150): the bound of Sum covers the first two terms, and f_k =
+      gamma'_2 the rest, with v of scale to spare.  The term is stated
+      relative to scale, the one input of the rule: the query's rounding is
+      relative to ||y_k^||_p, not to the level distance, so a bound by
+      kappa' tau_k, tighter by about epsilon / scale in its kappa' part,
+      would need epsilon and ||y||_p apart.
 
     A non-match may be kept or pruned freely; verification at level 0
     decides it.
@@ -481,11 +481,8 @@ def level_margins(schedule: DimensionSchedule, scale: float,
 
 
 def _float32_term(norm: NormOrder, n: int) -> float:
-    """f_k of ``level_margins`` for a level of width n: gamma'_j under the
-    norms whose levels run the kernel in float32, and 0.0 otherwise."""
-    if norm not in _FLOAT32_NORMS:
-        return 0.0
-    j = n + 1 if norm == L1 else (n + 20) / 4 if norm == L4 else 2
+    """f_k = gamma'_j of ``level_margins`` for a level of width n."""
+    j = {1.0: n + 1, 2.0: (n + 8) / 2, 4.0: (n + 20) / 4}.get(norm.p, 2)
     return j * _F32_U / (1.0 - j * _F32_U)
 
 
@@ -503,11 +500,12 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     then runs the kernel on the rest, walking them in cache-sized chunks
     (``norms.sweep``), so a query never copies a whole feature or data
     matrix.  At level 0 the kernel also runs on every row the screen keeps,
-    so every decision and reported float is the kernel's own.  Under l_1,
-    l_4 and l_inf (``_FLOAT32_NORMS``) the levels k >= 1 hand the kernel the
-    projected query rounded to float32, so that it differences and reduces
-    their float32 features in float32 arithmetic, which the margins' float32
-    term covers; level 0 and the levels of every other norm work in float64.
+    so every decision and reported float is the kernel's own.  Every level
+    k >= 1 hands the kernel, and the screen, the query projected in float64
+    and then rounded to float32, the dtype of its features, and the kernel
+    picks the arithmetic from its inputs: float32 under l_1, l_2, l_4 and
+    l_inf, float64 in the max-divided form of every other norm.  The
+    margins' float32 term covers either.  Level 0 works in float64.
     """
     query = as_vector(y, index.schedule.dims[0])
     epsilon = float(epsilon)
@@ -520,10 +518,9 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     matrices = (index.data, *index.features)
     with np.errstate(over="ignore"):  # an overflowed norm: no level prunes
         scale = lp_norm(query, index.norm) + epsilon
-        if index.norm in _FLOAT32_NORMS:
-            # the float32 kernel's query; it overflows only under infinite
-            # margins, which prune nothing
-            points[1:] = [point.astype(np.float32) for point in points[1:]]
+        # the dtype of the features; a point overflows only under infinite
+        # margins, which prune nothing
+        points[1:] = [point.astype(np.float32) for point in points[1:]]
     taus = (epsilon, *(epsilon + margin
                        for margin in level_margins(index.schedule, scale, index.norm)))
 
@@ -588,11 +585,13 @@ def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
     with xx the stored squared row norm (``sq_norms``), qq = q.q and the
     inner products x.q by one whole-matrix GEMV ``M @ q``, indexed, once the
     candidates reach ``_GEMV_SHARE`` of the rows, and else by one GEMV per
-    1 MiB gather.  Level 0 forms them in float64; a float32 level in
-    float32, against q rounded to float32, so that no float64 copy of its
-    rows is ever made.  ``norms.l2_band`` then splits the candidates into
-    inside, band and outside; its docstring derives the half-width that
-    makes each verdict the kernel's.
+    1 MiB gather.  They take the matrix and q as the kernel does: float64
+    at level 0, and float32 at a level k >= 1, whose float32 query
+    (``range_query``) keeps its GEMV in float32 BLAS, so that no float64
+    copy of its rows is ever made; qq is summed in float64 either way, as
+    xx is.  ``norms.l2_band`` then splits the candidates into inside, band
+    and outside; its docstring derives the half-width that makes each
+    verdict the kernel's.
     """
     if tau == math.inf:
         keep = np.ones(candidates.size, dtype=bool)
@@ -601,24 +600,22 @@ def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
         return None, slice(None)
     matrix = index.data if k == 0 else index.features[k - 1]
     rows, n = matrix.shape
-    single = matrix.dtype == np.float32
     # an overflow only puts rows in the band, which the kernel then decides
     with np.errstate(over="ignore", invalid="ignore"):
-        # float32 BLAS: a float64 vector would upcast the whole matrix
-        vector = point.astype(np.float32) if single else point
         if candidates.size >= _GEMV_SHARE * rows:
             # one whole-matrix GEMV, which BLAS splits over its threads; it
             # reads every row (see _GEMV_SHARE)
-            dots = matrix @ vector
+            dots = matrix @ point
             xx = index.sq_norms[k]
             if candidates.size < rows:
                 dots = dots[candidates]
                 xx = xx[candidates]
         else:
-            dots = sweep(matrix, candidates, vector, index.norm, _dot)
+            dots = sweep(matrix, candidates, point, index.norm, _dot)
             xx = index.sq_norms[k][candidates]
-        qq = float(point @ point)
-        return l2_band(l2_expansion(xx, qq, dots), xx, qq, tau, n, single)
+        # summed in float64, as xx is: a float32 point's own dot is float32
+        qq = float(np.einsum("i,i->", point, point, dtype=np.float64))
+        return l2_band(l2_expansion(xx, qq, dots), xx, qq, tau, n, point.dtype == np.float32)
 
 
 def estimate_cost(schedule: DimensionSchedule, s: int, const: float) -> float:

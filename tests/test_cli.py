@@ -491,6 +491,29 @@ def test_report_path_is_checked_before_any_data_or_index(case, query_files, tmp_
     assert not (tmp_path / "r.json").exists() and not any((tmp_path / "dir").iterdir())
 
 
+@pytest.mark.parametrize("case", ["missing", "directory"])
+def test_build_output_path_is_checked_before_any_data(case, tmp_path, monkeypatch, capsys):
+    # an index path in no directory, or one that is a directory, is an input
+    # error found before any data are made, not a temporary file's error
+    # after a cell is built
+    import lpcascade.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "generate", no_data)
+    (tmp_path / "dir").mkdir()
+    out, message = {
+        "missing": (tmp_path / "missing" / "x.idx", f"no directory {tmp_path / 'missing'}"),
+        "directory": (tmp_path / "dir", "is a directory"),
+    }[case]
+    assert main(["build", "--model", "block-correlated", "--count", "300", "--dim", "32",
+                 "--schedule", "32,8,2", "--modes", "orthogonal,adaptive", "--norms", "1,2",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out}: {message}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+    assert not any((tmp_path / "dir").iterdir())
+
+
 def test_bench_and_query_reports_are_strict_json(query_files, tmp_path):
     # 1e-9 leaves every survivor count at zero, so no const fits: null
     bench = tmp_path / "bench.json"

@@ -329,17 +329,19 @@ def test_float32_arithmetic_matches_the_float32_reference_in_every_buffer(width,
         np.testing.assert_array_equal(want[1:3], wide[1:3])
 
 
-@pytest.mark.parametrize("p", [1, 4, "inf"])
+@pytest.mark.parametrize("p", [1, 2, 4, "inf"])
 def test_float32_kernel_stays_within_its_bound(p):
     # tree.level_margins charges the float32 kernel kappa' of the length of
-    # its float32 inputs' difference: 2^-24 under l_inf, gamma'_n under l_1
-    # and (n + 14) 2^-24 / 4 under l_4, in either reduction order; the
-    # float64 kernel, within gamma_{2n+16}, stands in for the exact length
+    # its float32 inputs' difference: 2^-24 under l_inf, gamma'_n under l_1,
+    # (n + 6) 2^-24 / 2 under l_2 and (n + 14) 2^-24 / 4 under l_4, in
+    # either reduction order; the float64 kernel, within gamma_{2n+16},
+    # stands in for the exact length
     norm = as_norm_order(p)
     rng = np.random.Generator(np.random.Philox(key=19))
     v = 2.0 ** -24
     for width in (1, 4, 8, 16, 31, 32, 64, 768):
-        kappa = {1: width * v / (1 - width * v), 4: (width + 14) * v / 4, math.inf: v}[norm.p]
+        kappa = {1: width * v / (1 - width * v), 2: (width + 6) * v / 2,
+                 4: (width + 14) * v / 4, math.inf: v}[norm.p]
         gamma = (2 * width + 16) * v * 2.0 ** -29
         rows = (rng.standard_normal((400, width))
                 * np.exp(rng.uniform(-8.0, 8.0, (400, width)))).astype(np.float32)

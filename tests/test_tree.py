@@ -761,9 +761,8 @@ def threshold_epsilons(index, y):
     """Epsilons at which a projection level's threshold tau_k = epsilon +
     margin_k, formed as range_query forms it, crosses a row's level-k kernel
     distance: the last one below it and the next two.  They put rows on the
-    edge of the l_2 screen at the float32 levels, and on the edge of the
-    float32 kernel of l_1, l_4 and l_inf levels, where boundary_epsilons
-    leaves the margin between a row and tau_k."""
+    edge of the l_2 screen and of the level kernel at every level k >= 1,
+    where boundary_epsilons leaves the margin between a row and tau_k."""
     projected = kernel_points(index, y)
     norm_y = lp_norm(y, index.norm)
 
@@ -993,40 +992,26 @@ def test_dense_l2_levels_are_not_gathered(monkeypatch):
     assert gathered == [0]
 
 
-def parent_margins(schedule, scale):
-    """level_margins with no float32 term: the float64 kernel's rule, which
-    l_2 and every norm but l_1, l_4 and l_inf keep."""
-    dims = schedule.dims
-    if not scale < 2.0 ** 127:
-        return (math.inf,) * schedule.levels
-    eps = np.finfo(np.float64).eps
-    margins, maps = [], 0
-    for k in range(1, len(dims)):
-        maps += 4 * (dims[k - 1] // dims[k]) + 20
-        c_k = 2.0 ** -23 + (2 * dims[0] + 2 * dims[k] + maps + 32) * eps
-        margins.append(c_k * (scale + dims[k] * 2.0 ** -126))
-    return tuple(margins)
-
-
 def test_level_margins_follow_the_schedule_and_the_query_scale():
     schedule = DimensionSchedule((64, 16, 4))
     eps = np.finfo(np.float64).eps
     # c_1 = 2^-23 + (2*64 + 2*16 + (4*4 + 20) + 32) eps, and level 2 adds a map
     c = [2.0 ** -23 + 228 * eps, 2.0 ** -23 + (128 + 8 + 36 + 36 + 32) * eps]
     tiny = 2.0 ** -126
-    assert tree.level_margins(schedule, 1.0, norms.L2) == (c[0] * (1.0 + 16 * tiny),
-                                                           c[1] * (1.0 + 4 * tiny))
-    assert tree.level_margins(schedule, 1e6, norms.L2) == (c[0] * (1e6 + 16 * tiny),
-                                                           c[1] * (1e6 + 4 * tiny))
-    # float32 levels add gamma'_j = j v / (1 - j v), v = 2^-24, with j = n + 1
-    # under l_1, (n + 20) / 4 under l_4 and 2 under l_inf
+    # every level runs the kernel against the query rounded to float32 and
+    # adds gamma'_j = j v / (1 - j v), v = 2^-24, with j = n + 1 under l_1,
+    # (n + 8) / 2 under l_2, (n + 20) / 4 under l_4, and 2 under l_inf and
+    # the max-divided form (l_3)
     v = 2.0 ** -24
-    for norm, j in ((norms.L1, (17, 5)), (norms.L4, (9, 6)), (norms.LINF, (2, 2))):
+    l3 = norms.as_norm_order(3)
+    for norm, j in ((norms.L1, (17, 5)), (norms.L2, (12, 6)), (norms.L4, (9, 6)),
+                    (norms.LINF, (2, 2)), (l3, (2, 2))):
         f = [j[0] * v / (1 - j[0] * v), j[1] * v / (1 - j[1] * v)]
-        assert tree.level_margins(schedule, 1e6, norm) == (
-            (c[0] + f[0]) * (1e6 + 16 * tiny), (c[1] + f[1]) * (1e6 + 4 * tiny))
+        for scale in (1.0, 1e6):
+            assert tree.level_margins(schedule, scale, norm) == (
+                (c[0] + f[0]) * (scale + 16 * tiny), (c[1] + f[1]) * (scale + 4 * tiny))
     # a match's features could overflow float32: no level prunes
-    for norm in (norms.L1, norms.L2, norms.L4, norms.LINF):
+    for norm in (norms.L1, norms.L2, norms.L4, norms.LINF, l3):
         for scale in (2.0 ** 127, math.inf, math.nan):
             assert tree.level_margins(schedule, scale, norm) == (math.inf, math.inf)
         assert tree.level_margins(DimensionSchedule((64,)), 1.0, norm) == ()
@@ -1069,7 +1054,7 @@ def test_no_match_is_lost_at_the_epsilon_boundary(tmp_path, mode, p):
     assert mismatches == [0, 0, 0]
 
 
-@pytest.mark.parametrize("p", [1, 4, "inf"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, "inf"])
 @pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
 def test_dense_and_gathered_levels_stay_exact_at_the_epsilon_boundary(monkeypatch, mode, p):
     # epsilon one ulp below, at and one ulp above a row's kernel distance,
@@ -1101,15 +1086,19 @@ def test_dense_and_gathered_levels_stay_exact_at_the_epsilon_boundary(monkeypatc
 
 
 @pytest.mark.parametrize("scale", [1e19, 1e-30])
-@pytest.mark.parametrize("p", [1, 4, "inf"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, "inf"])
 @pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
 def test_float32_levels_are_exact_at_every_threshold(monkeypatch, mode, p, scale):
     # level 1 (64 columns, reduced pairwise) and level 2 (8 columns, in
-    # order) run the kernel in float32 against the query rounded to float32.
-    # Rows spread from a hundredth of the scale to ten times it.  Near 1e19
-    # l_4's float32 differences exceed 2^32 and their fourth powers
-    # overflow; near 1e-30 they fall below 2^-37 and the fourth powers
-    # underflow: such rows take the float64 kernel, recorded below
+    # order) run the kernel against the query rounded to float32: in float32
+    # under l_1, l_2, l_4 and l_inf, and in float64 in the max-divided form
+    # (l_3).  Rows spread from a hundredth of the scale to ten times it.
+    # Near 1e19 float32 differences exceed 2^32 and their fourth powers
+    # overflow, and some exceed 2^64 and their squares overflow; near 1e-30
+    # they fall below 2^-37 and every square and fourth power underflows:
+    # such l_2 and l_4 rows take the float64 kernel, recorded below.  Near
+    # 1e19 the l_2 screen decides the rows whose squares overflow, so the
+    # kernel sees none of them
     base = generate(SyntheticSpec(count=300, dim=256, block_size=4, correlation=0.8,
                                   rng_seed=82)).vectors
     rng = np.random.Generator(np.random.Philox(key=83))
@@ -1136,72 +1125,48 @@ def test_float32_levels_are_exact_at_every_threshold(monkeypatch, mode, p, scale
             reports.append(report)
     assert any(0 < r.survivors[2] < len(data) for r in reports)
     assert any(0 < r.survivors[1] < r.survivors[2] for r in reports)
-    assert (sum(fallback) > 0) == (p == 4)
+    assert (sum(fallback) > 0) == (p == 4 or p == 2 and scale < 1.0)
 
 
 @pytest.mark.parametrize("dims, stride", [((64, 16, 4), 1), ((256, 64, 8), 8)])
 def test_a_match_whose_float32_level_sum_rounds_up_at_every_step_is_kept(dims, stride):
     # under orthogonal l_1 a level-1 feature is the sum of its block, so a
     # row holding one nonzero per block has exactly the features it is
-    # given.  Row 0's features are 1, then 2^-24 + 2^-34 where the float32
-    # sum adds to the running total that holds the 1: every column of the
-    # in-order sum of a narrow level, every eighth along the first partial
-    # sum of numpy's pairwise one.  Each addition rounds up by almost
-    # 2^-24, so the level distance exceeds the exact one by nearly
-    # (additions) 2^-24 of it: the float32 term (17 and 65 2^-24 here)
-    # covers that, and c_1 alone (about 2^-23) does not
+    # given; under l_2 it is twice the value of a constant block of 4.  Row
+    # 0's features are 1, then terms just above 2^-24 (2^-24 + 2^-34, or
+    # squares of 2^-12 + 2^-23) where the float32 sum adds to the running
+    # total that holds the 1: every column of the in-order sum of a narrow
+    # level, every eighth along the first partial sum of numpy's pairwise
+    # one.  Each addition rounds up by almost 2^-24, so the level distance
+    # exceeds the exact one by nearly (additions) 2^-24 of it under l_1, and
+    # by half that under l_2, whose root rounds once more: the float32 term
+    # (17 and 65 2^-24 under l_1, 12 and 36 under l_2) covers that, and c_1
+    # alone (about 2^-23) does not
     n0, n1 = dims[:2]
-    rng = np.random.Generator(np.random.Philox(key=85))
-    rows = 10.0 * rng.standard_normal((60, n0))
-    features = np.zeros(n1)
-    features[0] = 1.0
-    features[stride::stride] = 2.0 ** -24 + 2.0 ** -34
-    rows[0] = 0.0
-    rows[0, ::n0 // n1] = features
-    data = DataSet.from_array(rows)
-    index = build_index(data, DimensionSchedule(dims), "orthogonal", 1)
-    np.testing.assert_array_equal(index.features[0][0], features)
-    y = np.zeros(n0)
-    exact = unchunked_distances(data.vectors[:1], y, index.norm)[0]
-    level = unchunked_distances(index.features[0][:1], np.zeros(n1, np.float32), index.norm)[0]
     additions = (n1 - 1) // stride
-    assert level - exact > 0.99 * additions * 2.0 ** -24 * exact
-    for epsilon in (np.nextafter(exact, np.inf), exact * (1.0 + 2.0 ** -40)):
-        report = range_query(index, y, epsilon)
-        assert report.match_ids == (0,)
-        assert list(report.matches) == brute_force_range(data, y, epsilon, 1)
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_l2_and_l3_levels_keep_the_float64_kernel_and_the_parent_margins(monkeypatch, p):
-    # only l_1, l_4 and l_inf levels take float32 arithmetic: l_2 and l_3
-    # margins are the float64 rule's, bit for bit, and every kernel call
-    # gets a float64 query, so their reports are those of that rule
-    schedule = DimensionSchedule((64, 16, 4))
-    norm = norms.as_norm_order(p)
-    for scale in (1e-30, 1.0, 1e6, 1e19, 2.0 ** 127, math.inf):
-        assert tree.level_margins(schedule, scale, norm) == parent_margins(schedule, scale)
-    data = small_dataset(count=300, seed=84)
-    index = build_index(data, schedule, "adaptive", p)
-    assert index.prune_margins == parent_margins(schedule, 1.0)
-    dtypes = set()
-    kernel = tree.distances_to_point
-
-    def recording(rows, y, norm):
-        dtypes.add(y.dtype)
-        return kernel(rows, y, norm)
-
-    monkeypatch.setattr(tree, "distances_to_point", recording)
-    reports = []
-    for row in (0, 150):
-        y = data.vectors[row] + 0.05
-        exact = np.sort(unchunked_distances(data.vectors, y, index.norm))
-        for epsilon in boundary_epsilons(index, y) + threshold_epsilons(index, y) + [exact[50]]:
+    for p, term in ((1, 2.0 ** -24 + 2.0 ** -34), (2, 2.0 ** -12 + 2.0 ** -23)):
+        rng = np.random.Generator(np.random.Philox(key=85))
+        rows = 10.0 * rng.standard_normal((60, n0))
+        features = np.zeros(n1)
+        features[0] = 1.0
+        features[stride::stride] = term
+        rows[0] = 0.0
+        if p == 1:
+            rows[0, ::n0 // n1] = features
+        else:
+            rows[0] = np.repeat(features / 2, n0 // n1)
+        data = DataSet.from_array(rows)
+        index = build_index(data, DimensionSchedule(dims), "orthogonal", p)
+        np.testing.assert_array_equal(index.features[0][0], features)
+        y = np.zeros(n0)
+        exact = unchunked_distances(data.vectors[:1], y, index.norm)[0]
+        level = unchunked_distances(index.features[0][:1], np.zeros(n1, np.float32),
+                                    index.norm)[0]
+        assert level - exact > 0.99 * (additions / p - (p - 1)) * 2.0 ** -24 * exact
+        for epsilon in (np.nextafter(exact, np.inf), exact * (1.0 + 2.0 ** -40)):
             report = range_query(index, y, epsilon)
-            assert report == gather_everything_query(index, y, epsilon)
-            reports.append(report)
-    assert dtypes == {np.dtype(np.float64)}
-    assert any(0 < r.survivors[1] < len(data) for r in reports)
+            assert report.match_ids == (0,)
+            assert list(report.matches) == brute_force_range(data, y, epsilon, p)
 
 
 @pytest.mark.parametrize("mode, scale", [

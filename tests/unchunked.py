@@ -61,15 +61,13 @@ def max_divided_distances(diff, p):
 
 def kernel_points(index, y):
     """The query projected to every level as range_query hands it to the
-    distance kernel: float64 at level 0 and at l_2 and max-divided levels,
-    and rounded to float32 at the l_1, l_4 and l_inf levels k >= 1, which
-    take float32 arithmetic."""
+    distance kernel: float64 at level 0, and rounded to float32 at every
+    level k >= 1, after the float64 projection chain."""
     points = [np.asarray(y, dtype=np.float64)]
     for level in index.levels:
         points.append(project_level(points[-1], level))
-    if index.norm.p in (1.0, 4.0) or index.norm.is_infinite:
-        with np.errstate(over="ignore"):  # only under infinite margins
-            points[1:] = [point.astype(np.float32) for point in points[1:]]
+    with np.errstate(over="ignore"):  # only under infinite margins
+        points[1:] = [point.astype(np.float32) for point in points[1:]]
     return points
 
 
