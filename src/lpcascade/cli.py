@@ -227,10 +227,12 @@ def run_build(config: BenchConfig, log=print) -> list[str]:
         save_index(index, target)
         log(f"built {mode} l_{norm} index over {index.count} x {data.dim} "
             f"-> {target}")
-        for entry in index.diversion_summary():
+        steps = [step for _, step in index.grids] or [None] * schedule.levels
+        for entry, step, term in zip(index.diversion_summary(), steps, index.grid_terms):
+            grid = "" if step is None else f", grid step {step:.6g}, grid term {term:.6g}"
             log(f"  level {entry['level']} (block size {entry['block_size']}): "
                 f"max diversion {entry['max_diversion']:.6f}, "
-                f"mean {entry['mean_diversion']:.6f}")
+                f"mean {entry['mean_diversion']:.6f}{grid}")
         written.append(str(target))
     return written
 

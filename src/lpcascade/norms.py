@@ -94,8 +94,12 @@ _NARROW = 32
 # columns and 0.75 at 16 and 64; at 768 and 960 columns float32 rows broke
 # even at 0.75-0.9 against 0.7-0.75, their dense sweeps running up to 7%
 # slower and their gathers no slower.  Two thirds stays, for both dtypes.
-# l_1, l_2, l_4 and l_inf levels now difference their float32 features in
-# a float32 buffer (``distances_to_point``), a case those timings predate.
+# Alternated l_1 and l_inf sweeps of int16 codes (the levels of such an
+# index; 2 CPUs, medians of 15-41) break even near 0.3 of the rows or below
+# at 4 columns (20k and 4,096 rows), 0.5-0.67 at 16, 0.75-0.85 at 48 and
+# 0.75-0.95 at 768: the narrow widths want a lower share and the wide ones
+# a higher, so two thirds stays for codes too.  Float32 l_2 and l_4 level
+# sweeps have not been timed against it.
 _DENSE_SHARE = 2 / 3
 # Smallest sum of squares (l_2) or of fourth powers (l_4) the kernel takes as
 # it is: from here up, the at most 2^-1074 a term can lose to underflow is
@@ -113,6 +117,9 @@ _TINY = 2.0 ** -1022
 # relative and absolute terms float32 inner products add to the band.
 _F32_U = 2.0 ** -24
 _F32_MIN = 2.0 ** -149
+# Largest grid code of an integer-coded level (``tree``): codes and their
+# differences fit in int16.
+_CODE_MAX = 2 ** 15 - 1
 _EQUIVALENCE_TOL = 1e-9  # relative slack of ``check_norm_equivalence``
 
 
@@ -156,15 +163,21 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
     finite, matching dims); scans and levels feed it one chunk of rows at
     a time (see ``sweep``).  It allocates one buffer of differences
     (``_differences``) and works in it in place.  The dtypes select the
-    arithmetic of the first two forms below: float32 when ``rows`` and
-    ``y`` are both float32 (every level k >= 1 of an index, whose query
-    ``tree.range_query`` rounds to float32), float64 otherwise, where a
-    float32 row is cast into the float64 buffer and so is at the distance
-    of its float64 copy.  The third form is float64 arithmetic whatever the
-    dtypes.  A row whose difference overflows, or holds an infinite
-    component, is at distance inf under every norm.  There are three forms:
+    arithmetic of the first two forms below: integer when ``rows`` and
+    ``y`` are both int16 under l_1 or l_inf (the grid codes of every level
+    k >= 1 of such an index, whose query ``tree.range_query`` codes on the
+    same grid), float32 when both are float32 (every level k >= 1 of an
+    index under another norm, whose query is rounded to float32), float64
+    otherwise, where a float32 or int16 row is cast into the float64 buffer
+    and so is at the distance of its float64 copy.  The third form is
+    float64 arithmetic whatever the dtypes.  A row whose difference
+    overflows, or holds an infinite component, is at distance inf under
+    every norm.  There are three forms:
 
     * l_1 and l_inf: the sum or the maximum of the absolute differences.
+      Codes lie in [0, 2^15 - 1], so their differences and absolute values
+      are exact in int16, and l_1 sums them in int32 (int64 from n (2^15 -
+      1) >= 2^31 up): the distance is the exact integer, as float64.
     * l_2 and l_4: the differences squared (twice under l_4) and summed
       give s = sum d_i^p within gamma_{n+6} in any order of summation (at
       most gamma_7 per term from the difference and the products, n - 1
@@ -187,6 +200,8 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
     ``sum`` or ``max``, whose order depends on n alone.
     """
     p = norm.p
+    if not (p == 1.0 or norm.is_infinite) and y.dtype == np.int16:
+        y = y.astype(np.float64)  # integer powers would overflow
     if not (p in (1.0, 2.0, 4.0) or norm.is_infinite):
         diff = _differences(rows, y.astype(np.float64, copy=False), False)
         return _max_divided(np.abs(diff), p)
@@ -195,7 +210,10 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
     if norm.is_infinite:
         return np.abs(diff, out=diff).max(axis=0 if narrow else 1).astype(np.float64, copy=False)
     if p == 1.0:
-        return _sums(np.abs(diff, out=diff), narrow).astype(np.float64, copy=False)
+        total = None
+        if diff.dtype == np.int16:
+            total = np.int32 if rows.shape[1] * _CODE_MAX < 2 ** 31 else np.int64
+        return _sums(np.abs(diff, out=diff), narrow, total).astype(np.float64, copy=False)
     with np.errstate(over="ignore"):  # an overflowed row falls back below
         for _ in range(int(p) // 2):  # l_2 squares once, l_4 twice; (-a)^2 == a^2
             np.multiply(diff, diff, out=diff)
@@ -218,12 +236,12 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
 
 def _differences(rows: np.ndarray, y: np.ndarray, transpose: bool) -> np.ndarray:
     """``rows - y`` in a new C-ordered buffer, (n x rows) if ``transpose``:
-    a float32 buffer when ``rows`` and ``y`` are both float32, and a
-    float64 one otherwise.  Rows of another dtype than ``y`` are cast into
-    the float64 buffer first and differenced in place: the same floats for
-    float32 rows, which convert exactly, in 10-25% less time than numpy's
-    mixed-dtype subtraction (20k-row sweeps, 4 to 768 columns, every kernel
-    norm)."""
+    a buffer of their dtype when ``rows`` and ``y`` share it (int16 codes,
+    float32 or float64), and a float64 one otherwise.  Rows of another
+    dtype than ``y`` are cast into the float64 buffer first and differenced
+    in place: the same floats for float32 rows, which convert exactly, in
+    10-25% less time than numpy's mixed-dtype subtraction (20k-row sweeps,
+    4 to 768 columns, every kernel norm)."""
     if transpose:
         rows, y = rows.T, y[:, None]
     if rows.dtype == y.dtype:
@@ -232,13 +250,14 @@ def _differences(rows: np.ndarray, y: np.ndarray, transpose: bool) -> np.ndarray
     return np.subtract(diff, y, out=diff)
 
 
-def _sums(terms: np.ndarray, narrow: bool) -> np.ndarray:
-    """Each row's sum of terms: numpy's pairwise ``sum`` along a (rows x n)
-    buffer, or, for a ``narrow`` (n x rows) one, ((t_0 + t_1) + t_2) + ...
-    down its columns, in the same order for one column as for many."""
+def _sums(terms: np.ndarray, narrow: bool, dtype=None) -> np.ndarray:
+    """Each row's sum of terms, accumulated in ``dtype`` (the terms' own by
+    default): numpy's pairwise ``sum`` along a (rows x n) buffer, or, for a
+    ``narrow`` (n x rows) one, ((t_0 + t_1) + t_2) + ... down its columns,
+    in the same order for one column as for many."""
     if not narrow:
-        return terms.sum(axis=1)
-    total = terms[0].copy()
+        return terms.sum(axis=1, dtype=dtype)
+    total = terms[0].astype(dtype or terms.dtype)
     for row in terms[1:]:
         total += row
     return total

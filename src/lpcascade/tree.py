@@ -34,6 +34,7 @@ import numpy as np
 
 from .data import DataSet
 from .norms import (
+    _CODE_MAX,
     _EPS,
     _F32_U,
     L2,
@@ -74,12 +75,15 @@ __all__ = [
 _MAGIC = b"LPCASIDX"
 _FORMAT = "lpcascade-index"
 # The only version read or written.
-_VERSION = 3
+_VERSION = 4
 # Smallest normal float32 (2^-126), the floor of a stored feature's relative
 # rounding, and the query scale from which a match's features may overflow
 # float32 (its largest value is just under 2^128).
 _F32_TINY = float(np.finfo(np.float32).tiny)
 _F32_SAFE = 2.0 ** 127
+# The relative slack of a grid term over n_k^(1/p) step: it covers the
+# rounding of the codes (``_encode``) and of tau_k (``level_margins``).
+_GRID_SLACK = 1.0 + 2.0 ** -32
 # Share of a level's rows from which the l_2 screen forms its dot products
 # by one whole-matrix GEMV, indexed by the candidates, instead of gathering
 # the candidates' rows chunk by chunk.  Alternating the two over float32
@@ -223,21 +227,26 @@ class SubspaceIndex:
     """Immutable index: levels, projected database copies, original data.
 
     ``features[i]`` holds the level-(i+1) projection of every database row
-    as a float32 array, the container's precision, so a built index and its
-    saved-and-reloaded copy are the same object bit for bit.  Construction
-    is the one check that the parts agree, built or loaded: it raises
-    ``ValueError`` (dtype first) unless ``mode`` is in ``projection.MODES``,
-    ``data`` is (count, dims[0]), ``ids`` (count,), and each of the
+    at the container's precision, so a built index and its saved-and-
+    reloaded copy are the same object bit for bit.  Under l_1 and l_inf it
+    is an int16 array of grid codes c in [0, 2^15 - 1], and ``grids[i] =
+    (lo, step)`` the level's grid lo + c step (``_fit_grid``), 2 bytes a
+    feature; under every other norm a float32 array, and ``grids == ()``.
+    Construction is the one check that the parts agree, built or loaded: it
+    raises ``ValueError`` unless ``mode`` is in ``projection.MODES``,
+    ``data`` is (count, dims[0]), ``ids`` (count,), each of the
     ``schedule.levels`` levels k maps dims[k-1] to dims[k] under ``norm``,
-    as exactness needs, with features (count, dims[k]).  Level k prunes a
-    row when its level distance reaches epsilon plus a margin that covers
-    the float32 rounding of the features and the rounding of projection and
-    distances; the rule (``level_margins``) reads only the schedule, the
-    index's norm, epsilon and the query's norm.  ``prune_margins`` is
+    as exactness needs, with features of the norm's dtype (checked before
+    their shape) and (count, dims[k]), and, under l_1 and l_inf, each grid
+    has a finite lo and a step that is a positive power of two and no code
+    is negative.  Level k prunes a row when its level distance reaches
+    epsilon plus a margin that covers the rounding of the features and of
+    projection and distances.  The margin (``level_margins``) reads only
+    the schedule, the index's norm, epsilon and the query's norm; a coded
+    level adds its grid term (``grid_terms``).  ``prune_margins`` is
     derived, not passed in: the per-level margins of a query with
     ``||y||_p + epsilon = 1``, which a query's own margins scale in
-    proportion to.  Queries are read-only and
-    safe to run concurrently.
+    proportion to.  Queries are read-only and safe to run concurrently.
 
     Under l_2 the index also derives ``sq_norms``: ``sq_norms[0]`` holds the
     squared norm of every row of ``data`` and ``sq_norms[k]`` that of every
@@ -255,11 +264,10 @@ class SubspaceIndex:
     features: tuple[np.ndarray, ...]
     data: np.ndarray
     ids: np.ndarray
+    grids: tuple[tuple[float, float], ...] = ()
     sq_norms: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if any(np.asarray(m).dtype != np.float32 for m in self.features):
-            raise ValueError("feature matrices must be float32 arrays")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         dims = self.schedule.dims
@@ -269,13 +277,29 @@ class SubspaceIndex:
         if not len(self.levels) == len(self.features) == self.schedule.levels:
             raise ValueError(f"{len(self.levels)} levels and {len(self.features)} feature "
                              f"matrices for a {self.schedule.levels}-level schedule")
+        coded = _coded(self.norm)
+        dtype = np.int16 if coded else np.float32
         pairs = zip(dims, dims[1:], self.levels, self.features)
         for k, (n_in, n_out, level, feats) in enumerate(pairs, start=1):
             if (level.dim_in, level.dim_out, level.norm) != (n_in, n_out, self.norm):
                 raise ValueError(f"level {k} maps {level.dim_in} to {level.dim_out} under "
                                  f"{level.norm}, not {n_in} to {n_out} under {self.norm}")
+            if np.asarray(feats).dtype != dtype:
+                raise ValueError(f"feature matrices must be {np.dtype(dtype)} arrays "
+                                 f"under {self.norm}")
             if np.shape(feats) != (data[0], n_out):
                 raise ValueError(f"features {k}: {np.shape(feats)}, not {data[0], n_out}")
+        if len(self.grids) != (self.schedule.levels if coded else 0):
+            raise ValueError(f"{len(self.grids)} grids for a {self.schedule.levels}-level "
+                             f"schedule under {self.norm}")
+        for k, ((lo, step), feats) in enumerate(zip(self.grids, self.features), start=1):
+            if not math.isfinite(lo):
+                raise ValueError(f"grid {k}: lo {lo} is not finite")
+            if not (0.0 < step < math.inf and math.frexp(step)[0] == 0.5):
+                raise ValueError(f"grid {k}: step {step} is not a positive power of two")
+            # int16 holds no code above _CODE_MAX
+            if feats.size and feats.min() < 0:
+                raise ValueError(f"features {k}: codes outside [0, {_CODE_MAX}]")
         sq_norms = ()
         if self.norm == L2:
             with np.errstate(over="ignore"):  # an inf norm defers rows to the kernel
@@ -288,6 +312,16 @@ class SubspaceIndex:
     @property
     def prune_margins(self) -> tuple[float, ...]:
         return level_margins(self.schedule, 1.0, self.norm)
+
+    @property
+    def grid_terms(self) -> tuple[float, ...]:
+        """What each level adds to its threshold for its grid: n_k^(1/p)
+        step (1 + 2^-32) at a coded level (``level_margins`` derives it),
+        0 at a float32 one."""
+        if not self.grids:
+            return (0.0,) * self.schedule.levels
+        widths = self.schedule.dims[1:] if self.norm.p == 1.0 else (1,) * len(self.grids)
+        return tuple(n * step * _GRID_SLACK for n, (_, step) in zip(widths, self.grids))
 
     @property
     def count(self) -> int:
@@ -319,9 +353,12 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
     Adaptive levels are fitted on the projected data of the previous level,
     then every row is projected one level further.  Deterministic given the
     data order.  Each level is fitted and projected from the unrounded
-    float64 values of the one before, and only its float32 copy is kept, so
-    the features equal those ``save_index`` stores and ``load_index`` reads
-    back, and at most two levels are ever held at float64.
+    float64 values of the one before, and only its stored copy is kept:
+    under l_1 and l_inf its grid codes, on a grid fitted to those values
+    (``_fit_grid``) and coded one row chunk at a time (``_encode``), and
+    under every other norm its float32 copy.  So the features equal those
+    ``save_index`` stores and ``load_index`` reads back, and at most two
+    levels are ever held at float64.
     """
     if not isinstance(data, DataSet):
         data = DataSet.from_array(data)
@@ -331,6 +368,7 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
 
     levels = []
     features = []
+    grids = []
     current = data.vectors
     for dim_in, dim_out in zip(schedule.dims, schedule.dims[1:]):
         partition = BlockPartition.for_dims(dim_in, dim_out)
@@ -339,9 +377,16 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
         else:
             levels.append(orthogonal_level(partition, norm))
         current = project_rows(current, levels[-1])
-        # a value beyond the float32 range becomes inf, as it would on disk
-        with np.errstate(over="ignore"):
-            features.append(current.astype(np.float32))
+        if _coded(norm):
+            grids.append(_fit_grid(current))
+            codes = np.empty(current.shape, dtype=np.int16)
+            for chunk in row_chunks(*current.shape):
+                codes[chunk] = _encode(current[chunk], *grids[-1])
+            features.append(codes)
+        else:
+            # a value beyond the float32 range becomes inf, as it would on disk
+            with np.errstate(over="ignore"):
+                features.append(current.astype(np.float32))
     return SubspaceIndex(
         schedule=schedule,
         norm=norm,
@@ -350,7 +395,56 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
         features=tuple(features),
         data=data.vectors,
         ids=data.ids,
+        grids=tuple(grids),
     )
+
+
+def _coded(norm: NormOrder) -> bool:
+    """Whether an index under ``norm`` stores its levels as grid codes."""
+    return norm.p == 1.0 or norm.is_infinite
+
+
+def _fit_grid(features: np.ndarray) -> tuple[float, float]:
+    """(lo, step) of the grid lo + c step, c in [0, _CODE_MAX], that covers
+    the finite values of ``features``, read one row chunk at a time: lo is
+    their least, and step the smallest power of two, 2^-1074 at the least,
+    with lo + _CODE_MAX step at or above the greatest, found in exact
+    integer arithmetic.  A level with no finite value gets lo = 0."""
+    lo, hi = math.inf, -math.inf
+    for chunk in row_chunks(*features.shape):
+        block = features[chunk]
+        finite = block[np.isfinite(block)]
+        if finite.size:
+            lo, hi = min(lo, float(finite.min())), max(hi, float(finite.max()))
+    if lo > hi:
+        lo = hi = 0.0
+    # hi - lo = span / den exactly, den the larger power-of-two denominator
+    (a, b), (c, d) = hi.as_integer_ratio(), lo.as_integer_ratio()
+    den = max(b, d)
+    span = a * (den // b) - c * (den // d)
+    exponent = -1074
+    if span:
+        # at most two below the answer
+        exponent = max(exponent, span.bit_length() - (_CODE_MAX * den).bit_length() - 1)
+    # span / den > _CODE_MAX 2^exponent, both sides times den 2^-exponent
+    while span << max(0, -exponent) > (_CODE_MAX * den) << max(0, exponent):
+        exponent += 1
+    return lo, math.ldexp(1.0, exponent)
+
+
+def _encode(values: np.ndarray, lo: float, step: float) -> np.ndarray:
+    """The grid codes of ``values``, as a float64 array: each value clipped
+    to [lo, lo + _CODE_MAX step] and rounded to the nearest code.  A nan
+    takes code 0.  A value on the grid's range is off its code by at most
+    (1/2 + 2^-38) step: (v - lo) / step rounds once, by at most _CODE_MAX u.
+    Below step 1 a value on the range cannot overflow v - lo, and from 1
+    up v / step cannot overflow; a value beyond the range that overflows
+    is clipped like any other."""
+    with np.errstate(over="ignore"):
+        codes = (values - lo) / step if step < 1.0 else values / step - lo / step
+    np.rint(codes, out=codes)
+    np.fmax(codes, 0.0, out=codes)  # fmax takes 0 over a nan
+    return np.fmin(codes, _CODE_MAX, out=codes)
 
 
 def level_margins(schedule: DimensionSchedule, scale: float,
@@ -362,16 +456,23 @@ def level_margins(schedule: DimensionSchedule, scale: float,
     v = 2^-24,
 
         margin_k = (c_k + f_k) (scale + n_k 2^-126)
-        c_k = 2^-23 + (2 n_0 + 2 n_k + sum_{j=1..k} (4 m_j + 20) + 32) eps
+        c_k = s + (2 n_0 + 2 n_k + sum_{j=1..k} (4 m_j + 20) + 32) eps
         f_k = gamma'_j = j v / (1 - j v)
 
-    where f_k, the float32 term, has j = n_k + 1 under l_1, (n_k + 8) / 2
-    under l_2, (n_k + 20) / 4 under l_4, and 2 under l_inf and every other
-    norm: every level k >= 1 runs the kernel against the query rounded to
-    float32 (``range_query``).
+    where s = 2^-23 covers the float32 storage of the features, and f_k,
+    the float32 term, has j = (n_k + 8) / 2 under l_2, (n_k + 20) / 4 under
+    l_4 and 2 under every other norm but l_1 and l_inf: every float32 level
+    runs the kernel against the query rounded to float32
+    (``range_query``).  Under l_1 and l_inf s = f_k = 0: their levels are
+    coded on a grid lo_k + c step_k, and level k keeps a row while step_k S
+    < epsilon + margin_k + G_k, with S the exact code distance and G_k =
+    n_k^(1/p) step_k (1 + 2^-32) the level's grid term (n_k step_k (1 +
+    2^-32) under l_1, step_k (1 + 2^-32) under l_inf;
+    ``SubspaceIndex.grid_terms``), which takes the place of s.
     Every margin is infinite, so that no level prunes, once scale is not
     below 2^127.  The rule reads the schedule, the norm and the scale only,
-    never a stored row, so memory-mapped vectors stay untouched.
+    never a stored row, so memory-mapped vectors stay untouched; the grid
+    term reads the level's step.
 
     Why no match is pruned (Higham, *Accuracy and Stability of Numerical
     Algorithms*, ch. 3; u = eps/2 = 2^-53, gamma_j = j u / (1 - j u), bounds
@@ -421,27 +522,25 @@ def level_margins(schedule: DimensionSchedule, scale: float,
     2^20), and float64 underflow, at most sqrt(n 2^-1074) in any kernel
     distance and far below c_k n_k 2^-126 / 2.
 
-    * Float32 levels (f_k).  A level k >= 1 runs the kernel on the stored
-      row x' against q' = fl32(y_k^) (gamma'_j = j v / (1 - j v)).
-      Rounding moves each y_k^_i by at most v |y_k^_i|, or 2^-150 among
-      subnormals, so ||q' - y_k^||_p <= v ||y_k^||_p + n 2^-150; no q'_i
-      overflows while scale < 2^127.  Under l_1, l_2, l_4 and l_inf the
-      kernel works in float32, and each float32 difference rounds once
-      (exactly, if subnormal).  Then l_inf is exact, and l_1 sums n
-      nonnegative terms within gamma'_{n-1} of their sum in any order (a
-      sum that lands among subnormals is exact).  l_2 and l_4 square once
-      or twice (gamma'_3 or gamma'_7 per term with the difference) and may
-      lose 2^-150 per term to underflow; the sum is within gamma'_{n+2} or
-      gamma'_{n+6} of sum e_i^p (e = x' - q') plus n 2^-150, under n 2^-49
-      of it, as a row whose float32 sum s is not in [2^-100, inf) takes the
-      float64 kernel (within kappa(n)) instead; the one root adds half of
-      that and v, the two roots a quarter and 3v/2.  So the kernel returns
-      c' within kappa' of A' = ||x' - q'||_p, relatively and with no
-      absolute term: kappa' = v under l_inf, gamma'_n under l_1,
-      (n + 6) v / 2 under l_2 and (n + 14) v / 4 under l_4 (to first order,
-      for n < 2^26).  c' is returned as float64, exactly, and compared with
-      tau_k in float64.  A match's differences and l_1 sums stay below
-      2^127 (times 1 + O(v)), so none overflows.  With A = ||x' - y_k^||_p,
+    * Float32 levels (f_k).  A level k >= 1 under any norm but l_1 and
+      l_inf runs the kernel on the stored row x' against q' = fl32(y_k^)
+      (gamma'_j = j v / (1 - j v)).  Rounding moves each y_k^_i by at most
+      v |y_k^_i|, or 2^-150 among subnormals, so ||q' - y_k^||_p <=
+      v ||y_k^||_p + n 2^-150; no q'_i overflows while scale < 2^127.
+      Under l_2 and l_4 the kernel works in float32, and each float32
+      difference rounds once (exactly, if subnormal).  l_2 and l_4 square
+      once or twice (gamma'_3 or gamma'_7 per term with the difference)
+      and may lose 2^-150 per term to underflow; the sum is within
+      gamma'_{n+2} or gamma'_{n+6} of sum e_i^p (e = x' - q') plus
+      n 2^-150, under n 2^-49 of it, as a row whose float32 sum s is not in
+      [2^-100, inf) takes the float64 kernel (within kappa(n)) instead; the
+      one root adds half of that and v, the two roots a quarter and 3v/2.
+      So the kernel returns c' within kappa' of A' = ||x' - q'||_p,
+      relatively and with no absolute term: kappa' = (n + 6) v / 2 under
+      l_2 and (n + 14) v / 4 under l_4 (to first order, for n < 2^26).  c'
+      is returned as float64, exactly, and compared with tau_k in float64.
+      A match's differences stay below 2^127 (times 1 + O(v)), so none
+      overflows.  With A = ||x' - y_k^||_p,
       the float64 kernel's level distance of a match was within kappa(n_k)
       of A, so A - epsilon is at most the bound of Sum less scale
       kappa(n_k), and A + ||y_k^||_p <= scale (1 + 2^-22) by the bounds
@@ -464,6 +563,29 @@ def level_margins(schedule: DimensionSchedule, scale: float,
       relative to ||y_k^||_p, not to the level distance, so a bound by
       kappa' tau_k, tighter by about epsilon / scale in its kappa' part,
       would need epsilon and ||y||_p apart.
+    * Coded levels (l_1 and l_inf, G_k).  Level k stores each feature x^_i
+      of a row as a code c in [0, 2^15 - 1] of the grid g(c) = lo + c step,
+      which covers [lo, hi], the least and greatest finite feature of the
+      level, so x^ of a match (finite, as ||x^||_p <= ||x||_p < 2 scale)
+      lies in the grid's range.  The query's q~ = clip(y_k^) to the range
+      moves no |x^_i - y_k^_i| up, as clipping to an interval is
+      1-Lipschitz and fixes x^_i.  Each code is within (1/2 + 2^-38) step
+      of its value (``_encode``): the row's g(c_x) of x^, the query's
+      g(c_q) of q~; overflow and nan only clip.  By the triangle
+      inequality, ||g(c_x) - g(c_q)||_p <= ||x^ - y_k^||_p + n_k^(1/p) step
+      (1 + 2^-37).  The kernel takes c_x and c_q in int16 and returns the
+      exact S = ||c_x - c_q||_p (differences and absolute values fit int16,
+      an l_1 sum int32 or int64, and S < 2^53 is exact in float64), and
+      step S = ||g(c_x) - g(c_q)||_p is exact in float64: a power of two
+      times an integer below 2^53, subnormal or not, or inf where the exact
+      product exceeds the float64 range (never a match's while tau_k is
+      finite).  ||x^ - y_k^||_p - epsilon is at most the bound of Sum
+      without its storage and level-kernel terms (2^-24 and kappa(n_k)),
+      inside margin_k with s = f_k = 0.  n_k step is exact (or inf, which prunes nothing), and the
+      2^-32 of G_k covers the codes' 2^-37, the rounding of G_k and of its
+      addition to epsilon + margin_k; c_k covers that of epsilon + margin_k
+      as before.  So step S < tau_k for every match, however large or
+      small (subnormal) step is.
 
     A non-match may be kept or pruned freely; verification at level 0
     decides it.
@@ -471,18 +593,22 @@ def level_margins(schedule: DimensionSchedule, scale: float,
     dims = schedule.dims
     if not scale < _F32_SAFE:
         return (math.inf,) * schedule.levels
+    storage = 0.0 if _coded(norm) else 2.0 ** -23
     margins = []
     maps = 0
     for k in range(1, len(dims)):
         maps += 4 * (dims[k - 1] // dims[k]) + 20
-        c_k = 2.0 ** -23 + (2 * dims[0] + 2 * dims[k] + maps + 32) * _EPS
+        c_k = storage + (2 * dims[0] + 2 * dims[k] + maps + 32) * _EPS
         margins.append((c_k + _float32_term(norm, dims[k])) * (scale + dims[k] * _F32_TINY))
     return tuple(margins)
 
 
 def _float32_term(norm: NormOrder, n: int) -> float:
-    """f_k = gamma'_j of ``level_margins`` for a level of width n."""
-    j = {1.0: n + 1, 2.0: (n + 8) / 2, 4.0: (n + 20) / 4}.get(norm.p, 2)
+    """f_k = gamma'_j of ``level_margins`` for a level of width n: 0 for a
+    coded level, whose kernel is exact."""
+    if _coded(norm):
+        return 0.0
+    j = {2.0: (n + 8) / 2, 4.0: (n + 20) / 4}.get(norm.p, 2)
     return j * _F32_U / (1.0 - j * _F32_U)
 
 
@@ -502,10 +628,14 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     matrix.  At level 0 the kernel also runs on every row the screen keeps,
     so every decision and reported float is the kernel's own.  Every level
     k >= 1 hands the kernel, and the screen, the query projected in float64
-    and then rounded to float32, the dtype of its features, and the kernel
-    picks the arithmetic from its inputs: float32 under l_1, l_2, l_4 and
-    l_inf, float64 in the max-divided form of every other norm.  The
-    margins' float32 term covers either.  Level 0 works in float64.
+    and then taken to the dtype of its features, and the kernel picks the
+    arithmetic from its inputs.  Under l_1 and l_inf the point is coded on
+    the level's grid (``_encode``), the kernel returns the exact code
+    distance S in integer arithmetic, and the level compares step S with
+    tau_k plus the grid term.  Under every other norm the point is rounded
+    to float32, and the kernel works in float32 under l_2 and l_4 and in
+    float64 in the max-divided form, which the margins' float32 term
+    covers.  Level 0 works in float64.
     """
     query = as_vector(y, index.schedule.dims[0])
     epsilon = float(epsilon)
@@ -520,9 +650,14 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
         scale = lp_norm(query, index.norm) + epsilon
         # the dtype of the features; a point overflows only under infinite
         # margins, which prune nothing
-        points[1:] = [point.astype(np.float32) for point in points[1:]]
-    taus = (epsilon, *(epsilon + margin
-                       for margin in level_margins(index.schedule, scale, index.norm)))
+        if index.grids:
+            points[1:] = [_encode(point, *grid).astype(np.int16)
+                          for point, grid in zip(points[1:], index.grids)]
+        else:
+            points[1:] = [point.astype(np.float32) for point in points[1:]]
+    margins = level_margins(index.schedule, scale, index.norm)
+    taus = (epsilon, *(epsilon + margin + term
+                       for margin, term in zip(margins, index.grid_terms)))
 
     dims = index.schedule.dims
     t = index.schedule.levels
@@ -537,6 +672,9 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
             band = keep | band  # every reported distance is the kernel's float
         dist = sweep(matrices[k], candidates[band], points[k], index.norm,
                      distances_to_point)
+        if k and index.grids:
+            with np.errstate(over="ignore"):  # exact, or inf beyond the float64 range
+                dist *= index.grids[k - 1][1]
         hit = dist < taus[k]
         if keep is None:
             keep = hit
@@ -654,8 +792,10 @@ def fit_const(reports, schedule: DimensionSchedule) -> float:
 
 def save_index(index: SubspaceIndex, path) -> None:
     """Persist an index: its ids and vectors at float64, then every level's
-    directions at float64 and its features at float32, one layout for both
-    modes.
+    directions at float64 and its features, one layout for both modes.
+    Under l_1 and l_inf a level's grid (lo, step) follows its directions at
+    float64 and its features are int16 codes; under every other norm there
+    is no grid and the features are float32.
 
     Nothing is rounded, so ``load_index`` returns the same index bit for
     bit.  The vectors are always embedded: the search is exact only over the
@@ -677,9 +817,14 @@ def save_index(index: SubspaceIndex, path) -> None:
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     head = _MAGIC + struct.pack("<IQ", _VERSION, len(blob)) + blob
     matrices = [(index.data, "<f8")]
-    for level, feats in zip(index.levels, index.features):
-        matrices += [(level.directions, "<f8"), (feats, "<f4")]
-    size = _container_size(len(blob), index.count, index.schedule.dims)
+    grids = index.grids or [None] * index.schedule.levels
+    for level, grid, feats in zip(index.levels, grids, index.features):
+        matrices.append((level.directions, "<f8"))
+        if grid is None:
+            matrices.append((feats, "<f4"))
+        else:
+            matrices += [(np.array([grid]), "<f8"), (feats, "<i2")]
+    size = _container_size(len(blob), index.count, index.schedule.dims, bool(index.grids))
     # written beside the target, which is replaced only once the new file is
     # whole: a failed save leaves the old file as it was, and an index
     # mapping it keeps its bytes
@@ -704,11 +849,14 @@ def save_index(index: SubspaceIndex, path) -> None:
         raise
 
 
-def _container_size(header_len: int, count: int, dims: tuple[int, ...]) -> int:
+def _container_size(header_len: int, count: int, dims: tuple[int, ...],
+                    coded: bool) -> int:
     """Bytes of a container: prefix and header, ids and vectors, then each
-    level's directions (8 * dims[k-1]) and features (4 * count * dims[k])."""
+    level's directions (8 * dims[k-1]) and features (4 * count * dims[k]
+    at float32, or a 16-byte grid and 2 * count * dims[k] when ``coded``)."""
+    grid, width = (16, 2) if coded else (0, 4)
     return len(_MAGIC) + 12 + header_len + 8 * count * (1 + dims[0]) + sum(
-        8 * dim_in + 4 * count * dim_out for dim_in, dim_out in zip(dims, dims[1:]))
+        8 * dim_in + grid + width * count * dim_out for dim_in, dim_out in zip(dims, dims[1:]))
 
 
 def _write_rows(handle, matrix: np.ndarray, dtype: str) -> None:
@@ -727,15 +875,18 @@ def load_index(path, mmap_data: bool = False) -> SubspaceIndex:
     every row once its candidates reach ``norms._DENSE_SHARE`` of them (the
     kernel sweeps slices of every row) or, under l_2, ``_GEMV_SHARE`` (the
     screen's whole-matrix GEMV).  The feature matrices are kept as the
-    float32 arrays they are read as, 4 bytes per feature, and converted to
-    nothing.  Every level is rebuilt from its stored directions, so the mode
-    is only a label.  A container of another format or version, whose
-    header is not an object, lacks a field, holds an invalid norm or
-    schedule, a count that is not an integer of at least 1 or a
-    ``data_included`` that is not ``true``, whose size is not the one its
-    header describes, or whose directions are not finite unit rows, raises
-    a ``ValueError`` whose message starts with the path; so does an unknown
-    mode, which ``SubspaceIndex`` rejects.
+    arrays they are read as, int16 codes (2 bytes per feature) under l_1
+    and l_inf and float32 (4 bytes) under every other norm, and converted
+    to nothing.  Every level is rebuilt from its stored directions, so the
+    mode is only a label.  Only version 4 is read.  A container of another
+    format or version, whose header is not an object, lacks a field, holds
+    an invalid norm or schedule, a count that is not an integer of at least
+    1 or a ``data_included`` that is not ``true``, whose size is not the
+    one its header describes, whose directions are not finite unit rows, or
+    whose grid has a lo that is not finite, a step that is not a positive
+    power of two or a code outside [0, 2^15 - 1], raises a ``ValueError``
+    whose message starts with the path; so does an unknown mode, which
+    ``SubspaceIndex`` rejects, as it rejects a bad grid.
     """
     try:
         return _read_container(path, mmap_data)
@@ -777,9 +928,10 @@ def _read_container(path, mmap_data: bool) -> SubspaceIndex:
             raise ValueError(f"data_included {header['data_included']!r} is not True: "
                              "every container embeds its vectors")
         dims = schedule.dims
+        coded = _coded(norm)
         # the one size check, before any section is allocated: a hostile
         # count or schedule is rejected here, and every read below is whole
-        expected = _container_size(header_len, count, dims)
+        expected = _container_size(header_len, count, dims, coded)
         if size != expected:
             raise ValueError(f"container holds {size} bytes, its header describes {expected}")
 
@@ -796,9 +948,14 @@ def _read_container(path, mmap_data: bool) -> SubspaceIndex:
 
         levels = []
         features = []
+        grids = []
         for dim_in, dim_out in zip(dims, dims[1:]):
             levels.append(ProjectionLevel(norm, take("<f8", (dim_out, dim_in // dim_out))))
-            features.append(take("<f4", (count, dim_out)).astype(np.float32, copy=False))
+            if coded:
+                grids.append(tuple(take("<f8", (2,)).tolist()))
+                features.append(take("<i2", (count, dim_out)).astype(np.int16, copy=False))
+            else:
+                features.append(take("<f4", (count, dim_out)).astype(np.float32, copy=False))
 
     return SubspaceIndex(
         schedule=schedule,
@@ -808,4 +965,5 @@ def _read_container(path, mmap_data: bool) -> SubspaceIndex:
         features=tuple(features),
         data=vectors,
         ids=ids,
+        grids=tuple(grids),
     )

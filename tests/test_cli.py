@@ -96,6 +96,26 @@ def test_build_single_cell(tmp_path, capsys):
     assert index.count == 200 and index.mode == "orthogonal"
 
 
+def test_build_logs_each_coded_levels_grid(tmp_path, capsys):
+    # l_1 and l_inf levels are coded: build logs each level's grid step and
+    # grid term beside its diversions; an l_2 level has no grid to log
+    out = tmp_path / "index.idx"
+    assert main(["build", "--model", "block-correlated", "--count", "200", "--dim", "32",
+                 "--schedule", "32,8,2", "--modes", "adaptive", "--norms", "1,2,inf",
+                 "--seed", "3", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for norm in ("l1", "l2", "linf"):
+        index = load_index(tmp_path / f"index_adaptive_{norm}.idx")
+        start = next(i for i, line in enumerate(lines) if f"index_adaptive_{norm}.idx" in line)
+        for k, line in enumerate(lines[start + 1:start + 3]):
+            assert line.startswith(f"  level {k + 1} (block size 4): max diversion ")
+            if norm == "l2":
+                assert "grid" not in line
+            else:
+                step, term = index.grids[k][1], index.grid_terms[k]
+                assert line.endswith(f", grid step {step:.6g}, grid term {term:.6g}")
+
+
 def test_build_multiple_cells_fans_out_names(tmp_path):
     out = tmp_path / "index.idx"
     code = main([

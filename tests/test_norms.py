@@ -17,11 +17,10 @@ from lpcascade import (
     build_index,
     check_norm_equivalence,
     lp_norm,
-    project_level,
 )
 from lpcascade import norms
 from lpcascade.norms import distances_to_point, sweep
-from unchunked import max_divided_distances, unchunked_distances
+from unchunked import kernel_points, max_divided_distances, unchunked_distances
 
 
 def test_norm_examples():
@@ -392,16 +391,17 @@ def test_dense_and_gathered_sweeps_give_the_same_floats(monkeypatch, p):
 
 @pytest.mark.parametrize("p", [1, "inf"])
 def test_narrow_level_sweep_equals_the_row_major_reference(monkeypatch, p):
-    # the 4-column level of a 64/16/4 index, swept as slices and as gathers
-    # in chunks of 7 rows, gives the floats of one row-major reduction
+    # the 4-column level of a 64/16/4 index, its codes swept as slices and
+    # as gathers in chunks of 7 rows against the query's codes, gives the
+    # floats of one row-major reduction
     rng = np.random.Generator(np.random.Philox(key=11))
     vectors = rng.standard_normal((200, 64)) * np.exp(rng.uniform(-5.0, 5.0, (200, 1)))
     index = build_index(DataSet.from_array(vectors), DimensionSchedule((64, 16, 4)),
                         "adaptive", p)
     level = index.features[-1]
     assert level.shape[1] == 4
-    point = project_level(project_level(vectors[3] + 0.01, index.levels[0]),
-                          index.levels[1])
+    point = kernel_points(index, vectors[3] + 0.01)[-1]
+    assert level.dtype == point.dtype == np.int16
     monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 4 * 7)
     want = unchunked_distances(level, point, index.norm)
     for matrix in (level, np.asfortranarray(level)):
@@ -410,6 +410,31 @@ def test_narrow_level_sweep_equals_the_row_major_reference(monkeypatch, p):
         rows = np.flatnonzero(rng.random(200) < 0.4)
         np.testing.assert_array_equal(
             sweep(matrix, rows, point, index.norm, distances_to_point), want[rows])
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 3.5, "inf"])
+@pytest.mark.parametrize("width", [1, 4, 16, 31, 32, 64, 768])
+def test_grid_codes_are_at_their_exact_integer_distances(width, p):
+    # int16 codes against int16 codes: l_1 and l_inf in integer arithmetic,
+    # the exact sum or maximum of |c_x - c_q| as float64 in a buffer of any
+    # size, with rows at both ends of [0, 2^15 - 1]; other norms take the
+    # codes as float64 (integer powers would overflow)
+    rng = np.random.Generator(np.random.Philox(key=12))
+    rows = rng.integers(0, 2 ** 15, (9, width)).astype(np.int16)
+    rows[0], rows[1] = 0, 2 ** 15 - 1
+    y = rng.integers(0, 2 ** 15, width).astype(np.int16)
+    norm = as_norm_order(p)
+    diff = np.abs(rows.astype(np.int64) - y)
+    if p == 1:
+        want = diff.sum(axis=1).astype(np.float64)
+    elif p == "inf":
+        want = diff.max(axis=1).astype(np.float64)
+    else:
+        want = distances_to_point(rows.astype(np.float64), y.astype(np.float64), norm)
+    for count in (1, 2, 3, 7, 9):
+        got = distances_to_point(rows[:count], y, norm)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want[:count])
 
 
 @pytest.mark.parametrize("width", [4, 16])

@@ -30,7 +30,8 @@ from lpcascade import (
     save_index,
 )
 from lpcascade import norms, projection, tree
-from unchunked import gather_everything_query, kernel_points, unchunked_distances
+from unchunked import (gather_everything_query, kernel_points, level_distances,
+                       unchunked_distances)
 
 GIST_SCHEDULE = (960, 480, 240, 120, 60, 30, 10, 5)
 
@@ -496,10 +497,11 @@ def as_version(path, version):
     path.write_bytes(bytes(raw))
 
 
-@pytest.mark.parametrize("version", [1, 2, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 5])
 def test_other_container_versions_are_rejected(tmp_path, version):
-    # version 1 stored adaptive l_1 features under another scale and version
-    # 2 stored no directions for orthogonal levels; only the version-3
+    # version 1 stored adaptive l_1 features under another scale, version 2
+    # stored no directions for orthogonal levels and version 3 stored l_1
+    # and l_inf features at float32, with no grid; only the version-4
     # layout is read
     data = small_dataset(count=30)
     index = build_index(data, DimensionSchedule((64, 16)), "adaptive", 1)
@@ -507,6 +509,40 @@ def test_other_container_versions_are_rejected(tmp_path, version):
     save_index(index, path)
     as_version(path, version)
     with pytest.raises(ValueError, match=f"version {version}$"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("lo", math.nan, "lo nan is not finite"),
+    ("lo", -math.inf, "lo -inf is not finite"),
+    ("step", 3.0, "step 3.0 is not a positive power of two"),
+    ("step", 0.75, "step 0.75 is not a positive power of two"),
+    ("step", 0.0, "step 0.0 is not a positive power of two"),
+    ("step", -0.5, "step -0.5 is not a positive power of two"),
+    ("step", math.inf, "step inf is not a positive power of two"),
+    ("step", math.nan, "step nan is not a positive power of two"),
+    ("code", -1, r"codes outside \[0, 32767\]"),
+    ("code", -32768, r"codes outside \[0, 32767\]"),
+])
+def test_a_hostile_grid_is_rejected(tmp_path, field, value, message):
+    # an l_1 container's level-1 grid follows the ids, the 30 x 64 vectors
+    # and the level's 16 x 4 directions: (lo, step) as two float64 values,
+    # then the int16 codes
+    data = small_dataset(count=30)
+    index = build_index(data, DimensionSchedule((64, 16)), "orthogonal", 1)
+    path = tmp_path / "grid.idx"
+    save_index(index, path)
+    raw = bytearray(path.read_bytes())
+    (length,) = struct.unpack_from("<Q", raw, 12)
+    grid = 20 + length + 8 * 30 + 8 * 30 * 64 + 8 * 64
+    assert struct.unpack_from("<2d", raw, grid) == index.grids[0]
+    if field == "code":
+        struct.pack_into("<h", raw, grid + 16 + 2 * 37, value)
+    else:
+        struct.pack_into("<d", raw, grid + (8 if field == "step" else 0), value)
+    path.write_bytes(bytes(raw))
+    part = "features 1" if field == "code" else "grid 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {part}: {message}$"):
         load_index(path)
 
 
@@ -671,7 +707,7 @@ def test_l2_index_derives_squared_row_norms(tmp_path):
     index = build_index(data, schedule, "adaptive", 2)
     path = tmp_path / "l2.idx"
     save_index(index, path)
-    assert struct.unpack_from("<I", path.read_bytes(), 8) == (3,)
+    assert struct.unpack_from("<I", path.read_bytes(), 8) == (4,)
     for derived in (index, load_index(path), load_index(path, mmap_data=True)):
         matrices = (np.asarray(derived.data), *derived.features)
         assert len(derived.sq_norms) == len(matrices) == schedule.levels + 1
@@ -717,8 +753,14 @@ def test_feature_matrices_must_be_float32():
      "1 levels and 1 feature matrices for a 2-level schedule"),
     # saved, such an index would write a container load_index rejects
     (lambda index: {"mode": "bogus"}, "unknown mode 'bogus'"),
+    # an l_1 level is coded: int16 codes on a grid, one per level
+    (lambda index: {"features": (index.features[0].astype(np.float32), index.features[1])},
+     "feature matrices must be int16 arrays under l_1"),
+    (lambda index: {"grids": index.grids[:1]}, "1 grids for a 2-level schedule under l_1"),
+    (lambda index: {"grids": ((0.0, 0.3), index.grids[1])},
+     "grid 1: step 0.3 is not a positive power of two"),
 ], ids=["norm", "schedule", "feature-width", "feature-rows", "ids", "level-norm",
-        "data-width", "level-count", "mode"])
+        "data-width", "level-count", "mode", "feature-dtype", "grid-count", "grid-step"])
 def test_an_index_whose_parts_disagree_is_rejected(change, message):
     data = small_dataset(count=60, seed=81)
     index = build_index(data, DimensionSchedule((64, 16, 4)), "orthogonal", 1)
@@ -745,13 +787,17 @@ SCREEN_SHARES = (0.0, 2.0)
 
 def boundary_epsilons(index, y):
     """Kernel distances at the verification level and at every projection
-    level, each exactly and one ulp above: the epsilons that sit on the edge
-    of the l_2 screen's band."""
+    level (step times the code distance at a coded level), each exactly and
+    one ulp above: the epsilons that sit on the edge of the l_2 screen's
+    band."""
     projected = kernel_points(index, y)
     matrices = (np.asarray(index.data), *index.features)
     epsilons = []
     for k, (m, q) in enumerate(zip(matrices, projected)):
-        dist = np.sort(unchunked_distances(m, q, index.norm))
+        if k:
+            dist = np.sort(level_distances(index, k, m, q))
+        else:
+            dist = np.sort(unchunked_distances(m, q, index.norm))
         for rank in ((1, 20, 150) if k == 0 else (20, 150)):
             epsilons += [dist[rank], np.nextafter(dist[rank], np.inf)]
     return [e for e in epsilons if e > 0.0]
@@ -759,33 +805,36 @@ def boundary_epsilons(index, y):
 
 def threshold_epsilons(index, y):
     """Epsilons at which a projection level's threshold tau_k = epsilon +
-    margin_k, formed as range_query forms it, crosses a row's level-k kernel
-    distance: the last one below it and the next two.  They put rows on the
-    edge of the l_2 screen and of the level kernel at every level k >= 1,
-    where boundary_epsilons leaves the margin between a row and tau_k."""
+    margin_k + grid term, formed as range_query forms it, crosses a row's
+    level-k distance (the kernel's, or step times the code distance at a
+    coded level): the last one below it and the next two.  They put rows
+    on the edge of the l_2 screen and of the level kernel at every level
+    k >= 1, where boundary_epsilons leaves the margin between a row and
+    tau_k."""
     projected = kernel_points(index, y)
     norm_y = lp_norm(y, index.norm)
 
-    def margin(k, epsilon):
-        return tree.level_margins(index.schedule, norm_y + epsilon, index.norm)[k - 1]
+    def tau(k, epsilon):
+        margin = tree.level_margins(index.schedule, norm_y + epsilon, index.norm)[k - 1]
+        return epsilon + margin + index.grid_terms[k - 1]
 
     epsilons = []
     for k in range(1, len(projected)):
-        dist = np.sort(unchunked_distances(index.features[k - 1], projected[k], index.norm))
+        dist = np.sort(level_distances(index, k, index.features[k - 1], projected[k]))
         for target in dist[[20, 150]]:
-            if not (math.isfinite(target) and math.isfinite(margin(k, target))):
+            if not (math.isfinite(target) and math.isfinite(tau(k, target))):
                 continue
             # the margin moves by c_k + f_k, under 2^-17 at 64 columns, of
             # any change in epsilon: a fixed point in a few steps, then ulp
             # steps to the crossing
             epsilon = target
             for _ in range(3):
-                epsilon = target - margin(k, epsilon)
+                epsilon = target - (tau(k, epsilon) - epsilon)
             if not epsilon > 0.0:
                 continue
-            while epsilon + margin(k, epsilon) >= target:
+            while tau(k, epsilon) >= target:
                 epsilon = np.nextafter(epsilon, -np.inf)
-            while (after := np.nextafter(epsilon, np.inf)) + margin(k, after) < target:
+            while tau(k, after := np.nextafter(epsilon, np.inf)) < target:
                 epsilon = after
             epsilons += [epsilon, after, np.nextafter(after, np.inf)]
     return epsilons
@@ -907,11 +956,14 @@ def test_l2_screen_falls_back_to_the_kernel_on_overflowed_norms(monkeypatch):
 def test_infinite_margins_prune_no_row_at_any_level(mode, p):
     # rows near 1e40: their float32 features overflow to inf, so a query with
     # ||y||_p + epsilon >= 2^127 has infinite margins and no level may prune,
-    # not even a row at level distance inf; only verification decides
+    # not even a row at level distance inf; only verification decides.  The
+    # grid codes of l_1 and l_inf levels cover the float64 features, and the
+    # same rule holds for them
     rows = small_dataset(count=200, seed=76).vectors * 1e40
     data = DataSet.from_array(rows)
     index = build_index(data, DimensionSchedule((64, 16, 4)), mode, p)
-    assert all(np.isinf(feats).any() for feats in index.features)
+    assert all(np.isinf(feats).any() for feats in index.features
+               if feats.dtype == np.float32)
     rng = np.random.Generator(np.random.Philox(key=78))
     near = rows[5] * (1.0 + 1e-3 * rng.standard_normal(64))
     dist = np.sort(unchunked_distances(rows, near, index.norm))
@@ -998,18 +1050,21 @@ def test_level_margins_follow_the_schedule_and_the_query_scale():
     # c_1 = 2^-23 + (2*64 + 2*16 + (4*4 + 20) + 32) eps, and level 2 adds a map
     c = [2.0 ** -23 + 228 * eps, 2.0 ** -23 + (128 + 8 + 36 + 36 + 32) * eps]
     tiny = 2.0 ** -126
-    # every level runs the kernel against the query rounded to float32 and
-    # adds gamma'_j = j v / (1 - j v), v = 2^-24, with j = n + 1 under l_1,
-    # (n + 8) / 2 under l_2, (n + 20) / 4 under l_4, and 2 under l_inf and
-    # the max-divided form (l_3)
+    # every float32 level runs the kernel against the query rounded to
+    # float32 and adds gamma'_j = j v / (1 - j v), v = 2^-24, with j =
+    # (n + 8) / 2 under l_2, (n + 20) / 4 under l_4, and 2 under the
+    # max-divided form (l_3); l_1 and l_inf levels are coded and their
+    # exact kernel adds nothing (j = 0)
     v = 2.0 ** -24
     l3 = norms.as_norm_order(3)
-    for norm, j in ((norms.L1, (17, 5)), (norms.L2, (12, 6)), (norms.L4, (9, 6)),
-                    (norms.LINF, (2, 2)), (l3, (2, 2))):
+    for norm, j in ((norms.L1, (0, 0)), (norms.L2, (12, 6)), (norms.L4, (9, 6)),
+                    (norms.LINF, (0, 0)), (l3, (2, 2))):
         f = [j[0] * v / (1 - j[0] * v), j[1] * v / (1 - j[1] * v)]
+        # nor do coded levels round their features to float32 (the 2^-23)
+        c_k = [c_j - 2.0 ** -23 for c_j in c] if j == (0, 0) else c
         for scale in (1.0, 1e6):
             assert tree.level_margins(schedule, scale, norm) == (
-                (c[0] + f[0]) * (scale + 16 * tiny), (c[1] + f[1]) * (scale + 4 * tiny))
+                (c_k[0] + f[0]) * (scale + 16 * tiny), (c_k[1] + f[1]) * (scale + 4 * tiny))
     # a match's features could overflow float32: no level prunes
     for norm in (norms.L1, norms.L2, norms.L4, norms.LINF, l3):
         for scale in (2.0 ** 127, math.inf, math.nan):
@@ -1128,45 +1183,161 @@ def test_float32_levels_are_exact_at_every_threshold(monkeypatch, mode, p, scale
     assert (sum(fallback) > 0) == (p == 4 or p == 2 and scale < 1.0)
 
 
+def coded_case(case):
+    """(rows, queries) for test_coded_levels_are_exact_at_every_threshold."""
+    rng = np.random.Generator(np.random.Philox(key=86))
+    base = small_dataset(count=300, seed=87).vectors
+    near = [base[row] + 0.05 * rng.standard_normal(64) for row in (0, 211)]
+    if case == "spread":
+        return base, near
+    if case == "tight":
+        # rows whose orthogonal level distances from their cluster's base
+        # equal their exact distance: the codes' rounding alone can lift a
+        # match's level distance above epsilon, which the grid term covers
+        data, bases = block_offset_dataset()
+        return data.vectors, list(bases[:3])
+    if case == "outside":
+        # projected, these queries lie above the grid in some columns and
+        # below it in others, or above it in every column
+        shift = 6.0 * (base.max() - base.min())
+        sides = np.repeat([1.0, -1.0], 32)
+        return base, [base[5] + shift * sides, base[9] + shift, base[13] - shift]
+    if case == "constant":
+        # 8 plus pairs of integers (a, -a): every orthogonal feature is its
+        # block's sum, 32 at level 1 and 128 at level 2, a grid of zero
+        # range.  Each adaptive column is constant within rounding too, but
+        # its direction's sign varies from column to column
+        pair = rng.integers(-3, 4, (300, 32, 1)).astype(float)
+        rows = 8.0 + np.concatenate([pair, -pair], axis=2).reshape(300, 64)
+        return rows, [rows[0] + 0.25, rows[7] - 0.5]
+    if case == "subnormal":
+        # features near 1e-310, whose range needs a subnormal step
+        return base * 1e-310, [y * 1e-310 for y in near]
+    # "huge": a few rows near 1e307 stretch every level's range toward the
+    # float64 limit, so its step is near 2^1010; the queries sit among
+    # the other rows
+    rows = base.copy()
+    rows[:6] = 1e307 * np.sign(rng.standard_normal((6, 64)))
+    return rows, near
+
+
+@pytest.mark.parametrize("case", ["spread", "tight", "outside", "constant", "subnormal",
+                                  "huge"])
+@pytest.mark.parametrize("p", [1, "inf"])
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_coded_levels_are_exact_at_every_threshold(monkeypatch, mode, p, case):
+    # l_1 and l_inf levels store grid codes and compare step times the
+    # exact code distance with tau_k plus the grid term.  boundary_epsilons
+    # puts epsilon on a row's code distance and threshold_epsilons puts tau_k
+    # on it, at every level, for queries inside the grid (also beside rows
+    # whose level distances are their exact ones), outside it on both sides
+    # (clipped), on a level of zero range, and on grids whose step is
+    # subnormal or near the top of the float64 range
+    rows, queries = coded_case(case)
+    data = DataSet.from_array(rows)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, p)
+    assert [f.dtype for f in index.features] == [np.int16, np.int16]
+    steps = [step for _, step in index.grids]
+    if case == "constant" and mode == "orthogonal":
+        assert steps == [2.0 ** -1074] * 2
+    elif case == "subnormal":
+        assert all(0.0 < step < 2.0 ** -1022 for step in steps)
+    elif case == "huge":
+        assert steps[1] >= 2.0 ** 1000
+    monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 64 * 5)  # several chunks a level
+    reports = []
+    for y in queries:
+        for epsilon in boundary_epsilons(index, y) + threshold_epsilons(index, y):
+            report = range_query(index, y, epsilon)
+            assert list(report.matches) == brute_force_range(data, y, epsilon, p)
+            assert report == gather_everything_query(index, y, epsilon)
+            reports.append(report)
+    assert reports
+    if case in ("spread", "tight", "outside", "huge"):
+        assert any(r.survivors[1] < len(data) for r in reports)
+
+
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_a_wide_l1_level_sums_its_codes_beyond_int32(mode):
+    # a level of 2^17 columns whose codes differ by up to 2^15 - 1 in each:
+    # a far row's code distance exceeds 2^31 - 1, which an int16 or int32
+    # sum would wrap (a negative sum keeps the row), so the kernel sums in
+    # int64 and the far rows are pruned at level 1
+    rng = np.random.Generator(np.random.Philox(key=88))
+    signs = np.sign(rng.standard_normal((16, 1)))
+    rows = signs * 100.0 + rng.standard_normal((16, 2 ** 18))
+    data = DataSet.from_array(rows)
+    # one level, so that the far rows reach it
+    index = build_index(data, DimensionSchedule((2 ** 18, 2 ** 17)), mode, 1)
+    y = rows[0] + 0.1
+    level = kernel_points(index, y)[1]
+    far = unchunked_distances(index.features[0], level, index.norm)
+    assert far.max() > 2 ** 31
+    exact = np.sort(unchunked_distances(rows, y, index.norm))
+    for epsilon in (exact[3], np.nextafter(exact[3], np.inf)):
+        report = range_query(index, y, epsilon)
+        assert list(report.matches) == brute_force_range(data, y, epsilon, 1)
+        assert report == gather_everything_query(index, y, epsilon)
+        # every row of the other sign is pruned at the level
+        assert report.survivors[1] <= np.count_nonzero(signs == signs[0])
+
+
+@pytest.mark.parametrize("p", [1, "inf"])
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_coded_levels_prune_rows_offset_by_1e8(mode, p):
+    # the rows of test_l2_screen_is_exact_at_the_epsilon_boundary, offset by
+    # 1e8: float32 features would resolve about 2^-24 of 1e8, far above the
+    # rows' spread, so a float32 level could prune nothing.  A grid fitted to
+    # the level's own range resolves the spread, and margins without a
+    # float32 term stay far below it, so the coarsest level prunes
+    data = DataSet.from_array(small_dataset(count=300, seed=45).vectors + 1e8)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, p)
+    rng = np.random.Generator(np.random.Philox(key=46))
+    reports = []
+    for row in (0, 211):
+        y = data.vectors[row] + rng.standard_normal(64) * 0.05
+        for epsilon in boundary_epsilons(index, y) + threshold_epsilons(index, y):
+            report = range_query(index, y, epsilon)
+            assert list(report.matches) == brute_force_range(data, y, epsilon, p)
+            assert report == gather_everything_query(index, y, epsilon)
+            reports.append(report)
+    assert any(r.survivors[2] < len(data) for r in reports)
+
+
 @pytest.mark.parametrize("dims, stride", [((64, 16, 4), 1), ((256, 64, 8), 8)])
 def test_a_match_whose_float32_level_sum_rounds_up_at_every_step_is_kept(dims, stride):
-    # under orthogonal l_1 a level-1 feature is the sum of its block, so a
-    # row holding one nonzero per block has exactly the features it is
-    # given; under l_2 it is twice the value of a constant block of 4.  Row
-    # 0's features are 1, then terms just above 2^-24 (2^-24 + 2^-34, or
-    # squares of 2^-12 + 2^-23) where the float32 sum adds to the running
-    # total that holds the 1: every column of the in-order sum of a narrow
-    # level, every eighth along the first partial sum of numpy's pairwise
-    # one.  Each addition rounds up by almost 2^-24, so the level distance
-    # exceeds the exact one by nearly (additions) 2^-24 of it under l_1, and
-    # by half that under l_2, whose root rounds once more: the float32 term
-    # (17 and 65 2^-24 under l_1, 12 and 36 under l_2) covers that, and c_1
-    # alone (about 2^-23) does not
+    # under orthogonal l_2 a level-1 feature is twice the value of a
+    # constant block of 4, so a row of such blocks has exactly the features
+    # it is given.  Row 0's features are 1, then squares of 2^-12 + 2^-23
+    # just above 2^-24 where the float32 sum adds to the running total that
+    # holds the 1: every column of the in-order sum of a narrow level, every
+    # eighth along the first partial sum of numpy's pairwise one.  Each
+    # addition rounds up by almost 2^-24, so the level distance exceeds the
+    # exact one by nearly half (additions) 2^-24 of it, as the root rounds
+    # once more: the float32 term (12 and 36 2^-24) covers that, and c_1
+    # alone (about 2^-23) does not.  (l_1 and l_inf levels are coded, and
+    # their kernel sums integers exactly.)
     n0, n1 = dims[:2]
     additions = (n1 - 1) // stride
-    for p, term in ((1, 2.0 ** -24 + 2.0 ** -34), (2, 2.0 ** -12 + 2.0 ** -23)):
-        rng = np.random.Generator(np.random.Philox(key=85))
-        rows = 10.0 * rng.standard_normal((60, n0))
-        features = np.zeros(n1)
-        features[0] = 1.0
-        features[stride::stride] = term
-        rows[0] = 0.0
-        if p == 1:
-            rows[0, ::n0 // n1] = features
-        else:
-            rows[0] = np.repeat(features / 2, n0 // n1)
-        data = DataSet.from_array(rows)
-        index = build_index(data, DimensionSchedule(dims), "orthogonal", p)
-        np.testing.assert_array_equal(index.features[0][0], features)
-        y = np.zeros(n0)
-        exact = unchunked_distances(data.vectors[:1], y, index.norm)[0]
-        level = unchunked_distances(index.features[0][:1], np.zeros(n1, np.float32),
-                                    index.norm)[0]
-        assert level - exact > 0.99 * (additions / p - (p - 1)) * 2.0 ** -24 * exact
-        for epsilon in (np.nextafter(exact, np.inf), exact * (1.0 + 2.0 ** -40)):
-            report = range_query(index, y, epsilon)
-            assert report.match_ids == (0,)
-            assert list(report.matches) == brute_force_range(data, y, epsilon, p)
+    term = 2.0 ** -12 + 2.0 ** -23
+    rng = np.random.Generator(np.random.Philox(key=85))
+    rows = 10.0 * rng.standard_normal((60, n0))
+    features = np.zeros(n1)
+    features[0] = 1.0
+    features[stride::stride] = term
+    rows[0] = np.repeat(features / 2, n0 // n1)
+    data = DataSet.from_array(rows)
+    index = build_index(data, DimensionSchedule(dims), "orthogonal", 2)
+    np.testing.assert_array_equal(index.features[0][0], features)
+    y = np.zeros(n0)
+    exact = unchunked_distances(data.vectors[:1], y, index.norm)[0]
+    level = unchunked_distances(index.features[0][:1], np.zeros(n1, np.float32),
+                                index.norm)[0]
+    assert level - exact > 0.99 * (additions / 2 - 1) * 2.0 ** -24 * exact
+    for epsilon in (np.nextafter(exact, np.inf), exact * (1.0 + 2.0 ** -40)):
+        report = range_query(index, y, epsilon)
+        assert report.match_ids == (0,)
+        assert list(report.matches) == brute_force_range(data, y, epsilon, 2)
 
 
 @pytest.mark.parametrize("mode, scale", [
@@ -1264,11 +1435,13 @@ def test_built_index_is_its_own_reload(tmp_path, mode, p):
     path = tmp_path / "same.idx"
     save_index(index, path)
     rng = np.random.Generator(np.random.Philox(key=74))
+    dtype = np.int16 if p in (1, "inf") else np.float32
     for loaded in (load_index(path), load_index(path, mmap_data=True)):
         for built, back in zip(index.features, loaded.features):
-            assert built.dtype == back.dtype == np.float32
+            assert built.dtype == back.dtype == dtype
             np.testing.assert_array_equal(back, built)
         assert loaded.prune_margins == index.prune_margins
+        assert loaded.grids == index.grids
         for row in (0, 150, 299):
             y = data.vectors[row] + rng.standard_normal(64) * 0.05
             exact = np.sort(unchunked_distances(data.vectors, y, index.norm))
@@ -1282,24 +1455,35 @@ def test_built_index_is_its_own_reload(tmp_path, mode, p):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
-def test_saved_bytes_follow_the_version_3_layout(tmp_path, monkeypatch, mode, order):
+def test_saved_bytes_follow_the_version_4_layout(tmp_path, monkeypatch, mode, order):
     rows = small_dataset(count=40, seed=75).vectors
     data = DataSet.from_array(np.asarray(rows, order=order))
     # 3 rows of 64 per chunk: every section is written in several chunks
     monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 64 * 3)
-    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, "inf")
-    path = tmp_path / "layout.idx"
-    save_index(index, path)
-    header = json.dumps({
-        "format": "lpcascade-index", "norm": "inf", "mode": mode,
-        "schedule": [64, 16, 4], "count": 40, "data_included": True,
-    }, sort_keys=True).encode("utf-8")
-    expected = [b"LPCASIDX", struct.pack("<IQ", 3, len(header)), header,
-                data.ids.astype("<i8").tobytes(), data.vectors.astype("<f8").tobytes()]
-    previous = data.vectors
-    for level in index.levels:
-        # directions for both modes: the mode is a label, not a layout
-        expected.append(level.directions.astype("<f8").tobytes())
-        previous = projection.project_rows(previous, level)
-        expected.append(previous.astype("<f4").tobytes())
-    assert path.read_bytes() == b"".join(expected)
+    for label in ("inf", "2"):
+        index = build_index(data, DimensionSchedule((64, 16, 4)), mode, label)
+        path = tmp_path / f"layout-{label}.idx"
+        save_index(index, path)
+        header = json.dumps({
+            "format": "lpcascade-index", "norm": label, "mode": mode,
+            "schedule": [64, 16, 4], "count": 40, "data_included": True,
+        }, sort_keys=True).encode("utf-8")
+        expected = [b"LPCASIDX", struct.pack("<IQ", 4, len(header)), header,
+                    data.ids.astype("<i8").tobytes(), data.vectors.astype("<f8").tobytes()]
+        previous = data.vectors
+        for level in index.levels:
+            # directions for both modes: the mode is a label, not a layout
+            expected.append(level.directions.astype("<f8").tobytes())
+            previous = projection.project_rows(previous, level)
+            if label == "2":
+                expected.append(previous.astype("<f4").tobytes())
+                continue
+            # l_inf: the grid (lo, step), lo the least feature and step the
+            # smallest power of two that spans the features in 2^15 - 1
+            # steps, then each feature's nearest code as int16
+            lo, top = previous.min(), previous.max()
+            step = 2.0 ** math.ceil(math.log2((top - lo) / 32767))
+            assert (top - lo) / 32767 <= step < 2 * (top - lo) / 32767
+            codes = np.clip(np.rint((previous - lo) / step), 0, 32767)
+            expected += [struct.pack("<2d", lo, step), codes.astype("<i2").tobytes()]
+        assert path.read_bytes() == b"".join(expected)

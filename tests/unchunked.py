@@ -9,19 +9,23 @@ chunked code to these bit for bit.
 import numpy as np
 
 from lpcascade import QueryReport, as_norm_order, lp_norm, project_level
-from lpcascade.tree import level_margins
+from lpcascade.tree import _encode, level_margins
 
 
 def unchunked_distances(rows, y, norm):
     """The distance kernel on whole matrices: ``|rows - y|``, its powers, and
     a reduction of each row, in order below 32 columns and by numpy's
-    pairwise ``sum`` from 32 up, returned as float64.  Float32 arithmetic
-    when rows and y are both float32 (an l_2 or l_4 row whose float32 sum
-    is not in [2^-100, inf) is recomputed in float64), float64 otherwise;
-    the max-divided form always in float64."""
+    pairwise ``sum`` from 32 up, returned as float64.  Integer arithmetic
+    when rows and y are both int16 codes (l_1 and l_inf; sums in int64),
+    float32 arithmetic when both are float32 (an l_2 or l_4 row whose
+    float32 sum is not in [2^-100, inf) is recomputed in float64), float64
+    otherwise; the max-divided form always in float64."""
     p = norm.p
     if not (norm.is_infinite or p in (1.0, 2.0, 4.0)):
         return max_divided_distances(np.abs(rows - np.asarray(y, dtype=np.float64)), p)
+    if rows.dtype == np.int16 and np.asarray(y).dtype == np.int16:
+        diff = np.abs(rows.astype(np.int64) - y)
+        return (diff.max(axis=1) if norm.is_infinite else diff.sum(axis=1)).astype(np.float64)
     diff = np.abs(rows - y)
     single = diff.dtype == np.float32
     if norm.is_infinite:
@@ -61,14 +65,30 @@ def max_divided_distances(diff, p):
 
 def kernel_points(index, y):
     """The query projected to every level as range_query hands it to the
-    distance kernel: float64 at level 0, and rounded to float32 at every
-    level k >= 1, after the float64 projection chain."""
+    distance kernel: float64 at level 0, and at every level k >= 1, after
+    the float64 projection chain, coded on the level's grid (l_1 and
+    l_inf) or rounded to float32."""
     points = [np.asarray(y, dtype=np.float64)]
     for level in index.levels:
         points.append(project_level(points[-1], level))
     with np.errstate(over="ignore"):  # only under infinite margins
-        points[1:] = [point.astype(np.float32) for point in points[1:]]
+        if index.grids:
+            points[1:] = [_encode(point, *grid).astype(np.int16)
+                          for point, grid in zip(points[1:], index.grids)]
+        else:
+            points[1:] = [point.astype(np.float32) for point in points[1:]]
     return points
+
+
+def level_distances(index, k, rows, point):
+    """Level-k distances of feature rows from a kernel point, as range_query
+    compares them with tau_k: the code distance times the grid's step at a
+    coded level."""
+    dist = unchunked_distances(rows, point, index.norm)
+    if index.grids:
+        with np.errstate(over="ignore"):
+            dist = dist * index.grids[k - 1][1]
+    return dist
 
 
 def gather_everything_query(index, y, epsilon):
@@ -88,9 +108,9 @@ def gather_everything_query(index, y, epsilon):
         rows = index.features[k - 1][candidates]
         # a query beyond the float32 range (infinite margins) differences inf - inf
         with np.errstate(invalid="ignore"):
-            level_dist = unchunked_distances(rows, projected[k], index.norm)
+            level_dist = level_distances(index, k, rows, projected[k])
         cost += candidates.size * dims[k]
-        tau = epsilon + margins[k - 1]
+        tau = epsilon + margins[k - 1] + index.grid_terms[k - 1]
         # an infinite margin prunes nothing, not even rows at distance inf
         keep = (level_dist < tau) | (tau == np.inf)
         candidates = candidates[keep]
