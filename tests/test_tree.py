@@ -1146,8 +1146,9 @@ def test_dense_and_gathered_levels_stay_exact_at_the_epsilon_boundary(monkeypatc
 def test_float32_levels_are_exact_at_every_threshold(monkeypatch, mode, p, scale):
     # level 1 (64 columns, reduced pairwise) and level 2 (8 columns, in
     # order) run the kernel against the query rounded to float32: in float32
-    # under l_1, l_2, l_4 and l_inf, and in float64 in the max-divided form
-    # (l_3).  Rows spread from a hundredth of the scale to ten times it.
+    # under l_2 and l_4, and in float64 in the max-divided form (l_3); l_1
+    # and l_inf levels run it on grid codes against the query's codes, in
+    # integers.  Rows spread from a hundredth of the scale to ten times it.
     # Near 1e19 float32 differences exceed 2^32 and their fourth powers
     # overflow, and some exceed 2^64 and their squares overflow; near 1e-30
     # they fall below 2^-37 and every square and fourth power underflows:
