@@ -1199,7 +1199,7 @@ def coded_case(case):
         return data.vectors, list(bases[:3])
     if case == "outside":
         # projected, these queries lie above the grid in some columns and
-        # below it in others, or above it in every column
+        # below it in others, or above or below it in every column
         shift = 6.0 * (base.max() - base.min())
         sides = np.repeat([1.0, -1.0], 32)
         return base, [base[5] + shift * sides, base[9] + shift, base[13] - shift]
@@ -1215,7 +1215,7 @@ def coded_case(case):
         # features near 1e-310, whose range needs a subnormal step
         return base * 1e-310, [y * 1e-310 for y in near]
     # "huge": a few rows near 1e307 stretch every level's range toward the
-    # float64 limit, so its step is near 2^1010; the queries sit among
+    # float64 limit, so its step is 2^1006 to 2^1010; the queries sit among
     # the other rows
     rows = base.copy()
     rows[:6] = 1e307 * np.sign(rng.standard_normal((6, 64)))
