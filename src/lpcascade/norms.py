@@ -117,8 +117,8 @@ _TINY = 2.0 ** -1022
 # relative and absolute terms float32 inner products add to the band.
 _F32_U = 2.0 ** -24
 _F32_MIN = 2.0 ** -149
-# Largest grid code of an integer-coded level (``tree``): codes and their
-# differences fit in int16.
+# Largest grid code of an integer-coded level (``tree``) or calibration
+# sweep (``oracle``): codes and their differences fit in int16.
 _CODE_MAX = 2 ** 15 - 1
 _EQUIVALENCE_TOL = 1e-9  # relative slack of ``check_norm_equivalence``
 
@@ -172,7 +172,8 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
     and so is at the distance of its float64 copy.  The third form is
     float64 arithmetic whatever the dtypes.  A row whose difference
     overflows, or holds an infinite component, is at distance inf under
-    every norm.  There are three forms:
+    every norm, and so is one whose l_1 sum overflows; no overflow warns.
+    There are three forms:
 
     * l_1 and l_inf: the sum or the maximum of the absolute differences.
       Codes lie in [0, 2^15 - 1], so their differences and absolute values
@@ -199,6 +200,17 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
     (``_sums``), and wider rows along themselves by numpy's pairwise
     ``sum`` or ``max``, whose order depends on n alone.
     """
+    if rows.dtype == y.dtype == np.int16:
+        return _distances(rows, y, norm)  # codes: nothing overflows
+    # an overflowed difference or sum is the documented inf, or falls back below
+    with np.errstate(over="ignore"):
+        return _distances(rows, y, norm)
+
+
+def _distances(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.ndarray:
+    """``distances_to_point``'s body; the caller holds
+    ``np.errstate(over="ignore")`` unless ``rows`` and ``y`` are int16
+    codes, whose differences, sums and powers stay in range."""
     p = norm.p
     if not (p == 1.0 or norm.is_infinite) and y.dtype == np.int16:
         y = y.astype(np.float64)  # integer powers would overflow
@@ -214,10 +226,9 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
         if diff.dtype == np.int16:
             total = np.int32 if rows.shape[1] * _CODE_MAX < 2 ** 31 else np.int64
         return _sums(np.abs(diff, out=diff), narrow, total).astype(np.float64, copy=False)
-    with np.errstate(over="ignore"):  # an overflowed row falls back below
-        for _ in range(int(p) // 2):  # l_2 squares once, l_4 twice; (-a)^2 == a^2
-            np.multiply(diff, diff, out=diff)
-        total = _sums(diff, narrow)
+    for _ in range(int(p) // 2):  # l_2 squares once, l_4 twice; (-a)^2 == a^2
+        np.multiply(diff, diff, out=diff)
+    total = _sums(diff, narrow)
     out = np.sqrt(total)
     if p == 4.0:
         np.sqrt(out, out=out)
@@ -277,10 +288,11 @@ def _max_divided(diff: np.ndarray, p: float) -> np.ndarray:
     return np.where(finite, out, m)
 
 
-def row_chunks(count: int, dim: int):
+def row_chunks(count: int, dim: int, chunks: int = 1):
     """Slices covering ``range(count)`` in order, each spanning at most
-    CHUNK_BYTES of float64 rows of width ``dim`` (at least one row)."""
-    step = max(1, CHUNK_BYTES // (8 * dim))
+    ``chunks`` CHUNK_BYTES of float64 rows of width ``dim`` (at least one
+    row)."""
+    step = max(1, chunks * CHUNK_BYTES // (8 * dim))
     for start in range(0, count, step):
         yield slice(start, min(start + step, count))
 
@@ -308,6 +320,73 @@ def sweep(matrix: np.ndarray, rows: np.ndarray | None, point: np.ndarray,
     if dense and rows is not None and rows.size < count:
         out = out[rows]
     return out
+
+
+def _fit_grid(features: np.ndarray) -> tuple[float, float]:
+    """(lo, step) of the grid lo + c step, c in [0, _CODE_MAX], that covers
+    the finite values of ``features``, read one row chunk at a time: lo is
+    their least, and step the smallest power of two, 2^-1074 at the least,
+    with lo + _CODE_MAX step at or above the greatest, found in exact
+    integer arithmetic.  A level with no finite value gets lo = 0."""
+    lo, hi = math.inf, -math.inf
+    for chunk in row_chunks(*features.shape):
+        block = features[chunk]
+        finite = block[np.isfinite(block)]
+        if finite.size:
+            lo, hi = min(lo, float(finite.min())), max(hi, float(finite.max()))
+    if lo > hi:
+        lo = hi = 0.0
+    # hi - lo = span / den exactly, den the larger power-of-two denominator
+    (a, b), (c, d) = hi.as_integer_ratio(), lo.as_integer_ratio()
+    den = max(b, d)
+    span = a * (den // b) - c * (den // d)
+    exponent = -1074
+    if span:
+        # at most two below the answer
+        exponent = max(exponent, span.bit_length() - (_CODE_MAX * den).bit_length() - 1)
+    # span / den > _CODE_MAX 2^exponent, both sides times den 2^-exponent
+    while span << max(0, -exponent) > (_CODE_MAX * den) << max(0, exponent):
+        exponent += 1
+    return lo, math.ldexp(1.0, exponent)
+
+
+def _encode(values: np.ndarray, lo: float, step: float) -> np.ndarray:
+    """The grid codes of ``values``, as a float64 array: each value clipped
+    to [lo, lo + _CODE_MAX step] and rounded to the nearest code.  A nan
+    takes code 0.  A value on the grid's range is off its code by at most
+    (1/2 + 2^-38) step: (v - lo) / step rounds once, by at most _CODE_MAX u.
+    Below step 1 a value on the range cannot overflow v - lo, and from 1
+    up v / step cannot overflow; a value beyond the range that overflows
+    is clipped like any other."""
+    with np.errstate(over="ignore"):
+        codes = (values - lo) / step if step < 1.0 else values / step - lo / step
+    np.rint(codes, out=codes)
+    np.fmax(codes, 0.0, out=codes)  # fmax takes 0 over a nan
+    return np.fmin(codes, _CODE_MAX, out=codes)
+
+
+def _code_rows(matrix: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
+    """(codes, (lo, step)): ``matrix`` coded on a grid fitted to it
+    (``_fit_grid``), as an int16 array of its shape, one row chunk at a
+    time (``_encode``), so that no float64 copy of the matrix is made."""
+    grid = _fit_grid(matrix)
+    codes = np.empty(matrix.shape, dtype=np.int16)
+    for chunk in row_chunks(*matrix.shape):
+        codes[chunk] = _encode(matrix[chunk], *grid)
+    return codes, grid
+
+
+def _grid_term(norm: NormOrder, n: int, step: float) -> float:
+    """G = b + b 2^-32 + 2^-1074 with b = n^(1/p) step, for rows of width n
+    coded on a grid of this step: b = n step under l_1 and step under l_inf.
+    The difference of two rows' coding errors is at most (1 + 2^-37) step
+    in each column (``_encode``), so its l_p length is at most b (1 +
+    2^-37), and G >= b (1 + 2^-33) covers that and one more rounding.  b is
+    exact (a power of two times an integer), or inf, and G holds its slack
+    where b is subnormal too: b 2^-32 then loses at most 2^-1075, and the
+    sums are exact, where b (1 + 2^-32) would round back to b."""
+    base = (n if norm.p == 1.0 else 1) * step
+    return base + base * 2.0 ** -32 + 2.0 ** -1074
 
 
 def l2_expansion(xx, qq, dots):
@@ -423,10 +502,83 @@ def l2_band(g, xx, qq, tau, n: int, single: bool = False):
     1702.08734), with the float32 term added.
     """
     tau_sq = tau * tau
-    w = l2_half_width(xx, qq, tau_sq, n, single)
+    return _verdicts(g, l2_half_width(xx, qq, tau_sq, n, single), tau_sq)
+
+
+def l4_half_width(xxxx, qqqq, tau_4, n: int):
+    """w = (8n + 72) eps (xxxx + qqqq + tau^4) + 2^-1022, the half-width of
+    ``l4_band`` for float64 rows of width n."""
+    return (8 * n + 72) * _EPS * (xxxx + qqqq + tau_4) + _TINY
+
+
+def l4_band(g, xxxx, qqqq, tau, n: int):
+    """Decide the kernel's verdict ``distances_to_point(x, q, L4) < tau`` for
+    float64 rows x of width n from the expansion
+
+        g = xxxx + qqqq - 4 x^3.q + 6 x^2.q^2 - 4 x.q^3
+
+    alone, where that is safe, as ``l2_band`` does under l_2.  xxxx and qqqq
+    are the sums of fourth powers of x and of q, and the three cross terms
+    inner products of q, q^2 and q^3 with x^3, x^2 and x, all in float64,
+    with x^2 = x * x, x^3 = x^2 * x and x^4 = x^2 * x^2 (and so for q).
+    Returns boolean masks ``(inside, band)`` shaped like g, which broadcasts
+    with xxxx, qqqq and tau: with tau^4 = (tau tau)^2 and w the half-width
+    (``l4_half_width``), a row is inside (surely below tau) if g + w < tau^4,
+    outside (surely at or above tau) if g - w >= tau^4, and in the band
+    otherwise or when g or w is not finite (an overflowed power, product or
+    tau^4).  Callers hold ``np.errstate(over="ignore", invalid="ignore")``.
+
+    Why w decides as the kernel does (u = eps/2 = 2^-53, gamma_j =
+    j u / (1 - j u), to first order in u; D = sum (x_i - q_i)^4, A = sum x_i^4,
+    B = sum q_i^4 and M = sum (|x_i| + |q_i|)^4, exactly):
+
+    * Expansion.  Each of the five terms is a sum of n products that carry
+      at most three roundings each (a square, a cube or fourth power, the
+      product), so in any order of summation (BLAS blocking, thread count
+      and fused multiply-adds included) it is within gamma_{n+2} of the sum
+      of its products' magnitudes.  Weighted by 1, 4, 6, 4 and 1, those
+      magnitudes sum to M, by the binomial theorem.  g is formed from the
+      five terms by four additions and one multiplication by 6 (those by 4
+      are exact), each rounding by at most u of a value below M (1 +
+      gamma_{n+2}).  So |g - D| <= (n + 7) u M, and M <= 8 (A + B), as
+      (a + b)^4 <= 8 (a^4 + b^4) for a, b >= 0.
+    * Kernel.  ``distances_to_point`` returns c with c^4 within
+      gamma_{n+12} of D: each term of its sum carries seven roundings (the
+      difference and two squarings), the sum n - 1 more in any order, and
+      the two roots six more in c^4.  A row whose sum is not in [2^-800,
+      inf) takes the max-divided form, with c within gamma_{2n+16} of
+      D^(1/4), so c^4 within (8n + 64) u of D.  As c < tau exactly when
+      c^4 < tau^4, c < tau whenever D < tau^4 (1 - (8n + 64) u), and
+      c >= tau whenever D >= tau^4 (1 + (8n + 64) u).
+    * Comparisons.  tau^4 rounds three times and g +- w once, so "inside"
+      gives D < tau^4 (1 + 4u) - (w - |g - D|) and "outside" gives
+      D >= tau^4 (1 - 4u) + (w - |g - D|).  Both verdicts are the kernel's
+      once w >= 8 (n + 7) u (A + B) + (8n + 68) u tau^4.
+
+    (8n + 72) eps = (16n + 144) u is at least twice each constant, which
+    leaves room for the O(u^2) terms, for the computed xxxx + qqqq standing
+    in for A + B and for the rounding of w itself.  Gradual underflow adds
+    at most 2^-1075 to a product below 2^-1022, which the later products
+    of its term carry scaled by up to four factors of x_i or q_i: at most
+    2^-1075 (1 + x_i^4 + q_i^4) each, three in a term, weights 16 in all.
+    The A + B part of that is far inside w's slack, and the 2^-1022 term
+    covers 48 n 2^-1075 and tau^4's own for every n < 2^46.  The kernel's
+    underflow is relative, as in ``l2_band``.  Like ``l2_band``, the
+    screen follows the exact GEMM scan of Johnson, Douze and Jegou (arXiv
+    1702.08734).
+    """
+    tau_4 = tau * tau
+    tau_4 *= tau_4
+    return _verdicts(g, l4_half_width(xxxx, qqqq, tau_4, n), tau_4)
+
+
+def _verdicts(g, w, bound):
+    """(inside, band) of ``l2_band`` and ``l4_band``: inside where g + w <
+    bound, outside where g - w >= bound, the band elsewhere and wherever g
+    or w is not finite."""
     decided = np.isfinite(g) & np.isfinite(w)
-    inside = decided & (g + w < tau_sq)
-    band = ~inside & ~(decided & (g - w >= tau_sq))
+    inside = decided & (g + w < bound)
+    band = ~inside & ~(decided & (g - w >= bound))
     return inside, band
 
 

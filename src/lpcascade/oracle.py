@@ -4,15 +4,20 @@ The scan is the defining oracle for the index: every cascade result must
 equal it exactly.  Calibration reconstructs the "epsilon for ~k neighbors"
 protocol: sample queries, hold them out of the scanned set, take the median
 k-th neighbor distance.  Each k-th distance is the float a kernel sweep
-over every row gives, found more cheaply: under l_2 by a blocked GEMM whose
-expansion the l_2 band (``norms.l2_band``) screens, so that the kernel runs
-on the few rows near the k-th neighbor only, and under every other norm by
-the samples' sweeps run on a pool of threads.
+over every row gives, found more cheaply under every kernel norm by one
+screened pass (``_screened_kth``): a cheap estimate of every row's kernel
+distance with a proven error bound leaves the kernel to the few rows near
+or below the k-th neighbor.  Under l_2 and l_4 the estimate is a GEMM
+expansion that ``norms.l2_band`` or ``norms.l4_band`` screens, one block
+of samples at a time; under l_1 and l_inf it is the exact distance between
+the rows' int16 grid codes (``norms._code_rows``), each sample on a pool of
+threads.  Under any other p each sample's sweep runs as it is, on threads.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,18 +26,33 @@ import numpy as np
 
 from .data import DataSet
 from .norms import (
+    _EPS,
+    L1,
     L2,
+    L4,
+    LINF,
+    _code_rows,
+    _grid_term,
     as_norm_order,
     as_vector,
     distances_to_point,
     l2_band,
     l2_expansion,
     l2_half_width,
+    l4_band,
+    l4_half_width,
     row_chunks,
     sweep,
 )
 
 __all__ = ["CalibrationSpec", "brute_force_range", "calibrate_epsilon"]
+
+# Sample blocks of the l_2 and l_4 screens span this many
+# ``norms.CHUNK_BYTES`` of float64 products with every row.  On perfbench's
+# gist-deep inputs (50 samples of 20,000 x 960, seed 1, 2 CPUs) l_2
+# calibration took 0.19-0.27 s with one and 0.10-0.14 s with four, at the
+# same epsilon.
+_BLOCK_CHUNKS = 4
 
 
 @dataclass(frozen=True)
@@ -73,13 +93,23 @@ def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
     k-th smallest distance as it would be without them.  Every k-th
     distance is that sweep's float, so the median is too:
 
-    * Under l_2 one GEMM per block of samples screens every row and the
-      kernel runs on the few rows near or below the k-th distance
-      (``_l2_kth``).
-    * Under every other norm each sample's sweep runs as it is, the samples
-      split into min(``_usable_cpus()``, samples) contiguous parts: the
-      calling thread sweeps the first and a thread pool the rest, each
-      thread writing its own samples' slots.
+    * Under l_2 and l_4 the samples go in blocks whose (samples x rows)
+      float64 products span ``_BLOCK_CHUNKS`` (4) ``norms.CHUNK_BYTES``, 26
+      samples for 20,000 rows.  Per block, one GEMM (l_2) or three (l_4,
+      with x^2 and x^3 formed one 1 MiB row chunk at a time) expand every
+      row's distance, and each sample's screened pass runs the kernel on
+      the few rows near or below its k-th distance (``_gemm_kth``).
+    * Under l_1 and l_inf the rows are coded once on one int16 grid, a
+      quarter of the vectors' bytes, freed on return.  Each sample's exact
+      code distance to every row bounds the kernel's distance within the
+      grid term, and its screened pass runs the kernel on the few rows near
+      or below its k-th distance (``_coded_kth``).
+    * Under every other norm each sample's sweep runs as it is.
+
+    Under l_1, l_inf and other p the samples split into
+    min(``_usable_cpus()``, samples) contiguous parts: the calling thread
+    takes the first and a thread pool the rest, each thread writing its own
+    samples' slots.
     """
     s = len(data)
     if spec.sample_size > s:
@@ -94,21 +124,28 @@ def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
     chosen = rng.choice(s, size=spec.sample_size, replace=False)
     vectors, k = data.vectors, spec.target_nn
     kth = np.empty(spec.sample_size)
-    if norm == L2:
-        _l2_kth(vectors, chosen, k, kth)
-    else:
-        def sweep_part(part):
-            for pos in part:
-                kth[pos] = _kth_by_sweep(vectors, chosen, chosen[pos], norm, k)
+    if norm in (L2, L4):
+        _gemm_kth(vectors, chosen, norm, k, kth)
+        return float(np.median(kth))
+    codes = step = None
+    if norm in (L1, LINF):
+        codes, (_, step) = _code_rows(vectors)
 
-        parts = np.array_split(np.arange(chosen.size), min(_usable_cpus(), chosen.size))
-        with ThreadPoolExecutor(max(1, len(parts) - 1)) as pool:
-            # the calling thread sweeps the first part: one pool thread
-            # fewer, whose heap would keep its scan buffers resident
-            futures = [pool.submit(sweep_part, part) for part in parts[1:]]
-            sweep_part(parts[0])
-            for future in futures:
-                future.result()  # re-raises a worker's exception
+    def sweep_part(part):
+        for pos in part:
+            if codes is None:
+                kth[pos] = _kth_by_sweep(vectors, chosen, chosen[pos], norm, k)
+            else:
+                kth[pos] = _coded_kth(vectors, codes, step, chosen, chosen[pos], norm, k)
+
+    parts = np.array_split(np.arange(chosen.size), min(_usable_cpus(), chosen.size))
+    with ThreadPoolExecutor(max(1, len(parts) - 1)) as pool:
+        # the calling thread sweeps the first part: one pool thread
+        # fewer, whose heap would keep its scan buffers resident
+        futures = [pool.submit(sweep_part, part) for part in parts[1:]]
+        sweep_part(parts[0])
+        for future in futures:
+            future.result()  # re-raises a worker's exception
     return float(np.median(kth))
 
 
@@ -128,44 +165,160 @@ def _kth_by_sweep(vectors: np.ndarray, chosen: np.ndarray, row, norm, k: int) ->
     return np.partition(dist, k - 1)[k - 1]
 
 
-def _l2_kth(vectors: np.ndarray, chosen: np.ndarray, k: int, kth: np.ndarray) -> None:
-    """Fill ``kth`` with ``_kth_by_sweep``'s floats under l_2, screened.
+def _screened_kth(vectors: np.ndarray, chosen: np.ndarray, row, norm, k: int,
+                  estimate: np.ndarray, reach, maybe_below) -> float:
+    """``_kth_by_sweep``'s float for sample ``row``, the kernel run on a
+    screened few rows.
 
-    The squared row norms xx are summed once.  The samples go in blocks
-    whose (samples x rows) float64 inner products fit ``norms.CHUNK_BYTES``
-    (at least one sample), each block one GEMM.  Per sample, g
-    (``norms.l2_expansion``) puts the held-out rows at +inf, its k-th
-    smallest value g_k is found with a partition, and tau is set strictly
-    above sqrt(g_k + 2 w_k), w_k the band's half-width at that row, so that
-    the k rows of smallest g are normally inside.  The kernel then runs on
-    every row ``norms.l2_band`` does not put outside, that is on every row
-    whose distance may be below tau.  If at least k of those distances are
-    below tau, every row at a smaller distance than the k-th is among them
-    and the k-th smallest of them is the sweep's.  Otherwise the sample
-    takes the full sweep.  A non-finite g, w or g_k (an overflowed norm or
-    dot) puts a row in the band or makes tau infinite, never a row outside.
+    ``estimate`` holds a cheap per-row estimate of the kernel distance (it
+    is overwritten: the held-out rows go to +inf), ``reach(i)`` an upper
+    bound on row i's kernel distance, and ``maybe_below(tau)`` a mask that
+    is false only on rows whose kernel distance is surely at or above tau.
+    tau is set just above the reach of the row of k-th smallest estimate
+    (infinite if that is not finite), so that the k rows of smallest
+    estimate are normally below it, and the kernel runs on every row not
+    held out that ``maybe_below(tau)`` keeps.  If at least k of those
+    distances are below tau, every row at a smaller distance than the k-th
+    is among them, and the k-th smallest of them is the sweep's.  Otherwise
+    the sample takes the full sweep.
+    """
+    estimate[chosen] = np.inf
+    near = np.argpartition(estimate, k - 1)[k - 1]
+    bound = reach(near)
+    tau = math.nextafter(bound, math.inf) if bound < math.inf else math.inf  # nan too
+    screened = maybe_below(tau)
+    screened[chosen] = False
+    dist = sweep(vectors, np.flatnonzero(screened), vectors[row], norm, distances_to_point)
+    below = dist[dist < tau]
+    if below.size >= k:
+        return np.partition(below, k - 1)[k - 1]
+    return _kth_by_sweep(vectors, chosen, row, norm, k)
+
+
+def _gemm_kth(vectors: np.ndarray, chosen: np.ndarray, norm, k: int,
+              kth: np.ndarray) -> None:
+    """Fill ``kth`` with ``_kth_by_sweep``'s floats under l_2 or l_4,
+    screened by a GEMM expansion of every row's distance.
+
+    Each row's sum of squares (l_2) or of fourth powers (l_4) is summed
+    once.  Per block of samples (``_BLOCK_CHUNKS``), one GEMM forms their
+    inner products with every row (l_2), or three GEMMs their cross terms
+    (``_l4_cross``).  Per sample, the expansion g (``norms.l2_expansion``,
+    or ``xxxx + qqqq`` plus the cross terms) is the estimate of
+    ``_screened_kth``, in the norm's p-th power; the reach of the row of
+    k-th smallest g is the p-th root of g + 2 w, w the band's half-width
+    with g standing in for tau^p, and the band (``norms.l2_band`` or
+    ``norms.l4_band``) keeps every row whose distance may be below tau.  A
+    non-finite g, w or reach (an overflowed power, norm or product) puts a
+    row in the band or makes tau infinite, never a row outside.
     """
     n = vectors.shape[1]
-    # an overflow only puts rows in the band, or sends a sample to the sweep
+    quartic = norm == L4
+    half_width, band = (l4_half_width, l4_band) if quartic else (l2_half_width, l2_band)
+    root = (lambda v: math.sqrt(math.sqrt(v))) if quartic else math.sqrt
+    # an overflow only puts rows in the band, or makes tau infinite
     with np.errstate(over="ignore", invalid="ignore"):
-        xx = np.einsum("ij,ij->i", vectors, vectors)
-        for block in row_chunks(chosen.size, vectors.shape[0]):
-            dots = vectors[chosen[block]] @ vectors.T
-            for pos, row_dots in zip(range(block.start, block.stop), dots):
+        powers = _fourth_powers(vectors) if quartic else np.einsum("ij,ij->i", vectors, vectors)
+        for block in row_chunks(chosen.size, vectors.shape[0], _BLOCK_CHUNKS):
+            samples = vectors[chosen[block]]
+            cross = _mapped(samples.shape[0], vectors.shape[0])
+            if quartic:
+                _l4_cross(vectors, samples, cross)
+            else:
+                np.matmul(samples, vectors.T, out=cross)
+            for pos, row_cross in zip(range(block.start, block.stop), cross):
                 row = chosen[pos]
-                qq = xx[row]
-                g = l2_expansion(xx, qq, row_dots)
-                g[chosen] = np.inf
-                near = np.argpartition(g, k - 1)[k - 1]
-                reach = g[near] + 2.0 * l2_half_width(xx[near], qq, g[near], n)
-                tau = math.inf
-                if reach < math.inf:  # neither inf nor nan
-                    tau = math.nextafter(math.sqrt(max(reach, 0.0)), math.inf)
-                inside, band = l2_band(g, xx, qq, tau, n)
-                screened = inside | band
-                screened[chosen] = False
-                dist = sweep(vectors, np.flatnonzero(screened), vectors[row], L2,
-                             distances_to_point)
-                below = dist[dist < tau]
-                kth[pos] = (np.partition(below, k - 1)[k - 1] if below.size >= k
-                            else _kth_by_sweep(vectors, chosen, row, L2, k))
+                qq = powers[row]
+                g = powers + qq + row_cross if quartic else l2_expansion(powers, qq, row_cross)
+                kth[pos] = _screened_kth(
+                    vectors, chosen, row, norm, k, g,
+                    lambda i: root(max(g[i] + 2.0 * half_width(powers[i], qq, g[i], n), 0.0)),
+                    lambda tau: np.logical_or(*band(g, powers, qq, tau, n)))
+
+
+def _fourth_powers(vectors: np.ndarray) -> np.ndarray:
+    """Each row's sum of x_i^4, with x^4 = x^2 * x^2, one row chunk at a
+    time."""
+    out = np.empty(vectors.shape[0])
+    for chunk in row_chunks(*vectors.shape):
+        squares = vectors[chunk] * vectors[chunk]
+        out[chunk] = np.einsum("ij,ij->i", squares, squares)
+    return out
+
+
+def _mapped(count: int, rows: int) -> np.ndarray:
+    """An uninitialised (count x rows) float64 array in an anonymous memory
+    mapping of its own, unmapped when the array goes.  A block's products
+    are the one allocation of calibration above 1 MiB; freed through
+    malloc, they would raise glibc's dynamic mmap and trim thresholds for
+    the rest of the process, which then keeps more of its heap resident
+    (gist-deep's ``peak_rss_mb`` read 346 MiB against 340 in 10 of 10
+    perfbench runs, and 341 against 335 in-process, where a fixed
+    ``MALLOC_TRIM_THRESHOLD_`` made both 333)."""
+    return np.frombuffer(mmap.mmap(-1, 8 * count * rows), dtype=np.float64).reshape(count, rows)
+
+
+def _l4_cross(vectors: np.ndarray, samples: np.ndarray, out: np.ndarray) -> None:
+    """Write the (samples x rows) cross terms -4 x^3.q + 6 x^2.q^2 - 4 x.q^3
+    of ``norms.l4_band``'s expansion to ``out``: three GEMMs per 1 MiB row
+    chunk, whose x^2 and x^3 are formed there, never as whole-matrix
+    copies."""
+    squares = samples * samples
+    cubes = squares * samples
+    for chunk in row_chunks(*vectors.shape):
+        x = vectors[chunk]
+        x2 = x * x
+        part = squares @ x2.T
+        part *= 6.0
+        part -= 4.0 * (cubes @ x.T)
+        x2 *= x
+        part -= 4.0 * (samples @ x2.T)
+        out[:, chunk] = part
+
+
+def _coded_kth(vectors: np.ndarray, codes: np.ndarray, step: float, chosen: np.ndarray,
+               row, norm, k: int) -> float:
+    """``_kth_by_sweep``'s float for sample ``row`` under l_1 or l_inf,
+    screened by the rows' exact code distances S to it.
+
+    ``codes`` are the rows coded on one grid of this step (``norms._code_rows``);
+    the sample is a row, so no value is clipped.  The int16 kernel returns
+    every S exactly, which is the estimate of ``_screened_kth``, and step S
+    is within the grid term G (``norms._grid_term``) of a row's exact
+    distance, which the kernel's float is within kappa = gamma_{2n+16} of
+    (``tree.level_margins``).  ``_code_bounds`` turns these into the reach
+    of a code distance and the code distance from which a row is surely at
+    or above tau.
+    """
+    reach, limit = _code_bounds(norm, vectors.shape[1], step)
+    dist = sweep(codes, None, codes[row], norm, distances_to_point)
+    return _screened_kth(vectors, chosen, row, norm, k, dist,
+                         lambda i: reach(dist[i]), lambda tau: dist < limit(tau))
+
+
+def _code_bounds(norm, n: int, step: float):
+    """``(reach, limit)`` for rows of width n coded on a grid of this step:
+    ``reach(S)`` is at least the kernel's distance of every row whose code
+    distance is S or less, and every row whose code distance is at least
+    ``limit(tau)`` has a kernel distance at or above tau.
+
+    With G the grid term and D a row's exact distance, |step S - D| <= G,
+    and the kernel returns c with |c - D| <= kappa D, kappa =
+    gamma_{2n+16} (u = 2^-53).  With f = 1 + 2 kappa + 2^-48, computed
+    within 3u,
+
+        reach(S) = (step S + G) f    >= (step S + G) (1 + kappa) >= c
+        limit(tau) = (tau + G) f / step
+
+    where each side is formed with at most three roundings, 2^-48 covering
+    them.  A row with S >= limit(tau) has D >= step S - G >= tau (1 + 2
+    kappa), so c >= tau (1 + 2 kappa) (1 - kappa) >= tau.  step S is
+    exact, a power of two times an integer below 2^53, or inf, and limit
+    divides by the power of two exactly, as (tau + G) f >= G >= step, or
+    overflows to inf, which screens every row.
+    """
+    grid = _grid_term(norm, n, step)
+    kappa = (2 * n + 16) * (_EPS / 2) / (1.0 - (2 * n + 16) * (_EPS / 2))
+    widen = 1.0 + 2.0 * kappa + 2.0 ** -48
+    return (lambda s: (step * s + grid) * widen,
+            lambda tau: (tau + grid) * widen / step)

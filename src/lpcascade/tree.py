@@ -38,6 +38,9 @@ from .norms import (
     _EPS,
     _F32_U,
     L2,
+    _code_rows,
+    _encode,
+    _grid_term,
     NormOrder,
     as_norm_order,
     as_vector,
@@ -81,9 +84,8 @@ _VERSION = 4
 # float32 (its largest value is just under 2^128).
 _F32_TINY = float(np.finfo(np.float32).tiny)
 _F32_SAFE = 2.0 ** 127
-# The relative slack of a grid term over n_k^(1/p) step: it covers the
-# rounding of the codes (``_encode``) and of tau_k (``level_margins``).
-_GRID_SLACK = 1.0 + 2.0 ** -32
+# Smallest subnormal float64, the unit of a coded level's underflow term.
+_F64_MIN = 2.0 ** -1074
 # Share of a level's rows from which the l_2 screen forms its dot products
 # by one whole-matrix GEMV, indexed by the candidates, instead of gathering
 # the candidates' rows chunk by chunk.  Alternating the two over float32
@@ -230,7 +232,7 @@ class SubspaceIndex:
     at the container's precision, so a built index and its saved-and-
     reloaded copy are the same object bit for bit.  Under l_1 and l_inf it
     is an int16 array of grid codes c in [0, 2^15 - 1], and ``grids[i] =
-    (lo, step)`` the level's grid lo + c step (``_fit_grid``), 2 bytes a
+    (lo, step)`` the level's grid lo + c step (``norms._fit_grid``), 2 bytes a
     feature; under every other norm a float32 array, and ``grids == ()``.
     Construction is the one check that the parts agree, built or loaded: it
     raises ``ValueError`` unless ``mode`` is in ``projection.MODES``,
@@ -320,8 +322,8 @@ class SubspaceIndex:
         0 at a float32 one."""
         if not self.grids:
             return (0.0,) * self.schedule.levels
-        widths = self.schedule.dims[1:] if self.norm.p == 1.0 else (1,) * len(self.grids)
-        return tuple(n * step * _GRID_SLACK for n, (_, step) in zip(widths, self.grids))
+        return tuple(_grid_term(self.norm, n, step)
+                     for n, (_, step) in zip(self.schedule.dims[1:], self.grids))
 
     @property
     def count(self) -> int:
@@ -355,7 +357,7 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
     data order.  Each level is fitted and projected from the unrounded
     float64 values of the one before, and only its stored copy is kept:
     under l_1 and l_inf its grid codes, on a grid fitted to those values
-    (``_fit_grid``) and coded one row chunk at a time (``_encode``), and
+    and coded one row chunk at a time (``norms._code_rows``), and
     under every other norm its float32 copy.  So the features equal those
     ``save_index`` stores and ``load_index`` reads back, and at most two
     levels are ever held at float64.
@@ -378,11 +380,9 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
             levels.append(orthogonal_level(partition, norm))
         current = project_rows(current, levels[-1])
         if _coded(norm):
-            grids.append(_fit_grid(current))
-            codes = np.empty(current.shape, dtype=np.int16)
-            for chunk in row_chunks(*current.shape):
-                codes[chunk] = _encode(current[chunk], *grids[-1])
+            codes, grid = _code_rows(current)
             features.append(codes)
+            grids.append(grid)
         else:
             # a value beyond the float32 range becomes inf, as it would on disk
             with np.errstate(over="ignore"):
@@ -404,49 +404,6 @@ def _coded(norm: NormOrder) -> bool:
     return norm.p == 1.0 or norm.is_infinite
 
 
-def _fit_grid(features: np.ndarray) -> tuple[float, float]:
-    """(lo, step) of the grid lo + c step, c in [0, _CODE_MAX], that covers
-    the finite values of ``features``, read one row chunk at a time: lo is
-    their least, and step the smallest power of two, 2^-1074 at the least,
-    with lo + _CODE_MAX step at or above the greatest, found in exact
-    integer arithmetic.  A level with no finite value gets lo = 0."""
-    lo, hi = math.inf, -math.inf
-    for chunk in row_chunks(*features.shape):
-        block = features[chunk]
-        finite = block[np.isfinite(block)]
-        if finite.size:
-            lo, hi = min(lo, float(finite.min())), max(hi, float(finite.max()))
-    if lo > hi:
-        lo = hi = 0.0
-    # hi - lo = span / den exactly, den the larger power-of-two denominator
-    (a, b), (c, d) = hi.as_integer_ratio(), lo.as_integer_ratio()
-    den = max(b, d)
-    span = a * (den // b) - c * (den // d)
-    exponent = -1074
-    if span:
-        # at most two below the answer
-        exponent = max(exponent, span.bit_length() - (_CODE_MAX * den).bit_length() - 1)
-    # span / den > _CODE_MAX 2^exponent, both sides times den 2^-exponent
-    while span << max(0, -exponent) > (_CODE_MAX * den) << max(0, exponent):
-        exponent += 1
-    return lo, math.ldexp(1.0, exponent)
-
-
-def _encode(values: np.ndarray, lo: float, step: float) -> np.ndarray:
-    """The grid codes of ``values``, as a float64 array: each value clipped
-    to [lo, lo + _CODE_MAX step] and rounded to the nearest code.  A nan
-    takes code 0.  A value on the grid's range is off its code by at most
-    (1/2 + 2^-38) step: (v - lo) / step rounds once, by at most _CODE_MAX u.
-    Below step 1 a value on the range cannot overflow v - lo, and from 1
-    up v / step cannot overflow; a value beyond the range that overflows
-    is clipped like any other."""
-    with np.errstate(over="ignore"):
-        codes = (values - lo) / step if step < 1.0 else values / step - lo / step
-    np.rint(codes, out=codes)
-    np.fmax(codes, 0.0, out=codes)  # fmax takes 0 over a nan
-    return np.fmin(codes, _CODE_MAX, out=codes)
-
-
 def level_margins(schedule: DimensionSchedule, scale: float,
                   norm: NormOrder) -> tuple[float, ...]:
     """What each level adds to epsilon before it prunes, for a query y with
@@ -463,11 +420,16 @@ def level_margins(schedule: DimensionSchedule, scale: float,
     the float32 term, has j = (n_k + 8) / 2 under l_2, (n_k + 20) / 4 under
     l_4 and 2 under every other norm but l_1 and l_inf: every float32 level
     runs the kernel against the query rounded to float32
-    (``range_query``).  Under l_1 and l_inf s = f_k = 0: their levels are
-    coded on a grid lo_k + c step_k, and level k keeps a row while step_k S
-    < epsilon + margin_k + G_k, with S the exact code distance and G_k =
-    n_k^(1/p) step_k (1 + 2^-32) the level's grid term (n_k step_k (1 +
-    2^-32) under l_1, step_k (1 + 2^-32) under l_inf;
+    (``range_query``).  Under l_1 and l_inf s = f_k = 0 and
+
+        margin_k = c_k scale + a_k
+        a_k = (4 + sum_{j=1..k} (m_j n_{j-1} + n_j)) 2^-1074,
+
+    a float64 underflow bound in place of the float32 one: their levels
+    are coded on a grid lo_k + c step_k, and level k keeps a row while
+    step_k S < epsilon + margin_k + G_k, with S the exact code distance and
+    G_k >= n_k^(1/p) step_k (1 + 2^-33) the level's grid term (b + b 2^-32
+    + 2^-1074, b = n_k step_k under l_1 and step_k under l_inf;
     ``SubspaceIndex.grid_terms``), which takes the place of s.
     Every margin is infinite, so that no level prunes, once scale is not
     below 2^127.  The rule reads the schedule, the norm and the scale only,
@@ -519,8 +481,9 @@ def level_margins(schedule: DimensionSchedule, scale: float,
 
     The other half of c_k covers the O(u^2) terms, the rounding of scale, of
     the margin and of epsilon + margin (a few u of scale, for any n_0 <
-    2^20), and float64 underflow, at most sqrt(n 2^-1074) in any kernel
-    distance and far below c_k n_k 2^-126 / 2.
+    2^20), and at a float32 level float64 underflow, at most sqrt(n
+    2^-1074) in any kernel distance and far below c_k n_k 2^-126 / 2
+    (coded levels take a_k instead, below).
 
     * Float32 levels (f_k).  A level k >= 1 under any norm but l_1 and
       l_inf runs the kernel on the stored row x' against q' = fl32(y_k^)
@@ -581,11 +544,26 @@ def level_margins(schedule: DimensionSchedule, scale: float,
       product exceeds the float64 range (never a match's while tau_k is
       finite).  ||x^ - y_k^||_p - epsilon is at most the bound of Sum
       without its storage and level-kernel terms (2^-24 and kappa(n_k)),
-      inside margin_k with s = f_k = 0.  n_k step is exact (or inf, which prunes nothing), and the
-      2^-32 of G_k covers the codes' 2^-37, the rounding of G_k and of its
-      addition to epsilon + margin_k; c_k covers that of epsilon + margin_k
-      as before.  So step S < tau_k for every match, however large or
-      small (subnormal) step is.
+      inside margin_k with s = f_k = 0.  G_k covers the codes' (1 +
+      2^-37) step in each column, and its 2^-33 the rounding of its
+      addition to epsilon + margin_k (an inf G_k prunes nothing); c_k
+      covers that of epsilon + margin_k as before.  So step S < tau_k for
+      every match, however large or small (subnormal) step is.
+    * Coded levels' underflow (a_k).  Under l_1 and l_inf the level-0
+      kernel and ||y||_p carry no absolute error, as a difference or a sum
+      that lands among subnormals is exact.  A level map does: each of a
+      feature's m_j products d_i x_i may lose 2^-1075 to underflow, and the
+      division by ||d||_p*, at least 1/sqrt(m_j) for a unit d, one more, so
+      a level-j feature carries at most (m_j^(3/2) + 1) 2^-1075, and n_j of
+      them at most (n_{j-1} sqrt(m_j) + n_j) 2^-1075 in l_1 length (less in
+      l_inf).  Later level maps carry it on, 1-Lipschitz up to 1 + O(u),
+      so x_k^ and y_k^ together are off by at most sum_{j<=k} (m_j n_{j-1}
+      + n_j) 2^-1074 beyond the relative bounds above.  Coding is exact to
+      (1/2 + 2^-38) step at any scale, step S is exact, and c_k scale loses
+      at most 2^-1075 where it underflows: the 4 2^-1074 of a_k covers that
+      and the O(u) factors.  So coded levels prune data of any scale down
+      to about a_k (a_2 = 344 2^-1074 for the schedule 64, 16, 4), where a
+      float32 term c_k n_k 2^-126 would keep every row below about 1e-49.
 
     A non-match may be kept or pruned freely; verification at level 0
     decides it.
@@ -593,13 +571,19 @@ def level_margins(schedule: DimensionSchedule, scale: float,
     dims = schedule.dims
     if not scale < _F32_SAFE:
         return (math.inf,) * schedule.levels
-    storage = 0.0 if _coded(norm) else 2.0 ** -23
+    coded = _coded(norm)
+    storage = 0.0 if coded else 2.0 ** -23
     margins = []
     maps = 0
+    underflow = 4
     for k in range(1, len(dims)):
         maps += 4 * (dims[k - 1] // dims[k]) + 20
+        underflow += dims[k - 1] // dims[k] * dims[k - 1] + dims[k]
         c_k = storage + (2 * dims[0] + 2 * dims[k] + maps + 32) * _EPS
-        margins.append((c_k + _float32_term(norm, dims[k])) * (scale + dims[k] * _F32_TINY))
+        if coded:
+            margins.append(c_k * scale + underflow * _F64_MIN)
+        else:
+            margins.append((c_k + _float32_term(norm, dims[k])) * (scale + dims[k] * _F32_TINY))
     return tuple(margins)
 
 

@@ -1,6 +1,7 @@
 """Norms, distances, and the norm-equivalence relations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from lpcascade import (
     check_norm_equivalence,
     lp_norm,
 )
-from lpcascade import norms
-from lpcascade.norms import distances_to_point, sweep
+from lpcascade import norms, oracle
+from lpcascade.norms import distances_to_point, l4_band, sweep
 from unchunked import kernel_points, max_divided_distances, unchunked_distances
 
 
@@ -458,6 +459,56 @@ def test_overflowed_differences_are_at_distance_inf(p, width):
     assert np.isinf(got[1:5]).all()
     assert np.isfinite(got[[0, 5]]).all()
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("width", [2, 40])
+@pytest.mark.parametrize("p", [1, 2, 4, "inf"])
+def test_an_overflowed_distance_is_inf_without_a_warning(p, width):
+    # a difference beyond the float64 range is at distance inf under every
+    # norm, and so is an l_1 sum beyond it (in order below 32 columns,
+    # pairwise from 32 up): documented results, which warn nothing
+    norm = as_norm_order(p)
+    rows = np.zeros((2, width))
+    rows[0, :2] = 1e308
+    rows[1, 0] = 1e308
+    y = np.zeros(width)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summed = distances_to_point(rows[:1], y, norm)
+        y[0] = -1e308
+        differenced = distances_to_point(rows[1:], y, norm)
+    assert np.isinf(summed[0]) == (p == 1)
+    assert np.isinf(differenced[0])
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e7])
+def test_l4_band_decides_as_the_kernel(offset):
+    # rows inside the l_4 band's verdict are below tau by the kernel, and
+    # rows outside it at or above tau, for tau on and one ulp about the
+    # kernel's own distances; an offset makes the expansion cancel, which
+    # the half-width's relative term covers
+    rng = np.random.Generator(np.random.Philox(key=14))
+    for width in (1, 4, 16, 64):
+        rows = rng.standard_normal((400, width)) + offset
+        rows[::9] = rows[1]  # exact duplicates of the query, at distance 0
+        q = rows[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = oracle._fourth_powers(rows)
+            cross = np.empty((1, rows.shape[0]))
+            oracle._l4_cross(rows, q[None, :], cross)
+            g = powers + powers[1] + cross[0]
+            dist = distances_to_point(rows, q, L4)
+            decided = 0
+            for tau in np.sort(dist)[[10, 60, 200, 399]]:
+                for edge in (np.nextafter(tau, 0.0), tau, np.nextafter(tau, np.inf)):
+                    if not edge > 0.0:
+                        continue
+                    inside, band = l4_band(g, powers, powers[1], edge, width)
+                    assert np.all(dist[inside] < edge)
+                    assert np.all(dist[~inside & ~band] >= edge)
+                    decided += int(np.count_nonzero(~band))
+        if offset == 0.0:
+            assert decided > 0
 
 
 @pytest.mark.parametrize("p", [2, 4])

@@ -1,7 +1,9 @@
 """Brute-force ground truth and epsilon calibration."""
 
+import math
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from lpcascade import (
     CalibrationSpec,
     DataSet,
     SyntheticSpec,
+    as_norm_order,
     brute_force_range,
     calibrate_epsilon,
     generate,
@@ -152,8 +155,12 @@ def normal(seed, rows, dim):
     return np.random.default_rng(seed).standard_normal((rows, dim))
 
 
-L2_CALIBRATION_CASES = {
+CALIBRATION_CASES = {
     "tied": (lattice_twice, CalibrationSpec(sample_size=16, target_nn=10)),
+    # the same lattice at a spacing of 0.7 about 1e7: the rows' grid codes
+    # round, by up to half a step in every column, while many rows still tie
+    "tied-1e7": (lambda: lattice_twice() * 0.7 + 1e7,
+                 CalibrationSpec(sample_size=16, target_nn=10)),
     # 12 rows 15 times each: the k-th neighbor is an exact duplicate at
     # distance 0, where the kernel takes its max-divided form
     "zero": (lambda: np.repeat(normal(70, 12, 8), 15, axis=0),
@@ -164,20 +171,32 @@ L2_CALIBRATION_CASES = {
     # and one of 1e7 about as wide as the gaps between neighbors
     "offset-1e7": (lambda: normal(72, 300, 16) + 1e7,
                    CalibrationSpec(sample_size=25, target_nn=7)),
+    # one column a million times wider than the rest: the grid's step is
+    # set by that column, so the others code to a few codes, and the code
+    # screen's grid term spans many neighbors
+    "wide-column": (lambda: normal(78, 300, 16) * np.r_[1e6, np.ones(15)],
+                    CalibrationSpec(sample_size=25, target_nn=7)),
     # squared norms and inner products overflow: g is nan, tau infinite
     "scale-1e154": (lambda: normal(72, 300, 16) * 1e154,
                     CalibrationSpec(sample_size=25, target_nn=7)),
+    # fourth powers overflow while squares do not: the l_4 expansion is
+    # inf or nan on every row, the l_2 one is not
+    "scale-1e78": (lambda: normal(72, 300, 16) * 1e78,
+                   CalibrationSpec(sample_size=25, target_nn=7)),
     # squared norms are subnormal: the band's absolute term covers every row
     "scale-1e-160": (lambda: normal(73, 300, 16) * 1e-160,
                      CalibrationSpec(sample_size=25, target_nn=7)),
+    # fourth powers underflow while squares do not
+    "scale-1e-80": (lambda: normal(73, 300, 16) * 1e-80,
+                    CalibrationSpec(sample_size=25, target_nn=7)),
     # the k-th neighbor is the last row left after the holdout
     "last": (lambda: normal(74, 120, 6), CalibrationSpec(sample_size=10, target_nn=110)),
 }
 
 
-@pytest.mark.parametrize("case", list(L2_CALIBRATION_CASES))
+@pytest.mark.parametrize("case", list(CALIBRATION_CASES))
 def test_l2_calibration_equals_unchunked_reference(monkeypatch, case):
-    make, spec = L2_CALIBRATION_CASES[case]
+    make, spec = CALIBRATION_CASES[case]
     data = DataSet.from_array(make())
     got, kth, swept = spied_calibration(monkeypatch, data, spec, 2, rng_seed=75)
     np.testing.assert_array_equal(kth, unchunked_kth(data, spec, 2, rng_seed=75))
@@ -186,6 +205,48 @@ def test_l2_calibration_equals_unchunked_reference(monkeypatch, case):
     assert swept == []
 
 
+@pytest.mark.parametrize("case", list(CALIBRATION_CASES))
+@pytest.mark.parametrize("p", [1, 4, "inf"])
+def test_screened_calibration_equals_unchunked_reference(monkeypatch, p, case):
+    # l_4 screens every row by its GEMM expansion and l_1 and l_inf by its
+    # exact code distance; the kernel runs on the rows near the k-th
+    # neighbor, and its k-th distance is the full sweep's float
+    make, spec = CALIBRATION_CASES[case]
+    data = DataSet.from_array(make())
+    monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 16 * 24)  # several chunks and blocks
+    got, kth, swept = spied_calibration(monkeypatch, data, spec, p, rng_seed=75)
+    np.testing.assert_array_equal(kth, unchunked_kth(data, spec, p, rng_seed=75))
+    assert got == unchunked_calibration(data, spec, p, rng_seed=75)
+    assert swept == []
+
+
+@pytest.mark.parametrize("p", [1, "inf"])
+def test_code_bounds_hold_in_exact_arithmetic(p):
+    # reach(S) is at least (step S + G') (1 + kappa), the largest kernel
+    # distance of a row at code distance S, and a row at code distance
+    # limit(tau) or more is at least (step S - G') (1 - kappa) >= tau, with
+    # G' = n^(1/p) (1 + 2^-37) step the largest coding error and kappa =
+    # gamma_{2n+16} the kernel's: checked in rationals, for tau from below
+    # the grid term to 2^15 of it, where kappa outweighs the grid term's
+    # slack once n is in the thousands
+    norm = as_norm_order(p)
+    u = Fraction(1, 2 ** 53)
+    for n in (1, 16, 64, 4096, 2 ** 20):
+        kappa = (2 * n + 16) * u / (1 - (2 * n + 16) * u)
+        for step in (2.0 ** -1074, 2.0 ** -40, 1.0, 2.0 ** 900):
+            reach, limit = oracle._code_bounds(norm, n, step)
+            error = (n if p == 1 else 1) * (1 + Fraction(1, 2 ** 37)) * Fraction(step)
+            for s in (0, 1, 7, 2 ** 15 - 1, 52 * 2 ** 15):
+                bound = reach(float(s))
+                if math.isfinite(bound):
+                    assert Fraction(bound) >= (Fraction(step) * s + error) * (1 + kappa)
+            for ratio in (0.5, 1.0, 3.0, 1000.0, 2.0 ** 15):
+                tau = float(error) * ratio
+                if not 0.0 < tau < math.inf:
+                    continue
+                first = math.ceil(limit(tau)) if math.isfinite(limit(tau)) else None
+                if first is not None:
+                    assert (Fraction(step) * first - error) * (1 - kappa) >= Fraction(tau)
 def test_l2_calibration_of_rows_wider_than_numpys_buffer(monkeypatch):
     # the band leaves one kernel row per sample at k = 1, a one-row chunk:
     # past numpy's 8,192-element buffer einsum gave it another float than
@@ -219,21 +280,24 @@ def test_l2_calibration_falls_back_per_sample(monkeypatch):
     assert 0 < len(swept) < spec.sample_size and np.isinf(kth).sum() == len(swept)
 
 
-@pytest.mark.parametrize("p", [1, 3, 4, "inf"])
+@pytest.mark.parametrize("p", [1, 3, "inf"])
 def test_threaded_calibration_equals_unchunked_reference(monkeypatch, p):
     # more threads than cores, switching every microsecond: a lost or
-    # misplaced slot would leave some sample's k-th distance wrong
+    # misplaced slot would leave some sample's k-th distance wrong.  Under
+    # l_3 every sample takes the full sweep; under l_1 and l_inf every
+    # sample takes its code sweep and none the full sweep
     ds = generate(SyntheticSpec(count=600, dim=12, rng_seed=57))
     spec = CalibrationSpec(sample_size=37, target_nn=6)
     threads = set()
-    sweep_kth = oracle._kth_by_sweep
+    name = "_kth_by_sweep" if p == 3 else "_coded_kth"
+    per_sample = getattr(oracle, name)
 
     def spy(*args):
         threads.add(threading.get_ident())
-        return sweep_kth(*args)
+        return per_sample(*args)
 
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 8)
-    monkeypatch.setattr(oracle, "_kth_by_sweep", spy)
+    monkeypatch.setattr(oracle, name, spy)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -242,7 +306,7 @@ def test_threaded_calibration_equals_unchunked_reference(monkeypatch, p):
         sys.setswitchinterval(interval)
     np.testing.assert_array_equal(kth, unchunked_kth(ds, spec, p, rng_seed=58))
     assert got == unchunked_calibration(ds, spec, p, rng_seed=58)
-    assert len(swept) == spec.sample_size and len(threads) > 1
+    assert len(swept) == (spec.sample_size if p == 3 else 0) and len(threads) > 1
 
 
 @pytest.mark.skipif(not hasattr(oracle.os, "sched_getaffinity"),

@@ -1060,11 +1060,17 @@ def test_level_margins_follow_the_schedule_and_the_query_scale():
     for norm, j in ((norms.L1, (0, 0)), (norms.L2, (12, 6)), (norms.L4, (9, 6)),
                     (norms.LINF, (0, 0)), (l3, (2, 2))):
         f = [j[0] * v / (1 - j[0] * v), j[1] * v / (1 - j[1] * v)]
-        # nor do coded levels round their features to float32 (the 2^-23)
-        c_k = [c_j - 2.0 ** -23 for c_j in c] if j == (0, 0) else c
-        for scale in (1.0, 1e6):
-            assert tree.level_margins(schedule, scale, norm) == (
-                (c_k[0] + f[0]) * (scale + 16 * tiny), (c_k[1] + f[1]) * (scale + 4 * tiny))
+        for scale in (1.0, 1e6, 1e-310):
+            if j == (0, 0):
+                # nor do coded levels round their features to float32 (the
+                # 2^-23); their absolute term bounds float64 underflow in
+                # the level maps: (4 + sum_j (m_j n_{j-1} + n_j)) 2^-1074
+                a = [(4 + 4 * 64 + 16) * 2.0 ** -1074,
+                     (4 + 4 * 64 + 16 + 4 * 16 + 4) * 2.0 ** -1074]
+                want = ((c[0] - 2.0 ** -23) * scale + a[0], (c[1] - 2.0 ** -23) * scale + a[1])
+            else:
+                want = ((c[0] + f[0]) * (scale + 16 * tiny), (c[1] + f[1]) * (scale + 4 * tiny))
+            assert tree.level_margins(schedule, scale, norm) == want
     # a match's features could overflow float32: no level prunes
     for norm in (norms.L1, norms.L2, norms.L4, norms.LINF, l3):
         for scale in (2.0 ** 127, math.inf, math.nan):
@@ -1256,6 +1262,29 @@ def test_coded_levels_are_exact_at_every_threshold(monkeypatch, mode, p, case):
     assert reports
     if case in ("spread", "tight", "outside", "huge"):
         assert any(r.survivors[1] < len(data) for r in reports)
+
+
+@pytest.mark.parametrize("p", [1, "inf"])
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_coded_levels_prune_subnormal_rows(monkeypatch, mode, p):
+    # the spread rows scaled by 1e-310: every feature, margin and distance is
+    # subnormal, and the coarsest level still prunes, its absolute term a
+    # bound on float64 underflow (a few hundred 2^-1074), while every
+    # boundary and threshold epsilon stays exact
+    rows, queries = coded_case("subnormal")
+    data = DataSet.from_array(rows)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, p)
+    assert all(0.0 < margin < 2.0 ** -1064 for margin in
+               tree.level_margins(index.schedule, 1e-310, index.norm))
+    monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 64 * 5)
+    reports = []
+    for y in queries:
+        for epsilon in boundary_epsilons(index, y) + threshold_epsilons(index, y):
+            report = range_query(index, y, epsilon)
+            assert list(report.matches) == brute_force_range(data, y, epsilon, p)
+            assert report == gather_everything_query(index, y, epsilon)
+            reports.append(report)
+    assert any(r.survivors[2] < len(data) for r in reports)
 
 
 @pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])

@@ -9,7 +9,8 @@ chunked code to these bit for bit.
 import numpy as np
 
 from lpcascade import QueryReport, as_norm_order, lp_norm, project_level
-from lpcascade.tree import _encode, level_margins
+from lpcascade.norms import _encode
+from lpcascade.tree import level_margins
 
 
 def unchunked_distances(rows, y, norm):
