@@ -203,7 +203,7 @@ def _gemm_kth(vectors: np.ndarray, chosen: np.ndarray, norm, k: int,
     Each row's sum of squares (l_2) or of fourth powers (l_4) is summed
     once.  Per block of samples (``_BLOCK_CHUNKS``), one GEMM forms their
     inner products with every row (l_2), or three GEMMs their cross terms
-    (``_l4_cross``).  Per sample, the expansion g (``norms.l2_expansion``,
+    (``_l4_cross``), in a mapping of their own (``_mapped``).  Per sample, the expansion g (``norms.l2_expansion``,
     or ``xxxx + qqqq`` plus the cross terms) is the estimate of
     ``_screened_kth``, in the norm's p-th power; the reach of the row of
     k-th smallest g is the p-th root of g + 2 w, w the band's half-width
@@ -249,8 +249,8 @@ def _fourth_powers(vectors: np.ndarray) -> np.ndarray:
 def _mapped(count: int, rows: int) -> np.ndarray:
     """An uninitialised (count x rows) float64 array in an anonymous memory
     mapping of its own, unmapped when the array goes.  A block's products
-    are the one allocation of calibration above 1 MiB; freed through
-    malloc, they would raise glibc's dynamic mmap and trim thresholds for
+    are the one allocation of the l_2 and l_4 screens above 1 MiB; freed
+    through malloc, they would raise glibc's dynamic mmap and trim thresholds for
     the rest of the process, which then keeps more of its heap resident
     (gist-deep's ``peak_rss_mb`` read 346 MiB against 340 in 10 of 10
     perfbench runs, and 341 against 335 in-process, where a fixed

@@ -38,10 +38,10 @@ from .norms import (
     _EPS,
     _F32_U,
     L2,
+    NormOrder,
     _code_rows,
     _encode,
     _grid_term,
-    NormOrder,
     as_norm_order,
     as_vector,
     distances_to_point,
