@@ -227,8 +227,8 @@ def test_code_bounds_hold_in_exact_arithmetic(p):
     # limit(tau) or more is at least (step S - G') (1 - kappa) >= tau, with
     # G' = n^(1/p) (1 + 2^-37) step the largest coding error and kappa =
     # gamma_{2n+16} the kernel's: checked in rationals, for tau from below
-    # the grid term to 2^15 of it, where kappa outweighs the grid term's
-    # slack once n is in the thousands
+    # the grid term to 2^15 of it, where kappa tau can outweigh the grid
+    # term's slack (about 2^-33 of it) once n exceeds 16
     norm = as_norm_order(p)
     u = Fraction(1, 2 ** 53)
     for n in (1, 16, 64, 4096, 2 ** 20):
@@ -244,8 +244,8 @@ def test_code_bounds_hold_in_exact_arithmetic(p):
                 tau = float(error) * ratio
                 if not 0.0 < tau < math.inf:
                     continue
-                first = math.ceil(limit(tau)) if math.isfinite(limit(tau)) else None
-                if first is not None:
+                if math.isfinite(limit(tau)):
+                    first = math.ceil(limit(tau))
                     assert (Fraction(step) * first - error) * (1 - kappa) >= Fraction(tau)
 def test_l2_calibration_of_rows_wider_than_numpys_buffer(monkeypatch):
     # the band leaves one kernel row per sample at k = 1, a one-row chunk:

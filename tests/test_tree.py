@@ -1262,29 +1262,11 @@ def test_coded_levels_are_exact_at_every_threshold(monkeypatch, mode, p, case):
     assert reports
     if case in ("spread", "tight", "outside", "huge"):
         assert any(r.survivors[1] < len(data) for r in reports)
-
-
-@pytest.mark.parametrize("p", [1, "inf"])
-@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
-def test_coded_levels_prune_subnormal_rows(monkeypatch, mode, p):
-    # the spread rows scaled by 1e-310: every feature, margin and distance is
-    # subnormal, and the coarsest level still prunes, its absolute term a
-    # bound on float64 underflow (a few hundred 2^-1074), while every
-    # boundary and threshold epsilon stays exact
-    rows, queries = coded_case("subnormal")
-    data = DataSet.from_array(rows)
-    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, p)
-    assert all(0.0 < margin < 2.0 ** -1064 for margin in
-               tree.level_margins(index.schedule, 1e-310, index.norm))
-    monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 64 * 5)
-    reports = []
-    for y in queries:
-        for epsilon in boundary_epsilons(index, y) + threshold_epsilons(index, y):
-            report = range_query(index, y, epsilon)
-            assert list(report.matches) == brute_force_range(data, y, epsilon, p)
-            assert report == gather_everything_query(index, y, epsilon)
-            reports.append(report)
-    assert any(r.survivors[2] < len(data) for r in reports)
+    if case == "subnormal":
+        # the coarsest level prunes the spread rows at 1e-310 too: a coded
+        # margin's absolute term bounds float64 underflow (a few hundred
+        # 2^-1074), where a float32 one would keep every row below 1e-49
+        assert any(r.survivors[2] < len(data) for r in reports)
 
 
 @pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
