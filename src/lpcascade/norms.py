@@ -82,7 +82,10 @@ CHUNK_BYTES = 2 ** 20
 # 3.1 ms row-major at 16 columns, but 8.2 against 5.6 ms at 64: they meet
 # between 32 and 48 columns.  ``einsum`` is not used: above 8,192 columns
 # (``np.getbufsize()``) it gives a row in a one-row or three-row buffer
-# another float than in a larger one.
+# another float than in a larger one.  An index holds its levels narrower
+# than this column-major (``tree.SubspaceIndex``), which is the transposed
+# buffer's layout: a sweep then reads contiguous columns, with no
+# per-chunk transpose.
 _NARROW = 32
 # Share of a matrix's rows from which ``sweep`` runs the kernel on plain
 # slices of every row and indexes the distances, instead of gathering the
@@ -98,8 +101,14 @@ _NARROW = 32
 # index; 2 CPUs, medians of 15-41) break even near 0.3 of the rows or below
 # at 4 columns (20k and 4,096 rows), 0.5-0.67 at 16, 0.75-0.85 at 48 and
 # 0.75-0.95 at 768: the narrow widths want a lower share and the wide ones
-# a higher, so two thirds stays for codes too.  Float32 l_2 and l_4 level
-# sweeps have not been timed against it.
+# a higher, so two thirds stays for codes too.  Re-timed once narrow levels
+# were held column-major and gathers differenced in place (alternated, 2
+# CPUs, medians of 15, 20k rows, 4,096 at 768 columns): column-major int16
+# levels break even near 0.4-0.5 of the rows at 4 columns and 0.2-0.5 at
+# 16, column-major float32 l_4 levels near 0.6-0.67 at 4 and 16; row-major
+# int16 levels at 0.75-0.85 from 48 to 768 columns, float32 l_4 levels at
+# 0.6-0.85 and float64 l_1 and l_inf rows (level 0) at 0.85 or above.  No
+# one share serves every width, so two thirds stays.
 _DENSE_SHARE = 2 / 3
 # Smallest sum of squares (l_2) or of fourth powers (l_4) the kernel takes as
 # it is: from here up, the at most 2^-1074 a term can lose to underflow is
@@ -155,14 +164,21 @@ def lp_norm(v, p) -> float:
     return float(distances_to_point(vec[None, :], np.zeros_like(vec), as_norm_order(p))[0])
 
 
-def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.ndarray:
+def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder,
+                       scratch: bool = False) -> np.ndarray:
     """l_p distance from each row of ``rows`` to ``y``, vectorized, as float64.
 
     The package's one l_p length: scans, cascade levels, projection scales
     and ``lp_norm`` all call it.  Inputs are assumed validated (``y``
     finite, matching dims); scans and levels feed it one chunk of rows at
-    a time (see ``sweep``).  It allocates one buffer of differences
-    (``_differences``) and works in it in place.  The dtypes select the
+    a time (see ``sweep``).  It takes the differences in one buffer
+    (``_differences``) and works in it in place.  The buffer is new unless
+    ``scratch`` is set: then the caller gives ``rows`` up (``sweep`` does so
+    with its private gathers), and under l_1, l_inf and the max-divided
+    form the kernel takes the differences in ``rows`` itself when they
+    share ``y``'s dtype and already have the buffer's layout.  l_2 and l_4
+    always take a new buffer, because their fallback below re-reads the
+    rows.  Without ``scratch`` no row is written.  The dtypes select the
     arithmetic of the first two forms below: integer when ``rows`` and
     ``y`` are both int16 under l_1 or l_inf (the grid codes of every level
     k >= 1 of such an index, whose query ``tree.range_query`` codes on the
@@ -178,7 +194,13 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
     * l_1 and l_inf: the sum or the maximum of the absolute differences.
       Codes lie in [0, 2^15 - 1], so their differences and absolute values
       are exact in int16, and l_1 sums them in int32 (int64 from n (2^15 -
-      1) >= 2^31 up): the distance is the exact integer, as float64.
+      1) >= 2^31 up): the distance is the exact integer, as float64.  The
+      float64 maximum is taken over the buffer's int64 view, the same float
+      in about half the time along rows of 64 columns (2,048 of them: 132
+      against 248 us): an absolute value has its sign bit clear, and for
+      nonnegative doubles, subnormals, zeros and +inf alike, the order of
+      their bits is the order of their values (a nan's bits exceed every
+      other's, so a row holding one is at nan, as ``max`` gives it).
     * l_2 and l_4: the differences squared (twice under l_4) and summed
       give s = sum d_i^p within gamma_{n+6} in any order of summation (at
       most gamma_7 per term from the difference and the products, n - 1
@@ -198,16 +220,20 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.n
     share its buffer: rows narrower than ``_NARROW`` (32) columns down the
     columns of a transposed (n x rows) buffer, by a maximum or in order
     (``_sums``), and wider rows along themselves by numpy's pairwise
-    ``sum`` or ``max``, whose order depends on n alone.
+    ``sum`` or ``max``, whose order depends on n alone.  Column-major
+    narrow rows (an index's narrow levels, ``tree.SubspaceIndex``) are that
+    transposed buffer's layout, so their differences are read, or taken in
+    place, without a transpose.
     """
     if rows.dtype == y.dtype == np.int16:
-        return _distances(rows, y, norm)  # codes: nothing overflows
+        return _distances(rows, y, norm, scratch)  # codes: nothing overflows
     # an overflowed difference or sum is the documented inf, or falls back below
     with np.errstate(over="ignore"):
-        return _distances(rows, y, norm)
+        return _distances(rows, y, norm, scratch)
 
 
-def _distances(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.ndarray:
+def _distances(rows: np.ndarray, y: np.ndarray, norm: NormOrder,
+               scratch: bool) -> np.ndarray:
     """``distances_to_point``'s body; the caller holds
     ``np.errstate(over="ignore")`` unless ``rows`` and ``y`` are int16
     codes, whose differences, sums and powers stay in range."""
@@ -215,12 +241,16 @@ def _distances(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.ndarray:
     if not (p == 1.0 or norm.is_infinite) and y.dtype == np.int16:
         y = y.astype(np.float64)  # integer powers would overflow
     if not (p in (1.0, 2.0, 4.0) or norm.is_infinite):
-        diff = _differences(rows, y.astype(np.float64, copy=False), False)
-        return _max_divided(np.abs(diff), p)
+        diff = _differences(rows, y.astype(np.float64, copy=False), False, scratch)
+        return _max_divided(np.abs(diff, out=diff), p)
     narrow = rows.shape[1] < _NARROW
-    diff = _differences(rows, y, narrow)
+    diff = _differences(rows, y, narrow, scratch and p in (1.0, math.inf))
     if norm.is_infinite:
-        return np.abs(diff, out=diff).max(axis=0 if narrow else 1).astype(np.float64, copy=False)
+        axis = 0 if narrow else 1
+        np.abs(diff, out=diff)
+        if diff.dtype == np.float64:
+            return diff.view(np.int64).max(axis=axis).view(np.float64)
+        return diff.max(axis=axis).astype(np.float64, copy=False)
     if p == 1.0:
         total = None
         if diff.dtype == np.int16:
@@ -245,20 +275,26 @@ def _distances(rows: np.ndarray, y: np.ndarray, norm: NormOrder) -> np.ndarray:
     return out
 
 
-def _differences(rows: np.ndarray, y: np.ndarray, transpose: bool) -> np.ndarray:
-    """``rows - y`` in a new C-ordered buffer, (n x rows) if ``transpose``:
-    a buffer of their dtype when ``rows`` and ``y`` share it (int16 codes,
-    float32 or float64), and a float64 one otherwise.  Rows of another
-    dtype than ``y`` are cast into the float64 buffer first and differenced
-    in place: the same floats for float32 rows, which convert exactly, in
-    10-25% less time than numpy's mixed-dtype subtraction (20k-row sweeps,
-    4 to 768 columns, every kernel norm)."""
+def _differences(rows: np.ndarray, y: np.ndarray, transpose: bool,
+                 scratch: bool = False) -> np.ndarray:
+    """``rows - y`` in a C-ordered buffer, (n x rows) if ``transpose``: a
+    buffer of their dtype when ``rows`` and ``y`` share it (int16 codes,
+    float32 or float64), and a float64 one otherwise.  With ``scratch``,
+    rows that share ``y``'s dtype and are already that buffer, C-ordered
+    (column-major if ``transpose``) and writeable, are differenced in
+    place; else the buffer is new.  Rows of another dtype than ``y`` are
+    cast into a new float64 buffer first and differenced in place: the
+    same floats for float32 rows, which convert exactly, in 10-25% less
+    time than numpy's mixed-dtype subtraction (20k-row sweeps, 4 to 768
+    columns, every kernel norm)."""
     if transpose:
         rows, y = rows.T, y[:, None]
-    if rows.dtype == y.dtype:
-        return np.subtract(rows, y, order="C")
-    diff = rows.astype(np.float64, order="C")
-    return np.subtract(diff, y, out=diff)
+    if rows.dtype != y.dtype:
+        diff = rows.astype(np.float64, order="C")
+        return np.subtract(diff, y, out=diff)
+    if scratch and rows.flags.c_contiguous and rows.flags.writeable:
+        return np.subtract(rows, y, out=rows)
+    return np.subtract(rows, y, order="C")
 
 
 def _sums(terms: np.ndarray, narrow: bool, dtype=None) -> np.ndarray:
@@ -302,21 +338,32 @@ def sweep(matrix: np.ndarray, rows: np.ndarray | None, point: np.ndarray,
     """Distances from ``point`` to ``matrix[rows]``, one cache-sized chunk at a time.
 
     ``rows`` are ascending distinct row numbers, or None for every row.
-    Each chunk (``row_chunks``) is passed to ``kernel(chunk, point, norm)``
-    -- ``distances_to_point`` as the caller's module sees it -- so no sweep
-    copies the whole matrix.  Once ``rows`` reach ``_DENSE_SHARE`` of the
-    matrix, every chunk is a plain slice of the matrix: the kernel runs on
-    every row, with no gather, and the candidates' distances are indexed
-    out of the result.  Below that share each chunk gathers the next
-    candidates' rows.  A row's distance is the same float either way (see
-    ``distances_to_point``).
+    Each chunk (``row_chunks``) is passed to ``kernel(chunk, point, norm,
+    scratch=...)`` -- ``distances_to_point`` as the caller's module sees it
+    -- so no sweep copies the whole matrix.  Once ``rows`` reach
+    ``_DENSE_SHARE`` of the matrix, every chunk is a plain slice of the
+    matrix, passed with ``scratch=False``: the kernel runs on every row,
+    with no gather and without writing the matrix, and the candidates'
+    distances are indexed out of the result.  Below that share each chunk
+    gathers the next candidates' rows into a private copy, in the matrix's
+    own layout (column-major for a column-major matrix), and passes it with
+    ``scratch=True``, so the kernel may take its differences in that copy
+    rather than in a second buffer.  A row's distance is the same float
+    either way (see ``distances_to_point``).
     """
     dense = rows is None or rows.size >= _DENSE_SHARE * matrix.shape[0]
     count = matrix.shape[0] if dense else rows.size
+    # a column-major gather: take each column's candidates, then transpose
+    columns = matrix.flags.f_contiguous and not matrix.flags.c_contiguous
     out = np.empty(count)
     for chunk in row_chunks(count, matrix.shape[1]):
-        block = matrix[chunk] if dense else matrix[rows[chunk]]
-        out[chunk] = kernel(block, point, norm)
+        if dense:
+            out[chunk] = kernel(matrix[chunk], point, norm, scratch=False)
+        elif columns:
+            out[chunk] = kernel(np.take(matrix.T, rows[chunk], axis=1).T, point, norm,
+                                scratch=True)
+        else:
+            out[chunk] = kernel(matrix[rows[chunk]], point, norm, scratch=True)
     if dense and rows is not None and rows.size < count:
         out = out[rows]
     return out

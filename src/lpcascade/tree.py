@@ -37,6 +37,7 @@ from .norms import (
     _CODE_MAX,
     _EPS,
     _F32_U,
+    _NARROW,
     L2,
     NormOrder,
     _code_rows,
@@ -234,6 +235,13 @@ class SubspaceIndex:
     is an int16 array of grid codes c in [0, 2^15 - 1], and ``grids[i] =
     (lo, step)`` the level's grid lo + c step (``norms._fit_grid``), 2 bytes a
     feature; under every other norm a float32 array, and ``grids == ()``.
+    A level narrower than ``norms._NARROW`` (32) columns is held
+    column-major and a wider one row-major, whatever layout it was passed
+    in: the distance kernel reduces narrow rows down the columns of a
+    transposed buffer, which a column-major level already is, and wide rows
+    along a row-major one.  Construction sets that layout, so built, loaded
+    and hand-built indexes hold one representation; the container is
+    row-major whatever the layout (``save_index``).
     Construction is the one check that the parts agree, built or loaded: it
     raises ``ValueError`` unless ``mode`` is in ``projection.MODES``,
     ``data`` is (count, dims[0]), ``ids`` (count,), each of the
@@ -291,6 +299,11 @@ class SubspaceIndex:
                                  f"under {self.norm}")
             if np.shape(feats) != (data[0], n_out):
                 raise ValueError(f"features {k}: {np.shape(feats)}, not {data[0], n_out}")
+        # one layout for built, loaded and hand-built indexes: a narrow level
+        # column-major, the kernel's transposed buffer (norms.distances_to_point)
+        object.__setattr__(self, "features", tuple(
+            np.asfortranarray(feats) if n_out < _NARROW else np.ascontiguousarray(feats)
+            for n_out, feats in zip(dims[1:], self.features)))
         if len(self.grids) != (self.schedule.levels if coded else 0):
             raise ValueError(f"{len(self.grids)} grids for a {self.schedule.levels}-level "
                              f"schedule under {self.norm}")
@@ -680,8 +693,9 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     )
 
 
-def _dot(block: np.ndarray, point: np.ndarray, norm) -> np.ndarray:
-    """A ``sweep`` kernel: the inner product of each row with ``point``."""
+def _dot(block: np.ndarray, point: np.ndarray, norm, scratch: bool = False) -> np.ndarray:
+    """A ``sweep`` kernel: the inner product of each row with ``point``;
+    it writes no block, so ``scratch`` changes nothing."""
     return block @ point
 
 
@@ -788,7 +802,8 @@ def save_index(index: SubspaceIndex, path) -> None:
     The container is written to a new file beside ``path``, which takes the
     old file's place only once it is whole: a save that fails leaves
     ``path`` as it was, and an index loaded from ``path`` with
-    ``mmap_data=True`` can be saved back to it.
+    ``mmap_data=True`` can be saved back to it.  A column-major level
+    (``SubspaceIndex``) is written row-major, one chunk copy at a time.
     """
     header = {
         "format": _FORMAT,
@@ -858,19 +873,20 @@ def load_index(path, mmap_data: bool = False) -> SubspaceIndex:
     keeps the resident set near the feature matrices.  A verification reads
     every row once its candidates reach ``norms._DENSE_SHARE`` of them (the
     kernel sweeps slices of every row) or, under l_2, ``_GEMV_SHARE`` (the
-    screen's whole-matrix GEMV).  The feature matrices are kept as the
-    arrays they are read as, int16 codes (2 bytes per feature) under l_1
-    and l_inf and float32 (4 bytes) under every other norm, and converted
-    to nothing.  Every level is rebuilt from its stored directions, so the
-    mode is only a label.  Only version 4 is read.  A container of another
-    format or version, whose header is not an object, lacks a field, holds
-    an invalid norm or schedule, a count that is not an integer of at least
-    1 or a ``data_included`` that is not ``true``, whose size is not the
-    one its header describes, whose directions are not finite unit rows, or
-    whose grid has a lo that is not finite, a step that is not a positive
-    power of two or a code outside [0, 2^15 - 1], raises a ``ValueError``
-    whose message starts with the path; so does an unknown mode, which
-    ``SubspaceIndex`` rejects, as it rejects a bad grid.
+    screen's whole-matrix GEMV).  The feature matrices are kept at the
+    dtype they are read as, int16 codes (2 bytes per feature) under l_1
+    and l_inf and float32 (4 bytes) under every other norm; a level
+    narrower than 32 columns is copied once into column-major order
+    (``SubspaceIndex``).  Every level is rebuilt from its stored
+    directions, so the mode is only a label.  Only version 4 is read.  A
+    container of another format or version, whose header is not an object,
+    lacks a field, holds an invalid norm or schedule, a count that is not
+    an integer of at least 1 or a ``data_included`` that is not ``true``,
+    whose size is not the one its header describes, whose directions are
+    not finite unit rows, or whose grid has a lo that is not finite, a step
+    that is not a positive power of two or a code outside [0, 2^15 - 1],
+    raises a ``ValueError`` whose message starts with the path; so does an
+    unknown mode, which ``SubspaceIndex`` rejects, as it rejects a bad grid.
     """
     try:
         return _read_container(path, mmap_data)

@@ -360,10 +360,12 @@ def test_dense_and_gathered_sweeps_give_the_same_floats(monkeypatch, p):
     rng = np.random.Generator(np.random.Philox(key=15))
     monkeypatch.setattr(norms, "CHUNK_BYTES", 2 ** 12)  # several chunks a sweep
     chunks = []
+    flags = []
 
-    def recording(block, y, norm):
+    def recording(block, y, norm, scratch):
         chunks.append(block)
-        return distances_to_point(block, y, norm)
+        flags.append(scratch)
+        return distances_to_point(block, y, norm, scratch)
 
     count = 300
     above = math.ceil(norms._DENSE_SHARE * count)
@@ -381,13 +383,96 @@ def test_dense_and_gathered_sweeps_give_the_same_floats(monkeypatch, p):
         dense_rows = np.concatenate([np.arange(4), picked])
         gathered_rows = np.delete(dense_rows, -1)
         for matrix in (rows, np.asfortranarray(rows)):
+            before = matrix.copy()
             for candidates, dense in ((dense_rows, True), (gathered_rows, False)):
                 chunks.clear()
+                flags.clear()
                 with np.errstate(over="ignore"):
                     got = sweep(matrix, candidates, y, norm, recording)
                 np.testing.assert_array_equal(got, want[candidates])
+                # only a private gather is handed over as scratch
                 assert all(np.shares_memory(c, matrix) == dense for c in chunks)
+                assert flags == [not dense] * len(chunks)
+                np.testing.assert_array_equal(matrix, before)
                 assert sum(len(c) for c in chunks) == (count if dense else candidates.size)
+
+
+@pytest.mark.parametrize("width", [1, 4, 16, 31, 32, 64])
+def test_linf_maximum_on_int64_bits_is_the_float64_maximum(width):
+    # the float64 l_inf kernel takes its row maximum over the int64 view of
+    # the absolute differences: bit for bit the float64 maximum on rows whose
+    # differences overflow to inf, hold inf, are subnormal, are +0 and -0,
+    # or tie, in narrow (transposed) and wide buffers, new or scratch
+    rng = np.random.Generator(np.random.Philox(key=20))
+    rows = rng.standard_normal((40, width)) * np.exp(rng.uniform(-20.0, 20.0, (40, width)))
+    signs = np.where(rng.random((40, width)) < 0.5, -1.0, 1.0)
+    y = rng.standard_normal(width)
+    y[0] = -1e308
+    rows[0] = y
+    rows[1] = -0.0 * y  # zeros of both signs
+    rows[2, 0] = 1e308  # against y the first difference overflows
+    rows[3, -1] = np.inf
+    rows[4] = -np.inf
+    rows[5] = 5e-324 * signs[5]  # the least subnormal, both signs
+    rows[6] = 2.0 ** -1060 * rng.uniform(1.0, 2.0, width) * signs[6]
+    rows[7] = 3.0 * signs[7]  # a tie in every column against zero
+    rows[8] = 0.0
+    rows[8, [0, -1]] = 1e-310, -1e-310  # a subnormal tie
+    rows[9] = np.where(np.arange(width) % 2, -0.0, 0.0)
+    for point in (y, np.zeros(width), -0.0 * np.ones(width)):
+        with np.errstate(over="ignore"):
+            reference = np.abs(rows - point).max(axis=1)
+            for matrix in (rows, np.asfortranarray(rows)):
+                for got in (distances_to_point(matrix, point, LINF),
+                            distances_to_point(matrix.copy(order="K"), point, LINF,
+                                               scratch=True)):
+                    np.testing.assert_array_equal(got.view(np.int64),
+                                                  reference.view(np.int64))
+                got = sweep(matrix, np.arange(0, 40, 3), point, LINF, distances_to_point)
+                np.testing.assert_array_equal(got.view(np.int64),
+                                              reference[::3].view(np.int64))
+        assert np.isinf(reference[[3, 4]]).all()
+        if point is y:
+            assert np.isinf(reference[2])
+        else:  # against either zero, +0 whatever the zeros' signs
+            assert reference.view(np.int64)[9] == 0
+    assert reference[5] == 5e-324 and 0.0 < reference[6] < 2.0 ** -1022
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, "inf"])
+@pytest.mark.parametrize("width", [4, 16, 31, 32, 64])
+def test_scratch_gathers_give_the_dense_floats_and_leave_the_matrix(monkeypatch, width, p,
+                                                                     dtype):
+    # a gathered sweep hands the kernel its private copy of the rows, in
+    # which l_1, l_inf and the max-divided form take their differences in
+    # place: the same floats as a dense sweep of the unchanged matrix, in
+    # either layout.  l_2 and l_4 fallback rows reached through a gather --
+    # exact duplicates, sums that overflow and sums that underflow -- keep
+    # theirs, as those norms difference into a new buffer
+    norm = as_norm_order(p)
+    rng = np.random.Generator(np.random.Philox(key=21))
+    monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * width * 7)  # several chunks a sweep
+    big, small = (1e30, 1e-30) if dtype == np.float32 else (1e300, 1e-300)
+    rows = (rng.standard_normal((60, width))
+            * np.exp(rng.uniform(-5.0, 5.0, (60, width)))).astype(dtype)
+    y = rng.standard_normal(width).astype(dtype)
+    rows[3] = y  # an exact duplicate: sum 0
+    rows[9] = big  # sums overflow
+    rows[15] = y + np.asarray(small, dtype)  # sums underflow
+    rows[21, 0] = np.inf
+    gathered = np.arange(0, 60, 3)
+    with np.errstate(over="ignore"):
+        want = unchunked_distances(rows, y, norm)
+        for matrix in (rows, np.asfortranarray(rows)):
+            before = matrix.copy(order="K")
+            np.testing.assert_array_equal(
+                sweep(matrix, None, y, norm, distances_to_point), want)
+            np.testing.assert_array_equal(
+                sweep(matrix, gathered, y, norm, distances_to_point), want[gathered])
+            np.testing.assert_array_equal(matrix, before)
+            assert matrix.flags.f_contiguous == (matrix is not rows or width == 1)
+    assert want[3] == 0.0 and np.isinf(want[21]) and np.isfinite(want[[9, 15]]).all()
 
 
 @pytest.mark.parametrize("p", [1, "inf"])
@@ -557,9 +642,9 @@ def test_sweep_covers_the_rows_in_budget_sized_chunks(monkeypatch):
     point = np.full(5, 3.0)
     chunks = []
 
-    def recording(block, y, norm):
-        chunks.append(block)
-        return distances_to_point(block, y, norm)
+    def recording(block, y, norm, scratch):
+        chunks.append(block.copy() if scratch else block)  # before the kernel writes it
+        return distances_to_point(block, y, norm, scratch)
 
     monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 5 * 4)
     want = unchunked_distances(matrix, point, L1)

@@ -19,7 +19,7 @@ from lpcascade import (
     range_query,
 )
 from lpcascade import norms, oracle, tree
-from lpcascade.norms import L1, L2, L4, LINF, distances_to_point, sweep
+from lpcascade.norms import L1, L2, L4, LINF, NormOrder, distances_to_point, sweep
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +113,29 @@ def test_dense_sweep_holds_one_chunk_and_one_distance_vector(norm, width):
     peak = peak_bytes(lambda: sweep(matrix, rows, point, norm, distances_to_point))
     # a quarter chunk of room for the kernel's per-row outputs
     assert peak <= norms.CHUNK_BYTES * 5 // 4 + 8 * matrix.shape[0]
+
+
+@pytest.mark.parametrize("width", [16, 64])
+@pytest.mark.parametrize("norm", [L1, L2, NormOrder(3), L4, LINF], ids=str)
+def test_gathered_sweep_holds_one_chunk_and_one_distance_vector(norm, width):
+    # below _DENSE_SHARE of the rows each chunk gathers its candidates' rows
+    # into a private copy, in the matrix's layout -- here an index level's,
+    # column-major below 32 columns -- and l_1 and l_inf take their
+    # differences in that copy: the sweep holds one chunk and the distance
+    # vector.  The max-divided form does so in row-major copies; l_2 and l_4
+    # difference into a second chunk-sized buffer, as their fallback
+    # re-reads the rows
+    rng = np.random.Generator(np.random.Philox(key=64))
+    matrix = np.asarray(rng.standard_normal((20000, width)),
+                        order="F" if width < norms._NARROW else "C")
+    point = rng.standard_normal(width)
+    rows = np.flatnonzero(rng.random(20000) < 0.5)
+    assert rows.size < norms._DENSE_SHARE * 20000
+    want = sweep(matrix, None, point, norm, distances_to_point)[rows]
+    np.testing.assert_array_equal(sweep(matrix, rows, point, norm, distances_to_point), want)
+    peak = peak_bytes(lambda: sweep(matrix, rows, point, norm, distances_to_point))
+    in_place = norm in (L1, LINF) or norm.p == 3 and matrix.flags.c_contiguous
+    chunk_rows = norms.CHUNK_BYTES // (8 * width)
+    # room for eight float64 per-row vectors of a chunk: the kernel's outputs
+    room = 8 * 8 * chunk_rows
+    assert peak <= norms.CHUNK_BYTES * (1 if in_place else 2) + room + 8 * rows.size

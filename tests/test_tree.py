@@ -613,9 +613,9 @@ def recording_kernel(monkeypatch):
     blocks = []
     kernel = tree.distances_to_point
 
-    def recording(rows, y, norm):
+    def recording(rows, y, norm, scratch):
         blocks.append(rows)
-        return kernel(rows, y, norm)
+        return kernel(rows, y, norm, scratch)
 
     monkeypatch.setattr(tree, "distances_to_point", recording)
     return blocks
@@ -1463,6 +1463,61 @@ def test_built_index_is_its_own_reload(tmp_path, mode, p):
     again = tmp_path / "again.idx"
     save_index(load_index(path), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, "inf"])
+def test_narrow_levels_are_column_major_in_every_index(tmp_path, p):
+    # a level narrower than norms._NARROW (32) columns is held column-major,
+    # the kernel's transposed buffer, and a wider one row-major, in built,
+    # loaded, mapped and hand-built indexes alike; the container stays
+    # row-major, so save, load and save again write the same bytes
+    data = small_dataset(count=300, seed=76)
+    schedule = DimensionSchedule((64, 32, 16, 4))
+    index = build_index(data, schedule, "adaptive", p)
+    path = tmp_path / "layout.idx"
+    save_index(index, path)
+    # by hand from features in the other layout
+    swapped = tuple(np.asarray(feats, order="C" if n < norms._NARROW else "F")
+                    for n, feats in zip(schedule.dims[1:], index.features))
+    assert [f.flags.f_contiguous for f in swapped] == [True, False, False]
+    by_hand = dataclasses.replace(index, features=swapped)
+    y = data.vectors[9] + 0.05
+    for each in (index, load_index(path), load_index(path, mmap_data=True), by_hand):
+        for n, feats, built in zip(schedule.dims[1:], each.features, index.features):
+            assert (feats.flags.f_contiguous, feats.flags.c_contiguous) == (n < 32, n >= 32)
+            np.testing.assert_array_equal(feats, built)
+        assert range_query(each, y, 4.0) == range_query(index, y, 4.0)
+    for copy in (load_index(path), by_hand):
+        again = tmp_path / "again.idx"
+        save_index(copy, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("share", [0.0, 2.0])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, "inf"])
+def test_queries_leave_the_vectors_and_features_unwritten(tmp_path, monkeypatch, p, share):
+    # kernels take their differences in place only in a sweep's private
+    # gathers: the vectors and every feature matrix keep their bytes, built
+    # or mapped read-only, whether every sweep slices every row (share 0)
+    # or gathers its candidates (share 2); l_2 screens both ways too
+    monkeypatch.setattr(norms, "_DENSE_SHARE", share)
+    monkeypatch.setattr(tree, "_GEMV_SHARE", share)
+    data = small_dataset(count=400, seed=77)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), "adaptive", p)
+    path = tmp_path / "read-only.idx"
+    save_index(index, path)
+    mapped = load_index(path, mmap_data=True)
+    assert not mapped.data.flags.writeable
+    for each in (index, mapped):
+        matrices = (each.data, *each.features)
+        before = [np.asarray(m).tobytes() for m in matrices]
+        for row in (0, 199):
+            y = data.vectors[row] + 0.05
+            exact = np.sort(unchunked_distances(data.vectors, y, index.norm))
+            for epsilon in (exact[3], exact[100], exact[300], 1e9):
+                report = range_query(each, y, epsilon)
+                assert list(report.matches) == brute_force_range(data, y, epsilon, p)
+        assert [np.asarray(m).tobytes() for m in matrices] == before
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
