@@ -276,7 +276,7 @@ def _distances(rows: np.ndarray, y: np.ndarray, norm: NormOrder,
 
 
 def _differences(rows: np.ndarray, y: np.ndarray, transpose: bool,
-                 scratch: bool = False) -> np.ndarray:
+                 scratch: bool) -> np.ndarray:
     """``rows - y`` in a C-ordered buffer, (n x rows) if ``transpose``: a
     buffer of their dtype when ``rows`` and ``y`` share it (int16 codes,
     float32 or float64), and a float64 one otherwise.  With ``scratch``,

@@ -877,16 +877,16 @@ def load_index(path, mmap_data: bool = False) -> SubspaceIndex:
     dtype they are read as, int16 codes (2 bytes per feature) under l_1
     and l_inf and float32 (4 bytes) under every other norm; a level
     narrower than 32 columns is copied once into column-major order
-    (``SubspaceIndex``).  Every level is rebuilt from its stored
-    directions, so the mode is only a label.  Only version 4 is read.  A
-    container of another format or version, whose header is not an object,
-    lacks a field, holds an invalid norm or schedule, a count that is not
-    an integer of at least 1 or a ``data_included`` that is not ``true``,
-    whose size is not the one its header describes, whose directions are
-    not finite unit rows, or whose grid has a lo that is not finite, a step
-    that is not a positive power of two or a code outside [0, 2^15 - 1],
-    raises a ``ValueError`` whose message starts with the path; so does an
-    unknown mode, which ``SubspaceIndex`` rejects, as it rejects a bad grid.
+    (``SubspaceIndex``).  Every level is rebuilt from its stored directions, so the
+    mode is only a label.  Only version 4 is read.  A container of another
+    format or version, whose header is not an object, lacks a field, holds
+    an invalid norm or schedule, a count that is not an integer of at least
+    1 or a ``data_included`` that is not ``true``, whose size is not the
+    one its header describes, whose directions are not finite unit rows, or
+    whose grid has a lo that is not finite, a step that is not a positive
+    power of two or a code outside [0, 2^15 - 1], raises a ``ValueError``
+    whose message starts with the path; so does an unknown mode, which
+    ``SubspaceIndex`` rejects, as it rejects a bad grid.
     """
     try:
         return _read_container(path, mmap_data)
