@@ -354,8 +354,11 @@ def test_float32_kernel_stays_within_its_bound(p):
 @pytest.mark.parametrize("p", [1, 2, 3, 4, "inf"])
 def test_dense_and_gathered_sweeps_give_the_same_floats(monkeypatch, p):
     # just below _DENSE_SHARE of the rows a sweep gathers its candidates'
-    # rows; from the share up it runs the kernel on slices of every row and
-    # indexes the result: both give the row-major reference's floats
+    # rows, a private copy the kernel may difference in place; from the
+    # share up it runs the kernel on slices of every row, writing none, and
+    # indexes the result: both give the row-major reference's floats, for
+    # float64 rows and for float32 rows against a float32 query, whose l_2
+    # and l_4 duplicates and overflowing rows the float64 kernel re-reads
     norm = as_norm_order(p)
     rng = np.random.Generator(np.random.Philox(key=15))
     monkeypatch.setattr(norms, "CHUNK_BYTES", 2 ** 12)  # several chunks a sweep
@@ -377,24 +380,28 @@ def test_dense_and_gathered_sweeps_give_the_same_floats(monkeypatch, p):
         rows[2] = 1e-300  # squares underflow
         rows[3] = 1e300  # squares overflow
         with np.errstate(over="ignore"):
-            want = unchunked_distances(rows, y, norm)
+            single = rows.astype(np.float32)
+        single[3] = 1e30  # float32 squares overflow
         # the special rows are candidates on both sides of the share
         picked = np.sort(rng.choice(np.arange(4, count), above - 4, replace=False))
         dense_rows = np.concatenate([np.arange(4), picked])
         gathered_rows = np.delete(dense_rows, -1)
-        for matrix in (rows, np.asfortranarray(rows)):
-            before = matrix.copy()
-            for candidates, dense in ((dense_rows, True), (gathered_rows, False)):
-                chunks.clear()
-                flags.clear()
-                with np.errstate(over="ignore"):
-                    got = sweep(matrix, candidates, y, norm, recording)
-                np.testing.assert_array_equal(got, want[candidates])
-                # only a private gather is handed over as scratch
-                assert all(np.shares_memory(c, matrix) == dense for c in chunks)
-                assert flags == [not dense] * len(chunks)
-                np.testing.assert_array_equal(matrix, before)
-                assert sum(len(c) for c in chunks) == (count if dense else candidates.size)
+        for rows, y in ((rows, y), (single, y.astype(np.float32))):
+            with np.errstate(over="ignore"):
+                want = unchunked_distances(rows, y, norm)
+            for matrix in (rows, np.asfortranarray(rows)):
+                before = matrix.copy()
+                for candidates, dense in ((dense_rows, True), (gathered_rows, False)):
+                    chunks.clear()
+                    flags.clear()
+                    with np.errstate(over="ignore"):
+                        got = sweep(matrix, candidates, y, norm, recording)
+                    np.testing.assert_array_equal(got, want[candidates])
+                    # only a private gather is handed over as scratch
+                    assert all(np.shares_memory(c, matrix) == dense for c in chunks)
+                    assert flags == [not dense] * len(chunks)
+                    np.testing.assert_array_equal(matrix, before)
+                    assert sum(len(c) for c in chunks) == (count if dense else candidates.size)
 
 
 @pytest.mark.parametrize("width", [1, 4, 16, 31, 32, 64])
@@ -437,42 +444,6 @@ def test_linf_maximum_on_int64_bits_is_the_float64_maximum(width):
         else:  # against either zero, +0 whatever the zeros' signs
             assert reference.view(np.int64)[9] == 0
     assert reference[5] == 5e-324 and 0.0 < reference[6] < 2.0 ** -1022
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("p", [1, 2, 3, 4, "inf"])
-@pytest.mark.parametrize("width", [4, 16, 31, 32, 64])
-def test_scratch_gathers_give_the_dense_floats_and_leave_the_matrix(monkeypatch, width, p,
-                                                                     dtype):
-    # a gathered sweep hands the kernel its private copy of the rows, in
-    # which l_1, l_inf and the max-divided form take their differences in
-    # place: the same floats as a dense sweep of the unchanged matrix, in
-    # either layout.  l_2 and l_4 fallback rows reached through a gather --
-    # exact duplicates, sums that overflow and sums that underflow -- keep
-    # theirs, as those norms difference into a new buffer
-    norm = as_norm_order(p)
-    rng = np.random.Generator(np.random.Philox(key=21))
-    monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * width * 7)  # several chunks a sweep
-    big, small = (1e30, 1e-30) if dtype == np.float32 else (1e300, 1e-300)
-    rows = (rng.standard_normal((60, width))
-            * np.exp(rng.uniform(-5.0, 5.0, (60, width)))).astype(dtype)
-    y = rng.standard_normal(width).astype(dtype)
-    rows[3] = y  # an exact duplicate: sum 0
-    rows[9] = big  # sums overflow
-    rows[15] = y + np.asarray(small, dtype)  # sums underflow
-    rows[21, 0] = np.inf
-    gathered = np.arange(0, 60, 3)
-    with np.errstate(over="ignore"):
-        want = unchunked_distances(rows, y, norm)
-        for matrix in (rows, np.asfortranarray(rows)):
-            before = matrix.copy(order="K")
-            np.testing.assert_array_equal(
-                sweep(matrix, None, y, norm, distances_to_point), want)
-            np.testing.assert_array_equal(
-                sweep(matrix, gathered, y, norm, distances_to_point), want[gathered])
-            np.testing.assert_array_equal(matrix, before)
-            assert matrix.flags.f_contiguous == (matrix is not rows or width == 1)
-    assert want[3] == 0.0 and np.isinf(want[21]) and np.isfinite(want[[9, 15]]).all()
 
 
 @pytest.mark.parametrize("p", [1, "inf"])
