@@ -40,11 +40,11 @@ class DataSet:
             raise ValueError(f"vectors must be a nonempty 2-d matrix, got {vectors.shape}")
         if not np.all(np.isfinite(vectors)):
             raise ValueError("vectors contain non-finite values")
-        ids = np.asarray(self.ids, dtype=np.int64)
+        ids = np.asarray(self.ids)
         if ids.shape != (vectors.shape[0],):
             raise ValueError(f"ids shape {ids.shape} != ({vectors.shape[0]},)")
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "ids", _int64_ids(ids))
 
     @classmethod
     def from_array(cls, vectors) -> "DataSet":
@@ -59,6 +59,15 @@ class DataSet:
 
     def __len__(self) -> int:
         return int(self.vectors.shape[0])
+
+
+def _int64_ids(ids) -> np.ndarray:
+    """``ids`` as an int64 array: integers of any dtype int64 holds, but
+    never bools or floats (0.5, or 1.0), which a cast would truncate."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu" or not np.can_cast(ids.dtype, np.int64):
+        raise ValueError(f"ids must be integers int64 holds, not {ids.dtype} values")
+    return ids.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

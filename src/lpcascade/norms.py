@@ -144,6 +144,15 @@ def as_norm_order(p) -> NormOrder:
     return NormOrder(p)
 
 
+def _coded(norm: NormOrder) -> bool:
+    """The one rule for int16 codes: whether lengths under ``norm`` may be
+    taken on grid codes, l_1 and l_inf, whose code distances are exact
+    integers.  An index under such a norm stores its levels as codes
+    (``tree``), calibration screens its samples through them (``oracle``),
+    and the kernel takes int16 inputs in integer arithmetic only under it."""
+    return norm.p == 1.0 or norm.is_infinite
+
+
 def as_vector(v, dim: int | None = None) -> np.ndarray:
     """``v`` as a float64 array, checked to be a nonempty 1-d vector of
     finite components, ``dim`` of them when given: every query is checked
@@ -238,7 +247,7 @@ def _distances(rows: np.ndarray, y: np.ndarray, norm: NormOrder,
     ``np.errstate(over="ignore")`` unless ``rows`` and ``y`` are int16
     codes, whose differences, sums and powers stay in range."""
     p = norm.p
-    if not (p == 1.0 or norm.is_infinite) and y.dtype == np.int16:
+    if not _coded(norm) and y.dtype == np.int16:
         y = y.astype(np.float64)  # integer powers would overflow
     if not (p in (1.0, 2.0, 4.0) or norm.is_infinite):
         diff = _differences(rows, y.astype(np.float64, copy=False), False, scratch)

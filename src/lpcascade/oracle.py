@@ -27,11 +27,10 @@ import numpy as np
 from .data import DataSet
 from .norms import (
     _EPS,
-    L1,
     L2,
     L4,
-    LINF,
     _code_rows,
+    _coded,
     _grid_term,
     as_norm_order,
     as_vector,
@@ -128,7 +127,7 @@ def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
         _gemm_kth(vectors, chosen, norm, k, kth)
         return float(np.median(kth))
     codes = step = None
-    if norm in (L1, LINF):
+    if _coded(norm):
         codes, (_, step) = _code_rows(vectors)
 
     def sweep_part(part):

@@ -21,6 +21,7 @@ operations directly; the formula is the invariant tests hold it to.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import operator
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataSet
+from .data import DataSet, _int64_ids
 from .norms import (
     _CODE_MAX,
     _EPS,
@@ -41,6 +42,7 @@ from .norms import (
     L2,
     NormOrder,
     _code_rows,
+    _coded,
     _encode,
     _grid_term,
     as_norm_order,
@@ -244,7 +246,8 @@ class SubspaceIndex:
     row-major whatever the layout (``save_index``).
     Construction is the one check that the parts agree, built or loaded: it
     raises ``ValueError`` unless ``mode`` is in ``projection.MODES``,
-    ``data`` is (count, dims[0]), ``ids`` (count,), each of the
+    ``data`` is (count, dims[0]) with count at least 1, ``ids`` (count,)
+    integers, held as int64 as the container stores them, each of the
     ``schedule.levels`` levels k maps dims[k-1] to dims[k] under ``norm``,
     as exactness needs, with features of the norm's dtype (checked before
     their shape) and (count, dims[k]), and, under l_1 and l_inf, each grid
@@ -284,6 +287,10 @@ class SubspaceIndex:
         data, ids = np.shape(self.data), np.shape(self.ids)
         if len(data) != 2 or data[1] != dims[0] or ids != data[:1]:
             raise ValueError(f"data {data}, ids {ids}: not (count, {dims[0]}) and (count,)")
+        if data[0] < 1:
+            raise ValueError(f"count {data[0]} must be at least 1")
+        # the container stores int64 ids: a float id would come back truncated
+        object.__setattr__(self, "ids", _int64_ids(self.ids))
         if not len(self.levels) == len(self.features) == self.schedule.levels:
             raise ValueError(f"{len(self.levels)} levels and {len(self.features)} feature "
                              f"matrices for a {self.schedule.levels}-level schedule")
@@ -410,11 +417,6 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
         ids=data.ids,
         grids=tuple(grids),
     )
-
-
-def _coded(norm: NormOrder) -> bool:
-    """Whether an index under ``norm`` stores its levels as grid codes."""
-    return norm.p == 1.0 or norm.is_infinite
 
 
 def level_margins(schedule: DimensionSchedule, scale: float,
@@ -596,17 +598,10 @@ def level_margins(schedule: DimensionSchedule, scale: float,
         if coded:
             margins.append(c_k * scale + underflow * _F64_MIN)
         else:
-            margins.append((c_k + _float32_term(norm, dims[k])) * (scale + dims[k] * _F32_TINY))
+            j = {2.0: (dims[k] + 8) / 2, 4.0: (dims[k] + 20) / 4}.get(norm.p, 2)
+            f_k = j * _F32_U / (1.0 - j * _F32_U)
+            margins.append((c_k + f_k) * (scale + dims[k] * _F32_TINY))
     return tuple(margins)
-
-
-def _float32_term(norm: NormOrder, n: int) -> float:
-    """f_k = gamma'_j of ``level_margins`` for a level of width n: 0 for a
-    coded level, whose kernel is exact."""
-    if _coded(norm):
-        return 0.0
-    j = {2.0: (n + 8) / 2, 4.0: (n + 20) / 4}.get(norm.p, 2)
-    return j * _F32_U / (1.0 - j * _F32_U)
 
 
 def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
@@ -789,15 +784,16 @@ def fit_const(reports, schedule: DimensionSchedule) -> float:
 
 
 def save_index(index: SubspaceIndex, path) -> None:
-    """Persist an index: its ids and vectors at float64, then every level's
-    directions at float64 and its features, one layout for both modes.
-    Under l_1 and l_inf a level's grid (lo, step) follows its directions at
-    float64 and its features are int16 codes; under every other norm there
-    is no grid and the features are float32.
+    """Persist an index: a prefix and a JSON header, then the arrays
+    ``_sections`` lists, in its order and at its dtypes: the ids at int64
+    and the vectors at float64, then every level's directions at float64,
+    its grid (lo, step) at float64 and its features, int16 codes under l_1
+    and l_inf (``norms._coded``) and float32 under every other norm, whose
+    grid sections are empty.  Both modes share the layout.
 
     Nothing is rounded, so ``load_index`` returns the same index bit for
     bit.  The vectors are always embedded: the search is exact only over the
-    rows the levels were projected from.  Each matrix is written in 1 MiB
+    rows the levels were projected from.  Each array is written in 1 MiB
     row chunks (``_write_rows``), so saving holds no second copy of one.
     The container is written to a new file beside ``path``, which takes the
     old file's place only once it is whole: a save that fails leaves
@@ -815,15 +811,12 @@ def save_index(index: SubspaceIndex, path) -> None:
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     head = _MAGIC + struct.pack("<IQ", _VERSION, len(blob)) + blob
-    matrices = [(index.data, "<f8")]
-    grids = index.grids or [None] * index.schedule.levels
-    for level, grid, feats in zip(index.levels, grids, index.features):
-        matrices.append((level.directions, "<f8"))
-        if grid is None:
-            matrices.append((feats, "<f4"))
-        else:
-            matrices += [(np.array([grid]), "<f8"), (feats, "<i2")]
-    size = _container_size(len(blob), index.count, index.schedule.dims, bool(index.grids))
+    arrays = [index.ids, index.data]
+    # an index of float32 levels has no grids: () fills their empty sections
+    for level, grid, feats in itertools.zip_longest(index.levels, index.grids, index.features,
+                                                    fillvalue=()):
+        arrays += [level.directions, np.array(grid, dtype=np.float64), feats]
+    sections = _sections(index.count, index.schedule.dims, _coded(index.norm))
     # written beside the target, which is replaced only once the new file is
     # whole: a failed save leaves the old file as it was, and an index
     # mapping it keeps its bytes
@@ -834,11 +827,10 @@ def save_index(index: SubspaceIndex, path) -> None:
                 # blocks reserved before the first write: ext4 flushes a file
                 # whose blocks are still unallocated when os.replace puts it
                 # over an existing one, 0.4 s for a 403 MB container
-                os.posix_fallocate(handle.fileno(), 0, size)
+                os.posix_fallocate(handle.fileno(), 0, len(head) + _nbytes(sections))
             handle.write(head)
-            np.asarray(index.ids, dtype="<i8").tofile(handle)
-            for matrix, dtype in matrices:
-                _write_rows(handle, matrix, dtype)
+            for array, (dtype, _) in zip(arrays, sections):
+                _write_rows(handle, array, dtype)
         # one step: until it returns the old file is whole, and after it the
         # partial name no longer exists
         os.replace(partial, path)
@@ -848,29 +840,43 @@ def save_index(index: SubspaceIndex, path) -> None:
         raise
 
 
-def _container_size(header_len: int, count: int, dims: tuple[int, ...],
-                    coded: bool) -> int:
-    """Bytes of a container: prefix and header, ids and vectors, then each
-    level's directions (8 * dims[k-1]) and features (4 * count * dims[k]
-    at float32, or a 16-byte grid and 2 * count * dims[k] when ``coded``)."""
-    grid, width = (16, 2) if coded else (0, 4)
-    return len(_MAGIC) + 12 + header_len + 8 * count * (1 + dims[0]) + sum(
-        8 * dim_in + grid + width * count * dim_out for dim_in, dim_out in zip(dims, dims[1:]))
+def _sections(count: int, dims: tuple[int, ...],
+              coded: bool) -> list[tuple[str, tuple[int, ...]]]:
+    """The arrays a container holds after its header, in file order, as
+    (dtype, shape) pairs: the ids and the vectors, then for each level its
+    directions, its grid (lo, step) and its features, int16 codes when
+    ``coded`` (``norms._coded``) and float32 otherwise.  A float32 level's
+    grid section is empty.  ``save_index`` writes against this list, and
+    ``load_index`` checks the file's size against it and reads it."""
+    sections = [("<i8", (count,)), ("<f8", (count, dims[0]))]
+    for dim_in, dim_out in zip(dims, dims[1:]):
+        sections += [("<f8", (dim_out, dim_in // dim_out)),
+                     ("<f8", (2 if coded else 0,)),
+                     ("<i2" if coded else "<f4", (count, dim_out))]
+    return sections
 
 
-def _write_rows(handle, matrix: np.ndarray, dtype: str) -> None:
-    """Write a matrix row-major at ``dtype``, one 1 MiB chunk of rows at a
+def _nbytes(sections: list[tuple[str, tuple[int, ...]]]) -> int:
+    """Bytes that ``sections`` span in a container."""
+    return sum(np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in sections)
+
+
+def _write_rows(handle, array: np.ndarray, dtype: str) -> None:
+    """Write an array row-major at ``dtype``, one 1 MiB chunk of rows at a
     time; a chunk is copied only if it needs a cast or is not row-major."""
-    for chunk in row_chunks(*matrix.shape):
-        np.ascontiguousarray(matrix[chunk], dtype=dtype).tofile(handle)
+    for chunk in row_chunks(len(array), math.prod(array.shape[1:])):
+        np.ascontiguousarray(array[chunk], dtype=dtype).tofile(handle)
 
 
 def load_index(path, mmap_data: bool = False) -> SubspaceIndex:
     """Reload a persisted index, equal bit for bit to the one that was saved.
 
-    The embedded vectors are read, or with ``mmap_data`` mapped read-only;
-    the cascade touches level 0 only for final verification, so mapping
-    keeps the resident set near the feature matrices.  A verification reads
+    The header's count, schedule and norm give the arrays that follow it
+    (``_sections``): the file's size must be the one they span, and they
+    are read in their order, each with ``np.fromfile`` but the embedded
+    vectors under ``mmap_data``, which are mapped read-only.  The cascade
+    touches level 0 only for final verification, so mapping keeps the
+    resident set near the feature matrices.  A verification reads
     every row once its candidates reach ``norms._DENSE_SHARE`` of them (the
     kernel sweeps slices of every row) or, under l_2, ``_GEMV_SHARE`` (the
     screen's whole-matrix GEMV).  The feature matrices are kept at the
@@ -927,43 +933,30 @@ def _read_container(path, mmap_data: bool) -> SubspaceIndex:
         if header["data_included"] is not True:
             raise ValueError(f"data_included {header['data_included']!r} is not True: "
                              "every container embeds its vectors")
-        dims = schedule.dims
-        coded = _coded(norm)
+        sections = _sections(count, schedule.dims, _coded(norm))
         # the one size check, before any section is allocated: a hostile
         # count or schedule is rejected here, and every read below is whole
-        expected = _container_size(header_len, count, dims, coded)
+        expected = len(prefix) + header_len + _nbytes(sections)
         if size != expected:
             raise ValueError(f"container holds {size} bytes, its header describes {expected}")
-
-        def take(dtype, shape):
-            return np.fromfile(handle, dtype=dtype, count=math.prod(shape)).reshape(shape)
-
-        ids = take("<i8", (count,)).astype(np.int64, copy=False)
-        if mmap_data:
-            vectors = np.memmap(path, dtype="<f8", mode="r", offset=handle.tell(),
-                                shape=(count, dims[0]))
-            handle.seek(count * dims[0] * 8, 1)
-        else:
-            vectors = take("<f8", (count, dims[0])).astype(np.float64, copy=False)
-
-        levels = []
-        features = []
-        grids = []
-        for dim_in, dim_out in zip(dims, dims[1:]):
-            levels.append(ProjectionLevel(norm, take("<f8", (dim_out, dim_in // dim_out))))
-            if coded:
-                grids.append(tuple(take("<f8", (2,)).tolist()))
-                features.append(take("<i2", (count, dim_out)).astype(np.int16, copy=False))
+        arrays = []
+        for dtype, shape in sections:
+            if mmap_data and len(arrays) == 1:  # the vectors
+                array = np.memmap(path, dtype=dtype, mode="r", offset=handle.tell(), shape=shape)
+                handle.seek(array.nbytes, 1)
             else:
-                features.append(take("<f4", (count, dim_out)).astype(np.float32, copy=False))
+                array = np.fromfile(handle, dtype=dtype, count=math.prod(shape)).reshape(shape)
+                array = array.astype(array.dtype.newbyteorder("="), copy=False)
+            arrays.append(array)
 
+    ids, vectors, *levels = arrays
     return SubspaceIndex(
         schedule=schedule,
         norm=norm,
         mode=mode,
-        levels=tuple(levels),
-        features=tuple(features),
+        levels=tuple(ProjectionLevel(norm, directions) for directions in levels[0::3]),
+        features=tuple(levels[2::3]),
         data=vectors,
         ids=ids,
-        grids=tuple(grids),
+        grids=tuple(tuple(grid.tolist()) for grid in levels[1::3] if grid.size),
     )

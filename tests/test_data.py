@@ -28,6 +28,13 @@ def test_dataset_validation():
         DataSet.from_array(np.empty((0, 4)))
     with pytest.raises(ValueError):
         DataSet(vectors=np.ones((3, 2)), ids=np.arange(2))
+    # ids are integers int64 holds: a cast would truncate 0.5, 1.5, 2.5 to 0, 1, 2
+    for ids in ([0.5, 1.5, 2.5], [0.0, 1.0, 2.0], [True, False, True],
+                np.arange(3, dtype=np.uint64)):
+        with pytest.raises(ValueError, match="ids must be integers int64 holds"):
+            DataSet(vectors=np.ones((3, 2)), ids=ids)
+    assert DataSet(vectors=np.ones((3, 2)), ids=np.arange(3, dtype=np.int32)).ids.dtype \
+        == np.int64
     ds = DataSet.from_array(np.ones((3, 2)))
     assert len(ds) == 3 and ds.dim == 2
     np.testing.assert_array_equal(ds.ids, [0, 1, 2])

@@ -312,18 +312,30 @@ def test_fit_const_errors():
         fit_const([_report((1, 1, 1), (960, 480, 240))], schedule)
 
 
+# schedules of one, two and three projection levels
+SCHEDULES = [(64, 16), (64, 16, 4), (64, 32, 8, 2)]
+
+
+@pytest.mark.parametrize("dims", SCHEDULES, ids=lambda dims: ",".join(map(str, dims)))
+@pytest.mark.parametrize("p", [2, 3, "inf"])
 @pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
-def test_save_load_roundtrip(tmp_path, mode):
+def test_save_load_roundtrip(tmp_path, mode, p, dims):
+    # l_2 and l_3 levels are float32 features, l_inf levels int16 codes on
+    # a grid
     data = small_dataset(count=200)
-    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, 2)
+    index = build_index(data, DimensionSchedule(dims), mode, p)
     path = tmp_path / "container.idx"
     save_index(index, path)
     loaded = load_index(path)
 
     np.testing.assert_array_equal(loaded.ids, index.ids)
     np.testing.assert_array_equal(loaded.data, index.data)
+    assert loaded.ids.dtype == np.int64 and loaded.data.dtype == np.float64
+    assert len(loaded.features) == len(dims) - 1
     for built, back in zip(index.features, loaded.features):
+        assert back.dtype == built.dtype == (np.int16 if p == "inf" else np.float32)
         np.testing.assert_array_equal(back, built)
+    assert loaded.grids == index.grids and len(index.grids) == (len(dims) - 1) * (p == "inf")
     for lvl_a, lvl_b in zip(index.levels, loaded.levels):
         # every container stores its levels' directions, whatever the mode
         np.testing.assert_array_equal(lvl_a.directions, lvl_b.directions)
@@ -428,7 +440,7 @@ def test_a_failed_save_leaves_the_old_file_untouched(tmp_path, monkeypatch):
     monkeypatch.setattr(tree, "_write_rows", failing)
     with pytest.raises(OSError, match="disk full"):
         save_index(index, path)
-    assert written == ["<f8"]  # the vectors went out before the failure
+    assert written == ["<i8"]  # the ids went out before the failure
     assert path.read_bytes() == before
     assert [entry.name for entry in tmp_path.iterdir()] == ["old.idx"]
 
@@ -454,9 +466,11 @@ def test_a_save_whose_swap_fails_keeps_one_whole_container(tmp_path, monkeypatch
     assert reloaded.schedule.dims == (64, 16, 4)
 
 
-def test_load_rejects_corrupt_containers(tmp_path):
+@pytest.mark.parametrize("dims", SCHEDULES, ids=lambda dims: ",".join(map(str, dims)))
+@pytest.mark.parametrize("p", [2, 3, "inf"])
+def test_load_rejects_corrupt_containers(tmp_path, p, dims):
     data = small_dataset(count=30)
-    index = build_index(data, DimensionSchedule((64, 16)), "orthogonal", 2)
+    index = build_index(data, DimensionSchedule(dims), "orthogonal", p)
     path = tmp_path / "ok.idx"
     save_index(index, path)
     raw = path.read_bytes()
@@ -466,6 +480,8 @@ def test_load_rejects_corrupt_containers(tmp_path):
         "magic": b"NOTANIDX" + raw[8:],
         "short": raw[:-100],
         "long": raw + b"\x00" * 8,
+        "one-short": raw[:-1],
+        "one-long": raw + b"\x00",
         # hostile headers: each once allocated (or overflowed on) what it
         # names, 7 TiB of vectors, PiBs of directions, a 2^63-byte header,
         # or overran the JSON decoder's recursion limit
@@ -488,6 +504,11 @@ def test_load_rejects_corrupt_containers(tmp_path):
             load_index(bad)
     with pytest.raises(ValueError, match="data_included False is not True"):
         load_index(tmp_path / "dataless.idx")
+    for name, size in (("one-short", len(raw) - 1), ("one-long", len(raw) + 1)):
+        bad = tmp_path / f"{name}.idx"
+        message = f"{bad}: container holds {size} bytes, its header describes {len(raw)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_index(bad)
 
 
 def as_version(path, version):
@@ -759,8 +780,18 @@ def test_feature_matrices_must_be_float32():
     (lambda index: {"grids": index.grids[:1]}, "1 grids for a 2-level schedule under l_1"),
     (lambda index: {"grids": ((0.0, 0.3), index.grids[1])},
      "grid 1: step 0.3 is not a positive power of two"),
+    # saved, a zero-row index would write a container load_index rejects,
+    # and its first query would divide by a zero scan cost
+    (lambda index: {"data": index.data[:0], "ids": index.ids[:0],
+                    "features": tuple(f[:0] for f in index.features)},
+     "count 0 must be at least 1"),
+    # the container stores int64 ids: saved and reloaded, 0.5 would be 0
+    (lambda index: {"ids": index.ids + 0.5}, "ids must be integers int64 holds, not float64"),
+    (lambda index: {"ids": index.ids.astype(np.uint64)},
+     "ids must be integers int64 holds, not uint64"),
 ], ids=["norm", "schedule", "feature-width", "feature-rows", "ids", "level-norm",
-        "data-width", "level-count", "mode", "feature-dtype", "grid-count", "grid-step"])
+        "data-width", "level-count", "mode", "feature-dtype", "grid-count", "grid-step",
+        "zero-rows", "float-ids", "uint64-ids"])
 def test_an_index_whose_parts_disagree_is_rejected(change, message):
     data = small_dataset(count=60, seed=81)
     index = build_index(data, DimensionSchedule((64, 16, 4)), "orthogonal", 1)
@@ -897,7 +928,7 @@ def test_l2_screen_is_exact_on_an_equidistant_shell(monkeypatch, offset, scale):
                     gather_everything_query(index, q, epsilon)
 
 
-@pytest.mark.parametrize("scale", [1e19, 1e20, 1e-30, 1e-40])
+@pytest.mark.parametrize("scale", [1e19, 1e20, 1e-30, 1e-40, 1.0])
 @pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
 def test_float32_l2_screen_is_exact_where_float32_products_fail(tmp_path, monkeypatch,
                                                                 mode, scale):
@@ -907,12 +938,17 @@ def test_float32_l2_screen_is_exact_where_float32_products_fail(tmp_path, monkey
     # band) and leave others finite, decided by the band's float32 relative
     # term.  Around 1e-30 and 1e-40 every product underflows float32, so the
     # dots are 0 and only the band's float32 absolute term keeps g from
-    # deciding.
+    # deciding.  Around 1 a search over levels of 8, 4, 2 and 1 columns puts
+    # tau on every row's own level distance: there the float32 kernel's
+    # rounding is a large share of the band's half-width, and a relative
+    # term without it (gamma'_n in place of gamma'_{n+4}) misjudges rows of
+    # one and two columns.
     base = small_dataset(count=300, seed=45).vectors
     rng = np.random.Generator(np.random.Philox(key=79))
     factors = scale * 10.0 ** rng.uniform(-2.0, 1.0, (300, 1))
     data = DataSet.from_array((base - base.mean(axis=0)) * factors)
-    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, 2)
+    dims = (64, 8, 4, 2, 1) if scale == 1.0 else (64, 16, 4)
+    index = build_index(data, DimensionSchedule(dims), mode, 2)
     path = tmp_path / "f32.idx"
     save_index(index, path)
     loaded = load_index(path)
@@ -925,6 +961,14 @@ def test_float32_l2_screen_is_exact_where_float32_products_fail(tmp_path, monkey
                 assert report == gather_everything_query(index, y, epsilon)
                 assert list(report.matches) == brute_force_range(data, y, epsilon, 2)
                 assert range_query(loaded, y, epsilon) == report
+            if scale == 1.0:
+                points = kernel_points(index, y)
+                for k in range(1, len(dims)):
+                    dist = level_distances(index, k, index.features[k - 1], points[k])
+                    for i, c in enumerate(dist):
+                        for tau in (c, np.nextafter(c, np.inf)):
+                            keep, band = tree._screen(index, k, np.array([i]), points[k], tau)
+                            assert band[0] or keep[0] == (c < tau)
 
 
 def test_l2_screen_falls_back_to_the_kernel_on_overflowed_norms(monkeypatch):
