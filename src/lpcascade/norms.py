@@ -75,18 +75,33 @@ LINF = NormOrder(math.inf)
 # Byte budget of one chunk of float64 rows in a distance sweep: small
 # enough that the chunk and the kernel's buffer stay in L2.
 CHUNK_BYTES = 2 ** 20
-# Rows narrower than this are reduced down the columns of a transposed
-# buffer, in order (``_sums``: numpy's own sum turns pairwise from 8
-# terms on, in a one-row buffer only) or by a maximum; wider rows along
-# themselves.  A 20k-row l_inf scan (2 CPUs) takes 1.0 ms that way against
-# 3.1 ms row-major at 16 columns, but 8.2 against 5.6 ms at 64: they meet
-# between 32 and 48 columns.  ``einsum`` is not used: above 8,192 columns
-# (``np.getbufsize()``) it gives a row in a one-row or three-row buffer
-# another float than in a larger one.  An index holds its levels narrower
-# than this column-major (``tree.SubspaceIndex``), which is the transposed
-# buffer's layout: a sweep then reads contiguous columns, with no
-# per-chunk transpose.
+# Float rows narrower than this are reduced down the columns of a
+# transposed buffer, in order (``_sums``: numpy's own sum turns pairwise
+# from 8 terms on, in a one-row buffer only) or by a maximum; wider rows
+# along themselves.  A 20k-row l_inf scan (2 CPUs) takes 1.0 ms that way
+# against 3.1 ms row-major at 16 columns, but 8.2 against 5.6 ms at 64:
+# they meet between 32 and 48 columns.  ``einsum`` is not used: above
+# 8,192 columns (``np.getbufsize()``) it gives a row in a one-row or
+# three-row buffer another float than in a larger one.  An index holds its
+# float32 levels narrower than this column-major (``_column_major``,
+# ``tree.SubspaceIndex``), which is the transposed buffer's layout: a sweep
+# then reads contiguous columns, with no per-chunk transpose.
 _NARROW = 32
+# The same width for int16 grid codes (``_column_major``), whose integer
+# sums and maxima are exact in any order: codes narrower than this are
+# coded (``_code_rows``) and held (``tree.SubspaceIndex``) column-major,
+# reduced down the columns by one ``np.add.reduce`` or maximum, and swept
+# in chunks of CHUNK_BYTES of their 2-byte items.  Dense sweeps of 20k
+# random rows (alternated, 2 CPUs, medians of 21) took, column-major
+# against row-major, l_1 0.56 against 1.17 ms at 48 columns, 0.99 against
+# 1.64 at 64 and 1.73 against 2.23 at 128, and l_inf 0.45 against 1.86,
+# 0.58 against 1.99 and 0.90 against 2.07; l_1 met between 128 and 192
+# columns (3.33 against 3.24 ms there) and l_inf near 384.  Gathered
+# sweeps of fewer than ``_DENSE_SHARE`` of the rows pay for the column
+# gather instead: at 64 columns l_1 took 0.79 against 0.62 ms over 0.3 of
+# the rows and 1.48 against 0.93 over 0.6, so the width stays at the
+# lower of the two crossings.
+_CODE_NARROW = 128
 # Share of a matrix's rows from which ``sweep`` runs the kernel on plain
 # slices of every row and indexes the distances, instead of gathering the
 # candidates' rows chunk by chunk.  Timed l_1, l_4 and l_inf sweeps of 20k
@@ -151,6 +166,16 @@ def _coded(norm: NormOrder) -> bool:
     (``tree``), calibration screens its samples through them (``oracle``),
     and the kernel takes int16 inputs in integer arithmetic only under it."""
     return norm.p == 1.0 or norm.is_infinite
+
+
+def _column_major(dtype, n: int) -> bool:
+    """The one layout rule: whether rows of width n whose kernel buffer has
+    this dtype are reduced down the columns of a transposed buffer, and so
+    held column-major by an index (``tree.SubspaceIndex``) and by
+    calibration's codes (``_code_rows``).  int16 codes are below
+    ``_CODE_NARROW`` (128) columns, every float dtype below ``_NARROW``
+    (32)."""
+    return n < (_CODE_NARROW if dtype == np.int16 else _NARROW)
 
 
 def as_vector(v, dim: int | None = None) -> np.ndarray:
@@ -226,13 +251,15 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder,
 
     One rule reduces the rows of the first two forms, so a row's distance
     is the same float whatever the layout of ``rows`` and however many rows
-    share its buffer: rows narrower than ``_NARROW`` (32) columns down the
-    columns of a transposed (n x rows) buffer, by a maximum or in order
-    (``_sums``), and wider rows along themselves by numpy's pairwise
-    ``sum`` or ``max``, whose order depends on n alone.  Column-major
-    narrow rows (an index's narrow levels, ``tree.SubspaceIndex``) are that
-    transposed buffer's layout, so their differences are read, or taken in
-    place, without a transpose.
+    share its buffer (``_column_major``): float rows narrower than
+    ``_NARROW`` (32) columns, and int16 codes narrower than
+    ``_CODE_NARROW`` (128), down the columns of a transposed (n x rows)
+    buffer, by a maximum or a sum (``_sums``: in order for floats), and
+    wider rows along themselves by numpy's pairwise ``sum`` or ``max``,
+    whose order depends on n alone.  Column-major narrow rows (an index's
+    narrow levels, ``tree.SubspaceIndex``, and calibration's codes,
+    ``_code_rows``) are that transposed buffer's layout, so their
+    differences are read, or taken in place, without a transpose.
     """
     if rows.dtype == y.dtype == np.int16:
         return _distances(rows, y, norm, scratch)  # codes: nothing overflows
@@ -252,7 +279,7 @@ def _distances(rows: np.ndarray, y: np.ndarray, norm: NormOrder,
     if not (p in (1.0, 2.0, 4.0) or norm.is_infinite):
         diff = _differences(rows, y.astype(np.float64, copy=False), False, scratch)
         return _max_divided(np.abs(diff, out=diff), p)
-    narrow = rows.shape[1] < _NARROW
+    narrow = _column_major(y.dtype if rows.dtype == y.dtype else np.float64, rows.shape[1])
     diff = _differences(rows, y, narrow, scratch and p in (1.0, math.inf))
     if norm.is_infinite:
         axis = 0 if narrow else 1
@@ -310,9 +337,13 @@ def _sums(terms: np.ndarray, narrow: bool, dtype=None) -> np.ndarray:
     """Each row's sum of terms, accumulated in ``dtype`` (the terms' own by
     default): numpy's pairwise ``sum`` along a (rows x n) buffer, or, for a
     ``narrow`` (n x rows) one, ((t_0 + t_1) + t_2) + ... down its columns,
-    in the same order for one column as for many."""
+    in the same order for one column as for many.  Integer terms (int16
+    codes) are summed down the columns by one ``np.add.reduce``, in
+    whatever order numpy takes: their sums are exact."""
     if not narrow:
         return terms.sum(axis=1, dtype=dtype)
+    if terms.dtype == np.int16:
+        return np.add.reduce(terms, axis=0, dtype=dtype)
     total = terms[0].astype(dtype or terms.dtype)
     for row in terms[1:]:
         total += row
@@ -333,11 +364,11 @@ def _max_divided(diff: np.ndarray, p: float) -> np.ndarray:
     return np.where(finite, out, m)
 
 
-def row_chunks(count: int, dim: int, chunks: int = 1):
+def row_chunks(count: int, dim: int, chunks: int = 1, itemsize: int = 8):
     """Slices covering ``range(count)`` in order, each spanning at most
-    ``chunks`` CHUNK_BYTES of float64 rows of width ``dim`` (at least one
-    row)."""
-    step = max(1, chunks * CHUNK_BYTES // (8 * dim))
+    ``chunks`` CHUNK_BYTES of rows of width ``dim`` whose items take
+    ``itemsize`` bytes, float64 by default (at least one row)."""
+    step = max(1, chunks * CHUNK_BYTES // (itemsize * dim))
     for start in range(0, count, step):
         yield slice(start, min(start + step, count))
 
@@ -358,14 +389,25 @@ def sweep(matrix: np.ndarray, rows: np.ndarray | None, point: np.ndarray,
     own layout (column-major for a column-major matrix), and passes it with
     ``scratch=True``, so the kernel may take its differences in that copy
     rather than in a second buffer.  A row's distance is the same float
-    either way (see ``distances_to_point``).
+    either way (see ``distances_to_point``).  Chunks span CHUNK_BYTES of
+    float64 rows, the kernel's buffer under every float sweep, but of
+    2-byte items when int16 codes are swept against codes under l_1 or
+    l_inf below ``_CODE_NARROW`` columns: their buffer is a transposed
+    int16 one, so 1 MiB holds 8,192 rows of 64 codes.  Wider codes,
+    reduced along their rows, keep the float64 budget: with it two threads'
+    sweeps of 960-column codes hold under two CHUNK_BYTES, and with 2-byte
+    chunks they held 0.2 MB more.
     """
     dense = rows is None or rows.size >= _DENSE_SHARE * matrix.shape[0]
     count = matrix.shape[0] if dense else rows.size
     # a column-major gather: take each column's candidates, then transpose
     columns = matrix.flags.f_contiguous and not matrix.flags.c_contiguous
+    n = matrix.shape[1]
+    # codes against codes below _CODE_NARROW: a transposed int16 buffer
+    codes = (_coded(norm) and matrix.dtype == point.dtype == np.int16
+             and _column_major(np.int16, n))
     out = np.empty(count)
-    for chunk in row_chunks(count, matrix.shape[1]):
+    for chunk in row_chunks(count, n, itemsize=2 if codes else 8):
         if dense:
             out[chunk] = kernel(matrix[chunk], point, norm, scratch=False)
         elif columns:
@@ -424,9 +466,13 @@ def _encode(values: np.ndarray, lo: float, step: float) -> np.ndarray:
 def _code_rows(matrix: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
     """(codes, (lo, step)): ``matrix`` coded on a grid fitted to it
     (``_fit_grid``), as an int16 array of its shape, one row chunk at a
-    time (``_encode``), so that no float64 copy of the matrix is made."""
+    time (``_encode``), so that no float64 copy of the matrix is made.  The
+    codes are written straight into the layout the kernel reduces them in
+    (``_column_major``): column-major below ``_CODE_NARROW`` columns, so
+    that neither an index nor calibration copies them to another."""
     grid = _fit_grid(matrix)
-    codes = np.empty(matrix.shape, dtype=np.int16)
+    order = "F" if _column_major(np.int16, matrix.shape[1]) else "C"
+    codes = np.empty(matrix.shape, dtype=np.int16, order=order)
     for chunk in row_chunks(*matrix.shape):
         codes[chunk] = _encode(matrix[chunk], *grid)
     return codes, grid

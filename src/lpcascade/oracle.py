@@ -9,9 +9,10 @@ screened pass (``_screened_kth``): a cheap estimate of every row's kernel
 distance with a proven error bound leaves the kernel to the few rows near
 or below the k-th neighbor.  Under l_2 and l_4 the estimate is a GEMM
 expansion that ``norms.l2_band`` or ``norms.l4_band`` screens, one block
-of samples at a time; under l_1 and l_inf it is the exact distance between
-the rows' int16 grid codes (``norms._code_rows``), each sample on a pool of
-threads.  Under any other p each sample's sweep runs as it is, on threads.
+of samples at a time, with a scalar pre-screen ahead of the band; under
+l_1 and l_inf it is the exact distance between the rows' int16 grid codes
+(``norms._code_rows``), each sample on a pool of threads.  Under any
+other p each sample's sweep runs as it is, on threads.
 """
 
 from __future__ import annotations
@@ -94,15 +95,17 @@ def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
 
     * Under l_2 and l_4 the samples go in blocks whose (samples x rows)
       float64 products span ``_BLOCK_CHUNKS`` (4) ``norms.CHUNK_BYTES``, 26
-      samples for 20,000 rows.  Per block, one GEMM (l_2) or three (l_4,
-      with x^2 and x^3 formed one 1 MiB row chunk at a time) expand every
-      row's distance, and each sample's screened pass runs the kernel on
-      the few rows near or below its k-th distance (``_gemm_kth``).
+      samples for 20,000 rows, in one mapping that every block reuses.  Per
+      block, one GEMM (l_2) or three (l_4, with x^2 and x^3 formed one 1 MiB
+      row chunk at a time) expand every row's distance, and each sample's
+      screened pass runs the kernel on the few rows near or below its k-th
+      distance (``_gemm_kth``), which a scalar pre-screen and the band find.
     * Under l_1 and l_inf the rows are coded once on one int16 grid, a
-      quarter of the vectors' bytes, freed on return.  Each sample's exact
-      code distance to every row bounds the kernel's distance within the
-      grid term, and its screened pass runs the kernel on the few rows near
-      or below its k-th distance (``_coded_kth``).
+      quarter of the vectors' bytes, freed on return, column-major below
+      ``norms._CODE_NARROW`` (128) columns.  Each sample's exact code
+      distance to every row bounds the kernel's distance within the grid
+      term, and its screened pass runs the kernel on the few rows near or
+      below its k-th distance (``_coded_kth``).
     * Under every other norm each sample's sweep runs as it is.
 
     Under l_1, l_inf and other p the samples split into
@@ -200,27 +203,35 @@ def _gemm_kth(vectors: np.ndarray, chosen: np.ndarray, norm, k: int,
     screened by a GEMM expansion of every row's distance.
 
     Each row's sum of squares (l_2) or of fourth powers (l_4) is summed
-    once.  Per block of samples (``_BLOCK_CHUNKS``), one GEMM forms their
-    inner products with every row (l_2), or three GEMMs their cross terms
-    (``_l4_cross``), in a mapping of their own (``_mapped``).  Per sample, the expansion g (``norms.l2_expansion``,
-    or ``xxxx + qqqq`` plus the cross terms) is the estimate of
-    ``_screened_kth``, in the norm's p-th power; the reach of the row of
-    k-th smallest g is the p-th root of g + 2 w, w the band's half-width
-    with g standing in for tau^p, and the band (``norms.l2_band`` or
-    ``norms.l4_band``) keeps every row whose distance may be below tau.  A
-    non-finite g, w or reach (an overflowed power, norm or product) puts a
-    row in the band or makes tau infinite, never a row outside.
+    once, and so is their largest.  Per block of samples
+    (``_BLOCK_CHUNKS``), one GEMM forms their inner products with every row
+    (l_2), or three GEMMs their cross terms (``_l4_cross``), into a view of
+    one mapping (``_mapped``) made per call for the first, largest block:
+    the blocks fault its pages in once, not once each (15,700 minor faults
+    per desk calibration against 1,000).  Per sample, the expansion g
+    (``norms.l2_expansion``, or ``xxxx + qqqq`` plus the cross terms) is
+    the estimate of ``_screened_kth``, in the norm's p-th power; the reach
+    of the row of k-th smallest g is the p-th root of g + 2 w, w the band's
+    half-width with g standing in for tau^p, and the band
+    (``norms.l2_band`` or ``norms.l4_band``) keeps every row whose distance
+    may be below tau, run only on the rows a scalar pre-screen keeps
+    (``_band_mask``).  A non-finite g, w or reach (an overflowed power, norm
+    or product) puts a row in the band or makes tau infinite, never a row
+    outside.
     """
     n = vectors.shape[1]
     quartic = norm == L4
-    half_width, band = (l4_half_width, l4_band) if quartic else (l2_half_width, l2_band)
+    half_width = l4_half_width if quartic else l2_half_width
     root = (lambda v: math.sqrt(math.sqrt(v))) if quartic else math.sqrt
     # an overflow only puts rows in the band, or makes tau infinite
     with np.errstate(over="ignore", invalid="ignore"):
         powers = _fourth_powers(vectors) if quartic else np.einsum("ij,ij->i", vectors, vectors)
-        for block in row_chunks(chosen.size, vectors.shape[0], _BLOCK_CHUNKS):
+        widest = powers.max()
+        blocks = list(row_chunks(chosen.size, vectors.shape[0], _BLOCK_CHUNKS))
+        products = _mapped(blocks[0].stop, vectors.shape[0])  # the first block is the largest
+        for block in blocks:
             samples = vectors[chosen[block]]
-            cross = _mapped(samples.shape[0], vectors.shape[0])
+            cross = products[:samples.shape[0]]
             if quartic:
                 _l4_cross(vectors, samples, cross)
             else:
@@ -232,7 +243,33 @@ def _gemm_kth(vectors: np.ndarray, chosen: np.ndarray, norm, k: int,
                 kth[pos] = _screened_kth(
                     vectors, chosen, row, norm, k, g,
                     lambda i: root(max(g[i] + 2.0 * half_width(powers[i], qq, g[i], n), 0.0)),
-                    lambda tau: np.logical_or(*band(g, powers, qq, tau, n)))
+                    lambda tau: _band_mask(g, powers, qq, tau, n, quartic, widest))
+
+
+def _band_mask(g, powers, qq, tau, n: int, quartic: bool, widest) -> np.ndarray:
+    """The rows ``norms.l2_band`` (``l4_band`` if ``quartic``) leaves inside
+    or in the band, as a mask, with the band run only on the rows a scalar
+    pre-screen keeps.
+
+    The pre-screen takes the half-width w* at ``widest``, the largest of
+    ``powers``, and drops a row only where g is finite and g - w* >= tau^p,
+    tau^p formed as the band forms it.  A row's own w is the same formula
+    at its own power, and every step of it rounds monotonically, so w <= w*
+    and fl(g - w) >= fl(g - w*): the band would call every dropped row
+    outside, and the mask is the band's own.  A non-finite g stays in, as
+    the band keeps it; a non-finite w* (an overflowed power or tau^p) keeps
+    every row.  Callers hold ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+    bound = tau * tau
+    if quartic:
+        bound *= bound
+    w = (l4_half_width if quartic else l2_half_width)(widest, qq, bound, n)
+    mask = ~(g - w >= bound)
+    mask |= g == math.inf
+    kept = np.flatnonzero(mask)
+    band = l4_band if quartic else l2_band
+    mask[kept] = np.logical_or(*band(g[kept], powers[kept], qq, tau, n))
+    return mask
 
 
 def _fourth_powers(vectors: np.ndarray) -> np.ndarray:
@@ -247,12 +284,13 @@ def _fourth_powers(vectors: np.ndarray) -> np.ndarray:
 
 def _mapped(count: int, rows: int) -> np.ndarray:
     """An uninitialised (count x rows) float64 array in an anonymous memory
-    mapping of its own, unmapped when the array goes.  A block's products
-    are the one allocation of the l_2 and l_4 screens above 1 MiB; freed
-    through malloc, they would raise glibc's dynamic mmap and trim thresholds for
-    the rest of the process, which then keeps more of its heap resident
-    (gist-deep's ``peak_rss_mb`` read 346 MiB against 340 in 10 of 10
-    perfbench runs, and 341 against 335 in-process, where a fixed
+    mapping of its own, unmapped when the array goes.  The blocks'
+    products are the one allocation of the l_2 and l_4 screens above 1
+    MiB, made once per ``_gemm_kth`` call; freed through malloc, they would
+    raise glibc's dynamic mmap and trim thresholds for the rest of the
+    process, which then keeps more of its heap resident (gist-deep's
+    ``peak_rss_mb`` read 346 MiB against 340 in 10 of 10 perfbench runs,
+    and 341 against 335 in-process, where a fixed
     ``MALLOC_TRIM_THRESHOLD_`` made both 333)."""
     return np.frombuffer(mmap.mmap(-1, 8 * count * rows), dtype=np.float64).reshape(count, rows)
 

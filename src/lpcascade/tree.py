@@ -38,11 +38,11 @@ from .norms import (
     _CODE_MAX,
     _EPS,
     _F32_U,
-    _NARROW,
     L2,
     NormOrder,
     _code_rows,
     _coded,
+    _column_major,
     _encode,
     _grid_term,
     as_norm_order,
@@ -237,13 +237,15 @@ class SubspaceIndex:
     is an int16 array of grid codes c in [0, 2^15 - 1], and ``grids[i] =
     (lo, step)`` the level's grid lo + c step (``norms._fit_grid``), 2 bytes a
     feature; under every other norm a float32 array, and ``grids == ()``.
-    A level narrower than ``norms._NARROW`` (32) columns is held
-    column-major and a wider one row-major, whatever layout it was passed
-    in: the distance kernel reduces narrow rows down the columns of a
-    transposed buffer, which a column-major level already is, and wide rows
-    along a row-major one.  Construction sets that layout, so built, loaded
-    and hand-built indexes hold one representation; the container is
-    row-major whatever the layout (``save_index``).
+    A narrow level (``norms._column_major``: below ``norms._NARROW``, 32
+    columns, of float32 features and below ``norms._CODE_NARROW``, 128, of
+    int16 codes) is held column-major and a wider one row-major, whatever
+    layout it was passed in: the distance kernel reduces narrow rows down
+    the columns of a transposed buffer, which a column-major level already
+    is, and wide rows along a row-major one.  Construction sets that
+    layout, so built, loaded and hand-built indexes hold one
+    representation; the container is row-major whatever the layout
+    (``save_index``).
     Construction is the one check that the parts agree, built or loaded: it
     raises ``ValueError`` unless ``mode`` is in ``projection.MODES``,
     ``data`` is (count, dims[0]) with count at least 1, ``ids`` (count,)
@@ -309,7 +311,8 @@ class SubspaceIndex:
         # one layout for built, loaded and hand-built indexes: a narrow level
         # column-major, the kernel's transposed buffer (norms.distances_to_point)
         object.__setattr__(self, "features", tuple(
-            np.asfortranarray(feats) if n_out < _NARROW else np.ascontiguousarray(feats)
+            np.asfortranarray(feats) if _column_major(dtype, n_out)
+            else np.ascontiguousarray(feats)
             for n_out, feats in zip(dims[1:], self.features)))
         if len(self.grids) != (self.schedule.levels if coded else 0):
             raise ValueError(f"{len(self.grids)} grids for a {self.schedule.levels}-level "
@@ -458,10 +461,11 @@ def level_margins(schedule: DimensionSchedule, scale: float,
 
     * Kernel.  ``distances_to_point`` at dimension n returns the l_p length
       of the difference of its inputs within a relative kappa(n) =
-      gamma_{2n+16}, for every p, in any order of summation (rows narrower
-      than 32 columns are summed in order down a transposed buffer, wider
-      ones pairwise), and a row's distance is the same float in a buffer
-      of any size, whether ``sweep`` gathers it or slices every row.
+      gamma_{2n+16}, for every p, in any order of summation (float rows
+      narrower than 32 columns are summed in order down a transposed
+      buffer, wider ones pairwise; code sums are exact integers), and a
+      row's distance is the same float in a buffer of any size, whether
+      ``sweep`` gathers it or slices every row.
       After differences that round once, it takes one of three forms: l_1
       sums n nonnegative terms (gamma_n) and l_inf is exact; l_2 and l_4
       square once or twice, sum (gamma_{n+6} on the sum) and take one or
@@ -882,9 +886,9 @@ def load_index(path, mmap_data: bool = False) -> SubspaceIndex:
     screen's whole-matrix GEMV).  The feature matrices are kept at the
     dtype they are read as, int16 codes (2 bytes per feature) under l_1
     and l_inf and float32 (4 bytes) under every other norm; a level
-    narrower than 32 columns is copied once into column-major order
-    (``SubspaceIndex``).  Every level is rebuilt from its stored directions, so the
-    mode is only a label.  Only version 4 is read.  A container of another
+    narrower than 128 columns of codes or 32 of float32 features is copied
+    once into column-major order (``SubspaceIndex``).  Every level is
+    rebuilt from its stored directions, so the mode is only a label.  Only version 4 is read.  A container of another
     format or version, whose header is not an object, lacks a field, holds
     an invalid norm or schedule, a count that is not an integer of at least
     1 or a ``data_included`` that is not ``true``, whose size is not the

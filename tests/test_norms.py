@@ -470,12 +470,17 @@ def test_narrow_level_sweep_equals_the_row_major_reference(monkeypatch, p):
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 3.5, "inf"])
-@pytest.mark.parametrize("width", [1, 4, 16, 31, 32, 64, 768])
+@pytest.mark.parametrize("width", [1, 4, 16, 31, 32, 64, norms._CODE_NARROW - 1,
+                                   norms._CODE_NARROW, 768])
 def test_grid_codes_are_at_their_exact_integer_distances(width, p):
     # int16 codes against int16 codes: l_1 and l_inf in integer arithmetic,
     # the exact sum or maximum of |c_x - c_q| as float64 in a buffer of any
     # size, with rows at both ends of [0, 2^15 - 1]; other norms take the
-    # codes as float64 (integer powers would overflow)
+    # codes as float64 (integer powers would overflow).  Codes narrower than
+    # _CODE_NARROW are reduced down the columns of a transposed buffer and
+    # wider ones along their rows, from any layout: row-major rows, a slice
+    # of a column-major matrix (a dense sweep's chunk) and a gather from one
+    # (a gathered chunk, which the kernel may difference in place)
     rng = np.random.Generator(np.random.Philox(key=12))
     rows = rng.integers(0, 2 ** 15, (9, width)).astype(np.int16)
     rows[0], rows[1] = 0, 2 ** 15 - 1
@@ -488,10 +493,15 @@ def test_grid_codes_are_at_their_exact_integer_distances(width, p):
         want = diff.max(axis=1).astype(np.float64)
     else:
         want = distances_to_point(rows.astype(np.float64), y.astype(np.float64), norm)
+    columns = np.asfortranarray(rows)
     for count in (1, 2, 3, 7, 9):
-        got = distances_to_point(rows[:count], y, norm)
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got, want[:count])
+        gathered = np.take(columns.T, np.arange(count), axis=1).T
+        assert gathered.flags.f_contiguous
+        for layout, scratch in ((rows[:count], False), (columns[:count], False),
+                                (gathered, True)):
+            got = distances_to_point(layout, y, norm, scratch=scratch)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want[:count])
 
 
 @pytest.mark.parametrize("width", [4, 16])

@@ -191,6 +191,11 @@ CALIBRATION_CASES = {
                     CalibrationSpec(sample_size=25, target_nn=7)),
     # the k-th neighbor is the last row left after the holdout
     "last": (lambda: normal(74, 120, 6), CalibrationSpec(sample_size=10, target_nn=110)),
+    # one row 1e8 times longer than the rest: the l_2 and l_4 pre-screens'
+    # scalar half-width, taken at that row's power, keeps every other row
+    # (at 1e6 it would keep every row under l_4 but only about 33 under l_2)
+    "outlier": (lambda: normal(80, 300, 16) * np.r_[1e8, np.ones(299)][:, None],
+                CalibrationSpec(sample_size=25, target_nn=7)),
 }
 
 
@@ -218,6 +223,63 @@ def test_screened_calibration_equals_unchunked_reference(monkeypatch, p, case):
     np.testing.assert_array_equal(kth, unchunked_kth(data, spec, p, rng_seed=75))
     assert got == unchunked_calibration(data, spec, p, rng_seed=75)
     assert swept == []
+
+
+@pytest.mark.parametrize("case", list(CALIBRATION_CASES))
+@pytest.mark.parametrize("p", [2, 4])
+def test_prescreen_sends_the_kernel_the_rows_of_the_band_alone(monkeypatch, p, case):
+    # per sample, the scalar pre-screen drops only rows the band would call
+    # outside, so the kernel sweeps exactly the rows that the band run on
+    # every row sends it, and the epsilon is the same float
+    make, spec = CALIBRATION_CASES[case]
+    data = DataSet.from_array(make())
+    monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 16 * 24)  # several blocks
+    band = norms.l4_band if p == 4 else norms.l2_band
+    name = "l4_band" if p == 4 else "l2_band"
+
+    def kernel_rows():
+        sent, banded = [], []
+
+        def spy_sweep(matrix, rows, *args):
+            sent.append(rows)
+            return norms.sweep(matrix, rows, *args)
+
+        def spy_band(g, *args):
+            banded.append(g.size)
+            return band(g, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "sweep", spy_sweep)
+            patch.setattr(oracle, name, spy_band)
+            return calibrate_epsilon(data, spec, p, rng_seed=75), sent, banded
+
+    got, screened, banded = kernel_rows()
+    monkeypatch.setattr(oracle, "_band_mask", lambda g, powers, qq, tau, n, *rest:
+                        np.logical_or(*band(g, powers, qq, tau, n)))
+    want, alone, _ = kernel_rows()
+    assert got == want == unchunked_calibration(data, spec, p, rng_seed=75)
+    assert len(screened) == len(alone) >= spec.sample_size
+    for rows, wanted in zip(screened, alone):
+        np.testing.assert_array_equal(rows, wanted)
+    if case == "outlier":
+        # the scalar half-width keeps every row but the outlier's own
+        assert banded == [len(data) - 1] * spec.sample_size
+
+
+def test_gemm_blocks_share_one_mapping(monkeypatch):
+    # 25 samples of 300 rows in blocks of 12: one mapping of 12 x 300
+    # products serves all three blocks, under l_2 and l_4 alike
+    data = DataSet.from_array(normal(81, 300, 16))
+    spec = CalibrationSpec(sample_size=25, target_nn=7)
+    monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 300 * 3)
+    assert len(list(norms.row_chunks(25, 300, oracle._BLOCK_CHUNKS))) == 3
+    mapped, calls = oracle._mapped, []
+    monkeypatch.setattr(oracle, "_mapped", lambda *shape: calls.append(shape) or mapped(*shape))
+    for p in (2, 4):
+        calls.clear()
+        assert calibrate_epsilon(data, spec, p, rng_seed=82) == \
+            unchunked_calibration(data, spec, p, rng_seed=82)
+        assert calls == [(12, 300)]
 
 
 @pytest.mark.parametrize("p", [1, "inf"])

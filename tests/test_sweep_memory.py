@@ -97,6 +97,26 @@ def test_calibration_allocates_under_a_quarter_of_the_data(monkeypatch, wide_dat
             assert peak < quarter
 
 
+@pytest.mark.parametrize("p", [1, "inf"])
+def test_column_major_calibration_codes_allocate_a_quarter_of_the_data(monkeypatch, p):
+    # 64-column rows are coded column-major in place, below
+    # norms._CODE_NARROW: exactly a quarter of the data, never a second
+    # copy in the other layout.  On top of it each of the two sweeping
+    # threads holds one chunk's int16 difference buffer, CHUNK_BYTES
+    # (CHUNK_BYTES / 128 rows of 64 codes); that chunk's int32 sums and
+    # float64 distances, 12 bytes a row, 3/32 CHUNK_BYTES; and two vectors
+    # of 8 bytes per row of the matrix: the sweep's distances and the
+    # argpartition indices of the screen.  So the peak stays under a
+    # quarter plus 2 (35/32 CHUNK_BYTES + 16 rows), 8.7 MB here, where a
+    # column-major copy of the codes would add another 5.1 MB
+    data = generate(SyntheticSpec(count=40000, dim=64, rng_seed=65))
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    quarter = data.vectors.nbytes / 4
+    spec = CalibrationSpec(sample_size=3, target_nn=5)
+    peak = peak_bytes(lambda: calibrate_epsilon(data, spec, p, rng_seed=61))
+    assert quarter <= peak < quarter + 2 * (norms.CHUNK_BYTES * 35 // 32 + 16 * len(data))
+
+
 @pytest.mark.parametrize("width", [16, 64])
 @pytest.mark.parametrize("norm", [L1, L2, L4, LINF], ids=str)
 def test_dense_sweep_holds_one_chunk_and_one_distance_vector(norm, width):

@@ -1511,30 +1511,37 @@ def test_built_index_is_its_own_reload(tmp_path, mode, p):
 
 @pytest.mark.parametrize("p", [1, 2, 3, "inf"])
 def test_narrow_levels_are_column_major_in_every_index(tmp_path, p):
-    # a level narrower than norms._NARROW (32) columns is held column-major,
-    # the kernel's transposed buffer, and a wider one row-major, in built,
-    # loaded, mapped and hand-built indexes alike; the container stays
-    # row-major, so save, load and save again write the same bytes
-    data = small_dataset(count=300, seed=76)
-    schedule = DimensionSchedule((64, 32, 16, 4))
-    index = build_index(data, schedule, "adaptive", p)
-    path = tmp_path / "layout.idx"
-    save_index(index, path)
-    # by hand from features in the other layout
-    swapped = tuple(np.asarray(feats, order="C" if n < norms._NARROW else "F")
-                    for n, feats in zip(schedule.dims[1:], index.features))
-    assert [f.flags.f_contiguous for f in swapped] == [True, False, False]
-    by_hand = dataclasses.replace(index, features=swapped)
-    y = data.vectors[9] + 0.05
-    for each in (index, load_index(path), load_index(path, mmap_data=True), by_hand):
-        for n, feats, built in zip(schedule.dims[1:], each.features, index.features):
-            assert (feats.flags.f_contiguous, feats.flags.c_contiguous) == (n < 32, n >= 32)
-            np.testing.assert_array_equal(feats, built)
-        assert range_query(each, y, 4.0) == range_query(index, y, 4.0)
-    for copy in (load_index(path), by_hand):
-        again = tmp_path / "again.idx"
-        save_index(copy, again)
-        assert again.read_bytes() == path.read_bytes()
+    # a level is held column-major, the kernel's transposed buffer, below
+    # norms._NARROW (32) columns of float32 features and below
+    # norms._CODE_NARROW (128) columns of int16 codes (l_1 and l_inf), and
+    # row-major from there up, in built, loaded, mapped and hand-built
+    # indexes alike: a 48-column level (rgb-reload's second) is column-major
+    # coded and row-major float32.  The container stays row-major, so save,
+    # load and save again write the same bytes
+    coded = p in (1, "inf")
+    width = norms._CODE_NARROW if coded else norms._NARROW
+    for schedule in (DimensionSchedule((64, 32, 16, 4)), DimensionSchedule((96, 48, 12))):
+        data = small_dataset(count=300, seed=76, dim=schedule.dims[0])
+        index = build_index(data, schedule, "adaptive", p)
+        path = tmp_path / "layout.idx"
+        save_index(index, path)
+        narrow = [n < width for n in schedule.dims[1:]]
+        assert narrow[0] == coded  # 32 and 48 columns: narrow as codes only
+        # by hand from features in the other layout
+        swapped = tuple(np.asarray(feats, order="C" if column else "F")
+                        for column, feats in zip(narrow, index.features))
+        assert [f.flags.f_contiguous for f in swapped] == [not column for column in narrow]
+        by_hand = dataclasses.replace(index, features=swapped)
+        y = data.vectors[9] + 0.05
+        for each in (index, load_index(path), load_index(path, mmap_data=True), by_hand):
+            for column, feats, built in zip(narrow, each.features, index.features):
+                assert (feats.flags.f_contiguous, feats.flags.c_contiguous) == (column, not column)
+                np.testing.assert_array_equal(feats, built)
+            assert range_query(each, y, 4.0) == range_query(index, y, 4.0)
+        for copy in (load_index(path), by_hand):
+            again = tmp_path / "again.idx"
+            save_index(copy, again)
+            assert again.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("share", [0.0, 2.0])
