@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -371,6 +373,67 @@ def row_chunks(count: int, dim: int, chunks: int = 1, itemsize: int = 8):
     step = max(1, chunks * CHUNK_BYTES // (itemsize * dim))
     for start in range(0, count, step):
         yield slice(start, min(start + step, count))
+
+
+def in_parts(work, items) -> list:
+    """``[work(item) for item in items]``, with the items dealt in order to
+    min(``_usable_cpus()``, len(items)) contiguous parts: the calling thread
+    works the first part and a ``ThreadPoolExecutor`` made for the call the
+    rest, one thread a part (no pool for one part).  Each result goes to
+    its item's slot, so the list, and whatever the caller folds from it in
+    item order, is the same for any split.  A worker's exception is raised
+    here.  Callers pass fixed items, such as ``row_chunks`` or sample
+    positions, and a ``work`` that spends its time in numpy calls that
+    release the GIL.  numpy's error state is per thread: a ``work`` that
+    may overflow sets its own."""
+    items = list(items)
+    if len(items) < 2:
+        return [work(item) for item in items]  # a query's one row: no split
+    results = [None] * len(items)
+
+    def work_part(part):
+        for pos in part:
+            results[pos] = work(items[pos])
+
+    parts = np.array_split(np.arange(len(items)), min(_usable_cpus(), len(items)))
+    if len(parts) == 1:
+        work_part(parts[0])
+        return results
+    with ThreadPoolExecutor(len(parts) - 1) as pool:
+        # the calling thread works the first part: one pool thread fewer,
+        # whose heap would keep its buffers resident
+        futures = [pool.submit(work_part, part) for part in parts[1:]]
+        work_part(parts[0])
+        for future in futures:
+            future.result()
+    return results
+
+
+def _row_powers(matrix: np.ndarray, quartic: bool = False) -> np.ndarray:
+    """Each row's sum of x_i^2, or of x_i^4 = x^2 * x^2 if ``quartic``,
+    summed in float64, one row chunk at a time ``in_parts``.  float32
+    squares are exact in float64, and ``einsum`` casts as it sums, so no
+    float64 copy of a float32 matrix is made.  An overflow gives inf, with
+    no warning."""
+    out = np.empty(matrix.shape[0])
+
+    def power(chunk):
+        rows = matrix[chunk]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if quartic:
+                rows = rows * rows
+            out[chunk] = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
+
+    in_parts(power, row_chunks(*matrix.shape))
+    return out
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (a ``taskset`` or cgroup cpuset narrows it), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def sweep(matrix: np.ndarray, rows: np.ndarray | None, point: np.ndarray,

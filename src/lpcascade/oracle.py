@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +31,11 @@ from .norms import (
     _code_rows,
     _coded,
     _grid_term,
+    _row_powers,
     as_norm_order,
     as_vector,
     distances_to_point,
+    in_parts,
     l2_band,
     l2_expansion,
     l2_half_width,
@@ -108,10 +108,8 @@ def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
       below its k-th distance (``_coded_kth``).
     * Under every other norm each sample's sweep runs as it is.
 
-    Under l_1, l_inf and other p the samples split into
-    min(``_usable_cpus()``, samples) contiguous parts: the calling thread
-    takes the first and a thread pool the rest, each thread writing its own
-    samples' slots.
+    Under l_1, l_inf and other p the samples are dealt to threads
+    (``norms.in_parts``), each thread writing its own samples' slots.
     """
     s = len(data)
     if spec.sample_size > s:
@@ -133,30 +131,14 @@ def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
     if _coded(norm):
         codes, (_, step) = _code_rows(vectors)
 
-    def sweep_part(part):
-        for pos in part:
-            if codes is None:
-                kth[pos] = _kth_by_sweep(vectors, chosen, chosen[pos], norm, k)
-            else:
-                kth[pos] = _coded_kth(vectors, codes, step, chosen, chosen[pos], norm, k)
+    def sweep_sample(pos):
+        if codes is None:
+            kth[pos] = _kth_by_sweep(vectors, chosen, chosen[pos], norm, k)
+        else:
+            kth[pos] = _coded_kth(vectors, codes, step, chosen, chosen[pos], norm, k)
 
-    parts = np.array_split(np.arange(chosen.size), min(_usable_cpus(), chosen.size))
-    with ThreadPoolExecutor(max(1, len(parts) - 1)) as pool:
-        # the calling thread sweeps the first part: one pool thread
-        # fewer, whose heap would keep its scan buffers resident
-        futures = [pool.submit(sweep_part, part) for part in parts[1:]]
-        sweep_part(parts[0])
-        for future in futures:
-            future.result()  # re-raises a worker's exception
+    in_parts(sweep_sample, range(chosen.size))
     return float(np.median(kth))
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform
-    has one (a ``taskset`` or cgroup cpuset narrows it), else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _kth_by_sweep(vectors: np.ndarray, chosen: np.ndarray, row, norm, k: int) -> float:
@@ -203,7 +185,8 @@ def _gemm_kth(vectors: np.ndarray, chosen: np.ndarray, norm, k: int,
     screened by a GEMM expansion of every row's distance.
 
     Each row's sum of squares (l_2) or of fourth powers (l_4) is summed
-    once, and so is their largest.  Per block of samples
+    once, one row chunk at a time on threads (``norms._row_powers``), and
+    so is their largest.  Per block of samples
     (``_BLOCK_CHUNKS``), one GEMM forms their inner products with every row
     (l_2), or three GEMMs their cross terms (``_l4_cross``), into a view of
     one mapping (``_mapped``) made per call for the first, largest block:
@@ -225,7 +208,7 @@ def _gemm_kth(vectors: np.ndarray, chosen: np.ndarray, norm, k: int,
     root = (lambda v: math.sqrt(math.sqrt(v))) if quartic else math.sqrt
     # an overflow only puts rows in the band, or makes tau infinite
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = _fourth_powers(vectors) if quartic else np.einsum("ij,ij->i", vectors, vectors)
+        powers = _row_powers(vectors, quartic)
         widest = powers.max()
         blocks = list(row_chunks(chosen.size, vectors.shape[0], _BLOCK_CHUNKS))
         products = _mapped(blocks[0].stop, vectors.shape[0])  # the first block is the largest
@@ -270,16 +253,6 @@ def _band_mask(g, powers, qq, tau, n: int, quartic: bool, widest) -> np.ndarray:
     band = l4_band if quartic else l2_band
     mask[kept] = np.logical_or(*band(g[kept], powers[kept], qq, tau, n))
     return mask
-
-
-def _fourth_powers(vectors: np.ndarray) -> np.ndarray:
-    """Each row's sum of x_i^4, with x^4 = x^2 * x^2, one row chunk at a
-    time."""
-    out = np.empty(vectors.shape[0])
-    for chunk in row_chunks(*vectors.shape):
-        squares = vectors[chunk] * vectors[chunk]
-        out[chunk] = np.einsum("ij,ij->i", squares, squares)
-    return out
 
 
 def _mapped(count: int, rows: int) -> np.ndarray:

@@ -9,17 +9,28 @@ directions: the fixed m-secting (1, ..., 1) / sqrt(m) for "orthogonal"
 
 Adaptive directions are the dominant eigenvectors of the blocks' raw
 second-moment matrices, solved for every block of a level at once by one
-batched symmetric eigensolver call.
+batched symmetric eigensolver call.  Fitting and projecting a matrix run
+over fixed row chunks, worked on threads (``norms.in_parts``), and give
+the same floats for any number of threads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import _TINY, NormOrder, as_norm_order, distances_to_point
+from .norms import (
+    CHUNK_BYTES,
+    _TINY,
+    NormOrder,
+    as_norm_order,
+    distances_to_point,
+    in_parts,
+    row_chunks,
+)
 
 __all__ = [
     "ORTHOGONAL",
@@ -45,6 +56,18 @@ MODES = (ORTHOGONAL, ADAPTIVE)
 _SYMMETRY_TOL = 1e-9
 # largest deviation of a direction's l_2 norm from 1
 _UNIT_TOL = 1e-9
+# Widest block whose moments are summed as m (m + 1) / 2 column products
+# (``_moment_sums``) rather than by a batched matrix product.  Fitting
+# 20,000 x 960 block-correlated rows (2 CPUs, medians of 7) took 30 ms by
+# column products against 57 by the product at m = 2, about as long either
+# way at m = 3 (40-42 against 40-53) and 54 against 32 at m = 4.
+_COLUMN_PRODUCTS = 2
+# A fit's row chunk holds at least this many rows per block column, so that
+# a chunk's (f, m, m) moments take at most 1/512 of its bytes.  With 64
+# rows a column, gist-deep's first fit held 148 partials of 15 KB, and a
+# pool thread's heap kept enough of them resident to raise the build's
+# peak RSS by 1.4 MiB; with 512 it holds 20, and the fit takes as long.
+_ROWS_PER_COLUMN = 512
 
 
 @dataclass(frozen=True)
@@ -129,17 +152,28 @@ def project_level(x, level: ProjectionLevel) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size != level.dim_in:
         raise ValueError(f"vector shape {arr.shape} != level input dim {level.dim_in}")
-    return project_rows(arr[None, :], level)[0]
+    return _project(arr[None, :], level)[0]
 
 
 def project_rows(rows: np.ndarray, level: ProjectionLevel) -> np.ndarray:
-    """Project each row of an (s, n) matrix to (s, f) features."""
+    """Project each row of an (s, n) matrix to (s, f) features, one 1 MiB
+    row chunk at a time (``norms.row_chunks``) into one output, the chunks
+    worked ``in_parts``.  A row's features are the same floats in a chunk
+    of any size, so ``project_level``, which projects its one row on the
+    calling thread, gives that row's features of a whole-matrix call."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != level.dim_in:
         raise ValueError(f"rows shape {rows.shape} != level input dim {level.dim_in}")
-    blocks = rows.reshape(rows.shape[0], *level.directions.shape)
-    feats = np.einsum("sfm,fm->sf", blocks, level.directions)
-    return np.divide(feats, level.scales, out=feats)  # in place: held once
+    feats = np.empty((rows.shape[0], level.dim_out))
+    in_parts(lambda chunk: _project(rows[chunk], level, feats[chunk]), row_chunks(*rows.shape))
+    return feats
+
+
+def _project(rows: np.ndarray, level: ProjectionLevel, out=None) -> np.ndarray:
+    """The (s, f) features of an (s, n) block of rows, into ``out`` if given."""
+    out = np.einsum("sfm,fm->sf", rows.reshape(-1, *level.directions.shape),
+                    level.directions, out=out)
+    return np.divide(out, level.scales, out=out)  # in place: held once
 
 
 def q_mapping_norm(m: int, p) -> float:
@@ -220,6 +254,11 @@ def fit_adaptive_level(rows: np.ndarray, partition: BlockPartition,
     largest moment is below 2^-1022 and so has lost precision to underflow,
     the fit is run again on every block scaled by the power of two of its
     largest |entry|, which leaves its dominant eigenvector as it is.
+
+    The moments are summed over fixed row chunks of at least 512 m rows
+    (and 1 MiB), one partial sum per chunk (``_moment_sums``), the chunks
+    worked ``in_parts`` and their partials added in chunk order: the
+    directions are the same floats for any number of threads.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != partition.dim_in:
@@ -227,9 +266,15 @@ def fit_adaptive_level(rows: np.ndarray, partition: BlockPartition,
     if rows.shape[0] == 0:
         raise ValueError("cannot fit directions to zero rows")
     blocks = rows.reshape(rows.shape[0], partition.block_count, partition.block_size)
-    # (f, m, s) @ (f, s, m): strided views, so BLAS reads the rows in place
+    # chunks of at least _ROWS_PER_COLUMN m rows, whose partials are small
+    least = _ROWS_PER_COLUMN * partition.block_size * 8 * rows.shape[1]
+    chunks = row_chunks(*rows.shape, chunks=-(-least // CHUNK_BYTES))
+    partials = in_parts(lambda chunk: _moment_sums(blocks[chunk]), chunks)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        moments = blocks.transpose(1, 2, 0) @ blocks.transpose(1, 0, 2) / rows.shape[0]
+        moments = partials[0]
+        for partial in partials[1:]:
+            moments += partial
+        moments /= rows.shape[0]
     finite = np.all(np.isfinite(moments))
     # a PSD moment's largest entry lies on its diagonal; nan fails the test
     largest = moments.max(axis=(1, 2))
@@ -245,3 +290,21 @@ def fit_adaptive_level(rows: np.ndarray, partition: BlockPartition,
             return fit_adaptive_level(scaled.reshape(rows.shape), partition, norm)
     directions, _ = _dominant_eigenpairs(moments)
     return ProjectionLevel(norm=norm, directions=directions)
+
+
+def _moment_sums(blocks: np.ndarray) -> np.ndarray:
+    """The (f, m, m) sums over the rows of an (s, f, m) stack of blocks of
+    each block's outer products x x^T; an overflow gives inf, with no
+    warning.  Up to ``_COLUMN_PRODUCTS`` (2) columns a block, each of the
+    m (m + 1) / 2 distinct entries is one ``einsum`` over strided columns;
+    wider blocks take one batched product (f, m, s) @ (f, s, m) of strided
+    views, so BLAS reads the rows in place."""
+    m = blocks.shape[2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m > _COLUMN_PRODUCTS:
+            return blocks.transpose(1, 2, 0) @ blocks.transpose(1, 0, 2)
+        sums = np.empty((blocks.shape[1], m, m))
+        for a, b in itertools.combinations_with_replacement(range(m), 2):
+            sums[:, a, b] = sums[:, b, a] = np.einsum("sf,sf->f", blocks[:, :, a],
+                                                       blocks[:, :, b])
+    return sums

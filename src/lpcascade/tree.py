@@ -45,9 +45,11 @@ from .norms import (
     _column_major,
     _encode,
     _grid_term,
+    _row_powers,
     as_norm_order,
     as_vector,
     distances_to_point,
+    in_parts,
     l2_band,
     l2_expansion,
     lp_norm,
@@ -327,11 +329,8 @@ class SubspaceIndex:
                 raise ValueError(f"features {k}: codes outside [0, {_CODE_MAX}]")
         sq_norms = ()
         if self.norm == L2:
-            with np.errstate(over="ignore"):  # an inf norm defers rows to the kernel
-                # float32 squares are exact in float64; einsum casts as it
-                # sums, so no float64 copy of a feature matrix is made
-                sq_norms = tuple(np.einsum("ij,ij->i", m, m, dtype=np.float64)
-                                 for m in (self.data, *self.features))
+            # an inf norm defers rows to the kernel
+            sq_norms = tuple(_row_powers(m) for m in (self.data, *self.features))
         object.__setattr__(self, "sq_norms", sq_norms)
 
     @property
@@ -384,6 +383,15 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
     under every other norm its float32 copy.  So the features equal those
     ``save_index`` stores and ``load_index`` reads back, and at most two
     levels are ever held at float64.
+
+    The fit (``fit_adaptive_level``), the projection (``project_rows``),
+    the float32 copy and, under l_2, the rows' squared norms
+    (``SubspaceIndex``) each work fixed row chunks on one thread per usable
+    CPU (``norms.in_parts``), the calling thread among them; the fit adds
+    its per-chunk moments in chunk order.  So the index is the same, bit
+    for bit, for any number of CPUs.  ``project_rows`` and
+    ``fit_adaptive_level`` are called through this module's names, once per
+    level, on the calling thread.
     """
     if not isinstance(data, DataSet):
         data = DataSet.from_array(data)
@@ -407,9 +415,7 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
             features.append(codes)
             grids.append(grid)
         else:
-            # a value beyond the float32 range becomes inf, as it would on disk
-            with np.errstate(over="ignore"):
-                features.append(current.astype(np.float32))
+            features.append(_float32_rows(current))
     return SubspaceIndex(
         schedule=schedule,
         norm=norm,
@@ -420,6 +426,21 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
         ids=data.ids,
         grids=tuple(grids),
     )
+
+
+def _float32_rows(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` rounded to float32, in the layout ``SubspaceIndex`` holds
+    it in (``norms._column_major``), one row chunk at a time ``in_parts``.
+    A value beyond the float32 range becomes inf, as it would on disk."""
+    order = "F" if _column_major(np.float32, matrix.shape[1]) else "C"
+    out = np.empty(matrix.shape, dtype=np.float32, order=order)
+
+    def cast(chunk):
+        with np.errstate(over="ignore"):
+            out[chunk] = matrix[chunk]
+
+    in_parts(cast, row_chunks(*matrix.shape))
+    return out
 
 
 def level_margins(schedule: DimensionSchedule, scale: float,
@@ -888,14 +909,15 @@ def load_index(path, mmap_data: bool = False) -> SubspaceIndex:
     and l_inf and float32 (4 bytes) under every other norm; a level
     narrower than 128 columns of codes or 32 of float32 features is copied
     once into column-major order (``SubspaceIndex``).  Every level is
-    rebuilt from its stored directions, so the mode is only a label.  Only version 4 is read.  A container of another
-    format or version, whose header is not an object, lacks a field, holds
-    an invalid norm or schedule, a count that is not an integer of at least
-    1 or a ``data_included`` that is not ``true``, whose size is not the
-    one its header describes, whose directions are not finite unit rows, or
-    whose grid has a lo that is not finite, a step that is not a positive
-    power of two or a code outside [0, 2^15 - 1], raises a ``ValueError``
-    whose message starts with the path; so does an unknown mode, which
+    rebuilt from its stored directions, so the mode is only a label.  Only
+    version 4 is read.  A container of another format or version, whose
+    header is not an object, lacks a field, holds an invalid norm or
+    schedule, a count that is not an integer of at least 1 or a
+    ``data_included`` that is not ``true``, whose size is not the one its
+    header describes, whose directions are not finite unit rows, or whose
+    grid has a lo that is not finite, a step that is not a positive power
+    of two or a code outside [0, 2^15 - 1], raises a ``ValueError`` whose
+    message starts with the path; so does an unknown mode, which
     ``SubspaceIndex`` rejects, as it rejects a bad grid.
     """
     try:

@@ -559,7 +559,7 @@ def test_l4_band_decides_as_the_kernel(offset):
         rows[::9] = rows[1]  # exact duplicates of the query, at distance 0
         q = rows[1]
         with np.errstate(over="ignore", invalid="ignore"):
-            powers = oracle._fourth_powers(rows)
+            powers = norms._row_powers(rows, quartic=True)
             cross = np.empty((1, rows.shape[0]))
             oracle._l4_cross(rows, q[None, :], cross)
             g = powers + powers[1] + cross[0]

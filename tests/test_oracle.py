@@ -358,7 +358,7 @@ def test_threaded_calibration_equals_unchunked_reference(monkeypatch, p):
         threads.add(threading.get_ident())
         return per_sample(*args)
 
-    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(norms, "_usable_cpus", lambda: 8)
     monkeypatch.setattr(oracle, name, spy)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -371,22 +371,23 @@ def test_threaded_calibration_equals_unchunked_reference(monkeypatch, p):
     assert len(swept) == (spec.sample_size if p == 3 else 0) and len(threads) > 1
 
 
-@pytest.mark.skipif(not hasattr(oracle.os, "sched_getaffinity"),
+@pytest.mark.skipif(not hasattr(norms.os, "sched_getaffinity"),
                     reason="the platform has no CPU affinity")
 def test_calibration_threads_follow_the_affinity_set(monkeypatch):
-    # a process pinned to one of 64 CPUs sweeps on the calling thread alone
+    # a process pinned to one of 64 CPUs sweeps on the calling thread
+    # alone, with no pool
     ds = generate(SyntheticSpec(count=300, dim=8, rng_seed=59))
     spec = CalibrationSpec(sample_size=20, target_nn=4)
     want = calibrate_epsilon(ds, spec, 1, rng_seed=60)
     pools = []
-    executor = oracle.ThreadPoolExecutor
+    executor = norms.ThreadPoolExecutor
 
     def recording(max_workers):
         pools.append(max_workers)
         return executor(max_workers)
 
-    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(oracle, "ThreadPoolExecutor", recording)
+    monkeypatch.setattr(norms.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(norms.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(norms, "ThreadPoolExecutor", recording)
     assert calibrate_epsilon(ds, spec, 1, rng_seed=60) == want
-    assert pools == [1]
+    assert pools == []

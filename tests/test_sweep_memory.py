@@ -18,7 +18,7 @@ from lpcascade import (
     generate,
     range_query,
 )
-from lpcascade import norms, oracle, tree
+from lpcascade import norms, tree
 from lpcascade.norms import L1, L2, L4, LINF, NormOrder, distances_to_point, sweep
 
 
@@ -86,7 +86,7 @@ def test_calibration_allocates_under_a_quarter_of_the_data(monkeypatch, wide_dat
     # as int16: exactly a quarter
     # of the data, and on top of it one chunk of coding and the two
     # threads' sweep buffers, within two CHUNK_BYTES
-    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(norms, "_usable_cpus", lambda: 2)
     quarter = wide_data.vectors.nbytes / 4
     for p, samples in ((1, 3), ("inf", 3), (2, 20), (4, 20)):
         spec = CalibrationSpec(sample_size=samples, target_nn=5)
@@ -95,6 +95,26 @@ def test_calibration_allocates_under_a_quarter_of_the_data(monkeypatch, wide_dat
             assert quarter <= peak < quarter + 2 * norms.CHUNK_BYTES
         else:
             assert peak < quarter
+
+
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_build_holds_two_float64_levels_and_the_stored_features(monkeypatch, wide_data,
+                                                                 mode, p):
+    # each level is projected from the float64 level before it into a new
+    # float64 matrix and then stored, as int16 codes (l_1) or float32 (l_2):
+    # the peak comes at level 2, which holds the float64 levels 1 and 2 and
+    # level 1's stored copy.  On top of them each of the two threads holds
+    # at most two CHUNK_BYTES: the row chunks are read in place, never
+    # gathered, and the per-chunk partial moments are a small fraction of
+    # a level
+    monkeypatch.setattr(norms, "_usable_cpus", lambda: 2)
+    dims = (960, 480, 240, 120, 30)
+    count = len(wide_data)
+    stored = (2 if p == 1 else 4) * count * dims[1]
+    held = 8 * count * (dims[1] + dims[2]) + stored
+    peak = peak_bytes(lambda: build_index(wide_data, DimensionSchedule(dims), mode, p))
+    assert held <= peak < held + 2 * 2 * norms.CHUNK_BYTES
 
 
 @pytest.mark.parametrize("p", [1, "inf"])
@@ -110,7 +130,7 @@ def test_column_major_calibration_codes_allocate_a_quarter_of_the_data(monkeypat
     # quarter plus 2 (35/32 CHUNK_BYTES + 16 rows), 8.7 MB here, where a
     # column-major copy of the codes would add another 5.1 MB
     data = generate(SyntheticSpec(count=40000, dim=64, rng_seed=65))
-    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(norms, "_usable_cpus", lambda: 2)
     quarter = data.vectors.nbytes / 4
     spec = CalibrationSpec(sample_size=3, target_nn=5)
     peak = peak_bytes(lambda: calibrate_epsilon(data, spec, p, rng_seed=61))

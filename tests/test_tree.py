@@ -6,6 +6,7 @@ import math
 import pickle
 import re
 import struct
+import sys
 import tracemalloc
 import warnings
 
@@ -1507,6 +1508,89 @@ def test_built_index_is_its_own_reload(tmp_path, mode, p):
     again = tmp_path / "again.idx"
     save_index(load_index(path), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def split_build(monkeypatch, cpus, data, dims, mode, p):
+    """``build_index`` with ``cpus`` usable CPUs, and the sizes of the
+    thread pools it made."""
+    pools = []
+    executor = norms.ThreadPoolExecutor
+
+    def recording(max_workers):
+        pools.append(max_workers)
+        return executor(max_workers)
+
+    monkeypatch.setattr(norms, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(norms, "ThreadPoolExecutor", recording)
+    # threads switching every microsecond: a lost or misplaced chunk would
+    # change some feature
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return build_index(data, DimensionSchedule(dims), mode, p), pools
+    finally:
+        sys.setswitchinterval(interval)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, "inf"])
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_the_build_is_the_same_for_any_cpu_count(monkeypatch, mode, p):
+    # 5,000 rows of 128 columns span five 1 MiB row chunks, which the build
+    # deals to 1, 2, 3 or 8 threads (more than there are chunks); block
+    # sizes 2 and 4 take both moment kernels, each level's moments summed
+    # chunk by chunk in chunk order
+    data = small_dataset(count=5000, dim=128, seed=80)
+    dims = (128, 64, 16, 8)
+    chunks = len(list(norms.row_chunks(5000, 128)))
+    assert chunks == 5
+    want, pools = split_build(monkeypatch, 1, data, dims, mode, p)
+    assert pools == []  # the calling thread alone
+    for cpus in (2, 3, 8):
+        got, pools = split_build(monkeypatch, cpus, data, dims, mode, p)
+        assert pools and max(pools) == min(cpus, chunks) - 1
+        for built, other in zip(want.levels, got.levels):
+            np.testing.assert_array_equal(other.directions, built.directions)
+        for built, other in zip(want.features, got.features):
+            assert other.dtype == built.dtype
+            assert other.flags.f_contiguous == built.flags.f_contiguous
+            np.testing.assert_array_equal(other, built)
+        assert got.grids == want.grids
+        assert len(got.sq_norms) == len(want.sq_norms) == (len(dims) if p == 2 else 0)
+        for built, other in zip(want.sq_norms, got.sq_norms):
+            np.testing.assert_array_equal(other, built)
+
+
+@pytest.mark.parametrize("dim, m", [(64, 4), (960, 2), (960, 16), (12288, 16)])
+def test_a_projected_row_is_that_row_of_the_projected_matrix(monkeypatch, dim, m):
+    # desk, gist-deep and rgb-reload widths: project_rows works one row chunk
+    # at a time on two threads, and every row's features are the floats of
+    # one whole-matrix einsum and of project_level on that row alone, at
+    # and about each chunk boundary
+    monkeypatch.setattr(norms, "_usable_cpus", lambda: 2)
+    step = next(norms.row_chunks(10 ** 9, dim)).stop  # rows in a chunk
+    count = 3 * step + 5
+    rng = np.random.Generator(np.random.Philox(key=81))
+    rows = rng.standard_normal((count, dim)) * 10.0 + 3.0
+    partition = BlockPartition.for_dims(dim, dim // m)
+    level = fit_adaptive_level(rows, partition, 2)
+    feats = projection.project_rows(rows, level)
+    whole = np.einsum("sfm,fm->sf", rows.reshape(count, dim // m, m), level.directions)
+    np.testing.assert_array_equal(feats, whole / level.scales)
+    edges = sorted({0, count - 1} | {k * step + d for k in (1, 2, 3) for d in (-1, 0, 1)})
+    for row in edges:
+        np.testing.assert_array_equal(projection.project_level(rows[row], level), feats[row])
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_containers_of_one_and_two_cpu_builds_are_byte_equal(tmp_path, monkeypatch, p):
+    data = small_dataset(count=5000, dim=128, seed=82)
+    paths = []
+    for cpus in (1, 2):
+        index, _ = split_build(monkeypatch, cpus, data, (128, 32, 8), "orthogonal", p)
+        paths.append(tmp_path / f"cpus-{cpus}.idx")
+        save_index(index, paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, "inf"])
