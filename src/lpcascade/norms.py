@@ -518,9 +518,15 @@ def _encode(values: np.ndarray, lo: float, step: float) -> np.ndarray:
     (1/2 + 2^-38) step: (v - lo) / step rounds once, by at most _CODE_MAX u.
     Below step 1 a value on the range cannot overflow v - lo, and from 1
     up v / step cannot overflow; a value beyond the range that overflows
-    is clipped like any other."""
+    is clipped like any other.  Each branch works in the one new array its
+    first step makes."""
     with np.errstate(over="ignore"):
-        codes = (values - lo) / step if step < 1.0 else values / step - lo / step
+        if step < 1.0:
+            codes = np.subtract(values, lo)
+            codes /= step
+        else:
+            codes = np.divide(values, step)
+            codes -= lo / step
     np.rint(codes, out=codes)
     np.fmax(codes, 0.0, out=codes)  # fmax takes 0 over a nan
     return np.fmin(codes, _CODE_MAX, out=codes)
@@ -745,6 +751,77 @@ def _verdicts(g, w, bound):
     inside = decided & (g + w < bound)
     band = ~inside & ~(decided & (g - w >= bound))
     return inside, band
+
+
+def band_screen(g, powers, widest, qq, tau, n: int, quartic: bool = False,
+                single: bool = False):
+    """``l2_band``'s masks ``(inside, band)`` (``l4_band``'s if
+    ``quartic``) for the 1-d expansions g of rows of width n, with the band
+    run only on the rows a two-sided scalar pre-screen leaves undecided:
+    the one screen of queries (``tree._screen``) and calibration
+    (``oracle._gemm_kth``).
+
+    ``powers`` are the rows' sums of squares (of fourth powers if
+    ``quartic``), ``widest`` their largest (or any larger value), qq the
+    query's, and ``single`` marks float32 inner products and kernel, as in
+    ``l2_band``.  The pre-screen takes w*, the band's half-width at
+    ``widest``, and compares g with two floats found once per call from
+    fl(tau^p -+ w*), tau^p formed as the band forms it: ``below``, stepped
+    down until fl(below + w*) < tau^p, and ``above``, stepped up until
+    fl(above - w*) >= tau^p.  A row with finite g is inside if g <= below
+    and outside if g >= above; every other row goes to the band at its own
+    power, and so does every row when w* is infinite (an overflowed power,
+    qq or tau^p), which decides no finite g.
+
+    Why the pre-screen's verdicts are the band's own: a row's w is w*'s
+    formula at its own power, and every step of it rounds monotonically,
+    so w <= w*; fl(a + b) is monotone in a and in b, so g <= below gives
+    fl(g + w) <= fl(below + w*) < tau^p, and g >= above gives fl(g - w) >=
+    fl(above - w*) >= tau^p.  With g and w finite the band then calls the
+    row inside, or outside, as the pre-screen does.  That holds only for
+    finite g: -inf lies below every ``below`` and +inf above every
+    ``above``, while the band leaves both, and a nan, to the kernel.  So
+    whenever g.g is not finite, every row of non-finite g is put in the
+    band, as the band puts it, after the band has run on the undecided
+    finite rows (calibration's held-out rows are at +inf).  Callers hold
+    ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+    bound = tau * tau
+    if quartic:
+        bound *= bound
+        wide = l4_half_width(widest, qq, bound, n)
+    else:
+        wide = l2_half_width(widest, qq, bound, n, single)
+    # an infinite w* leaves below at -inf (nan if tau^p is inf) and above at inf
+    below, above = bound - wide, bound + wide
+    while below + wide >= bound:
+        below -= max(math.ulp(below), math.ulp(bound))
+    while above - wide < bound:
+        above += max(math.ulp(above), math.ulp(bound))
+    inside = g <= below
+    band = g < above
+    band ^= inside
+    kept = np.flatnonzero(band)
+    if kept.size:
+        inside[kept], band[kept] = (
+            l4_band(g[kept], powers[kept], qq, tau, n) if quartic
+            else l2_band(g[kept], powers[kept], qq, tau, n, single))
+    if not math.isfinite(g @ g):  # as is a finite g beyond 1e154
+        finite = np.isfinite(g)
+        inside &= finite
+        band |= ~finite
+    return inside, band
+
+
+def band_reach(g, power, qq, n: int, quartic: bool = False) -> float:
+    """The p-th root of g + 2 w for one row of expansion g (p = 2, or 4 if
+    ``quartic``), w the band's half-width at the row's power with g standing
+    in for tau^p: about the largest kernel distance the row can have, which
+    ``oracle._screened_kth`` sets tau just above.  An overflowed g or w
+    gives inf or nan, and so an infinite tau."""
+    half_width = l4_half_width(power, qq, g, n) if quartic else l2_half_width(power, qq, g, n)
+    reach = math.sqrt(max(g + 2.0 * half_width, 0.0))
+    return math.sqrt(reach) if quartic else reach
 
 
 def check_norm_equivalence(v, q, p) -> bool:

@@ -8,8 +8,8 @@ over every row gives, found more cheaply under every kernel norm by one
 screened pass (``_screened_kth``): a cheap estimate of every row's kernel
 distance with a proven error bound leaves the kernel to the few rows near
 or below the k-th neighbor.  Under l_2 and l_4 the estimate is a GEMM
-expansion that ``norms.l2_band`` or ``norms.l4_band`` screens, one block
-of samples at a time, with a scalar pre-screen ahead of the band; under
+expansion, one block of samples at a time, that ``norms.band_screen``
+screens, the one band screen queries use too (``tree._screen``); under
 l_1 and l_inf it is the exact distance between the rows' int16 grid codes
 (``norms._code_rows``), each sample on a pool of threads.  Under any
 other p each sample's sweep runs as it is, on threads.
@@ -34,13 +34,11 @@ from .norms import (
     _row_powers,
     as_norm_order,
     as_vector,
+    band_reach,
+    band_screen,
     distances_to_point,
     in_parts,
-    l2_band,
     l2_expansion,
-    l2_half_width,
-    l4_band,
-    l4_half_width,
     row_chunks,
     sweep,
 )
@@ -99,7 +97,7 @@ def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
       block, one GEMM (l_2) or three (l_4, with x^2 and x^3 formed one 1 MiB
       row chunk at a time) expand every row's distance, and each sample's
       screened pass runs the kernel on the few rows near or below its k-th
-      distance (``_gemm_kth``), which a scalar pre-screen and the band find.
+      distance (``_gemm_kth``), which ``norms.band_screen`` finds.
     * Under l_1 and l_inf the rows are coded once on one int16 grid, a
       quarter of the vectors' bytes, freed on return, column-major below
       ``norms._CODE_NARROW`` (128) columns.  Each sample's exact code
@@ -186,7 +184,8 @@ def _gemm_kth(vectors: np.ndarray, chosen: np.ndarray, norm, k: int,
 
     Each row's sum of squares (l_2) or of fourth powers (l_4) is summed
     once, one row chunk at a time on threads (``norms._row_powers``), and
-    so is their largest.  Per block of samples
+    so is their largest, the ``widest`` of every sample's screen (3 us a
+    sample on desk's 20,000 rows).  Per block of samples
     (``_BLOCK_CHUNKS``), one GEMM forms their inner products with every row
     (l_2), or three GEMMs their cross terms (``_l4_cross``), into a view of
     one mapping (``_mapped``) made per call for the first, largest block:
@@ -194,18 +193,13 @@ def _gemm_kth(vectors: np.ndarray, chosen: np.ndarray, norm, k: int,
     per desk calibration against 1,000).  Per sample, the expansion g
     (``norms.l2_expansion``, or ``xxxx + qqqq`` plus the cross terms) is
     the estimate of ``_screened_kth``, in the norm's p-th power; the reach
-    of the row of k-th smallest g is the p-th root of g + 2 w, w the band's
-    half-width with g standing in for tau^p, and the band
-    (``norms.l2_band`` or ``norms.l4_band``) keeps every row whose distance
-    may be below tau, run only on the rows a scalar pre-screen keeps
-    (``_band_mask``).  A non-finite g, w or reach (an overflowed power, norm
-    or product) puts a row in the band or makes tau infinite, never a row
-    outside.
+    of the row of k-th smallest g is ``norms.band_reach``, and every row
+    ``norms.band_screen`` leaves inside or in the band may be below tau.
+    A non-finite g, w or reach (an overflowed power, norm or product) puts
+    a row in the band or makes tau infinite, never a row outside.
     """
     n = vectors.shape[1]
     quartic = norm == L4
-    half_width = l4_half_width if quartic else l2_half_width
-    root = (lambda v: math.sqrt(math.sqrt(v))) if quartic else math.sqrt
     # an overflow only puts rows in the band, or makes tau infinite
     with np.errstate(over="ignore", invalid="ignore"):
         powers = _row_powers(vectors, quartic)
@@ -225,34 +219,9 @@ def _gemm_kth(vectors: np.ndarray, chosen: np.ndarray, norm, k: int,
                 g = powers + qq + row_cross if quartic else l2_expansion(powers, qq, row_cross)
                 kth[pos] = _screened_kth(
                     vectors, chosen, row, norm, k, g,
-                    lambda i: root(max(g[i] + 2.0 * half_width(powers[i], qq, g[i], n), 0.0)),
-                    lambda tau: _band_mask(g, powers, qq, tau, n, quartic, widest))
-
-
-def _band_mask(g, powers, qq, tau, n: int, quartic: bool, widest) -> np.ndarray:
-    """The rows ``norms.l2_band`` (``l4_band`` if ``quartic``) leaves inside
-    or in the band, as a mask, with the band run only on the rows a scalar
-    pre-screen keeps.
-
-    The pre-screen takes the half-width w* at ``widest``, the largest of
-    ``powers``, and drops a row only where g is finite and g - w* >= tau^p,
-    tau^p formed as the band forms it.  A row's own w is the same formula
-    at its own power, and every step of it rounds monotonically, so w <= w*
-    and fl(g - w) >= fl(g - w*): the band would call every dropped row
-    outside, and the mask is the band's own.  A non-finite g stays in, as
-    the band keeps it; a non-finite w* (an overflowed power or tau^p) keeps
-    every row.  Callers hold ``np.errstate(over="ignore", invalid="ignore")``.
-    """
-    bound = tau * tau
-    if quartic:
-        bound *= bound
-    w = (l4_half_width if quartic else l2_half_width)(widest, qq, bound, n)
-    mask = ~(g - w >= bound)
-    mask |= g == math.inf
-    kept = np.flatnonzero(mask)
-    band = l4_band if quartic else l2_band
-    mask[kept] = np.logical_or(*band(g[kept], powers[kept], qq, tau, n))
-    return mask
+                    lambda i: band_reach(g[i], powers[i], qq, n, quartic),
+                    lambda tau: np.logical_or(
+                        *band_screen(g, powers, widest, qq, tau, n, quartic)))
 
 
 def _mapped(count: int, rows: int) -> np.ndarray:

@@ -48,9 +48,9 @@ from .norms import (
     _row_powers,
     as_norm_order,
     as_vector,
+    band_screen,
     distances_to_point,
     in_parts,
-    l2_band,
     l2_expansion,
     lp_norm,
     row_chunks,
@@ -268,7 +268,9 @@ class SubspaceIndex:
     Under l_2 the index also derives ``sq_norms``: ``sq_norms[0]`` holds the
     squared norm of every row of ``data`` and ``sq_norms[k]`` that of every
     row of ``features[k-1]``, each summed in float64, so a query can screen
-    a level with one matrix-vector product (see ``_screen``).  They are
+    a level with one matrix-vector product and ``norms.band_screen``, whose
+    pre-screen takes its w* at the largest of the candidates' (see
+    ``_screen``).  They are
     computed here, not passed in or stored in the container, so built and
     loaded indexes derive them alike; for a memory-mapped ``data`` that
     reads the vectors once.  Other norms derive nothing (``sq_norms == ()``).
@@ -745,9 +747,12 @@ def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
     at level 0, and float32 at a level k >= 1, whose float32 query
     (``range_query``) keeps its GEMV in float32 BLAS, so that no float64
     copy of its rows is ever made; qq is summed in float64 either way, as
-    xx is.  ``norms.l2_band`` then splits the candidates into inside, band
-    and outside; its docstring derives the half-width that makes each
-    verdict the kernel's.
+    xx is.  ``norms.band_screen`` then splits the candidates into inside,
+    band and outside, as ``norms.l2_band`` would, with w* taken at the
+    candidates' largest xx: its two-sided scalar pre-screen decides most
+    rows, and the band runs on the rest.  The same screen serves
+    calibration (``oracle._gemm_kth``); ``norms.l2_band``'s docstring
+    derives the half-width that makes each verdict the kernel's.
     """
     if tau == math.inf:
         keep = np.ones(candidates.size, dtype=bool)
@@ -771,7 +776,8 @@ def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
             xx = index.sq_norms[k][candidates]
         # summed in float64, as xx is: a float32 point's own dot is float32
         qq = float(np.einsum("i,i->", point, point, dtype=np.float64))
-        return l2_band(l2_expansion(xx, qq, dots), xx, qq, tau, n, point.dtype == np.float32)
+        return band_screen(l2_expansion(xx, qq, dots), xx, xx.max(initial=0.0), qq, tau, n,
+                           single=point.dtype == np.float32)
 
 
 def estimate_cost(schedule: DimensionSchedule, s: int, const: float) -> float:

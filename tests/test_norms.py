@@ -577,6 +577,45 @@ def test_l4_band_decides_as_the_kernel(offset):
             assert decided > 0
 
 
+@pytest.mark.parametrize("spread", [1.0, 1e12])
+@pytest.mark.parametrize("p, single", [(2, False), (2, True), (4, False)])
+def test_band_screen_returns_the_bands_own_masks(monkeypatch, p, single, spread):
+    # expansions a few ulps about every row's own band edges tau^p -+ w and
+    # about the pre-screen's edges tau^p -+ w*, anywhere within 3 w* of
+    # tau^p, and -inf, +inf and nan: the pre-screened masks are the band's,
+    # whether the largest power is like the rest or 1e12 times the rest, and
+    # the band runs on fewer rows than it is given
+    rng = np.random.Generator(np.random.Philox(key=16))
+    quartic = p == 4
+    name = "l4_band" if quartic else "l2_band"
+    band = getattr(norms, name)
+    banded = []
+    monkeypatch.setattr(norms, name, lambda g, *args: banded.append(g.size) or band(g, *args))
+    n, m = 16, 3000
+    powers = rng.uniform(1.0, 4.0, m)
+    powers[0] *= spread
+    qq = 2.0
+    for tau in (0.5, 1.0, 3.0):
+        bound = tau * tau
+        if quartic:
+            bound *= bound
+            w, wide = (norms.l4_half_width(x, qq, bound, n) for x in (powers, powers.max()))
+        else:
+            w, wide = (norms.l2_half_width(x, qq, bound, n, single)
+                       for x in (powers, powers.max()))
+        edges = np.stack(np.broadcast_arrays(bound - w, bound + w, bound - wide, bound + wide))
+        g = edges[rng.integers(0, 4, m), np.arange(m)]
+        g *= 1.0 + rng.integers(-4, 5, m) * 2.0 ** -52
+        g[::7] = bound + wide * rng.uniform(-3.0, 3.0, g[::7].shape)
+        g[1:4] = (-math.inf, math.inf, math.nan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = band(g, powers, qq, tau, n) if quartic else band(g, powers, qq, tau, n, single)
+            got = norms.band_screen(g, powers, powers.max(), qq, tau, n, quartic, single)
+        for mask, wanted in zip(got, want):
+            np.testing.assert_array_equal(mask, wanted)
+        assert banded[-1] < m  # the pre-screen decided rows of its own
+
+
 @pytest.mark.parametrize("p", [2, 4])
 def test_squaring_kernels_are_within_the_kernel_bound_of_the_max_divided_form(p):
     # the l_2 and l_4 kernels against the max-divided formula, to

@@ -228,14 +228,14 @@ def test_screened_calibration_equals_unchunked_reference(monkeypatch, p, case):
 @pytest.mark.parametrize("case", list(CALIBRATION_CASES))
 @pytest.mark.parametrize("p", [2, 4])
 def test_prescreen_sends_the_kernel_the_rows_of_the_band_alone(monkeypatch, p, case):
-    # per sample, the scalar pre-screen drops only rows the band would call
-    # outside, so the kernel sweeps exactly the rows that the band run on
+    # per sample, the scalar pre-screen decides only rows the band decides
+    # alike, so the kernel sweeps exactly the rows that the band run on
     # every row sends it, and the epsilon is the same float
     make, spec = CALIBRATION_CASES[case]
     data = DataSet.from_array(make())
     monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 16 * 24)  # several blocks
-    band = norms.l4_band if p == 4 else norms.l2_band
     name = "l4_band" if p == 4 else "l2_band"
+    band = getattr(norms, name)
 
     def kernel_rows():
         sent, banded = [], []
@@ -250,20 +250,21 @@ def test_prescreen_sends_the_kernel_the_rows_of_the_band_alone(monkeypatch, p, c
 
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "sweep", spy_sweep)
-            patch.setattr(oracle, name, spy_band)
+            patch.setattr(norms, name, spy_band)  # where band_screen runs the band
             return calibrate_epsilon(data, spec, p, rng_seed=75), sent, banded
 
     got, screened, banded = kernel_rows()
-    monkeypatch.setattr(oracle, "_band_mask", lambda g, powers, qq, tau, n, *rest:
-                        np.logical_or(*band(g, powers, qq, tau, n)))
+    monkeypatch.setattr(oracle, "band_screen", lambda g, powers, widest, qq, tau, n, quartic:
+                        band(g, powers, qq, tau, n))
     want, alone, _ = kernel_rows()
     assert got == want == unchunked_calibration(data, spec, p, rng_seed=75)
     assert len(screened) == len(alone) >= spec.sample_size
     for rows, wanted in zip(screened, alone):
         np.testing.assert_array_equal(rows, wanted)
     if case == "outlier":
-        # the scalar half-width keeps every row but the outlier's own
-        assert banded == [len(data) - 1] * spec.sample_size
+        # the scalar half-width leaves every row to the band but the
+        # outlier's own and the held-out samples', whose g is +inf
+        assert banded == [len(data) - 1 - spec.sample_size] * spec.sample_size
 
 
 def test_gemm_blocks_share_one_mapping(monkeypatch):

@@ -996,6 +996,55 @@ def test_l2_screen_falls_back_to_the_kernel_on_overflowed_norms(monkeypatch):
         assert range_query(index, vectors[7], 1.0).match_ids == (7,)
 
 
+@pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
+def test_prescreen_sends_the_kernel_the_rows_of_the_band_alone(monkeypatch, mode):
+    # the query twin of the calibration test of that name: the screen's
+    # scalar pre-screen decides only rows the band decides alike, so every
+    # level's kernel sweeps exactly the rows that the band run on every
+    # candidate sends it.  Row 7 is 1e7 times longer than the rest, so the
+    # pre-screen's half-width is taken at its power; epsilons within a few
+    # parts in 1e13 of its distance put its expansion between the
+    # half-widths at its own power and at the other rows'
+    vectors = small_dataset(count=300, seed=45).vectors.copy()
+    vectors[7] *= 1e7
+    data = DataSet.from_array(vectors)
+    index = build_index(data, DimensionSchedule((64, 16, 4)), mode, 2)
+    assert all(powers[7] >= 1e12 * np.delete(powers, 7).max() for powers in index.sq_norms)
+    sweep, band = tree.sweep, norms.l2_band
+
+    def kernel_rows(y, epsilon):
+        sent = []
+
+        def spy_sweep(matrix, rows, point, norm, kernel):
+            if kernel is tree.distances_to_point:
+                sent.append(rows)
+            return sweep(matrix, rows, point, norm, kernel)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tree, "sweep", spy_sweep)
+            return range_query(index, y, epsilon), sent
+
+    def plain_band(g, powers, widest, qq, tau, n, single=False):
+        return band(g, powers, qq, tau, n, single)
+
+    rng = np.random.Generator(np.random.Philox(key=83))
+    for share in SCREEN_SHARES:
+        monkeypatch.setattr(tree, "_GEMV_SHARE", share)
+        for row in (0, 211):
+            y = vectors[row] + rng.standard_normal(64) * 0.05
+            far = unchunked_distances(vectors[7:8], y, index.norm)[0]
+            for epsilon in (boundary_epsilons(index, y) + threshold_epsilons(index, y)
+                            + [far * (1.0 + j * 2.0 ** -47) for j in range(-12, 13)]):
+                got, screened = kernel_rows(y, epsilon)
+                with monkeypatch.context() as patch:
+                    patch.setattr(tree, "band_screen", plain_band)
+                    want, alone = kernel_rows(y, epsilon)
+                assert got == want == gather_everything_query(index, y, epsilon)
+                assert len(screened) == len(alone) == index.schedule.levels + 1
+                for rows, wanted in zip(screened, alone):
+                    np.testing.assert_array_equal(rows, wanted)
+
+
 @pytest.mark.parametrize("p", [1, 2, 4, "inf"])
 @pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
 def test_infinite_margins_prune_no_row_at_any_level(mode, p):
