@@ -1,8 +1,20 @@
-"""l_p norms, distances, and norm-equivalence checks.
+"""l_p norms and the shared machinery every layer measures and stores with.
 
-Everything downstream (projections, the subspace index, the brute-force
-oracle) measures length with these functions.  The Chebyshev norm is a
-distinct case, never approximated by a large finite exponent.
+* The distance kernel (``distances_to_point``), the package's one l_p
+  length, and its chunked sweep over a matrix's rows (``sweep``).  The
+  Chebyshev norm is a distinct case, never approximated by a large finite
+  exponent.
+* The thread split (``in_parts``) over fixed row chunks (``row_chunks``)
+  or samples, which the build, calibration and the row powers share.
+* The level store (``_stored``): what an index under a norm stores for a
+  matrix, int16 codes on a fitted grid (``_fit_grid``, ``_encode``) under
+  l_1 and l_inf and float32 under every other norm, in the kernel's layout
+  (``_column_major``).
+* The band screens of l_2 and l_4 (``l2_band``, ``l4_band``,
+  ``band_screen``), which decide most of a query's or a calibration
+  sample's verdicts from a GEMV or GEMM expansion.
+
+Norm-equivalence checks (``check_norm_equivalence``) serve the tests.
 """
 
 from __future__ import annotations
@@ -91,7 +103,7 @@ CHUNK_BYTES = 2 ** 20
 _NARROW = 32
 # The same width for int16 grid codes (``_column_major``), whose integer
 # sums and maxima are exact in any order: codes narrower than this are
-# coded (``_code_rows``) and held (``tree.SubspaceIndex``) column-major,
+# stored (``_stored``) and held (``tree.SubspaceIndex``) column-major,
 # reduced down the columns by one ``np.add.reduce`` or maximum, and swept
 # in chunks of CHUNK_BYTES of their 2-byte items.  Dense sweeps of 20k
 # random rows (alternated, 2 CPUs, medians of 21) took, column-major
@@ -165,7 +177,7 @@ def _coded(norm: NormOrder) -> bool:
     """The one rule for int16 codes: whether lengths under ``norm`` may be
     taken on grid codes, l_1 and l_inf, whose code distances are exact
     integers.  An index under such a norm stores its levels as codes
-    (``tree``), calibration screens its samples through them (``oracle``),
+    (``_stored``), calibration screens its samples through them (``oracle``),
     and the kernel takes int16 inputs in integer arithmetic only under it."""
     return norm.p == 1.0 or norm.is_infinite
 
@@ -174,7 +186,7 @@ def _column_major(dtype, n: int) -> bool:
     """The one layout rule: whether rows of width n whose kernel buffer has
     this dtype are reduced down the columns of a transposed buffer, and so
     held column-major by an index (``tree.SubspaceIndex``) and by
-    calibration's codes (``_code_rows``).  int16 codes are below
+    calibration's codes (``_stored``).  int16 codes are below
     ``_CODE_NARROW`` (128) columns, every float dtype below ``_NARROW``
     (32)."""
     return n < (_CODE_NARROW if dtype == np.int16 else _NARROW)
@@ -260,7 +272,7 @@ def distances_to_point(rows: np.ndarray, y: np.ndarray, norm: NormOrder,
     wider rows along themselves by numpy's pairwise ``sum`` or ``max``,
     whose order depends on n alone.  Column-major narrow rows (an index's
     narrow levels, ``tree.SubspaceIndex``, and calibration's codes,
-    ``_code_rows``) are that transposed buffer's layout, so their
+    ``_stored``) are that transposed buffer's layout, so their
     differences are read, or taken in place, without a transpose.
     """
     if rows.dtype == y.dtype == np.int16:
@@ -387,19 +399,17 @@ def in_parts(work, items) -> list:
     release the GIL.  numpy's error state is per thread: a ``work`` that
     may overflow sets its own."""
     items = list(items)
-    if len(items) < 2:
-        return [work(item) for item in items]  # a query's one row: no split
+    count = min(_usable_cpus(), len(items))
+    if count < 2:
+        return [work(item) for item in items]  # one item or one CPU: no pool
     results = [None] * len(items)
 
     def work_part(part):
         for pos in part:
             results[pos] = work(items[pos])
 
-    parts = np.array_split(np.arange(len(items)), min(_usable_cpus(), len(items)))
-    if len(parts) == 1:
-        work_part(parts[0])
-        return results
-    with ThreadPoolExecutor(len(parts) - 1) as pool:
+    parts = np.array_split(np.arange(len(items)), count)
+    with ThreadPoolExecutor(count - 1) as pool:
         # the calling thread works the first part: one pool thread fewer,
         # whose heap would keep its buffers resident
         futures = [pool.submit(work_part, part) for part in parts[1:]]
@@ -485,16 +495,20 @@ def sweep(matrix: np.ndarray, rows: np.ndarray | None, point: np.ndarray,
 
 def _fit_grid(features: np.ndarray) -> tuple[float, float]:
     """(lo, step) of the grid lo + c step, c in [0, _CODE_MAX], that covers
-    the finite values of ``features``, read one row chunk at a time: lo is
-    their least, and step the smallest power of two, 2^-1074 at the least,
-    with lo + _CODE_MAX step at or above the greatest, found in exact
-    integer arithmetic.  A level with no finite value gets lo = 0."""
-    lo, hi = math.inf, -math.inf
-    for chunk in row_chunks(*features.shape):
+    the finite values of ``features``: lo is their least, and step the
+    smallest power of two, 2^-1074 at the least, with lo + _CODE_MAX step
+    at or above the greatest, found in exact integer arithmetic.  Each row
+    chunk's extremes are read ``in_parts``, in ``_stored``'s chunks, and
+    folded in chunk order.  A level with no finite value gets lo = 0."""
+
+    def extremes(chunk):
         block = features[chunk]
         finite = block[np.isfinite(block)]
-        if finite.size:
-            lo, hi = min(lo, float(finite.min())), max(hi, float(finite.max()))
+        return float(finite.min(initial=math.inf)), float(finite.max(initial=-math.inf))
+
+    lo, hi = math.inf, -math.inf
+    for low, high in in_parts(extremes, row_chunks(*features.shape, itemsize=16)):
+        lo, hi = min(lo, low), max(hi, high)
     if lo > hi:
         lo = hi = 0.0
     # hi - lo = span / den exactly, den the larger power-of-two denominator
@@ -532,19 +546,40 @@ def _encode(values: np.ndarray, lo: float, step: float) -> np.ndarray:
     return np.fmin(codes, _CODE_MAX, out=codes)
 
 
-def _code_rows(matrix: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
-    """(codes, (lo, step)): ``matrix`` coded on a grid fitted to it
-    (``_fit_grid``), as an int16 array of its shape, one row chunk at a
-    time (``_encode``), so that no float64 copy of the matrix is made.  The
-    codes are written straight into the layout the kernel reduces them in
-    (``_column_major``): column-major below ``_CODE_NARROW`` columns, so
-    that neither an index nor calibration copies them to another."""
-    grid = _fit_grid(matrix)
-    order = "F" if _column_major(np.int16, matrix.shape[1]) else "C"
-    codes = np.empty(matrix.shape, dtype=np.int16, order=order)
-    for chunk in row_chunks(*matrix.shape):
-        codes[chunk] = _encode(matrix[chunk], *grid)
-    return codes, grid
+def _stored_dtype(norm: NormOrder):
+    """The dtype an index under ``norm`` stores its levels at: int16 grid
+    codes under l_1 and l_inf (``_coded``), float32 under every other."""
+    return np.int16 if _coded(norm) else np.float32
+
+
+def _stored(matrix: np.ndarray, norm: NormOrder):
+    """(values, grid): what an index under ``norm`` stores for the float64
+    ``matrix``, the one store of the build's levels (``tree.build_index``)
+    and of calibration's codes (``oracle.calibrate_epsilon``).  Under l_1
+    and l_inf the values are the int16 codes of ``matrix`` on a grid
+    fitted to it (``_fit_grid``, ``_encode``) and grid is that grid's
+    (lo, step); under every other norm they are ``matrix`` rounded to
+    float32, a value beyond its range becoming inf as it would on disk,
+    and grid is None.  The values are written straight into the layout the
+    kernel reduces them in (``_column_major``), so that neither an index
+    nor calibration copies them to another, and no float64 copy of the
+    matrix is made.  The grid fit and the store each work fixed row chunks
+    ``in_parts``; a chunk spans CHUNK_BYTES of its float64 rows and of the
+    float64 codes made from them (``row_chunks(..., itemsize=16)``), so two
+    coding threads hold what one thread held in whole-CHUNK_BYTES chunks.
+    Every value is that of its own row, so the result is the same for any
+    split."""
+    dtype = _stored_dtype(norm)
+    grid = _fit_grid(matrix) if dtype == np.int16 else None
+    order = "F" if _column_major(dtype, matrix.shape[1]) else "C"
+    values = np.empty(matrix.shape, dtype=dtype, order=order)
+
+    def store(chunk):
+        with np.errstate(over="ignore"):
+            values[chunk] = matrix[chunk] if grid is None else _encode(matrix[chunk], *grid)
+
+    in_parts(store, row_chunks(*matrix.shape, itemsize=16))
+    return values, grid
 
 
 def _grid_term(norm: NormOrder, n: int, step: float) -> float:

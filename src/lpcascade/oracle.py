@@ -11,7 +11,7 @@ or below the k-th neighbor.  Under l_2 and l_4 the estimate is a GEMM
 expansion, one block of samples at a time, that ``norms.band_screen``
 screens, the one band screen queries use too (``tree._screen``); under
 l_1 and l_inf it is the exact distance between the rows' int16 grid codes
-(``norms._code_rows``), each sample on a pool of threads.  Under any
+(``norms._stored``), each sample on a pool of threads.  Under any
 other p each sample's sweep runs as it is, on threads.
 """
 
@@ -28,10 +28,10 @@ from .norms import (
     _EPS,
     L2,
     L4,
-    _code_rows,
     _coded,
     _grid_term,
     _row_powers,
+    _stored,
     as_norm_order,
     as_vector,
     band_reach,
@@ -98,7 +98,8 @@ def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
       row chunk at a time) expand every row's distance, and each sample's
       screened pass runs the kernel on the few rows near or below its k-th
       distance (``_gemm_kth``), which ``norms.band_screen`` finds.
-    * Under l_1 and l_inf the rows are coded once on one int16 grid, a
+    * Under l_1 and l_inf the rows are coded once on one int16 grid by
+      the store that codes an index's levels (``norms._stored``), a
       quarter of the vectors' bytes, freed on return, column-major below
       ``norms._CODE_NARROW`` (128) columns.  Each sample's exact code
       distance to every row bounds the kernel's distance within the grid
@@ -107,7 +108,9 @@ def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
     * Under every other norm each sample's sweep runs as it is.
 
     Under l_1, l_inf and other p the samples are dealt to threads
-    (``norms.in_parts``), each thread writing its own samples' slots.
+    (``norms.in_parts``), each thread writing its own samples' slots; the
+    grid fit and the coding of the rows split their row chunks over the
+    same threads.
     """
     s = len(data)
     if spec.sample_size > s:
@@ -127,7 +130,7 @@ def calibrate_epsilon(data: DataSet, spec: CalibrationSpec, p,
         return float(np.median(kth))
     codes = step = None
     if _coded(norm):
-        codes, (_, step) = _code_rows(vectors)
+        codes, (_, step) = _stored(vectors, norm)
 
     def sweep_sample(pos):
         if codes is None:
@@ -260,7 +263,7 @@ def _coded_kth(vectors: np.ndarray, codes: np.ndarray, step: float, chosen: np.n
     """``_kth_by_sweep``'s float for sample ``row`` under l_1 or l_inf,
     screened by the rows' exact code distances S to it.
 
-    ``codes`` are the rows coded on one grid of this step (``norms._code_rows``);
+    ``codes`` are the rows coded on one grid of this step (``norms._stored``);
     the sample is a row, so no value is clipped.  The int16 kernel returns
     every S exactly, which is the estimate of ``_screened_kth``, and step S
     is within the grid term G (``norms._grid_term``) of a row's exact

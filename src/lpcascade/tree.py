@@ -40,17 +40,17 @@ from .norms import (
     _F32_U,
     L2,
     NormOrder,
-    _code_rows,
     _coded,
     _column_major,
     _encode,
     _grid_term,
     _row_powers,
+    _stored,
+    _stored_dtype,
     as_norm_order,
     as_vector,
     band_screen,
     distances_to_point,
-    in_parts,
     l2_expansion,
     lp_norm,
     row_chunks,
@@ -234,14 +234,15 @@ class SubspaceIndex:
     """Immutable index: levels, projected database copies, original data.
 
     ``features[i]`` holds the level-(i+1) projection of every database row
-    at the container's precision, so a built index and its saved-and-
-    reloaded copy are the same object bit for bit.  Under l_1 and l_inf it
-    is an int16 array of grid codes c in [0, 2^15 - 1], and ``grids[i] =
-    (lo, step)`` the level's grid lo + c step (``norms._fit_grid``), 2 bytes a
-    feature; under every other norm a float32 array, and ``grids == ()``.
-    A narrow level (``norms._column_major``: below ``norms._NARROW``, 32
-    columns, of float32 features and below ``norms._CODE_NARROW``, 128, of
-    int16 codes) is held column-major and a wider one row-major, whatever
+    as the one store makes it (``norms._stored``) and the container holds
+    it, so a built index and its saved-and-reloaded copy are the same
+    object bit for bit.  Under l_1 and l_inf it is an int16 array of grid
+    codes c in [0, 2^15 - 1], and ``grids[i] = (lo, step)`` the level's
+    grid lo + c step (``norms._fit_grid``), 2 bytes a feature; under every
+    other norm a float32 array, and ``grids == ()``.  A narrow level
+    (``norms._column_major``: below ``norms._NARROW``, 32 columns, of
+    float32 features and below ``norms._CODE_NARROW``, 128, of int16
+    codes) is held column-major and a wider one row-major, whatever
     layout it was passed in: the distance kernel reduces narrow rows down
     the columns of a transposed buffer, which a column-major level already
     is, and wide rows along a row-major one.  Construction sets that
@@ -253,10 +254,11 @@ class SubspaceIndex:
     ``data`` is (count, dims[0]) with count at least 1, ``ids`` (count,)
     integers, held as int64 as the container stores them, each of the
     ``schedule.levels`` levels k maps dims[k-1] to dims[k] under ``norm``,
-    as exactness needs, with features of the norm's dtype (checked before
-    their shape) and (count, dims[k]), and, under l_1 and l_inf, each grid
-    has a finite lo and a step that is a positive power of two and no code
-    is negative.  Level k prunes a row when its level distance reaches
+    as exactness needs, with features of the dtype the store gives the
+    norm (``norms._stored_dtype``, checked before their shape) and (count,
+    dims[k]), and, under l_1 and l_inf, each grid has a finite lo and a
+    step that is a positive power of two and no code is negative.  Level k
+    prunes a row when its level distance reaches
     epsilon plus a margin that covers the rounding of the features and of
     projection and distances.  The margin (``level_margins``) reads only
     the schedule, the index's norm, epsilon and the query's norm; a coded
@@ -300,8 +302,7 @@ class SubspaceIndex:
         if not len(self.levels) == len(self.features) == self.schedule.levels:
             raise ValueError(f"{len(self.levels)} levels and {len(self.features)} feature "
                              f"matrices for a {self.schedule.levels}-level schedule")
-        coded = _coded(self.norm)
-        dtype = np.int16 if coded else np.float32
+        dtype = _stored_dtype(self.norm)
         pairs = zip(dims, dims[1:], self.levels, self.features)
         for k, (n_in, n_out, level, feats) in enumerate(pairs, start=1):
             if (level.dim_in, level.dim_out, level.norm) != (n_in, n_out, self.norm):
@@ -318,7 +319,7 @@ class SubspaceIndex:
             np.asfortranarray(feats) if _column_major(dtype, n_out)
             else np.ascontiguousarray(feats)
             for n_out, feats in zip(dims[1:], self.features)))
-        if len(self.grids) != (self.schedule.levels if coded else 0):
+        if len(self.grids) != (self.schedule.levels if _coded(self.norm) else 0):
             raise ValueError(f"{len(self.grids)} grids for a {self.schedule.levels}-level "
                              f"schedule under {self.norm}")
         for k, ((lo, step), feats) in enumerate(zip(self.grids, self.features), start=1):
@@ -379,21 +380,21 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
     Adaptive levels are fitted on the projected data of the previous level,
     then every row is projected one level further.  Deterministic given the
     data order.  Each level is fitted and projected from the unrounded
-    float64 values of the one before, and only its stored copy is kept:
-    under l_1 and l_inf its grid codes, on a grid fitted to those values
-    and coded one row chunk at a time (``norms._code_rows``), and
-    under every other norm its float32 copy.  So the features equal those
+    float64 values of the one before, and only its stored copy is kept,
+    made by the one store (``norms._stored``, once per level): under l_1
+    and l_inf its grid codes, on a grid fitted to those values, and under
+    every other norm its float32 copy.  So the features equal those
     ``save_index`` stores and ``load_index`` reads back, and at most two
     levels are ever held at float64.
 
     The fit (``fit_adaptive_level``), the projection (``project_rows``),
-    the float32 copy and, under l_2, the rows' squared norms
+    the store's grid fit and store and, under l_2, the rows' squared norms
     (``SubspaceIndex``) each work fixed row chunks on one thread per usable
     CPU (``norms.in_parts``), the calling thread among them; the fit adds
-    its per-chunk moments in chunk order.  So the index is the same, bit
-    for bit, for any number of CPUs.  ``project_rows`` and
-    ``fit_adaptive_level`` are called through this module's names, once per
-    level, on the calling thread.
+    its per-chunk moments, and the grid fit its per-chunk extremes, in
+    chunk order.  So the index is the same, bit for bit, for any number of
+    CPUs.  ``project_rows`` and ``fit_adaptive_level`` are called through
+    this module's names, once per level, on the calling thread.
     """
     if not isinstance(data, DataSet):
         data = DataSet.from_array(data)
@@ -412,12 +413,9 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
         else:
             levels.append(orthogonal_level(partition, norm))
         current = project_rows(current, levels[-1])
-        if _coded(norm):
-            codes, grid = _code_rows(current)
-            features.append(codes)
-            grids.append(grid)
-        else:
-            features.append(_float32_rows(current))
+        values, grid = _stored(current, norm)
+        features.append(values)
+        grids.append(grid)
     return SubspaceIndex(
         schedule=schedule,
         norm=norm,
@@ -426,23 +424,8 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
         features=tuple(features),
         data=data.vectors,
         ids=data.ids,
-        grids=tuple(grids),
+        grids=tuple(grid for grid in grids if grid),  # float32 levels have none
     )
-
-
-def _float32_rows(matrix: np.ndarray) -> np.ndarray:
-    """``matrix`` rounded to float32, in the layout ``SubspaceIndex`` holds
-    it in (``norms._column_major``), one row chunk at a time ``in_parts``.
-    A value beyond the float32 range becomes inf, as it would on disk."""
-    order = "F" if _column_major(np.float32, matrix.shape[1]) else "C"
-    out = np.empty(matrix.shape, dtype=np.float32, order=order)
-
-    def cast(chunk):
-        with np.errstate(over="ignore"):
-            out[chunk] = matrix[chunk]
-
-    in_parts(cast, row_chunks(*matrix.shape))
-    return out
 
 
 def level_margins(schedule: DimensionSchedule, scale: float,

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -502,6 +503,48 @@ def test_grid_codes_are_at_their_exact_integer_distances(width, p):
             got = distances_to_point(layout, y, norm, scratch=scratch)
             assert got.dtype == np.float64
             np.testing.assert_array_equal(got, want[:count])
+
+
+def one_pass_grid(values):
+    """(lo, step) from one pass over every value: lo the least finite value
+    (0 if none is finite) and step the smallest power of two from 2^-1074
+    up with lo + _CODE_MAX step at or above the greatest, in exact
+    rationals."""
+    finite = values[np.isfinite(values)]
+    lo, hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 0.0)
+    step = 2.0 ** -1074
+    while Fraction(lo) + norms._CODE_MAX * Fraction(step) < Fraction(hi):
+        step *= 2.0
+    return lo, step
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_the_chunked_grid_fit_is_the_one_pass_fit(monkeypatch, cpus):
+    # the store's grid fit folds each row chunk's finite extremes, read
+    # in_parts, in chunk order: with 4 rows a chunk, chunks 1 and 6 hold
+    # only +-inf and nan, rows of them sit on either side of the boundaries
+    # at rows 12, 20 and 32, and the extremes sit next to them.  The codes
+    # are those of one _encode over the whole matrix on that grid
+    rng = np.random.Generator(np.random.Philox(key=13))
+    rows = rng.standard_normal((42, 6)) * 10.0 + 3.0
+    rows[4:8] = np.inf
+    rows[5, ::2] = -np.inf
+    rows[24:28] = np.nan
+    rows[11] = rows[20] = -np.inf
+    rows[12, 1:] = rows[31, :3] = np.nan
+    rows[19, 2], rows[32, 4] = -100.0, 250.0
+    monkeypatch.setattr(norms, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(norms, "CHUNK_BYTES", 16 * 6 * 4)
+    assert len(list(norms.row_chunks(42, 6, itemsize=16))) == 11
+    for matrix in (rows, np.full((42, 6), np.nan), np.where(rows > 0, np.inf, -np.inf)):
+        want = one_pass_grid(matrix)
+        assert norms._fit_grid(matrix) == want
+        for norm in (L1, LINF):
+            codes, grid = norms._stored(matrix, norm)
+            assert grid == want and codes.dtype == np.int16
+            np.testing.assert_array_equal(codes, norms._encode(matrix, *want))
+    assert one_pass_grid(rows)[0] == -100.0
+    assert one_pass_grid(np.full((1, 6), np.nan)) == (0.0, 2.0 ** -1074)
 
 
 @pytest.mark.parametrize("width", [4, 16])

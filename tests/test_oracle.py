@@ -348,18 +348,26 @@ def test_threaded_calibration_equals_unchunked_reference(monkeypatch, p):
     # more threads than cores, switching every microsecond: a lost or
     # misplaced slot would leave some sample's k-th distance wrong.  Under
     # l_3 every sample takes the full sweep; under l_1 and l_inf every
-    # sample takes its code sweep and none the full sweep
+    # sample takes its code sweep and none the full sweep, and the rows are
+    # coded 50 to a chunk (16 bytes an item: the float64 row and its
+    # float64 codes), twelve chunks split over the same threads
     ds = generate(SyntheticSpec(count=600, dim=12, rng_seed=57))
     spec = CalibrationSpec(sample_size=37, target_nn=6)
-    threads = set()
+    threads, coders = set(), []
     name = "_kth_by_sweep" if p == 3 else "_coded_kth"
-    per_sample = getattr(oracle, name)
+    per_sample, encode = getattr(oracle, name), norms._encode
 
     def spy(*args):
         threads.add(threading.get_ident())
         return per_sample(*args)
 
+    def spy_encode(values, lo, step):
+        coders.append((threading.get_ident(), len(values)))
+        return encode(values, lo, step)
+
     monkeypatch.setattr(norms, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(norms, "CHUNK_BYTES", 16 * 12 * 50)
+    monkeypatch.setattr(norms, "_encode", spy_encode)
     monkeypatch.setattr(oracle, name, spy)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -370,6 +378,11 @@ def test_threaded_calibration_equals_unchunked_reference(monkeypatch, p):
     np.testing.assert_array_equal(kth, unchunked_kth(ds, spec, p, rng_seed=58))
     assert got == unchunked_calibration(ds, spec, p, rng_seed=58)
     assert len(swept) == (spec.sample_size if p == 3 else 0) and len(threads) > 1
+    if p == 3:
+        assert coders == []
+    else:
+        assert [rows for _, rows in coders] == [50] * 12
+        assert len({thread for thread, _ in coders}) > 1
 
 
 @pytest.mark.skipif(not hasattr(norms.os, "sched_getaffinity"),
