@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -61,6 +62,14 @@ class DataSet:
         return int(self.vectors.shape[0])
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int: an integer, numpy's included, but never a bool,
+    a float (8.9 or 8.0) or a string."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return operator.index(value)
+
+
 def _int64_ids(ids) -> np.ndarray:
     """``ids`` as an int64 array: integers of any dtype int64 holds, but
     never bools or floats (0.5, or 1.0), which a cast would truncate."""
@@ -72,7 +81,9 @@ def _int64_ids(ids) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Parameters of one synthetic dataset; generation is seed-deterministic."""
+    """Parameters of one synthetic dataset; generation is seed-deterministic.
+    count, dim, block_size, window and rng_seed are integers (numpy's
+    included, never a bool, float or string), checked at construction."""
 
     count: int
     dim: int
@@ -83,6 +94,8 @@ class SyntheticSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("count", "dim", "block_size", "window", "rng_seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.count < 1 or self.dim < 1:
             raise ValueError("count and dim must be positive")
         if self.model not in MODELS:

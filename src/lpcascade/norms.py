@@ -10,9 +10,10 @@
   matrix, int16 codes on a fitted grid (``_fit_grid``, ``_encode``) under
   l_1 and l_inf and float32 under every other norm, in the kernel's layout
   (``_column_major``).
-* The band screens of l_2 and l_4 (``l2_band``, ``l4_band``,
-  ``band_screen``), which decide most of a query's or a calibration
-  sample's verdicts from a GEMV or GEMM expansion.
+* The band screen of l_2 and l_4: one half-width rule (``half_width``)
+  and one band (``band``) for both powers, and ``band_screen``, which
+  decides most of a query's or a calibration sample's verdicts from a
+  GEMV or GEMM expansion g = powers + qq + cross.
 
 Norm-equivalence checks (``check_norm_equivalence``) serve the tests.
 """
@@ -147,7 +148,7 @@ _FLOOR = 2.0 ** -800
 # float32 term can lose to underflow is under 2^-50 of the sum.
 _F32_FLOOR = 2.0 ** -100
 # float64 machine epsilon (2^-52) and smallest normal float64 (2^-1022): the
-# relative and absolute terms of the l_2 band's half-width (``l2_band``).  A
+# relative and absolute terms of the band's half-width (``half_width``).  A
 # block moment below 2^-1022 has underflowed (``projection``).
 _EPS = 2.0 ** -52
 _TINY = 2.0 ** -1022
@@ -595,51 +596,59 @@ def _grid_term(norm: NormOrder, n: int, step: float) -> float:
     return base + base * 2.0 ** -32 + 2.0 ** -1074
 
 
-def l2_expansion(xx, qq, dots):
-    """g = xx + qq - 2 dots, the expansion of |x - q|^2 that ``l2_band``
-    screens, from the squared norms of the rows (xx) and of the query (qq),
-    each summed in float64, and the rows' inner products with the query.
-    Broadcasts; an overflow leaves g inf or nan, which the band takes in.
-    Callers hold ``np.errstate(over="ignore", invalid="ignore")``."""
-    return xx + qq - 2.0 * dots
+def half_width(powers, qq, bound, n: int, quartic: bool = False, single: bool = False):
+    """w, the half-width of ``band`` for rows of width n with sums of
+    squares ``powers`` (of fourth powers if ``quartic``), the query's qq
+    and bound = tau^2 (tau^4):
 
+        l_2:  w = (r + (4n + 16) eps) (xx + qq + tau^2) + a
+        l_4:  w = (8n + 72) eps (xxxx + qqqq + tau^4) + 2^-1022
 
-def l2_half_width(xx, qq, tau_sq, n: int, single: bool = False):
-    """w = (r + (4n + 16) eps) (xx + qq + tau^2) + a, the half-width of
-    ``l2_band`` for rows of width n: r = 0 and a = 2^-1022 for float64
-    inner products and kernel, and for float32 ones (``single``)
+    with r = 0 and a = 2^-1022 for float64 inner products and kernel, and
+    for float32 ones (``single``, l_2 only)
 
         r = gamma'_{n+4} = (n + 4) v / (1 - (n + 4) v),   v = 2^-24
         a = (2n + 8) 2^-149
     """
-    if single:
-        r = (n + 4) * _F32_U / (1.0 - (n + 4) * _F32_U)
+    if quartic:
+        scale, a = (8 * n + 72) * _EPS, _TINY
+    elif single:
+        scale = (n + 4) * _F32_U / (1.0 - (n + 4) * _F32_U) + (4 * n + 16) * _EPS
         a = (2 * n + 8) * _F32_MIN
     else:
-        r, a = 0.0, _TINY
-    return (r + (4 * n + 16) * _EPS) * (xx + qq + tau_sq) + a
+        scale, a = (4 * n + 16) * _EPS, _TINY
+    return scale * (powers + qq + bound) + a
 
 
-def l2_band(g, xx, qq, tau, n: int, single: bool = False):
-    """Decide the kernel's verdict ``distances_to_point(x, q, L2) < tau`` for
-    rows x of width n from the expansion g (``l2_expansion``) alone, where
-    that is safe.
+def band(g, powers, qq, tau, n: int, quartic: bool = False, single: bool = False):
+    """Decide the kernel's verdict ``distances_to_point(x, q, L2) < tau``
+    (``L4`` if ``quartic``) for rows x of width n from the expansion
+
+        g = powers + qq + cross
+
+    alone, where that is safe.  Under l_2, powers and qq are the sums of
+    squares of x and of q, each summed in float64, and cross = -2 x.q.
+    Under l_4 they are the sums of fourth powers, and cross = -4 x^3.q +
+    6 x^2.q^2 - 4 x.q^3 (``oracle._l4_cross``), the three inner products
+    of q, q^2 and q^3 with x^3, x^2 and x, all in float64, with x^2 = x * x,
+    x^3 = x^2 * x and x^4 = x^2 * x^2 (and so for q).
 
     Returns boolean masks ``(inside, band)`` shaped like g (which broadcasts
-    with xx, qq and tau): ``inside`` rows are surely below tau, ``band``
+    with powers, qq and tau): ``inside`` rows are surely below tau, ``band``
     rows only the kernel can decide, and every other row is surely at or
-    above tau.  With w the half-width (``l2_half_width``), a row is inside
-    if g + w < tau^2, outside if g - w >= tau^2, and in the band otherwise
-    or when g or w is not finite (an overflowed norm, dot or tau^2).  The
+    above tau.  With bound = tau^2 (tau^4 = (tau tau)^2 under l_4) and w the
+    half-width (``half_width``), a row is inside if g + w < bound, outside
+    if g - w >= bound, and in the band otherwise or when g or w is not
+    finite (an overflowed power, norm, product or bound).  Under l_2 the
     inner products take the kernel's own x and q, both float64 (level 0 of
     the index, calibration's GEMM) or both float32 (``single``: a level's
     feature matrix and the float32 query ``tree.range_query`` hands its
     kernel, so that no float64 copy of the rows is ever made), and the
-    kernel's arithmetic follows them.  Callers hold
-    ``np.errstate(over="ignore", invalid="ignore")``.
+    kernel's arithmetic follows them; under l_4 both are float64.  Callers
+    hold ``np.errstate(over="ignore", invalid="ignore")``.
 
-    Why w decides as the kernel does (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 3; u = eps/2 = 2^-53, gamma_j =
+    Why w decides as the kernel does under l_2 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3; u = eps/2 = 2^-53, gamma_j =
     j u / (1 - j u) and gamma'_j = j v / (1 - j v); D = sum (x_i - q_i)^2
     and S = |x|^2 + |q|^2 exactly, for x and q as the kernel takes them,
     whose float32 values float64 holds exactly):
@@ -648,10 +657,11 @@ def l2_band(g, xx, qq, tau, n: int, single: bool = False):
       exact in float64), accurate to gamma_n times the sum of their terms
       in any summation order (BLAS blocking and thread count, GEMV or GEMM,
       included), and with float64 inner products so is x.q, to
-      gamma_n sum |x_i q_i| <= gamma_n S/2.  So xx + qq - 2 x.q is within
-      2 gamma_n S of D; the two roundings forming g add u (xx + qq) + u |g|
-      <= 3u S to first order, as D <= 2S.  Hence |g - D| <= (2n + 3) u S +
-      O(u^2) with float64 inner products.
+      gamma_n sum |x_i q_i| <= gamma_n S/2.  The cross term -2 x.q scales
+      the computed x.q exactly (or overflows where 2 x.q would), so xx +
+      qq - 2 x.q is within 2 gamma_n S of D; the two roundings forming g
+      add u (xx + qq) + u |g| <= 3u S to first order, as D <= 2S.  Hence
+      |g - D| <= (2n + 3) u S + O(u^2) with float64 inner products.
     * Float32 dots.  Each float32 product x_i q_i (fused or not) is off by
       v of itself plus b = 2^-150, half the smallest subnormal, and the
       sum, in any order and any BLAS blocking, by gamma'_{n-1} of the sum
@@ -706,35 +716,8 @@ def l2_band(g, xx, qq, tau, n: int, single: bool = False):
     makes w infinite, so every row falls in the band.  The constant family
     is that of the exact GEMM scan of Johnson, Douze and Jegou (arXiv
     1702.08734), with the float32 term added.
-    """
-    tau_sq = tau * tau
-    return _verdicts(g, l2_half_width(xx, qq, tau_sq, n, single), tau_sq)
 
-
-def l4_half_width(xxxx, qqqq, tau_4, n: int):
-    """w = (8n + 72) eps (xxxx + qqqq + tau^4) + 2^-1022, the half-width of
-    ``l4_band`` for float64 rows of width n."""
-    return (8 * n + 72) * _EPS * (xxxx + qqqq + tau_4) + _TINY
-
-
-def l4_band(g, xxxx, qqqq, tau, n: int):
-    """Decide the kernel's verdict ``distances_to_point(x, q, L4) < tau`` for
-    float64 rows x of width n from the expansion
-
-        g = xxxx + qqqq - 4 x^3.q + 6 x^2.q^2 - 4 x.q^3
-
-    alone, where that is safe, as ``l2_band`` does under l_2.  xxxx and qqqq
-    are the sums of fourth powers of x and of q, and the three cross terms
-    inner products of q, q^2 and q^3 with x^3, x^2 and x, all in float64,
-    with x^2 = x * x, x^3 = x^2 * x and x^4 = x^2 * x^2 (and so for q).
-    Returns boolean masks ``(inside, band)`` shaped like g, which broadcasts
-    with xxxx, qqqq and tau: with tau^4 = (tau tau)^2 and w the half-width
-    (``l4_half_width``), a row is inside (surely below tau) if g + w < tau^4,
-    outside (surely at or above tau) if g - w >= tau^4, and in the band
-    otherwise or when g or w is not finite (an overflowed power, product or
-    tau^4).  Callers hold ``np.errstate(over="ignore", invalid="ignore")``.
-
-    Why w decides as the kernel does (u = eps/2 = 2^-53, gamma_j =
+    Why w decides as the kernel does under l_4 (u = eps/2 = 2^-53, gamma_j =
     j u / (1 - j u), to first order in u; D = sum (x_i - q_i)^4, A = sum x_i^4,
     B = sum q_i^4 and M = sum (|x_i| + |q_i|)^4, exactly):
 
@@ -769,42 +752,33 @@ def l4_band(g, xxxx, qqqq, tau, n: int):
     2^-1075 (1 + x_i^4 + q_i^4) each, three in a term, weights 16 in all.
     The A + B part of that is far inside w's slack, and the 2^-1022 term
     covers 48 n 2^-1075 and tau^4's own for every n < 2^46.  The kernel's
-    underflow is relative, as in ``l2_band``.  Like ``l2_band``, the
-    screen follows the exact GEMM scan of Johnson, Douze and Jegou (arXiv
-    1702.08734).
+    underflow is relative, as under l_2.
     """
-    tau_4 = tau * tau
-    tau_4 *= tau_4
-    return _verdicts(g, l4_half_width(xxxx, qqqq, tau_4, n), tau_4)
-
-
-def _verdicts(g, w, bound):
-    """(inside, band) of ``l2_band`` and ``l4_band``: inside where g + w <
-    bound, outside where g - w >= bound, the band elsewhere and wherever g
-    or w is not finite."""
+    bound = tau * tau
+    if quartic:
+        bound *= bound
+    w = half_width(powers, qq, bound, n, quartic, single)
     decided = np.isfinite(g) & np.isfinite(w)
     inside = decided & (g + w < bound)
-    band = ~inside & ~(decided & (g - w >= bound))
-    return inside, band
+    return inside, ~inside & ~(decided & (g - w >= bound))
 
 
 def band_screen(g, powers, widest, qq, tau, n: int, quartic: bool = False,
                 single: bool = False):
-    """``l2_band``'s masks ``(inside, band)`` (``l4_band``'s if
-    ``quartic``) for the 1-d expansions g of rows of width n, with the band
-    run only on the rows a two-sided scalar pre-screen leaves undecided:
-    the one screen of queries (``tree._screen``) and calibration
-    (``oracle._gemm_kth``).
+    """``band``'s masks ``(inside, band)`` for the 1-d expansions g of rows
+    of width n, with ``band`` run only on the rows a two-sided scalar
+    pre-screen leaves undecided: the one screen of queries
+    (``tree._screen``) and calibration (``oracle._gemm_kth``).
 
     ``powers`` are the rows' sums of squares (of fourth powers if
     ``quartic``), ``widest`` their largest (or any larger value), qq the
     query's, and ``single`` marks float32 inner products and kernel, as in
-    ``l2_band``.  The pre-screen takes w*, the band's half-width at
+    ``band``.  The pre-screen takes w*, the half-width (``half_width``) at
     ``widest``, and compares g with two floats found once per call from
-    fl(tau^p -+ w*), tau^p formed as the band forms it: ``below``, stepped
+    fl(tau^p -+ w*), tau^p formed as ``band`` forms it: ``below``, stepped
     down until fl(below + w*) < tau^p, and ``above``, stepped up until
     fl(above - w*) >= tau^p.  A row with finite g is inside if g <= below
-    and outside if g >= above; every other row goes to the band at its own
+    and outside if g >= above; every other row goes to ``band`` at its own
     power, and so does every row when w* is infinite (an overflowed power,
     qq or tau^p), which decides no finite g.
 
@@ -812,21 +786,19 @@ def band_screen(g, powers, widest, qq, tau, n: int, quartic: bool = False,
     formula at its own power, and every step of it rounds monotonically,
     so w <= w*; fl(a + b) is monotone in a and in b, so g <= below gives
     fl(g + w) <= fl(below + w*) < tau^p, and g >= above gives fl(g - w) >=
-    fl(above - w*) >= tau^p.  With g and w finite the band then calls the
+    fl(above - w*) >= tau^p.  With g and w finite ``band`` then calls the
     row inside, or outside, as the pre-screen does.  That holds only for
     finite g: -inf lies below every ``below`` and +inf above every
-    ``above``, while the band leaves both, and a nan, to the kernel.  So
+    ``above``, while ``band`` leaves both, and a nan, to the kernel.  So
     whenever g.g is not finite, every row of non-finite g is put in the
-    band, as the band puts it, after the band has run on the undecided
+    band, as ``band`` puts it, after ``band`` has run on the undecided
     finite rows (calibration's held-out rows are at +inf).  Callers hold
     ``np.errstate(over="ignore", invalid="ignore")``.
     """
     bound = tau * tau
     if quartic:
         bound *= bound
-        wide = l4_half_width(widest, qq, bound, n)
-    else:
-        wide = l2_half_width(widest, qq, bound, n, single)
+    wide = half_width(widest, qq, bound, n, quartic, single)
     # an infinite w* leaves below at -inf (nan if tau^p is inf) and above at inf
     below, above = bound - wide, bound + wide
     while below + wide >= bound:
@@ -834,28 +806,25 @@ def band_screen(g, powers, widest, qq, tau, n: int, quartic: bool = False,
     while above - wide < bound:
         above += max(math.ulp(above), math.ulp(bound))
     inside = g <= below
-    band = g < above
-    band ^= inside
-    kept = np.flatnonzero(band)
+    undecided = g < above
+    undecided ^= inside
+    kept = np.flatnonzero(undecided)
     if kept.size:
-        inside[kept], band[kept] = (
-            l4_band(g[kept], powers[kept], qq, tau, n) if quartic
-            else l2_band(g[kept], powers[kept], qq, tau, n, single))
+        inside[kept], undecided[kept] = band(g[kept], powers[kept], qq, tau, n, quartic, single)
     if not math.isfinite(g @ g):  # as is a finite g beyond 1e154
         finite = np.isfinite(g)
         inside &= finite
-        band |= ~finite
-    return inside, band
+        undecided |= ~finite
+    return inside, undecided
 
 
 def band_reach(g, power, qq, n: int, quartic: bool = False) -> float:
     """The p-th root of g + 2 w for one row of expansion g (p = 2, or 4 if
-    ``quartic``), w the band's half-width at the row's power with g standing
-    in for tau^p: about the largest kernel distance the row can have, which
-    ``oracle._screened_kth`` sets tau just above.  An overflowed g or w
-    gives inf or nan, and so an infinite tau."""
-    half_width = l4_half_width(power, qq, g, n) if quartic else l2_half_width(power, qq, g, n)
-    reach = math.sqrt(max(g + 2.0 * half_width, 0.0))
+    ``quartic``), w the half-width (``half_width``) at the row's power with
+    g standing in for tau^p: about the largest kernel distance the row can
+    have, which ``oracle._screened_kth`` sets tau just above.  An
+    overflowed g or w gives inf or nan, and so an infinite tau."""
+    reach = math.sqrt(max(g + 2.0 * half_width(power, qq, g, n, quartic), 0.0))
     return math.sqrt(reach) if quartic else reach
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataSet
+from .data import DataSet, _integer
 from .norms import (
     _EPS,
     L2,
@@ -38,7 +38,6 @@ from .norms import (
     band_screen,
     distances_to_point,
     in_parts,
-    l2_expansion,
     row_chunks,
     sweep,
 )
@@ -56,12 +55,16 @@ _BLOCK_CHUNKS = 4
 @dataclass(frozen=True)
 class CalibrationSpec:
     """Protocol constants for epsilon estimation; the sample's k-th
-    neighbor distances are always aggregated by their median."""
+    neighbor distances are always aggregated by their median.  Both are
+    integers (numpy's included, never a bool, float or string), checked at
+    construction."""
 
     sample_size: int = 400
     target_nn: int = 52
 
     def __post_init__(self) -> None:
+        for name in ("sample_size", "target_nn"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.sample_size < 1:
             raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
         if self.target_nn < 1:
@@ -189,12 +192,12 @@ def _gemm_kth(vectors: np.ndarray, chosen: np.ndarray, norm, k: int,
     once, one row chunk at a time on threads (``norms._row_powers``), and
     so is their largest, the ``widest`` of every sample's screen (3 us a
     sample on desk's 20,000 rows).  Per block of samples
-    (``_BLOCK_CHUNKS``), one GEMM forms their inner products with every row
-    (l_2), or three GEMMs their cross terms (``_l4_cross``), into a view of
-    one mapping (``_mapped``) made per call for the first, largest block:
-    the blocks fault its pages in once, not once each (15,700 minor faults
-    per desk calibration against 1,000).  Per sample, the expansion g
-    (``norms.l2_expansion``, or ``xxxx + qqqq`` plus the cross terms) is
+    (``_BLOCK_CHUNKS``), one GEMM forms their inner products with every row,
+    scaled by -2 in place (l_2), or three GEMMs their cross terms
+    (``_l4_cross``, l_4), into a view of one mapping (``_mapped``) made per
+    call for the first, largest block: the blocks fault its pages in once,
+    not once each (15,700 minor faults per desk calibration against 1,000).
+    Per sample, the expansion g = powers + qq + cross (``norms.band``) is
     the estimate of ``_screened_kth``, in the norm's p-th power; the reach
     of the row of k-th smallest g is ``norms.band_reach``, and every row
     ``norms.band_screen`` leaves inside or in the band may be below tau.
@@ -216,10 +219,11 @@ def _gemm_kth(vectors: np.ndarray, chosen: np.ndarray, norm, k: int,
                 _l4_cross(vectors, samples, cross)
             else:
                 np.matmul(samples, vectors.T, out=cross)
+                cross *= -2.0
             for pos, row_cross in zip(range(block.start, block.stop), cross):
                 row = chosen[pos]
                 qq = powers[row]
-                g = powers + qq + row_cross if quartic else l2_expansion(powers, qq, row_cross)
+                g = powers + qq + row_cross
                 kth[pos] = _screened_kth(
                     vectors, chosen, row, norm, k, g,
                     lambda i: band_reach(g[i], powers[i], qq, n, quartic),
@@ -242,7 +246,7 @@ def _mapped(count: int, rows: int) -> np.ndarray:
 
 def _l4_cross(vectors: np.ndarray, samples: np.ndarray, out: np.ndarray) -> None:
     """Write the (samples x rows) cross terms -4 x^3.q + 6 x^2.q^2 - 4 x.q^3
-    of ``norms.l4_band``'s expansion to ``out``: three GEMMs per 1 MiB row
+    of ``norms.band``'s l_4 expansion to ``out``: three GEMMs per 1 MiB row
     chunk, whose x^2 and x^3 are formed there, never as whole-matrix
     copies."""
     squares = samples * samples

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataSet, _int64_ids
+from .data import DataSet, _int64_ids, _integer
 from .norms import (
     _CODE_MAX,
     _EPS,
@@ -51,7 +51,6 @@ from .norms import (
     as_vector,
     band_screen,
     distances_to_point,
-    l2_expansion,
     lp_norm,
     row_chunks,
     sweep,
@@ -102,14 +101,6 @@ _F64_MIN = 2.0 ** -1074
 # queries and gist-deep's in 1 of 60, and on multi-scale data, whose coarse
 # levels prune, most finer levels do (README "Query engine" has timings).
 _GEMV_SHARE = 1 / 6
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int: an integer, numpy's included, but never a bool,
-    a float (8.9 or 8.0) or a string."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValueError(f"{what} {value!r} is not an integer")
-    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -722,20 +713,21 @@ def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
     * Under every other norm the kernel decides every row, so a level is
       one sweep and one comparison.
 
-    The l_2 screen forms g = xx + qq - 2 x.q (``norms.l2_expansion``),
-    with xx the stored squared row norm (``sq_norms``), qq = q.q and the
-    inner products x.q by one whole-matrix GEMV ``M @ q``, indexed, once the
+    The l_2 screen forms g = xx + qq + cross (``norms.band``), with xx the
+    stored squared row norm (``sq_norms``), qq = q.q and cross = -2 x.q,
+    the inner products x.q, scaled in place, by one whole-matrix GEMV
+    ``M @ q``, indexed, once the
     candidates reach ``_GEMV_SHARE`` of the rows, and else by one GEMV per
     1 MiB gather.  They take the matrix and q as the kernel does: float64
     at level 0, and float32 at a level k >= 1, whose float32 query
     (``range_query``) keeps its GEMV in float32 BLAS, so that no float64
     copy of its rows is ever made; qq is summed in float64 either way, as
     xx is.  ``norms.band_screen`` then splits the candidates into inside,
-    band and outside, as ``norms.l2_band`` would, with w* taken at the
+    band and outside, as ``norms.band`` would, with w* taken at the
     candidates' largest xx: its two-sided scalar pre-screen decides most
     rows, and the band runs on the rest.  The same screen serves
-    calibration (``oracle._gemm_kth``); ``norms.l2_band``'s docstring
-    derives the half-width that makes each verdict the kernel's.
+    calibration (``oracle._gemm_kth``); ``norms.band``'s docstring derives
+    the half-width that makes each verdict the kernel's.
     """
     if tau == math.inf:
         keep = np.ones(candidates.size, dtype=bool)
@@ -757,9 +749,10 @@ def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
         else:
             dots = sweep(matrix, candidates, point, index.norm, _dot)
             xx = index.sq_norms[k][candidates]
+        dots *= -2.0  # a fresh array on every path above
         # summed in float64, as xx is: a float32 point's own dot is float32
         qq = float(np.einsum("i,i->", point, point, dtype=np.float64))
-        return band_screen(l2_expansion(xx, qq, dots), xx, xx.max(initial=0.0), qq, tau, n,
+        return band_screen(xx + qq + dots, xx, xx.max(initial=0.0), qq, tau, n,
                            single=point.dtype == np.float32)
 
 

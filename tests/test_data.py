@@ -53,6 +53,21 @@ def test_synthetic_spec_validation():
         SyntheticSpec(count=4, dim=8, model="piecewise-smooth", window=0)
 
 
+@pytest.mark.parametrize("field", ["count", "dim", "block_size", "window", "rng_seed"])
+@pytest.mark.parametrize("value", [8.0, True, "8"])
+def test_synthetic_spec_fields_must_be_integers(field, value):
+    # a float, a bool or a string is refused at construction, not inside
+    # generate; numpy integers are taken as the ints they hold
+    fields = {"count": 16, "dim": 8, "model": "block-correlated", "block_size": 4,
+              "window": 4, "rng_seed": 3}
+    with pytest.raises(ValueError, match=f"^{field} .* is not an integer$"):
+        SyntheticSpec(**{**fields, field: value})
+    spec = SyntheticSpec(**{**fields, field: np.int32(fields[field])})
+    assert getattr(spec, field) == fields[field] and type(getattr(spec, field)) is int
+    np.testing.assert_array_equal(generate(spec).vectors,
+                                  generate(SyntheticSpec(**fields)).vectors)
+
+
 def test_generate_is_seed_deterministic():
     spec = SyntheticSpec(count=10, dim=4, model="iid-uniform", rng_seed=7)
     np.testing.assert_array_equal(generate(spec).vectors, generate(spec).vectors)

@@ -21,7 +21,7 @@ from lpcascade import (
     lp_norm,
 )
 from lpcascade import norms, oracle
-from lpcascade.norms import distances_to_point, l4_band, sweep
+from lpcascade.norms import distances_to_point, sweep
 from unchunked import kernel_points, max_divided_distances, unchunked_distances
 
 
@@ -592,32 +592,41 @@ def test_an_overflowed_distance_is_inf_without_a_warning(p, width):
 
 @pytest.mark.parametrize("offset", [0.0, 1e3, 1e7])
 def test_l4_band_decides_as_the_kernel(offset):
-    # rows inside the l_4 band's verdict are below tau by the kernel, and
-    # rows outside it at or above tau, for tau on and one ulp about the
-    # kernel's own distances; an offset makes the expansion cancel, which
-    # the half-width's relative term covers
+    # rows inside the band's verdict are below tau by the kernel, and rows
+    # outside it at or above tau, for tau on and one ulp about the kernel's
+    # own distances: under l_4 on float64 rows, and under l_2 on float64
+    # rows and on float32 rows against a float32 query (single); an offset
+    # makes the expansion cancel, which the half-width's relative term covers
     rng = np.random.Generator(np.random.Philox(key=14))
     for width in (1, 4, 16, 64):
         rows = rng.standard_normal((400, width)) + offset
         rows[::9] = rows[1]  # exact duplicates of the query, at distance 0
-        q = rows[1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            powers = norms._row_powers(rows, quartic=True)
-            cross = np.empty((1, rows.shape[0]))
-            oracle._l4_cross(rows, q[None, :], cross)
-            g = powers + powers[1] + cross[0]
-            dist = distances_to_point(rows, q, L4)
-            decided = 0
-            for tau in np.sort(dist)[[10, 60, 200, 399]]:
-                for edge in (np.nextafter(tau, 0.0), tau, np.nextafter(tau, np.inf)):
-                    if not edge > 0.0:
-                        continue
-                    inside, band = l4_band(g, powers, powers[1], edge, width)
-                    assert np.all(dist[inside] < edge)
-                    assert np.all(dist[~inside & ~band] >= edge)
-                    decided += int(np.count_nonzero(~band))
-        if offset == 0.0:
-            assert decided > 0
+        for norm, single in ((L4, False), (L2, False), (L2, True)):
+            quartic = norm == L4
+            x = rows.astype(np.float32) if single else rows
+            q = x[1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                powers = norms._row_powers(x, quartic)
+                if quartic:
+                    cross = np.empty((1, x.shape[0]))
+                    oracle._l4_cross(x, q[None, :], cross)
+                    cross = cross[0]
+                else:
+                    cross = -2.0 * (x @ q)
+                g = powers + powers[1] + cross
+                dist = distances_to_point(x, q, norm)
+                decided = 0
+                for tau in np.sort(dist)[[10, 60, 200, 399]]:
+                    for edge in (np.nextafter(tau, 0.0), tau, np.nextafter(tau, np.inf)):
+                        if not edge > 0.0:
+                            continue
+                        inside, band = norms.band(g, powers, powers[1], edge, width,
+                                                  quartic, single)
+                        assert np.all(dist[inside] < edge)
+                        assert np.all(dist[~inside & ~band] >= edge)
+                        decided += int(np.count_nonzero(~band))
+            if offset == 0.0:
+                assert decided > 0
 
 
 @pytest.mark.parametrize("spread", [1.0, 1e12])
@@ -630,10 +639,9 @@ def test_band_screen_returns_the_bands_own_masks(monkeypatch, p, single, spread)
     # the band runs on fewer rows than it is given
     rng = np.random.Generator(np.random.Philox(key=16))
     quartic = p == 4
-    name = "l4_band" if quartic else "l2_band"
-    band = getattr(norms, name)
+    band = norms.band
     banded = []
-    monkeypatch.setattr(norms, name, lambda g, *args: banded.append(g.size) or band(g, *args))
+    monkeypatch.setattr(norms, "band", lambda g, *args: banded.append(g.size) or band(g, *args))
     n, m = 16, 3000
     powers = rng.uniform(1.0, 4.0, m)
     powers[0] *= spread
@@ -642,17 +650,15 @@ def test_band_screen_returns_the_bands_own_masks(monkeypatch, p, single, spread)
         bound = tau * tau
         if quartic:
             bound *= bound
-            w, wide = (norms.l4_half_width(x, qq, bound, n) for x in (powers, powers.max()))
-        else:
-            w, wide = (norms.l2_half_width(x, qq, bound, n, single)
-                       for x in (powers, powers.max()))
+        w, wide = (norms.half_width(x, qq, bound, n, quartic, single)
+                   for x in (powers, powers.max()))
         edges = np.stack(np.broadcast_arrays(bound - w, bound + w, bound - wide, bound + wide))
         g = edges[rng.integers(0, 4, m), np.arange(m)]
         g *= 1.0 + rng.integers(-4, 5, m) * 2.0 ** -52
         g[::7] = bound + wide * rng.uniform(-3.0, 3.0, g[::7].shape)
         g[1:4] = (-math.inf, math.inf, math.nan)
         with np.errstate(over="ignore", invalid="ignore"):
-            want = band(g, powers, qq, tau, n) if quartic else band(g, powers, qq, tau, n, single)
+            want = band(g, powers, qq, tau, n, quartic, single)
             got = norms.band_screen(g, powers, powers.max(), qq, tau, n, quartic, single)
         for mask, wanted in zip(got, want):
             np.testing.assert_array_equal(mask, wanted)

@@ -55,6 +55,20 @@ def test_calibration_spec_validation():
         CalibrationSpec(target_nn=0)
 
 
+@pytest.mark.parametrize("field", ["sample_size", "target_nn"])
+@pytest.mark.parametrize("value", [5.0, 5.5, True, "5"])
+def test_calibration_spec_fields_must_be_integers(field, value):
+    # refused at construction, not by numpy inside calibrate_epsilon;
+    # numpy integers are taken as the ints they hold
+    with pytest.raises(ValueError, match=f"^{field} .* is not an integer$"):
+        CalibrationSpec(**{field: value})
+    spec = CalibrationSpec(sample_size=np.int64(12), target_nn=np.uint8(3))
+    assert (spec.sample_size, spec.target_nn) == (12, 3)
+    line = DataSet.from_array(np.arange(40.0)[:, None])
+    assert calibrate_epsilon(line, spec, 2, rng_seed=4) == \
+        calibrate_epsilon(line, CalibrationSpec(sample_size=12, target_nn=3), 2, rng_seed=4)
+
+
 def test_calibrate_on_integer_line():
     line = DataSet.from_array(np.arange(100.0)[:, None])
     spec = CalibrationSpec(sample_size=10, target_nn=1)
@@ -234,8 +248,7 @@ def test_prescreen_sends_the_kernel_the_rows_of_the_band_alone(monkeypatch, p, c
     make, spec = CALIBRATION_CASES[case]
     data = DataSet.from_array(make())
     monkeypatch.setattr(norms, "CHUNK_BYTES", 8 * 16 * 24)  # several blocks
-    name = "l4_band" if p == 4 else "l2_band"
-    band = getattr(norms, name)
+    band = norms.band
 
     def kernel_rows():
         sent, banded = [], []
@@ -250,12 +263,12 @@ def test_prescreen_sends_the_kernel_the_rows_of_the_band_alone(monkeypatch, p, c
 
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "sweep", spy_sweep)
-            patch.setattr(norms, name, spy_band)  # where band_screen runs the band
+            patch.setattr(norms, "band", spy_band)  # where band_screen runs the band
             return calibrate_epsilon(data, spec, p, rng_seed=75), sent, banded
 
     got, screened, banded = kernel_rows()
     monkeypatch.setattr(oracle, "band_screen", lambda g, powers, widest, qq, tau, n, quartic:
-                        band(g, powers, qq, tau, n))
+                        band(g, powers, qq, tau, n, quartic))
     want, alone, _ = kernel_rows()
     assert got == want == unchunked_calibration(data, spec, p, rng_seed=75)
     assert len(screened) == len(alone) >= spec.sample_size

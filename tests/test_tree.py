@@ -1010,7 +1010,7 @@ def test_prescreen_sends_the_kernel_the_rows_of_the_band_alone(monkeypatch, mode
     data = DataSet.from_array(vectors)
     index = build_index(data, DimensionSchedule((64, 16, 4)), mode, 2)
     assert all(powers[7] >= 1e12 * np.delete(powers, 7).max() for powers in index.sq_norms)
-    sweep, band = tree.sweep, norms.l2_band
+    sweep, band = tree.sweep, norms.band
 
     def kernel_rows(y, epsilon):
         sent = []
@@ -1025,7 +1025,7 @@ def test_prescreen_sends_the_kernel_the_rows_of_the_band_alone(monkeypatch, mode
             return range_query(index, y, epsilon), sent
 
     def plain_band(g, powers, widest, qq, tau, n, single=False):
-        return band(g, powers, qq, tau, n, single)
+        return band(g, powers, qq, tau, n, single=single)
 
     rng = np.random.Generator(np.random.Philox(key=83))
     for share in SCREEN_SHARES:
