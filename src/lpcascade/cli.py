@@ -227,9 +227,8 @@ def run_build(config: BenchConfig, log=print) -> list[str]:
         save_index(index, target)
         log(f"built {mode} l_{norm} index over {index.count} x {data.dim} "
             f"-> {target}")
-        steps = [step for _, step in index.grids] or [None] * schedule.levels
-        for entry, step, term in zip(index.diversion_summary(), steps, index.grid_terms):
-            grid = "" if step is None else f", grid step {step:.6g}, grid term {term:.6g}"
+        for entry, grid, term in zip(index.diversion_summary(), index.grids, index.grid_terms):
+            grid = "" if grid is None else f", grid step {grid[1]:.6g}, grid term {term:.6g}"
             log(f"  level {entry['level']} (block size {entry['block_size']}): "
                 f"max diversion {entry['max_diversion']:.6f}, "
                 f"mean {entry['mean_diversion']:.6f}{grid}")

@@ -21,7 +21,6 @@ operations directly; the formula is the invariant tests hold it to.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import operator
@@ -227,11 +226,12 @@ class SubspaceIndex:
     ``features[i]`` holds the level-(i+1) projection of every database row
     as the one store makes it (``norms._stored``) and the container holds
     it, so a built index and its saved-and-reloaded copy are the same
-    object bit for bit.  Under l_1 and l_inf it is an int16 array of grid
-    codes c in [0, 2^15 - 1], and ``grids[i] = (lo, step)`` the level's
-    grid lo + c step (``norms._fit_grid``), 2 bytes a feature; under every
-    other norm a float32 array, and ``grids == ()``.  A narrow level
-    (``norms._column_major``: below ``norms._NARROW``, 32 columns, of
+    object bit for bit, and ``grids[i]`` holds the level's grid slot as the
+    store returns it.  Under l_1 and l_inf the features are an int16 array
+    of grid codes c in [0, 2^15 - 1], and ``grids[i] = (lo, step)`` the
+    level's grid lo + c step (``norms._fit_grid``), 2 bytes a feature; under
+    every other norm a float32 array, and ``grids[i]`` is None.  A narrow
+    level (``norms._column_major``: below ``norms._NARROW``, 32 columns, of
     float32 features and below ``norms._CODE_NARROW``, 128, of int16
     codes) is held column-major and a wider one row-major, whatever
     layout it was passed in: the distance kernel reduces narrow rows down
@@ -247,9 +247,10 @@ class SubspaceIndex:
     ``schedule.levels`` levels k maps dims[k-1] to dims[k] under ``norm``,
     as exactness needs, with features of the dtype the store gives the
     norm (``norms._stored_dtype``, checked before their shape) and (count,
-    dims[k]), and, under l_1 and l_inf, each grid has a finite lo and a
-    step that is a positive power of two and no code is negative.  Level k
-    prunes a row when its level distance reaches
+    dims[k]), each of the ``schedule.levels`` grid slots holds a grid
+    under l_1 and l_inf and None under every other norm, and each grid has
+    a finite lo and a step that is a positive power of two and no code is
+    negative.  Level k prunes a row when its level distance reaches
     epsilon plus a margin that covers the rounding of the features and of
     projection and distances.  The margin (``level_margins``) reads only
     the schedule, the index's norm, epsilon and the query's norm; a coded
@@ -276,7 +277,7 @@ class SubspaceIndex:
     features: tuple[np.ndarray, ...]
     data: np.ndarray
     ids: np.ndarray
-    grids: tuple[tuple[float, float], ...] = ()
+    grids: tuple[tuple[float, float] | None, ...]
     sq_norms: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -310,10 +311,13 @@ class SubspaceIndex:
             np.asfortranarray(feats) if _column_major(dtype, n_out)
             else np.ascontiguousarray(feats)
             for n_out, feats in zip(dims[1:], self.features)))
-        if len(self.grids) != (self.schedule.levels if _coded(self.norm) else 0):
-            raise ValueError(f"{len(self.grids)} grids for a {self.schedule.levels}-level "
-                             f"schedule under {self.norm}")
-        for k, ((lo, step), feats) in enumerate(zip(self.grids, self.features), start=1):
+        if [grid is None for grid in self.grids] != [not _coded(self.norm)] * self.schedule.levels:
+            raise ValueError(f"grid slots {self.grids} for a {self.schedule.levels}-level "
+                             f"schedule under {self.norm}: one per level, a grid where coded")
+        for k, (grid, feats) in enumerate(zip(self.grids, self.features), start=1):
+            if grid is None:
+                continue
+            lo, step = grid
             if not math.isfinite(lo):
                 raise ValueError(f"grid {k}: lo {lo} is not finite")
             if not (0.0 < step < math.inf and math.frexp(step)[0] == 0.5):
@@ -335,11 +339,9 @@ class SubspaceIndex:
     def grid_terms(self) -> tuple[float, ...]:
         """What each level adds to its threshold for its grid: n_k^(1/p)
         step (1 + 2^-32) at a coded level (``level_margins`` derives it),
-        0 at a float32 one."""
-        if not self.grids:
-            return (0.0,) * self.schedule.levels
-        return tuple(_grid_term(self.norm, n, step)
-                     for n, (_, step) in zip(self.schedule.dims[1:], self.grids))
+        0 at a float32 one, whose slot is None."""
+        return tuple(0.0 if grid is None else _grid_term(self.norm, n, grid[1])
+                     for n, grid in zip(self.schedule.dims[1:], self.grids))
 
     @property
     def count(self) -> int:
@@ -374,9 +376,10 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
     float64 values of the one before, and only its stored copy is kept,
     made by the one store (``norms._stored``, once per level): under l_1
     and l_inf its grid codes, on a grid fitted to those values, and under
-    every other norm its float32 copy.  So the features equal those
-    ``save_index`` stores and ``load_index`` reads back, and at most two
-    levels are ever held at float64.
+    every other norm its float32 copy, whose grid slot is None; the grid
+    slots are passed on as the store returns them.  So the features equal
+    those ``save_index`` stores and ``load_index`` reads back, and at most
+    two levels are ever held at float64.
 
     The fit (``fit_adaptive_level``), the projection (``project_rows``),
     the store's grid fit and store and, under l_2, the rows' squared norms
@@ -415,7 +418,7 @@ def build_index(data: DataSet, schedule: DimensionSchedule, mode: str,
         features=tuple(features),
         data=data.vectors,
         ids=data.ids,
-        grids=tuple(grid for grid in grids if grid),  # float32 levels have none
+        grids=tuple(grids),
     )
 
 
@@ -643,11 +646,9 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
         scale = lp_norm(query, index.norm) + epsilon
         # the dtype of the features; a point overflows only under infinite
         # margins, which prune nothing
-        if index.grids:
-            points[1:] = [_encode(point, *grid).astype(np.int16)
-                          for point, grid in zip(points[1:], index.grids)]
-        else:
-            points[1:] = [point.astype(np.float32) for point in points[1:]]
+        points[1:] = [point.astype(np.float32) if grid is None
+                      else _encode(point, *grid).astype(np.int16)
+                      for point, grid in zip(points[1:], index.grids)]
     margins = level_margins(index.schedule, scale, index.norm)
     taus = (epsilon, *(epsilon + margin + term
                        for margin, term in zip(margins, index.grid_terms)))
@@ -665,7 +666,7 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
             band = keep | band  # every reported distance is the kernel's float
         dist = sweep(matrices[k], candidates[band], points[k], index.norm,
                      distances_to_point)
-        if k and index.grids:
+        if k and index.grids[k - 1] is not None:
             with np.errstate(over="ignore"):  # exact, or inf beyond the float64 range
                 dist *= index.grids[k - 1][1]
         hit = dist < taus[k]
@@ -796,7 +797,8 @@ def save_index(index: SubspaceIndex, path) -> None:
     and the vectors at float64, then every level's directions at float64,
     its grid (lo, step) at float64 and its features, int16 codes under l_1
     and l_inf (``norms._coded``) and float32 under every other norm, whose
-    grid sections are empty.  Both modes share the layout.
+    grid slots are None and whose grid sections are empty.  Both modes
+    share the layout.
 
     Nothing is rounded, so ``load_index`` returns the same index bit for
     bit.  The vectors are always embedded: the search is exact only over the
@@ -819,10 +821,8 @@ def save_index(index: SubspaceIndex, path) -> None:
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     head = _MAGIC + struct.pack("<IQ", _VERSION, len(blob)) + blob
     arrays = [index.ids, index.data]
-    # an index of float32 levels has no grids: () fills their empty sections
-    for level, grid, feats in itertools.zip_longest(index.levels, index.grids, index.features,
-                                                    fillvalue=()):
-        arrays += [level.directions, np.array(grid, dtype=np.float64), feats]
+    for level, grid, feats in zip(index.levels, index.grids, index.features):
+        arrays += [level.directions, np.array(grid or (), dtype=np.float64), feats]
     sections = _sections(index.count, index.schedule.dims, _coded(index.norm))
     # written beside the target, which is replaced only once the new file is
     # whole: a failed save leaves the old file as it was, and an index
@@ -890,7 +890,8 @@ def load_index(path, mmap_data: bool = False) -> SubspaceIndex:
     dtype they are read as, int16 codes (2 bytes per feature) under l_1
     and l_inf and float32 (4 bytes) under every other norm; a level
     narrower than 128 columns of codes or 32 of float32 features is copied
-    once into column-major order (``SubspaceIndex``).  Every level is
+    once into column-major order (``SubspaceIndex``), and an empty grid
+    section is read as a None grid slot.  Every level is
     rebuilt from its stored directions, so the mode is only a label.  Only
     version 4 is read.  A container of another format or version, whose
     header is not an object, lacks a field, holds an invalid norm or
@@ -966,5 +967,5 @@ def _read_container(path, mmap_data: bool) -> SubspaceIndex:
         features=tuple(levels[2::3]),
         data=vectors,
         ids=ids,
-        grids=tuple(tuple(grid.tolist()) for grid in levels[1::3] if grid.size),
+        grids=tuple(tuple(grid.tolist()) if grid.size else None for grid in levels[1::3]),
     )

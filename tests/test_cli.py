@@ -17,6 +17,8 @@ from lpcascade import (
     generate,
     load_fvecs,
     load_index,
+    range_query,
+    reference_rows,
     save_index,
     write_fvecs,
 )
@@ -26,6 +28,7 @@ from lpcascade.cli import (
     CliInputError,
     InternalCheckError,
     _build_parser,
+    load_vector_file,
     main,
     parse_config_file,
     run_bench,
@@ -247,6 +250,39 @@ def test_query_has_no_data_flag(query_files, capsys):
     assert "unrecognized arguments: --data" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suffix", ["csv", "fvecs"])
+def test_build_bench_and_query_read_data_files(suffix, tmp_path, capsys):
+    # --data and --queries take a .csv or a .fvecs file (load_vector_file);
+    # the rows are float32 values, which both formats hold exactly, and each
+    # query lies near l_1 distance 4 from its row
+    vectors = generate(SyntheticSpec(count=400, dim=32, model="block-correlated",
+                                     block_size=4, correlation=0.8, rng_seed=12)).vectors
+    vectors = vectors.astype(np.float32).astype(np.float64)
+    data, queries = tmp_path / f"data.{suffix}", tmp_path / f"queries.{suffix}"
+    for path, rows in ((data, vectors), (queries, vectors[:3] + 0.125)):
+        if suffix == "csv":
+            np.savetxt(path, rows, delimiter=",", fmt="%.17g")
+        else:
+            write_fvecs(path, rows)
+    index_path, bench, reports = (tmp_path / name for name in ("index.idx", "bench.json",
+                                                                "reports.json"))
+    assert main(["build", "--data", str(data), "--schedule", "32,8,2", "--modes", "adaptive",
+                 "--norms", "1", "--out", str(index_path)]) == 0
+    index = load_index(index_path)
+    np.testing.assert_array_equal(index.data, vectors)
+    assert main(["bench", "--data", str(data), "--schedule", "32,8,2", "--norms", "1,2",
+                 "--queries", "20", "--target-nn", "5", "--calibration-sample", "40",
+                 "--out", str(bench)]) == 0
+    assert [(row["mode"], row["norm"]) for row in strict_json(bench)] == [
+        ("orthogonal", "1"), ("orthogonal", "2")]
+    assert main(["query", "--index", str(index_path), "--queries", str(queries),
+                 "--epsilon", "5", "--out", str(reports)]) == 0
+    written = strict_json(reports)
+    assert [[tuple(pair) for pair in entry["matches"]] for entry in written] == [
+        list(range_query(index, row, 5.0).matches) for row in load_vector_file(queries).vectors]
+    assert all(entry["matches"] for entry in written)
+
+
 @pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
 def test_container_with_a_nan_direction_is_input_error(tmp_path, mode, capsys):
     # a nan direction entry fails no "deviation from unit norm > tol" test,
@@ -397,11 +433,47 @@ def test_bench_oracle_disagreement_exits_2(monkeypatch, capsys):
     assert "internal check failed" in capsys.readouterr().err
 
 
+def test_bench_logs_the_reference_corpus_its_shape_matches(monkeypatch):
+    import lpcascade.cli as cli_module
+
+    shapes = []
+    monkeypatch.setattr(cli_module, "match_reference",
+                        lambda dim, count: shapes.append((dim, count)) or "gist960")
+    logged = []
+    run_bench(BenchConfig(model="iid-uniform", count=300, dim=32, schedule=(32, 8),
+                          modes=("orthogonal",), norms=("2",), queries=10, target_nn=5,
+                          calibration_sample=20), log=logged.append)
+    # the shape is that of the whole dataset, queries included
+    assert shapes == [(32, 300)]
+    start = logged.index("dataset shape matches the gist960 reference corpus; "
+                         "full-scale reference figures:")
+    rows = reference_rows("gist960")
+    assert logged[start + 1:start + 1 + len(rows)] == [
+        f"  {ref.mode} l_{ref.norm}: epsilon {ref.epsilon:g}, "
+        f"mean cost {ref.mean_cost:.0f}, ratio {ref.mean_ratio:.2f}" for ref in rows]
+
+
+def test_reference_rows_of_an_unknown_table_are_rejected():
+    with pytest.raises(ValueError, match=r"unknown reference table 'gist'; "
+                                         r"available: \['gist960', 'rgb12288'\]"):
+        reference_rows("gist")
+
+
 # flags both build and bench take, and a bench run that uses them
 CELL_FLAGS = ["--model", "iid-uniform", "--count", "300", "--dim", "32",
               "--schedule", "32,8", "--modes", "orthogonal", "--norms", "2"]
 BENCH_FLAGS = ["bench", *CELL_FLAGS,
                "--queries", "10", "--target-nn", "5", "--calibration-sample", "20"]
+
+
+@pytest.mark.parametrize("value", ["0", "300", "301"])
+def test_bench_query_sample_must_leave_rows_to_search(value, capsys):
+    # the queries are held out of the 300 rows: at least one must be, and
+    # one row must stay to be searched
+    assert main(BENCH_FLAGS + ["--queries", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: query sample {value} must be in [1, 299]\n"
+    assert "cell " not in captured.out
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -511,24 +583,26 @@ def test_report_path_is_checked_before_any_data_or_index(case, query_files, tmp_
     assert not (tmp_path / "r.json").exists() and not any((tmp_path / "dir").iterdir())
 
 
-@pytest.mark.parametrize("case", ["missing", "directory"])
+@pytest.mark.parametrize("case", ["missing", "directory", "absent"])
 def test_build_output_path_is_checked_before_any_data(case, tmp_path, monkeypatch, capsys):
     # an index path in no directory, or one that is a directory, is an input
     # error found before any data are made, not a temporary file's error
-    # after a cell is built
+    # after a cell is built; so is no index path at all
     import lpcascade.cli as cli_module
 
     monkeypatch.setattr(cli_module, "generate", no_data)
     (tmp_path / "dir").mkdir()
     out, message = {
-        "missing": (tmp_path / "missing" / "x.idx", f"no directory {tmp_path / 'missing'}"),
-        "directory": (tmp_path / "dir", "is a directory"),
+        "missing": (tmp_path / "missing" / "x.idx",
+                    f"{tmp_path / 'missing' / 'x.idx'}: no directory {tmp_path / 'missing'}"),
+        "directory": (tmp_path / "dir", f"{tmp_path / 'dir'}: is a directory"),
+        "absent": (None, "build requires an output path (--out or out=)"),
     }[case]
     assert main(["build", "--model", "block-correlated", "--count", "300", "--dim", "32",
                  "--schedule", "32,8,2", "--modes", "orthogonal,adaptive", "--norms", "1,2",
-                 "--out", str(out)]) == 1
+                 *([] if out is None else ["--out", str(out)])]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: {out}: {message}\n"
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
     assert not any((tmp_path / "dir").iterdir())

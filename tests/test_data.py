@@ -144,6 +144,16 @@ def test_fvecs_errors(tmp_path):
     with pytest.raises(ValueError):
         load_fvecs(empty)
 
+    # a file too short for record 0's dimension, or whose dimension is below 1
+    for raw, message in ((b"\x02", "truncated record 0"), (b"\x02\x00", "truncated record 0"),
+                         (b"\x02\x00\x00", "truncated record 0"),
+                         (struct.pack("<i", 0), "record 0 has invalid dimension 0"),
+                         (struct.pack("<if", -1, 1.0), "record 0 has invalid dimension -1")):
+        short = tmp_path / "short.fvecs"
+        short.write_bytes(raw)
+        with pytest.raises(ValueError, match=message):
+            load_fvecs(short)
+
     truncated = tmp_path / "cut.fvecs"
     truncated.write_bytes(struct.pack("<i2f", 2, 1.0, 2.0)[:-2])
     with pytest.raises(ValueError):
@@ -160,10 +170,15 @@ def test_fvecs_errors(tmp_path):
     with pytest.raises(ValueError):
         load_fvecs(nonfinite)
 
+    with pytest.raises(ValueError, match="expected a 2-d matrix"):
+        write_fvecs(tmp_path / "row.fvecs", np.ones(3))
+    assert not (tmp_path / "row.fvecs").exists()
+
 
 def test_csv_loading(tmp_path):
     path = tmp_path / "tiny.csv"
-    path.write_text("1.0,2.0\n3.5,-4.25\n")
+    # a blank line holds no row
+    path.write_text("1.0,2.0\n\n3.5,-4.25\n")
     ds = load_csv(path)
     np.testing.assert_array_equal(ds.vectors, [[1.0, 2.0], [3.5, -4.25]])
 

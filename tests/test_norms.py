@@ -737,3 +737,15 @@ def test_sweep_covers_the_rows_in_budget_sized_chunks(monkeypatch):
     chunks.clear()
     np.testing.assert_array_equal(sweep(matrix, None, point, L1, recording), want)
     assert len(chunks) == 14
+
+
+def test_usable_cpus_is_the_affinity_set_else_the_cpu_count(monkeypatch):
+    # a platform without sched_getaffinity counts every CPU, and one that
+    # cannot tell counts one
+    if hasattr(norms.os, "sched_getaffinity"):
+        assert norms._usable_cpus() == len(norms.os.sched_getaffinity(0))
+    monkeypatch.delattr(norms.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(norms.os, "cpu_count", lambda: 3)
+    assert norms._usable_cpus() == 3
+    monkeypatch.setattr(norms.os, "cpu_count", lambda: None)
+    assert norms._usable_cpus() == 1

@@ -121,6 +121,9 @@ def test_project_level_examples():
     np.testing.assert_array_equal(project_level(np.zeros(4), level), np.zeros(2))
     with pytest.raises(ValueError):
         project_level([1.0, 2.0, 3.0], level)
+    for rows in (np.ones((2, 3)), np.ones(4)):
+        with pytest.raises(ValueError, match="!= level input dim 4"):
+            project_rows(rows, level)
 
 
 def test_level_mode_consistency():
@@ -284,6 +287,9 @@ def test_fit_adaptive_level_shapes_and_flags():
     assert feats.shape == (500, 3)
     with pytest.raises(ValueError):
         fit_adaptive_level(rows[:0], BlockPartition.for_dims(12, 3), 4)
+    for bad in (rows[:, :8], rows[0]):
+        with pytest.raises(ValueError, match="!= partition dim 12"):
+            fit_adaptive_level(bad, BlockPartition.for_dims(12, 3), 4)
     with pytest.raises(ValueError):
         fit_adaptive_level(np.where(rows > 0.99, np.nan, rows), BlockPartition.for_dims(12, 3), 4)
 

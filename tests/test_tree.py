@@ -59,6 +59,9 @@ def test_schedule_validation():
         DimensionSchedule((16, 32))
     with pytest.raises(ValueError):
         DimensionSchedule((16, 6))
+    for dims in ((0,), (16, 0), (-4,)):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            DimensionSchedule(dims)
     # int() would have taken (8.9, 2.2) as (8, 2) and (True,) as (1,)
     for dims in ((8.9, 2.2), (8.0, 2.0), (True,), (8, "2")):
         with pytest.raises(ValueError, match="is not an integer"):
@@ -89,6 +92,11 @@ def test_build_two_stage_composition():
     level_2 = projection.project_rows(level_1, index.levels[1])
     assert index.features[1].tolist() == level_2.astype(np.float32).tolist()
     assert index.features[1][0].tolist() == [4.0]
+    # a plain array is built as the DataSet of its rows
+    plain = build_index(data.vectors, DimensionSchedule((4, 2, 1)), "orthogonal", 2)
+    np.testing.assert_array_equal(plain.ids, index.ids)
+    for got, want in zip(plain.features, index.features):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_adaptive_equals_orthogonal_on_secting_line_data():
@@ -243,6 +251,10 @@ def test_matches_behave_as_a_tuple_of_pairs():
         dataclasses.replace(report, matches=[(1.5, 0.0)])
     with pytest.raises(ValueError):
         dataclasses.replace(report, matches=[(1, 0.0, 2)])
+    for ids, distances in (([1, 2], [0.5]), ([[1]], [[0.5]])):
+        with pytest.raises(ValueError, match="must be 1-d arrays of one length"):
+            tree.Matches(ids, distances)
+    assert repr(matches[:2]) == f"Matches({pairs[:2]!r})" and repr(empty.matches) == "Matches(())"
     # the arrays are the report's own and cannot be written
     with pytest.raises(ValueError):
         matches.distances[0] = 0.0
@@ -336,7 +348,9 @@ def test_save_load_roundtrip(tmp_path, mode, p, dims):
     for built, back in zip(index.features, loaded.features):
         assert back.dtype == built.dtype == (np.int16 if p == "inf" else np.float32)
         np.testing.assert_array_equal(back, built)
-    assert loaded.grids == index.grids and len(index.grids) == (len(dims) - 1) * (p == "inf")
+    # one grid slot per level: a grid at an l_inf level, None at a float32 one
+    assert loaded.grids == index.grids
+    assert [grid is None for grid in index.grids] == [p != "inf"] * (len(dims) - 1)
     for lvl_a, lvl_b in zip(index.levels, loaded.levels):
         # every container stores its levels' directions, whatever the mode
         np.testing.assert_array_equal(lvl_a.directions, lvl_b.directions)
@@ -778,7 +792,16 @@ def test_feature_matrices_must_be_float32():
     # an l_1 level is coded: int16 codes on a grid, one per level
     (lambda index: {"features": (index.features[0].astype(np.float32), index.features[1])},
      "feature matrices must be int16 arrays under l_1"),
-    (lambda index: {"grids": index.grids[:1]}, "1 grids for a 2-level schedule under l_1"),
+    (lambda index: {"grids": index.grids[:1]},
+     r"grid slots \(\([^)]*\),\) for a 2-level schedule under l_1: one per level"),
+    (lambda index: {"grids": (None, index.grids[1])},
+     r"grid slots \(None, \([^)]*\)\) for a 2-level schedule under l_1"),
+    # a float32 level has no grid: l_2 levels and features keeping l_1's grids
+    (lambda index: {"norm": norms.L2, "grids": index.grids,
+                    "levels": tuple(projection.ProjectionLevel(norms.L2, level.directions)
+                                    for level in index.levels),
+                    "features": tuple(f.astype(np.float32) for f in index.features)},
+     r"grid slots \(\(.*\)\) for a 2-level schedule under l_2: one per level"),
     (lambda index: {"grids": ((0.0, 0.3), index.grids[1])},
      "grid 1: step 0.3 is not a positive power of two"),
     # saved, a zero-row index would write a container load_index rejects,
@@ -791,7 +814,8 @@ def test_feature_matrices_must_be_float32():
     (lambda index: {"ids": index.ids.astype(np.uint64)},
      "ids must be integers int64 holds, not uint64"),
 ], ids=["norm", "schedule", "feature-width", "feature-rows", "ids", "level-norm",
-        "data-width", "level-count", "mode", "feature-dtype", "grid-count", "grid-step",
+        "data-width", "level-count", "mode", "feature-dtype", "grid-count", "grid-none",
+        "grid-on-float32", "grid-step",
         "zero-rows", "float-ids", "uint64-ids"])
 def test_an_index_whose_parts_disagree_is_rejected(change, message):
     data = small_dataset(count=60, seed=81)

@@ -73,11 +73,9 @@ def kernel_points(index, y):
     for level in index.levels:
         points.append(project_level(points[-1], level))
     with np.errstate(over="ignore"):  # only under infinite margins
-        if index.grids:
-            points[1:] = [_encode(point, *grid).astype(np.int16)
-                          for point, grid in zip(points[1:], index.grids)]
-        else:
-            points[1:] = [point.astype(np.float32) for point in points[1:]]
+        points[1:] = [point.astype(np.float32) if grid is None
+                      else _encode(point, *grid).astype(np.int16)
+                      for point, grid in zip(points[1:], index.grids)]
     return points
 
 
@@ -86,7 +84,7 @@ def level_distances(index, k, rows, point):
     compares them with tau_k: the code distance times the grid's step at a
     coded level."""
     dist = unchunked_distances(rows, point, index.norm)
-    if index.grids:
+    if index.grids[k - 1] is not None:
         with np.errstate(over="ignore"):
             dist = dist * index.grids[k - 1][1]
     return dist
