@@ -251,7 +251,7 @@ def test_query_has_no_data_flag(query_files, capsys):
 
 
 @pytest.mark.parametrize("suffix", ["csv", "fvecs"])
-def test_build_bench_and_query_read_data_files(suffix, tmp_path, capsys):
+def test_build_bench_and_query_read_data_files(suffix, tmp_path):
     # --data and --queries take a .csv or a .fvecs file (load_vector_file);
     # the rows are float32 values, which both formats hold exactly, and each
     # query lies near l_1 distance 4 from its row

@@ -7,11 +7,11 @@ pools (``norms.in_parts``) are traced too, and records every line of
 ``src/lpcascade/*.py`` that runs.  A statement ran when a line it spans,
 outside the statements nested in it, did.  Definitions, imports,
 docstrings and the headers of ``try`` blocks, which run no code of their
-own, are not counted.  Prints each statement that never ran under its
-module, with its first line, then the count per module and in total.
-Arguments are passed on to pytest, and the exit code is never that of
-the tests: the report is the output.  Needs only the standard library and
-pytest:
+own, are not counted.  Prints each statement that never ran as its
+path, line and first line of source, then the count per module and in
+total.  Arguments are passed on to pytest, with paths taken from the
+repository root, and the exit code is never that of the tests: the
+report is the output.  Needs only the standard library and pytest:
 
     python tools/unrun_lines.py
     python tools/unrun_lines.py tests/test_cli.py
@@ -25,11 +25,13 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lpcascade"
 # statements that run no code of their own
 _UNCOUNTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import,
-              ast.ImportFrom, ast.Try, ast.Global, ast.Nonlocal)
+              ast.ImportFrom, ast.Try)
 
 
 def statements(path: Path) -> list[tuple[int, set[int]]]:
@@ -53,7 +55,7 @@ def statements(path: Path) -> list[tuple[int, set[int]]]:
     return found
 
 
-def main(args: list[str]) -> int:
+def main(args: list[str]) -> None:
     files = {str(path): set() for path in sorted(PACKAGE.glob("*.py"))}
 
     def local(frame, event, arg):
@@ -65,42 +67,29 @@ def main(args: list[str]) -> int:
         # only the package's frames are traced line by line
         return local if frame.f_code.co_filename in files else None
 
-    class Retrace:
-        """Puts the tracer back before each test, should one remove it."""
-
-        @staticmethod
-        def pytest_runtest_setup(item):
-            if sys.gettrace() is not calls:
-                sys.settrace(calls)
-
     sys.path.insert(0, str(PACKAGE.parent))
-    import pytest
-
     threading.settrace(calls)
     sys.settrace(calls)
     try:
         # from the root, with no paths given, pytest runs its testpaths
         os.chdir(ROOT)
-        pytest.main(["-q", "-p", "no:cacheprovider", *args], plugins=[Retrace()])
+        pytest.main(["-q", "-p", "no:cacheprovider", *args])
     finally:
         sys.settrace(None)
         threading.settrace(None)
 
-    total = 0
     counts = {}
     for name, ran in files.items():
         path = Path(name)
         source = path.read_text(encoding="utf-8").splitlines()
         unrun = sorted(first for first, own in statements(path) if not own & ran)
         counts[path.stem] = len(unrun)
-        total += len(unrun)
         for first in unrun:
             print(f"{path.relative_to(ROOT)}:{first}: {source[first - 1].strip()}")
     for stem, count in counts.items():
         print(f"{stem:12} {count:6,}")
-    print(f"{'total':12} {total:6,}")
-    return 0
+    print(f"{'total':12} {sum(counts.values()):6,}")
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main(sys.argv[1:])
