@@ -191,11 +191,13 @@ def parse_config_file(path) -> dict:
 
 
 def load_vector_file(path) -> DataSet:
-    """Route a dataset/query file by extension (.fvecs or .csv)."""
-    suffix = Path(path).suffix.lower()
-    if suffix == ".csv":
-        return load_csv(path)
-    return load_fvecs(path)
+    """Route a dataset/query file by extension, in any case: .csv to
+    ``load_csv`` and .fvecs to ``load_fvecs``.  Any other suffix is an input
+    error naming the file, which no reader guesses at."""
+    loader = {".csv": load_csv, ".fvecs": load_fvecs}.get(Path(path).suffix.lower())
+    if loader is None:
+        raise CliInputError(f"{path}: not a .csv or .fvecs file")
+    return loader(path)
 
 
 def _config_from_args(args) -> BenchConfig:

@@ -259,15 +259,17 @@ class SubspaceIndex:
     ``||y||_p + epsilon = 1``, which a query's own margins scale in
     proportion to.  Queries are read-only and safe to run concurrently.
 
-    Under l_2 the index also derives ``sq_norms``: ``sq_norms[0]`` holds the
-    squared norm of every row of ``data`` and ``sq_norms[k]`` that of every
-    row of ``features[k-1]``, each summed in float64, so a query can screen
-    a level with one matrix-vector product and ``norms.band_screen``, whose
-    pre-screen takes its w* at the largest of the candidates' (see
-    ``_screen``).  They are
-    computed here, not passed in or stored in the container, so built and
-    loaded indexes derive them alike; for a memory-mapped ``data`` that
-    reads the vectors once.  Other norms derive nothing (``sq_norms == ()``).
+    The index also derives ``sq_norms``, one slot per level k = 0..t, as
+    ``grids`` holds one per level k >= 1.  Under l_2 ``sq_norms[0]`` holds
+    the squared norm of every row of ``data`` and ``sq_norms[k]`` that of
+    every row of ``features[k-1]``, each summed in float64, so a query can
+    screen a level with one matrix-vector product and
+    ``norms.band_screen``, whose pre-screen takes its w* at the largest of
+    the candidates' (see ``_screen``).  Under every other norm each slot is
+    None, and the kernel decides every row.  They are computed here, not
+    passed in or stored in the container, so built and loaded indexes
+    derive them alike; for a memory-mapped ``data`` that reads the vectors
+    once.
     """
 
     schedule: DimensionSchedule
@@ -278,7 +280,7 @@ class SubspaceIndex:
     data: np.ndarray
     ids: np.ndarray
     grids: tuple[tuple[float, float] | None, ...]
-    sq_norms: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    sq_norms: tuple[np.ndarray | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -325,11 +327,9 @@ class SubspaceIndex:
             # int16 holds no code above _CODE_MAX
             if feats.size and feats.min() < 0:
                 raise ValueError(f"features {k}: codes outside [0, {_CODE_MAX}]")
-        sq_norms = ()
-        if self.norm == L2:
-            # an inf norm defers rows to the kernel
-            sq_norms = tuple(_row_powers(m) for m in (self.data, *self.features))
-        object.__setattr__(self, "sq_norms", sq_norms)
+        # an inf norm defers rows to the kernel
+        object.__setattr__(self, "sq_norms", tuple(
+            _row_powers(m) if self.norm == L2 else None for m in (self.data, *self.features)))
 
     @property
     def prune_margins(self) -> tuple[float, ...]:
@@ -445,10 +445,11 @@ def level_margins(schedule: DimensionSchedule, scale: float,
 
     a float64 underflow bound in place of the float32 one: their levels
     are coded on a grid lo_k + c step_k, and level k keeps a row while
-    step_k S < epsilon + margin_k + G_k, with S the exact code distance and
-    G_k >= n_k^(1/p) step_k (1 + 2^-33) the level's grid term (b + b 2^-32
-    + 2^-1074, b = n_k step_k under l_1 and step_k under l_inf;
-    ``SubspaceIndex.grid_terms``), which takes the place of s.
+    S < (epsilon + margin_k + G_k) / step_k, in code units, with S the
+    exact code distance and G_k >= n_k^(1/p) step_k (1 + 2^-33) the
+    level's grid term (b + b 2^-32 + 2^-1074, b = n_k step_k under l_1 and
+    step_k under l_inf; ``SubspaceIndex.grid_terms``), which takes the
+    place of s.
     Every margin is infinite, so that no level prunes, once scale is not
     below 2^127.  The rule reads the schedule, the norm and the scale only,
     never a stored row, so memory-mapped vectors stay untouched; the grid
@@ -558,16 +559,19 @@ def level_margins(schedule: DimensionSchedule, scale: float,
       (1 + 2^-37).  The kernel takes c_x and c_q in int16 and returns the
       exact S = ||c_x - c_q||_p (differences and absolute values fit int16,
       an l_1 sum int32 or int64, and S < 2^53 is exact in float64), and
-      step S = ||g(c_x) - g(c_q)||_p is exact in float64: a power of two
-      times an integer below 2^53, subnormal or not, or inf where the exact
-      product exceeds the float64 range (never a match's while tau_k is
-      finite).  ||x^ - y_k^||_p - epsilon is at most the bound of Sum
-      without its storage and level-kernel terms (2^-24 and kappa(n_k)),
-      inside margin_k with s = f_k = 0.  G_k covers the codes' (1 +
-      2^-37) step in each column, and its 2^-33 the rounding of its
-      addition to epsilon + margin_k (an inf G_k prunes nothing); c_k
-      covers that of epsilon + margin_k as before.  So step S < tau_k for
-      every match, however large or small (subnormal) step is.
+      step S = ||g(c_x) - g(c_q)||_p in exact arithmetic.
+      ||x^ - y_k^||_p - epsilon is at most the bound of Sum without its
+      storage and level-kernel terms (2^-24 and kappa(n_k)), inside
+      margin_k with s = f_k = 0.  G_k covers the codes' (1 + 2^-37) step in
+      each column, and its 2^-33 the rounding of its addition to epsilon +
+      margin_k (an inf G_k prunes nothing); c_k covers that of epsilon +
+      margin_k as before.  So step S < tau_k for every match.  The level
+      compares S with tau_k / step_k, which is exact in float64: tau_k >=
+      G_k >= step_k, so the quotient is at least 1, and dividing by a power
+      of two is exact there, or +inf beyond the float64 range.  So S <
+      tau_k / step_k exactly when step S < tau_k, however large or small
+      (subnormal) step is; an infinite quotient keeps every row, as step S
+      < tau_k does for every S < 2^53 then.
     * Coded levels' underflow (a_k).  Under l_1 and l_inf the level-0
       kernel and ||y||_p carry no absolute error, as a difference or a sum
       that lands among subnormals is exact.  A level map does: each of a
@@ -578,9 +582,9 @@ def level_margins(schedule: DimensionSchedule, scale: float,
       l_inf).  Later level maps carry it on, 1-Lipschitz up to 1 + O(u),
       so x_k^ and y_k^ together are off by at most sum_{j<=k} (m_j n_{j-1}
       + n_j) 2^-1074 beyond the relative bounds above.  Coding is exact to
-      (1/2 + 2^-38) step at any scale, step S is exact, and c_k scale loses
-      at most 2^-1075 where it underflows: the 4 2^-1074 of a_k covers that
-      and the O(u) factors.  So coded levels prune data of any scale down
+      (1/2 + 2^-38) step at any scale, S and tau_k / step_k are exact, and
+      c_k scale loses at most 2^-1075 where it underflows: the 4 2^-1074 of
+      a_k covers that and the O(u) factors.  So coded levels prune data of any scale down
       to about a_k (a_2 = 344 2^-1074 for the schedule 64, 16, 4), where a
       float32 term c_k n_k 2^-126 would keep every row below about 1e-49.
 
@@ -611,27 +615,29 @@ def level_margins(schedule: DimensionSchedule, scale: float,
 def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     """All items within strict l_p distance epsilon of y, with counters.
 
-    One filter walks the levels k = t..0 coarse to fine, over the level's
-    stored matrix, the query projected to it and a threshold tau_k: level k
-    keeps a row while its distance is below tau_k = epsilon plus the
-    level's margin (``level_margins``).  Verification is level 0, over the
-    stored vectors with tau_0 = epsilon, and its survivors are the matches.
-    The level-major sweep evaluates exactly the pairs the per-item two-loop
-    cascade would, so counters match the cost model verbatim.  Each level
-    first decides what it can without the distance kernel (``_screen``) and
-    then runs the kernel on the rest, walking them in cache-sized chunks
-    (``norms.sweep``), so a query never copies a whole feature or data
-    matrix.  At level 0 the kernel also runs on every row the screen keeps,
-    so every decision and reported float is the kernel's own.  Every level
-    k >= 1 hands the kernel, and the screen, the query projected in float64
-    and then taken to the dtype of its features, and the kernel picks the
-    arithmetic from its inputs.  Under l_1 and l_inf the point is coded on
-    the level's grid (``_encode``), the kernel returns the exact code
-    distance S in integer arithmetic, and the level compares step S with
-    tau_k plus the grid term.  Under every other norm the point is rounded
-    to float32, and the kernel works in float32 under l_2 and l_4 and in
-    float64 in the max-divided form, which the margins' float32 term
-    covers.  Level 0 works in float64.
+    One filter walks the levels k = t..0 coarse to fine, and every level is
+    one stage: its stored matrix, its squared-norm slot
+    (``SubspaceIndex.sq_norms``), the query projected to it and a limit in
+    the units of its kernel's output.  Each stage screens its candidates
+    (``_screen``), sweeps the rest with the distance kernel in cache-sized
+    chunks (``norms.sweep``), so a query never copies a whole feature or
+    data matrix, keeps a row while the kernel's distance is below the limit
+    and compacts the candidates.  Level k >= 1 keeps every match while its
+    limit covers tau_k = epsilon plus the level's margin (``level_margins``)
+    and grid term.  Verification is level 0, over the stored vectors with
+    limit epsilon, and its survivors are the matches; there the kernel also
+    runs on every row the screen keeps, so every decision and reported float
+    is the kernel's own.  The level-major sweep evaluates exactly the pairs
+    the per-item two-loop cascade would, so counters match the cost model
+    verbatim.  Every level k >= 1 hands the kernel, and the screen, the
+    query projected in float64 and then taken to the dtype of its features,
+    and the kernel picks the arithmetic from its inputs.  Under l_1 and
+    l_inf the point is coded on the level's grid (``_encode``), the kernel
+    returns the exact code distance S in integer arithmetic, and the limit
+    is tau_k / step_k, in code units and exact.  Under every other norm the
+    point is rounded to float32, the limit is tau_k, and the kernel works in
+    float32 under l_2 and l_4 and in float64 in the max-divided form, which
+    the margins' float32 term covers.  Level 0 works in float64.
     """
     query = as_vector(y, index.schedule.dims[0])
     epsilon = float(epsilon)
@@ -641,7 +647,6 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     points = [query]
     for level in index.levels:
         points.append(project_level(points[-1], level))
-    matrices = (index.data, *index.features)
     with np.errstate(over="ignore"):  # an overflowed norm: no level prunes
         scale = lp_norm(query, index.norm) + epsilon
         # the dtype of the features; a point overflows only under infinite
@@ -649,27 +654,26 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
         points[1:] = [point.astype(np.float32) if grid is None
                       else _encode(point, *grid).astype(np.int16)
                       for point, grid in zip(points[1:], index.grids)]
-    margins = level_margins(index.schedule, scale, index.norm)
-    taus = (epsilon, *(epsilon + margin + term
-                       for margin, term in zip(margins, index.grid_terms)))
+        margins = level_margins(index.schedule, scale, index.norm)
+        # tau_k, over a coded level's step: exact, or inf (level_margins)
+        limits = [epsilon, *((epsilon + margin + term) / (1.0 if grid is None else grid[1])
+                             for margin, term, grid in
+                             zip(margins, index.grid_terms, index.grids))]
 
     dims = index.schedule.dims
-    t = index.schedule.levels
     s = index.count
-    survivors = [0] * (t + 1)
+    survivors = [0] * len(dims)
     candidates = np.arange(s)
     cost = 0
-    for k in range(t, -1, -1):
+    stages = list(zip((index.data, *index.features), index.sq_norms, points, limits))
+    for k in reversed(range(len(dims))):
+        matrix, sq_norms, point, limit = stages[k]
         cost += candidates.size * dims[k]
-        keep, band = _screen(index, k, candidates, points[k], taus[k])
+        keep, band = _screen(matrix, sq_norms, candidates, point, limit)
         if k == 0 and keep is not None:
             band = keep | band  # every reported distance is the kernel's float
-        dist = sweep(matrices[k], candidates[band], points[k], index.norm,
-                     distances_to_point)
-        if k and index.grids[k - 1] is not None:
-            with np.errstate(over="ignore"):  # exact, or inf beyond the float64 range
-                dist *= index.grids[k - 1][1]
-        hit = dist < taus[k]
+        dist = sweep(matrix, candidates[band], point, index.norm, distances_to_point)
+        hit = dist < limit
         if keep is None:
             keep = hit
         else:
@@ -696,10 +700,11 @@ def _dot(block: np.ndarray, point: np.ndarray, norm, scratch: bool = False) -> n
     return block @ point
 
 
-def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
-            point: np.ndarray, tau: float):
-    """Decide what the kernel's verdict ``dist < tau`` at level k is for
-    candidates without running the kernel.
+def _screen(matrix: np.ndarray, sq_norms: np.ndarray | None, candidates: np.ndarray,
+            point: np.ndarray, limit: float):
+    """Decide what the kernel's verdict ``dist < limit`` on the ``matrix``
+    rows ``candidates`` against ``point`` is without running the kernel;
+    one stage of ``range_query`` passes its own arrays and limit.
 
     Returns ``(keep, band)``: ``keep`` is a boolean mask over
     ``candidates``, true for rows surely kept, and ``band`` selects the rows
@@ -707,15 +712,16 @@ def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
     with its verdict; every other row is surely pruned.  When the kernel
     decides every row, ``keep`` is None and ``band`` is ``slice(None)``.
 
-    * An infinite tau keeps every row, even at distance inf: a match's
+    * An infinite limit keeps every row, even at distance inf: a match's
       stored features may have overflowed float32 (``level_margins``).
-    * Under l_2 a matrix-vector product screens the rows: ``keep`` holds
-      those inside and ``band`` is a mask.
-    * Under every other norm the kernel decides every row, so a level is
-      one sweep and one comparison.
+    * With the rows' squared norms ``sq_norms`` (l_2), a matrix-vector
+      product screens the rows: ``keep`` holds those inside and ``band`` is
+      a mask.
+    * With a None slot (every other norm) the kernel decides every row, so
+      a level is one sweep and one comparison.
 
     The l_2 screen forms g = xx + qq + cross (``norms.band``), with xx the
-    stored squared row norm (``sq_norms``), qq = q.q and cross = -2 x.q,
+    stored squared row norm, qq = q.q and cross = -2 x.q,
     the inner products x.q, scaled in place, by one whole-matrix GEMV
     ``M @ q``, indexed, once the
     candidates reach ``_GEMV_SHARE`` of the rows, and else by one GEMV per
@@ -730,12 +736,11 @@ def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
     calibration (``oracle._gemm_kth``); ``norms.band``'s docstring derives
     the half-width that makes each verdict the kernel's.
     """
-    if tau == math.inf:
+    if limit == math.inf:
         keep = np.ones(candidates.size, dtype=bool)
         return keep, ~keep
-    if index.norm != L2:
+    if sq_norms is None:
         return None, slice(None)
-    matrix = index.data if k == 0 else index.features[k - 1]
     rows, n = matrix.shape
     # an overflow only puts rows in the band, which the kernel then decides
     with np.errstate(over="ignore", invalid="ignore"):
@@ -743,17 +748,17 @@ def _screen(index: SubspaceIndex, k: int, candidates: np.ndarray,
             # one whole-matrix GEMV, which BLAS splits over its threads; it
             # reads every row (see _GEMV_SHARE)
             dots = matrix @ point
-            xx = index.sq_norms[k]
+            xx = sq_norms
             if candidates.size < rows:
                 dots = dots[candidates]
                 xx = xx[candidates]
         else:
-            dots = sweep(matrix, candidates, point, index.norm, _dot)
-            xx = index.sq_norms[k][candidates]
+            dots = sweep(matrix, candidates, point, L2, _dot)
+            xx = sq_norms[candidates]
         dots *= -2.0  # a fresh array on every path above
         # summed in float64, as xx is: a float32 point's own dot is float32
         qq = float(np.einsum("i,i->", point, point, dtype=np.float64))
-        return band_screen(xx + qq + dots, xx, xx.max(initial=0.0), qq, tau, n,
+        return band_screen(xx + qq + dots, xx, xx.max(initial=0.0), qq, limit, n,
                            single=point.dtype == np.float32)
 
 

@@ -4,7 +4,9 @@ import dataclasses
 import json
 import math
 import re
+import runpy
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -283,6 +285,31 @@ def test_build_bench_and_query_read_data_files(suffix, tmp_path):
     assert all(entry["matches"] for entry in written)
 
 
+@pytest.mark.parametrize("command", ["build", "bench", "query"])
+def test_a_vector_file_of_another_suffix_is_input_error(command, query_files, tmp_path,
+                                                        capsys):
+    # a CSV file named .txt was read as fvecs and failed as a truncated
+    # record; now the suffix is checked, and nothing is written
+    text = tmp_path / "rows.txt"
+    np.savetxt(text, load_fvecs(query_files["data"]).vectors, delimiter=",", fmt="%.17g")
+    out = tmp_path / "out.json"
+    argv = {
+        "build": ["build", "--data", str(text), "--schedule", "32,8,2", "--norms", "2"],
+        "bench": ["bench", "--data", str(text), "--schedule", "32,8,2", "--queries", "20",
+                  "--target-nn", "5", "--calibration-sample", "40"],
+        "query": ["query", "--index", str(query_files["full"]), "--queries", str(text),
+                  "--epsilon", "1.5"],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {text}: not a .csv or .fvecs file\n"
+    assert not out.exists()
+    # the two suffixes are read in any case
+    upper = text.rename(tmp_path / "rows.CSV")
+    assert load_vector_file(upper).vectors.shape == (300, 32)
+    upper = query_files["queries"].rename(tmp_path / "rows.FVECS")
+    assert load_vector_file(upper).vectors.shape == (4, 32)
+
+
 @pytest.mark.parametrize("mode", ["orthogonal", "adaptive"])
 def test_container_with_a_nan_direction_is_input_error(tmp_path, mode, capsys):
     # a nan direction entry fails no "deviation from unit norm > tol" test,
@@ -370,6 +397,23 @@ def test_query_missing_file_is_input_error(tmp_path, capsys):
                  "--queries", str(tmp_path / "also-nope.fvecs"),
                  "--epsilon", "1.0"])
     assert code == 1
+
+
+@pytest.mark.parametrize("epsilon, code", [("1.5", 0), ("0", 1)])
+def test_the_module_run_as_main_exits_with_mains_code(epsilon, code, query_files, monkeypatch,
+                                                       capsys):
+    # python -m lpcascade.cli: the __main__ guard passes main's exit code,
+    # here for a query that succeeds and one whose epsilon is an input error
+    argv = ["query", "--index", str(query_files["full"]), "--queries",
+            str(query_files["queries"]), "--epsilon", epsilon]
+    assert main(argv) == code
+    monkeypatch.setattr(sys, "argv", ["lpcascade.cli", *argv])
+    # run from a fresh copy of the module, as python -m does; runpy warns
+    # when the module it runs is already imported
+    monkeypatch.delitem(sys.modules, "lpcascade.cli")
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("lpcascade.cli", run_name="__main__")
+    assert exited.value.code == code
 
 
 def test_bad_arguments_are_input_errors(capsys):

@@ -752,8 +752,9 @@ def test_l2_index_derives_squared_row_norms(tmp_path):
             # summed in float64, as over a float64 copy of the rows
             wide = m.astype(np.float64)
             np.testing.assert_array_equal(sq, np.einsum("ij,ij->i", wide, wide))
-    for p in (1, 4, "inf"):
-        assert build_index(data, schedule, "orthogonal", p).sq_norms == ()
+    for p in (1, 3, 4, "inf"):
+        # one slot per level, None where the kernel decides every row
+        assert build_index(data, schedule, "orthogonal", p).sq_norms == (None,) * 3
     with pytest.raises(TypeError):
         tree.SubspaceIndex(schedule=index.schedule, norm=index.norm, mode=index.mode,
                            levels=index.levels, features=index.features, data=index.data,
@@ -992,7 +993,8 @@ def test_float32_l2_screen_is_exact_where_float32_products_fail(tmp_path, monkey
                     dist = level_distances(index, k, index.features[k - 1], points[k])
                     for i, c in enumerate(dist):
                         for tau in (c, np.nextafter(c, np.inf)):
-                            keep, band = tree._screen(index, k, np.array([i]), points[k], tau)
+                            keep, band = tree._screen(index.features[k - 1], index.sq_norms[k],
+                                                      np.array([i]), points[k], tau)
                             assert band[0] or keep[0] == (c < tau)
 
 
@@ -1158,7 +1160,7 @@ def test_dense_l2_levels_are_not_gathered(monkeypatch):
     gathered.clear()
     at_share = math.ceil(tree._GEMV_SHARE * s)
     for size in (at_share, at_share - 1):
-        tree._screen(index, 0, np.arange(size), data.vectors[0], 1.0)
+        tree._screen(index.data, index.sq_norms[0], np.arange(size), data.vectors[0], 1.0)
     assert gathered == [0]
 
 
@@ -1629,8 +1631,9 @@ def test_the_build_is_the_same_for_any_cpu_count(monkeypatch, mode, p):
             assert other.flags.f_contiguous == built.flags.f_contiguous
             np.testing.assert_array_equal(other, built)
         assert got.grids == want.grids
-        assert len(got.sq_norms) == len(want.sq_norms) == (len(dims) if p == 2 else 0)
+        assert len(got.sq_norms) == len(want.sq_norms) == len(dims)
         for built, other in zip(want.sq_norms, got.sq_norms):
+            assert (other is None) == (built is None) == (p != 2)
             np.testing.assert_array_equal(other, built)
 
 
