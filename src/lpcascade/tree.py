@@ -584,9 +584,10 @@ def level_margins(schedule: DimensionSchedule, scale: float,
       + n_j) 2^-1074 beyond the relative bounds above.  Coding is exact to
       (1/2 + 2^-38) step at any scale, S and tau_k / step_k are exact, and
       c_k scale loses at most 2^-1075 where it underflows: the 4 2^-1074 of
-      a_k covers that and the O(u) factors.  So coded levels prune data of any scale down
-      to about a_k (a_2 = 344 2^-1074 for the schedule 64, 16, 4), where a
-      float32 term c_k n_k 2^-126 would keep every row below about 1e-49.
+      a_k covers that and the O(u) factors.  So coded levels prune data of
+      any scale down to about a_k (a_2 = 344 2^-1074 for the schedule 64,
+      16, 4), where a float32 term c_k n_k 2^-126 would keep every row
+      below about 1e-49.
 
     A non-match may be kept or pruned freely; verification at level 0
     decides it.
@@ -622,12 +623,12 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     (``_screen``), sweeps the rest with the distance kernel in cache-sized
     chunks (``norms.sweep``), so a query never copies a whole feature or
     data matrix, keeps a row while the kernel's distance is below the limit
-    and compacts the candidates.  Level k >= 1 keeps every match while its
-    limit covers tau_k = epsilon plus the level's margin (``level_margins``)
-    and grid term.  Verification is level 0, over the stored vectors with
-    limit epsilon, and its survivors are the matches; there the kernel also
-    runs on every row the screen keeps, so every decision and reported float
-    is the kernel's own.  The level-major sweep evaluates exactly the pairs
+    and compacts the candidates.  At level k >= 1 every match's level
+    distance lies below tau_k = epsilon plus the level's margin
+    (``level_margins``) and grid term.  Verification is level 0, over the
+    stored vectors with limit epsilon, and its survivors are the matches;
+    there the kernel also runs on every row the screen keeps, so every
+    decision and reported float is the kernel's own.  The level-major sweep evaluates exactly the pairs
     the per-item two-loop cascade would, so counters match the cost model
     verbatim.  Every level k >= 1 hands the kernel, and the screen, the
     query projected in float64 and then taken to the dtype of its features,

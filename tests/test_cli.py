@@ -288,8 +288,9 @@ def test_build_bench_and_query_read_data_files(suffix, tmp_path):
 @pytest.mark.parametrize("command", ["build", "bench", "query"])
 def test_a_vector_file_of_another_suffix_is_input_error(command, query_files, tmp_path,
                                                         capsys):
-    # a CSV file named .txt was read as fvecs and failed as a truncated
-    # record; now the suffix is checked, and nothing is written
+    # a CSV file named .txt is an input error that names the file and the
+    # two suffixes, not an fvecs read that fails as a truncated record, and
+    # nothing is written
     text = tmp_path / "rows.txt"
     np.savetxt(text, load_fvecs(query_files["data"]).vectors, delimiter=",", fmt="%.17g")
     out = tmp_path / "out.json"
