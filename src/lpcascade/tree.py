@@ -628,9 +628,10 @@ def range_query(index: SubspaceIndex, y, epsilon: float) -> QueryReport:
     (``level_margins``) and grid term.  Verification is level 0, over the
     stored vectors with limit epsilon, and its survivors are the matches;
     there the kernel also runs on every row the screen keeps, so every
-    decision and reported float is the kernel's own.  The level-major sweep evaluates exactly the pairs
-    the per-item two-loop cascade would, so counters match the cost model
-    verbatim.  Every level k >= 1 hands the kernel, and the screen, the
+    decision and reported float is the kernel's own.  The level-major
+    sweep evaluates exactly the pairs the per-item two-loop cascade would,
+    so counters match the cost model verbatim.  Every level k >= 1 hands
+    the kernel, and the screen, the
     query projected in float64 and then taken to the dtype of its features,
     and the kernel picks the arithmetic from its inputs.  Under l_1 and
     l_inf the point is coded on the level's grid (``_encode``), the kernel
