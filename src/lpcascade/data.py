@@ -184,12 +184,11 @@ def write_fvecs(path, vectors) -> None:
 
 
 def load_csv(path) -> DataSet:
-    """One vector per row of decimal floats; uniform column count enforced."""
-    rows = []
-    width = None
+    """One vector per row of decimal floats; uniform column count and
+    finite values enforced, an error naming the file and line."""
+    rows, width = [], None
     with open(path, "r", newline="") as handle:
-        reader = csv.reader(handle)
-        for lineno, row in enumerate(reader, start=1):
+        for lineno, row in enumerate(csv.reader(handle), start=1):
             if not row:
                 continue
             if width is None:
@@ -201,6 +200,9 @@ def load_csv(path) -> DataSet:
                 rows.append([float(cell) for cell in row])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            # nan, inf and text beyond float64's range, such as 1e400
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValueError(f"{path}:{lineno}: non-finite values in the row")
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return DataSet.from_array(np.array(rows, dtype=np.float64))

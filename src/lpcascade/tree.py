@@ -240,36 +240,41 @@ class SubspaceIndex:
     layout, so built, loaded and hand-built indexes hold one
     representation; the container is row-major whatever the layout
     (``save_index``).
-    Construction is the one check that the parts agree, built or loaded: it
-    raises ``ValueError`` unless ``mode`` is in ``projection.MODES``,
-    ``data`` is (count, dims[0]) with count at least 1, ``ids`` (count,)
-    integers, held as int64 as the container stores them, each of the
-    ``schedule.levels`` levels k maps dims[k-1] to dims[k] under ``norm``,
-    as exactness needs, with features of the dtype the store gives the
-    norm (``norms._stored_dtype``, checked before their shape) and (count,
-    dims[k]), each of the ``schedule.levels`` grid slots holds a grid
-    under l_1 and l_inf and None under every other norm, and each grid has
-    a finite lo and a step that is a positive power of two and no code is
-    negative.  Level k prunes a row when its level distance reaches
-    epsilon plus a margin that covers the rounding of the features and of
-    projection and distances.  The margin (``level_margins``) reads only
-    the schedule, the index's norm, epsilon and the query's norm; a coded
-    level adds its grid term (``grid_terms``).  ``prune_margins`` is
-    derived, not passed in: the per-level margins of a query with
-    ``||y||_p + epsilon = 1``, which a query's own margins scale in
-    proportion to.  Queries are read-only and safe to run concurrently.
+    Construction is the one check that the parts agree, built or loaded,
+    and one pass over the levels.  It raises ``ValueError`` unless ``mode``
+    is in ``projection.MODES``, ``data`` is (count, dims[0]) with count at
+    least 1, ``ids`` (count,) integers, held as int64 as the container
+    stores them, and the levels, feature matrices and grid slots number
+    ``schedule.levels`` each.  Then, for each level k in turn, it checks
+    that the level maps dims[k-1] to dims[k] under ``norm``, as exactness
+    needs; that the features have the dtype the store gives the norm
+    (``norms._stored_dtype``), then the shape (count, dims[k]); that the
+    grid slot holds a grid exactly where that dtype is int16 (l_1, l_inf)
+    and None elsewhere; and that a grid has a finite lo and a step that is
+    a positive power of two, and no code is negative.  It then lays the
+    features out as above and derives the level's grid term.  Level k
+    prunes a row when its level distance reaches epsilon plus a margin
+    that covers the rounding of the features and of projection and
+    distances.  The margin (``level_margins``) reads only the schedule,
+    the index's norm, epsilon and the query's norm; a coded level adds its
+    grid term ``grid_terms[k-1]``, n_k^(1/p) step_k (1 + 2^-32)
+    (``norms._grid_term``), and a float32 level adds 0.  ``prune_margins``
+    holds the per-level margins of a query with ``||y||_p + epsilon = 1``,
+    which a query's own margins scale in proportion to.  Queries are
+    read-only and safe to run concurrently.
 
-    The index also derives ``sq_norms``, one slot per level k = 0..t, as
-    ``grids`` holds one per level k >= 1.  Under l_2 ``sq_norms[0]`` holds
-    the squared norm of every row of ``data`` and ``sq_norms[k]`` that of
-    every row of ``features[k-1]``, each summed in float64, so a query can
-    screen a level with one matrix-vector product and
+    ``grid_terms``, ``prune_margins`` and ``sq_norms`` are derived fields:
+    set once at construction, never passed in (passing one raises
+    ``TypeError``) and not stored in the container, so built and loaded
+    indexes derive them alike.  ``sq_norms`` has one slot per level k =
+    0..t, as ``grids`` has one per level k >= 1.  Under l_2 ``sq_norms[0]``
+    holds the squared norm of every row of ``data`` and ``sq_norms[k]``
+    that of every row of ``features[k-1]``, each summed in float64, so a
+    query can screen a level with one matrix-vector product and
     ``norms.band_screen``, whose pre-screen takes its w* at the largest of
     the candidates' (see ``_screen``).  Under every other norm each slot is
-    None, and the kernel decides every row.  They are computed here, not
-    passed in or stored in the container, so built and loaded indexes
-    derive them alike; for a memory-mapped ``data`` that reads the vectors
-    once.
+    None, and the kernel decides every row.  For a memory-mapped ``data``
+    deriving them reads the vectors once.
     """
 
     schedule: DimensionSchedule
@@ -281,6 +286,8 @@ class SubspaceIndex:
     ids: np.ndarray
     grids: tuple[tuple[float, float] | None, ...]
     sq_norms: tuple[np.ndarray | None, ...] = field(init=False, repr=False, compare=False)
+    grid_terms: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    prune_margins: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -293,12 +300,14 @@ class SubspaceIndex:
             raise ValueError(f"count {data[0]} must be at least 1")
         # the container stores int64 ids: a float id would come back truncated
         object.__setattr__(self, "ids", _int64_ids(self.ids))
-        if not len(self.levels) == len(self.features) == self.schedule.levels:
-            raise ValueError(f"{len(self.levels)} levels and {len(self.features)} feature "
-                             f"matrices for a {self.schedule.levels}-level schedule")
-        dtype = _stored_dtype(self.norm)
-        pairs = zip(dims, dims[1:], self.levels, self.features)
-        for k, (n_in, n_out, level, feats) in enumerate(pairs, start=1):
+        if {len(self.levels), len(self.features), len(self.grids)} != {self.schedule.levels}:
+            raise ValueError(f"{len(self.levels)} levels, {len(self.features)} feature matrices "
+                             f"and {len(self.grids)} grid slots for a "
+                             f"{self.schedule.levels}-level schedule under {self.norm}")
+        dtype, coded = _stored_dtype(self.norm), _coded(self.norm)
+        features, terms = [], []
+        parts = zip(dims, dims[1:], self.levels, self.features, self.grids)
+        for k, (n_in, n_out, level, feats, grid) in enumerate(parts, start=1):
             if (level.dim_in, level.dim_out, level.norm) != (n_in, n_out, self.norm):
                 raise ValueError(f"level {k} maps {level.dim_in} to {level.dim_out} under "
                                  f"{level.norm}, not {n_in} to {n_out} under {self.norm}")
@@ -307,41 +316,29 @@ class SubspaceIndex:
                                  f"under {self.norm}")
             if np.shape(feats) != (data[0], n_out):
                 raise ValueError(f"features {k}: {np.shape(feats)}, not {data[0], n_out}")
-        # one layout for built, loaded and hand-built indexes: a narrow level
-        # column-major, the kernel's transposed buffer (norms.distances_to_point)
-        object.__setattr__(self, "features", tuple(
-            np.asfortranarray(feats) if _column_major(dtype, n_out)
-            else np.ascontiguousarray(feats)
-            for n_out, feats in zip(dims[1:], self.features)))
-        if [grid is None for grid in self.grids] != [not _coded(self.norm)] * self.schedule.levels:
-            raise ValueError(f"grid slots {self.grids} for a {self.schedule.levels}-level "
-                             f"schedule under {self.norm}: one per level, a grid where coded")
-        for k, (grid, feats) in enumerate(zip(self.grids, self.features), start=1):
-            if grid is None:
-                continue
-            lo, step = grid
-            if not math.isfinite(lo):
-                raise ValueError(f"grid {k}: lo {lo} is not finite")
-            if not (0.0 < step < math.inf and math.frexp(step)[0] == 0.5):
-                raise ValueError(f"grid {k}: step {step} is not a positive power of two")
-            # int16 holds no code above _CODE_MAX
-            if feats.size and feats.min() < 0:
-                raise ValueError(f"features {k}: codes outside [0, {_CODE_MAX}]")
+            if (grid is None) == coded:
+                raise ValueError(f"grid slot {k}: {grid} under {self.norm}, where a level "
+                                 f"holds {'a grid' if coded else 'None'}")
+            if coded:
+                lo, step = grid
+                if not math.isfinite(lo):
+                    raise ValueError(f"grid {k}: lo {lo} is not finite")
+                if not (0.0 < step < math.inf and math.frexp(step)[0] == 0.5):
+                    raise ValueError(f"grid {k}: step {step} is not a positive power of two")
+                # int16 holds no code above _CODE_MAX
+                if feats.size and feats.min() < 0:
+                    raise ValueError(f"features {k}: codes outside [0, {_CODE_MAX}]")
+            # one layout for built, loaded and hand-built indexes: a narrow level
+            # column-major, the kernel's transposed buffer (norms.distances_to_point)
+            features.append(np.asarray(feats, order="F" if _column_major(dtype, n_out) else "C"))
+            # what the level adds to its threshold for its grid (level_margins)
+            terms.append(_grid_term(self.norm, n_out, step) if coded else 0.0)
+        object.__setattr__(self, "features", tuple(features))
+        object.__setattr__(self, "grid_terms", tuple(terms))
+        object.__setattr__(self, "prune_margins", level_margins(self.schedule, 1.0, self.norm))
         # an inf norm defers rows to the kernel
         object.__setattr__(self, "sq_norms", tuple(
-            _row_powers(m) if self.norm == L2 else None for m in (self.data, *self.features)))
-
-    @property
-    def prune_margins(self) -> tuple[float, ...]:
-        return level_margins(self.schedule, 1.0, self.norm)
-
-    @property
-    def grid_terms(self) -> tuple[float, ...]:
-        """What each level adds to its threshold for its grid: n_k^(1/p)
-        step (1 + 2^-32) at a coded level (``level_margins`` derives it),
-        0 at a float32 one, whose slot is None."""
-        return tuple(0.0 if grid is None else _grid_term(self.norm, n, grid[1])
-                     for n, grid in zip(self.schedule.dims[1:], self.grids))
+            _row_powers(m) if self.norm == L2 else None for m in (self.data, *features)))
 
     @property
     def count(self) -> int:

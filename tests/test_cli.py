@@ -170,6 +170,18 @@ def test_build_indivisible_schedule_is_input_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+def test_a_non_finite_csv_value_is_input_error_naming_file_and_line(value, tmp_path, capsys):
+    # the loader names the file and line of a value float64 cannot hold,
+    # and no index is written
+    data = tmp_path / "bad.csv"
+    data.write_text(f"1,2,3,4\n5,6,7,8\n1,{value},2,3\n")
+    out = tmp_path / "x.idx"
+    assert main(["build", "--data", str(data), "--schedule", "4,2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {data}:3: non-finite values in the row\n"
+    assert not out.exists()
+
+
 def test_query_command(tmp_path, capsys):
     out = tmp_path / "q.idx"
     assert main([

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -199,10 +200,13 @@ def test_csv_errors(tmp_path):
     with pytest.raises(ValueError, match=":2"):
         load_csv(text)
 
-    nonfinite = tmp_path / "nan.csv"
-    nonfinite.write_text("1,2\n1,nan\n")
-    with pytest.raises(ValueError):
-        load_csv(nonfinite)
+    # a value float64 cannot hold is named by file and line, as a value
+    # that is not a number is, and not by DataSet
+    for name, text in (("nan", "nan"), ("inf", "inf"), ("overflow", "1e400")):
+        nonfinite = tmp_path / f"{name}.csv"
+        nonfinite.write_text(f"1,2\n\n1,{text}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(nonfinite))}:3: non-finite "):
+            load_csv(nonfinite)
 
 
 def test_report_empty(tmp_path):

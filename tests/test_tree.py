@@ -758,7 +758,7 @@ def test_l2_index_derives_squared_row_norms(tmp_path):
     with pytest.raises(TypeError):
         tree.SubspaceIndex(schedule=index.schedule, norm=index.norm, mode=index.mode,
                            levels=index.levels, features=index.features, data=index.data,
-                           ids=index.ids, sq_norms=index.sq_norms)
+                           ids=index.ids, grids=index.grids, sq_norms=index.sq_norms)
 
 
 def test_feature_matrices_must_be_float32():
@@ -771,6 +771,15 @@ def test_feature_matrices_must_be_float32():
                 first[:, :8].astype(np.float64)):
         with pytest.raises(ValueError, match="float32"):
             dataclasses.replace(index, features=(bad, index.features[1]))
+
+
+def as_l2(index):
+    """The parts of an l_2 index over the directions and features of
+    ``index``, the features rounded to float32."""
+    return {"norm": norms.L2,
+            "levels": tuple(projection.ProjectionLevel(norms.L2, level.directions)
+                            for level in index.levels),
+            "features": tuple(f.astype(np.float32) for f in index.features)}
 
 
 @pytest.mark.parametrize("change, message", [
@@ -787,22 +796,23 @@ def test_feature_matrices_must_be_float32():
                                index.levels[1])}, "under l_2, not 64 to 16 under l_1"),
     (lambda index: {"data": index.data[:, :32]}, r"data \(60, 32\), ids"),
     (lambda index: {"levels": index.levels[:1], "features": index.features[:1]},
-     "1 levels and 1 feature matrices for a 2-level schedule"),
+     "^1 levels, 1 feature matrices and 2 grid slots for a 2-level schedule under l_1$"),
     # saved, such an index would write a container load_index rejects
     (lambda index: {"mode": "bogus"}, "unknown mode 'bogus'"),
     # an l_1 level is coded: int16 codes on a grid, one per level
     (lambda index: {"features": (index.features[0].astype(np.float32), index.features[1])},
      "feature matrices must be int16 arrays under l_1"),
     (lambda index: {"grids": index.grids[:1]},
-     r"grid slots \(\([^)]*\),\) for a 2-level schedule under l_1: one per level"),
+     "^2 levels, 2 feature matrices and 1 grid slots for a 2-level schedule under l_1$"),
     (lambda index: {"grids": (None, index.grids[1])},
-     r"grid slots \(None, \([^)]*\)\) for a 2-level schedule under l_1"),
-    # a float32 level has no grid: l_2 levels and features keeping l_1's grids
-    (lambda index: {"norm": norms.L2, "grids": index.grids,
-                    "levels": tuple(projection.ProjectionLevel(norms.L2, level.directions)
-                                    for level in index.levels),
-                    "features": tuple(f.astype(np.float32) for f in index.features)},
-     r"grid slots \(\(.*\)\) for a 2-level schedule under l_2: one per level"),
+     "^grid slot 1: None under l_1, where a level holds a grid$"),
+    (lambda index: {"grids": (index.grids[0], None)},
+     "^grid slot 2: None under l_1, where a level holds a grid$"),
+    # a float32 level has no grid: l_2 levels and features keeping an l_1 grid
+    (lambda index: {**as_l2(index), "grids": index.grids},
+     r"^grid slot 1: \([^)]*\) under l_2, where a level holds None$"),
+    (lambda index: {**as_l2(index), "grids": (None, index.grids[1])},
+     r"^grid slot 2: \([^)]*\) under l_2, where a level holds None$"),
     (lambda index: {"grids": ((0.0, 0.3), index.grids[1])},
      "grid 1: step 0.3 is not a positive power of two"),
     # saved, a zero-row index would write a container load_index rejects,
@@ -816,7 +826,7 @@ def test_feature_matrices_must_be_float32():
      "ids must be integers int64 holds, not uint64"),
 ], ids=["norm", "schedule", "feature-width", "feature-rows", "ids", "level-norm",
         "data-width", "level-count", "mode", "feature-dtype", "grid-count", "grid-none",
-        "grid-on-float32", "grid-step",
+        "grid-none-2", "grid-on-float32", "grid-on-float32-2", "grid-step",
         "zero-rows", "float-ids", "uint64-ids"])
 def test_an_index_whose_parts_disagree_is_rejected(change, message):
     data = small_dataset(count=60, seed=81)
@@ -829,10 +839,30 @@ def test_prune_margins_are_derived_not_passed():
     data = small_dataset(count=50, seed=71)
     index = build_index(data, DimensionSchedule((64, 16, 4)), "orthogonal", 1)
     assert index.prune_margins == tree.level_margins(index.schedule, 1.0, index.norm)
-    with pytest.raises(TypeError):
-        tree.SubspaceIndex(schedule=index.schedule, norm=index.norm, mode=index.mode,
-                           levels=index.levels, features=index.features, data=index.data,
-                           ids=index.ids, prune_margins=(0.0, 0.0))
+    parts = {name: getattr(index, name) for name in
+             ("schedule", "norm", "mode", "levels", "features", "data", "ids", "grids")}
+    # every other part given, so only the derived field is refused
+    assert tree.SubspaceIndex(**parts).grid_terms == index.grid_terms
+    for derived in ("prune_margins", "grid_terms"):
+        with pytest.raises(TypeError, match=derived):
+            tree.SubspaceIndex(**parts, **{derived: getattr(index, derived)})
+
+
+@pytest.mark.parametrize("p", [1, "inf", 2, 3, 4])
+def test_grid_terms_are_each_levels_grid_term(tmp_path, p):
+    # a coded level adds norms._grid_term of its width and step to its
+    # threshold, and a float32 level, whose slot is None, adds 0
+    data = small_dataset(count=50, seed=72)
+    schedule = DimensionSchedule((64, 16, 4))
+    index = build_index(data, schedule, "orthogonal", p)
+    path = tmp_path / "terms.idx"
+    save_index(index, path)
+    want = tuple(0.0 if grid is None else norms._grid_term(index.norm, n, grid[1])
+                 for n, grid in zip(schedule.dims[1:], index.grids))
+    assert [grid is None for grid in index.grids] == [p not in (1, "inf")] * 2
+    assert all(term > 0.0 for term in want) == (p in (1, "inf"))
+    for derived in (index, load_index(path), load_index(path, mmap_data=True)):
+        assert derived.grid_terms == want
 
 
 # Values of tree._GEMV_SHARE that force each way the l_2 screen forms its

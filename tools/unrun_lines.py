@@ -6,8 +6,9 @@ Runs pytest in this process (by default tier-1: the ``testpaths`` of
 pools (``norms.in_parts``) are traced too, and records every line of
 ``src/lpcascade/*.py`` that runs.  A statement ran when a line it spans,
 outside the statements nested in it, did.  Definitions, imports,
-docstrings and the headers of ``try`` blocks, which run no code of their
-own, are not counted.  Prints each statement that never ran as its
+docstrings (a statement whose first line ``code_lines.docstring_lines``
+holds) and the headers of ``try`` blocks, which run no code of their own,
+are not counted.  Prints each statement that never ran as its
 path, line and first line of source, then the count per module and in
 total.  Arguments are passed on to pytest, with paths taken from the
 repository root, and the exit code is never that of the tests: the
@@ -26,6 +27,7 @@ import threading
 from pathlib import Path
 
 import pytest
+from code_lines import docstring_lines
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lpcascade"
@@ -38,14 +40,11 @@ def statements(path: Path) -> list[tuple[int, set[int]]]:
     """(first line, own lines) of each counted statement of one module: the
     lines it spans outside its nested statements."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    docstrings = {id(node.body[0]) for node in ast.walk(tree)
-                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                                       ast.AsyncFunctionDef))
-                  and ast.get_docstring(node, clean=False) is not None}
+    docstrings = docstring_lines(tree)
     found = []
     for node in ast.walk(tree):
         if (not isinstance(node, ast.stmt) or isinstance(node, _UNCOUNTED)
-                or id(node) in docstrings):
+                or node.lineno in docstrings):
             continue
         own = set(range(node.lineno, node.end_lineno + 1))
         for child in ast.iter_child_nodes(node):
